@@ -116,6 +116,43 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+_REQUIRED = object()
+
+
+def _number(doc: dict, key: str, where: str, cast=int, default=_REQUIRED):
+    """doc[key] read as an int or a float; absent or null gives default."""
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise MalformedError(f"{where} is missing the '{key}' field")
+        return default
+    try:
+        if isinstance(value, bool) or (
+                cast is int and isinstance(value, float)
+                and not value.is_integer()):
+            raise ValueError
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a number"
+        raise MalformedError(
+            f"{where} field '{key}' must be {kind}, got {value!r}") from None
+
+
+def _dem_profile(doc: dict, key: str) -> Optional[DemProfile]:
+    """The DemProfile held in doc[key], or None when there is none."""
+    sub = doc.get(key)
+    if sub is None:
+        return None
+    if not isinstance(sub, dict):
+        raise MalformedError(f"'{key}' must be a JSON object")
+    enc_len = _number(sub, "enc_len", key)
+    mac_bits = _number(sub, "mac_bits", key)
+    try:
+        return DemProfile(enc_len=enc_len, mac_bits=mac_bits)
+    except ValueError as e:  # field widths out of range
+        raise MalformedError(f"'{key}': {e}") from None
+
+
 def _rng_for(args) -> random.Random:
     if getattr(args, "seed", None) is not None:
         try:
@@ -174,28 +211,23 @@ def params_to_doc(params: IkemParams,
 
 
 def params_from_doc(doc: dict) -> Tuple[IkemParams, DemProfile]:
-    mode_name = _require(doc, "mode", "parameter file")
+    where = "parameter file"
+    mode_name = _require(doc, "mode", where)
     if mode_name not in _MODES:
         raise MalformedError(f"unknown mode {mode_name!r}")
-    source = from_json(_require(doc, "source", "parameter file"))
+    source = from_json(_require(doc, "source", where))
     params = IkemParams(
         mode=_MODES[mode_name], source=source,
-        n=int(_require(doc, "n", "parameter file")),
-        t=int(_require(doc, "t", "parameter file")),
-        ell=int(_require(doc, "ell", "parameter file")),
-        nu=float(_require(doc, "nu", "parameter file")),
-        r=int(doc.get("r", 0)),
-        w=int(_require(doc, "w", "parameter file")),
-        sigma=float(doc.get("sigma", 0.5)),
-        q_e=int(doc.get("q_e", 0)), q_d=int(doc.get("q_d", 0)),
-        eps=doc.get("eps"), delta=doc.get("delta"))
-    dem_doc = doc.get("dem")
-    if dem_doc is None:
-        dem = DemProfile()
-    else:
-        dem = DemProfile(enc_len=int(_require(dem_doc, "enc_len", "dem")),
-                         mac_bits=int(_require(dem_doc, "mac_bits", "dem")))
-    return params, dem
+        n=_number(doc, "n", where), t=_number(doc, "t", where),
+        ell=_number(doc, "ell", where),
+        nu=_number(doc, "nu", where, float),
+        r=_number(doc, "r", where, int, 0), w=_number(doc, "w", where),
+        sigma=_number(doc, "sigma", where, float, 0.5),
+        q_e=_number(doc, "q_e", where, int, 0),
+        q_d=_number(doc, "q_d", where, int, 0),
+        eps=_number(doc, "eps", where, float, None),
+        delta=_number(doc, "delta", where, float, None))
+    return params, _dem_profile(doc, "dem") or DemProfile()
 
 
 def _load_params(path: str) -> Tuple[IkemParams, DemProfile]:
@@ -223,7 +255,7 @@ def _read_material(path: str, role: str, n: int, alphabet: int):
         raise MalformedError(
             f"{path} holds role {doc.get('role')!r}, expected {role!r}")
     text = _require(doc, "symbols", path)
-    if int(_require(doc, "n", path)) != n or len(text) != n:
+    if _number(doc, "n", path) != n or len(text) != n:
         raise MalformedError(f"{path} length does not match n = {n}")
     try:
         symbols = tuple(int(ch, 16) for ch in text)
@@ -246,7 +278,7 @@ def _read_public(path: str, n: int) -> int:
     doc = _read_json(path)
     if doc.get("role") != "public":
         raise MalformedError(f"{path} does not hold the public seed")
-    if int(_require(doc, "n", path)) != n:
+    if _number(doc, "n", path) != n:
         raise MalformedError(f"{path} width does not match n = {n}")
     try:
         seed = int(_require(doc, "seed", path), 16)
@@ -281,26 +313,23 @@ def _write_key(path: str, key) -> None:
 def cmd_params(args) -> int:
     doc = _read_json(args.config)
     source = from_json(_require(doc, "source", "config"))
-    sigma = float(_require(doc, "sigma", "config"))
-    q_e = int(doc.get("q_e", 0))
-    q_d = int(doc.get("q_d", 0))
-    nu = doc.get("nu")
-    nu = float(nu) if nu is not None else None
-    ell = doc.get("ell")
-    ell = int(ell) if ell is not None else None
-    eps = doc.get("eps")
-    eps = float(eps) if eps is not None else None
+    sigma = _number(doc, "sigma", "config", float)
+    q_e = _number(doc, "q_e", "config", int, 0)
+    q_d = _number(doc, "q_d", "config", int, 0)
+    nu = _number(doc, "nu", "config", float, None)
+    ell = _number(doc, "ell", "config", int, None)
+    eps = _number(doc, "eps", "config", float, None)
+    dem = _dem_profile(doc, "dem")
     try:
         if args.mode == "cca":
             if eps is None:
                 raise MalformedError("the authenticated mode needs 'eps'")
-            delta = float(_require(doc, "delta", "config"))
-            t = doc.get("t")
+            delta = _number(doc, "delta", "config", float)
             params = derive_params_cca(
                 source, eps, sigma, delta, q_e, q_d, nu=nu,
-                t=int(t) if t is not None else None, ell=ell)
+                t=_number(doc, "t", "config", int, None), ell=ell)
         else:
-            t = int(_require(doc, "t", "config"))
+            t = _number(doc, "t", "config")
             derive = (derive_params_cea if args.mode == "cea"
                       else derive_params_baseline)
             params = derive(source, sigma, q_e, t, nu=nu, eps=eps, ell=ell)
@@ -329,12 +358,6 @@ def cmd_params(args) -> int:
         print(f"{name:<14}{value}")
     print(f"{'verdict':<14}feasible")
     if args.out:
-        dem_doc = doc.get("dem")
-        dem = None
-        if dem_doc is not None:
-            dem = DemProfile(
-                enc_len=int(_require(dem_doc, "enc_len", "dem")),
-                mac_bits=int(_require(dem_doc, "mac_bits", "dem")))
         _write_json(args.out, params_to_doc(params, dem))
     return EXIT_OK
 
@@ -532,8 +555,8 @@ def _target_from(doc: dict, params: IkemParams):
 
 def _run_game_doc(doc: dict, trials: int, seed: int):
     kind = _require(doc, "game", "game config")
-    q_e = int(doc.get("q_e", 0))
-    q_d = int(doc.get("q_d", 0))
+    q_e = _number(doc, "q_e", "game config", int, 0)
+    q_d = _number(doc, "q_d", "game config", int, 0)
     adversary = str(doc.get("adversary", "random"))
     if kind == "pkind":
         params, _ = params_from_doc(_require(doc, "params", "game config"))
@@ -546,20 +569,14 @@ def _run_game_doc(doc: dict, trials: int, seed: int):
     if kind == "kint":
         params, _ = params_from_doc(_require(doc, "params", "game config"))
         config = GameConfig(
-            atk="kint", trials=trials, q_e=int(doc.get("q_e", 1)), q_d=q_d,
+            atk="kint", trials=trials, q_e=_number(doc, "q_e", "game config", int, 1), q_d=q_d,
             seed=seed, params=params, target=_target_from(doc, params))
         return run_kint(config, _pick(_KINT_ADVERSARIES, adversary, kind))
     if kind == "dem":
-        profile_doc = doc.get("profile")
-        if profile_doc is None:
-            profile = DemProfile()
-        else:
-            profile = DemProfile(
-                enc_len=int(_require(profile_doc, "enc_len", "profile")),
-                mac_bits=int(_require(profile_doc, "mac_bits", "profile")))
         config = GameConfig(
             atk=str(_require(doc, "atk", "game config")), trials=trials,
-            q_e=q_e, q_d=q_d, seed=seed, dem=profile)
+            q_e=q_e, q_d=q_d, seed=seed,
+            dem=_dem_profile(doc, "profile") or DemProfile())
         if adversary != "contrast":
             raise MalformedError(
                 f"unknown dem adversary {adversary!r} (known: contrast)")
@@ -573,11 +590,11 @@ def _run_game_doc(doc: dict, trials: int, seed: int):
     if kind == "pri":
         fam_doc = _require(doc, "family", "game config")
         fam_kind = _require(fam_doc, "kind", "family")
-        out_bits = int(_require(fam_doc, "out_bits", "family"))
+        out_bits = _number(fam_doc, "out_bits", "family")
         if fam_kind == "it":
             family = it_prf_family(
-                int(_require(fam_doc, "key_bits", "family")),
-                int(fam_doc.get("q_d", 0)), out_bits)
+                _number(fam_doc, "key_bits", "family"),
+                _number(fam_doc, "q_d", "family", int, 0), out_bits)
         elif fam_kind == "comp":
             family = comp_prf_family(out_bits)
         else:
@@ -587,9 +604,8 @@ def _run_game_doc(doc: dict, trials: int, seed: int):
         if adversary != "random":
             raise MalformedError(
                 f"unknown pri adversary {adversary!r} (known: random)")
-        bound = doc.get("bound")
         return run_pri(config, family, RandomGuessPri(),
-                       bound=float(bound) if bound is not None else None)
+                       bound=_number(doc, "bound", "game config", float, None))
     raise MalformedError(f"unknown game {kind!r}")
 
 
@@ -611,7 +627,8 @@ def cmd_game(args) -> int:
     for index, game_doc in enumerate(games):
         if not isinstance(game_doc, dict):
             raise MalformedError("each game entry must be an object")
-        trials = args.trials or int(game_doc.get("trials", 1000))
+        trials = args.trials or _number(game_doc, "trials", "game entry",
+                                        int, 1000)
         report = _run_game_doc(game_doc, trials, base_seed + index)
         line = report.to_json_line()
         print(line)

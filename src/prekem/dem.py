@@ -19,7 +19,9 @@ so two distinct (body, length) pairs disagree by a nonzero polynomial of
 degree at most B+1 in k1, and a forged tag verifies with probability at
 most (B+1) / 2^mac_bits over a uniform (k1, k2).  An empty body tags to
 k2.  The length term uses the byte count, which keeps zero-padding of the
-final block unambiguous.
+final block unambiguous.  The tag is computed by Horner's rule in k1, and
+every step multiplies by the same k1, so one call builds k1's nibble tables
+(FieldCtx.mul_by) and each block then costs a table read per nibble.
 
 A key narrower than the AES key space (enc_len != 256) is stretched with
 SHA-256 before keying the cipher; at enc_len = 256 the key bits are used
@@ -158,16 +160,13 @@ def _split_key(key: DemKey, profile: DemProfile):
 
 
 def _mac_tag(k1: int, k2: int, body: bytes, bits: int) -> int:
-    ctx = field(bits)
+    times_k1 = field(bits).mul_by(k1)
     bb = bits // 8
+    padded = body + bytes(-len(body) % bb)
     acc = 0
-    for i in range(0, len(body), bb):
-        chunk = body[i:i + bb]
-        if len(chunk) < bb:
-            chunk = chunk + b"\x00" * (bb - len(chunk))
-        acc = ctx.mul(acc, k1) ^ int.from_bytes(chunk, "big")
-    acc = ctx.mul(acc, k1) ^ len(body)
-    return ctx.mul(acc, k1) ^ k2
+    for i in range(0, len(padded), bb):
+        acc = times_k1(acc) ^ int.from_bytes(padded[i:i + bb], "big")
+    return times_k1(times_k1(acc) ^ len(body)) ^ k2
 
 
 def encrypt_ot(key: DemKey, m: bytes, profile: DemProfile = DEFAULT_PROFILE,

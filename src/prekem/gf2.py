@@ -12,6 +12,13 @@ integer encoding), overridable per context.  Custom polynomials are checked
 for irreducibility at construction: exhaustive trial division up to m=32,
 a Rabin test above that.
 
+Multiplication is table-driven.  The generic product (clmul) forms the 16
+multiples of one operand and walks the other a 4-bit window at a time, then
+reduces by the sparse tail of the polynomial.  FieldCtx.mul_by(k) serves a
+fixed multiplicand: its closure reads k*x from per-nibble tables of reduced
+products, with no reduction step.  Tables are built per call and never
+cached.
+
 Serialization is big-endian, ceil(m/8) bytes, zero-padded at the top.
 """
 
@@ -113,13 +120,27 @@ MAX_WIDTH = 8192
 
 
 def clmul(a: int, b: int) -> int:
-    """Carryless (GF(2)[x]) product of two int-encoded polynomials."""
+    """Carryless (GF(2)[x]) product of two int-encoded polynomials.
+
+    4-bit windowed: the 16 multiples of the larger operand are formed once,
+    then the smaller one is walked from the top a byte, i.e. two nibbles, at
+    a time.  A smaller operand of one nibble needs only its own multiple.
+    """
+    if a < b:
+        a, b = b, a
+    if b < 16:
+        return ((a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+                ^ (a << 2 if b & 4 else 0) ^ (a << 3 if b & 8 else 0))
+    a2 = a << 1
+    a3 = a2 ^ a
+    a4 = a << 2
+    a8 = a << 3
+    a5, a6, a7 = a4 ^ a, a4 ^ a2, a4 ^ a3
+    tab = (0, a, a2, a3, a4, a5, a6, a7,
+           a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
     acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
+    for c in b.to_bytes((b.bit_length() + 7) >> 3, "big"):
+        acc = (acc << 8) ^ (tab[c >> 4] << 4) ^ tab[c & 15]
     return acc
 
 
@@ -283,7 +304,54 @@ class FieldCtx:
         return self.check(a) ^ self.check(b)
 
     def mul(self, a: int, b: int) -> int:
-        return self._reduce(clmul(self.check(a), self.check(b)))
+        mask = self._mask
+        if not (0 <= a <= mask and 0 <= b <= mask):
+            self.check(a)
+            self.check(b)
+        return self._reduce(clmul(a, b))
+
+    def mul_by(self, k: int):
+        """The map x -> k*x for a fixed k, as a closure over nibble tables.
+
+        Multiplying by k is GF(2)-linear, so k*x is the xor over the
+        nibbles x_j of x of the reduced products x_j * x^(4j) * k.  Those
+        come from ceil(m/4) tables of 16 entries, built once here, so a
+        product costs a table read per nibble and no reduction (Shoup's
+        method, as used for GHASH in GCM).  The closure checks x as mul
+        does.
+        """
+        m, poly, mask, check = self.m, self.poly, self._mask, self.check
+        check(k)
+
+        def times_x(v):
+            v <<= 1
+            return v ^ poly if v >> m else v
+
+        tables = []
+        b1 = k
+        for _ in range((m + 3) // 4):
+            b2 = times_x(b1)
+            b4 = times_x(b2)
+            b8 = times_x(b4)
+            b3 = b2 ^ b1
+            b5, b6, b7 = b4 ^ b1, b4 ^ b2, b4 ^ b3
+            tables.append((0, b1, b2, b3, b4, b5, b6, b7, b8, b8 ^ b1,
+                           b8 ^ b2, b8 ^ b3, b8 ^ b4, b8 ^ b5, b8 ^ b6, b8 ^ b7))
+            b1 = times_x(b8)
+        # (low, high) nibble tables per little-endian byte of x; the high
+        # nibble past the top of an odd count is always 0
+        pairs = tuple(zip(tables[0::2], tables[1::2] + [(0,)]))
+        nbytes = len(pairs)
+
+        def times_k(x: int) -> int:
+            if not 0 <= x <= mask:
+                check(x)
+            acc = 0
+            for (lo, hi), c in zip(pairs, x.to_bytes(nbytes, "little")):
+                acc ^= lo[c & 15] ^ hi[c >> 4]
+            return acc
+
+        return times_k
 
     def _reduce(self, a: int) -> int:
         m = self.m
@@ -378,25 +446,6 @@ class Fe:
 
     def to_bytes(self) -> bytes:
         return self.ctx.to_bytes(self.value)
-
-
-# -- module-level ops on Fe (mirror of the context methods) ------------------
-
-
-def add(a: Fe, b: Fe) -> Fe:
-    return a + b
-
-
-def mul(a: Fe, b: Fe) -> Fe:
-    return a * b
-
-
-def pow_(a: Fe, e: int) -> Fe:
-    return a**e
-
-
-def inv(a: Fe) -> Fe:
-    return a.inv()
 
 
 def block(x: int, width: int, i: int, j: int) -> int:

@@ -515,6 +515,89 @@ class TestGame:
         assert run_cli("game", "--config", config, "--trials", 10) == 1
 
 
+def assert_format_error(capsys, *args):
+    """The command exits 1 with a one-line message and no traceback."""
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestConfigFields:
+    """Ill-typed or missing numbers in any config block are format errors."""
+
+    def params_config(self, tmp_path, **over):
+        doc = {"source": NOISELESS, "sigma": 0.25, "q_e": 0, "t": 4,
+               "nu": 0.0}
+        doc.update(over)
+        return write_json(tmp_path / "config.json", doc)
+
+    @pytest.mark.parametrize("key", ["sigma", "q_e", "q_d", "nu", "ell",
+                                     "eps", "t"])
+    def test_params_scalar_not_a_number(self, tmp_path, capsys, key):
+        config = self.params_config(tmp_path, **{key: "abc"})
+        assert_format_error(capsys, "params", "--config", config,
+                            "--mode", "cea")
+
+    @pytest.mark.parametrize("key", ["delta", "t"])
+    def test_params_cca_scalar_not_a_number(self, tmp_path, capsys, key):
+        fields = dict(source={"bsc": {"p": "0", "q": "1/2", "n": 16}},
+                      eps=0.5, delta=0.25, q_d=1, t=8)
+        fields[key] = "abc"
+        config = self.params_config(tmp_path, **fields)
+        assert_format_error(capsys, "params", "--config", config,
+                            "--mode", "cca")
+
+    @pytest.mark.parametrize("value", [8.5, True, [8], None])
+    def test_params_integer_field_kinds(self, tmp_path, capsys, value):
+        config = self.params_config(tmp_path, t=value)
+        assert_format_error(capsys, "params", "--config", config,
+                            "--mode", "cea")
+
+    @pytest.mark.parametrize("dem", [
+        {"enc_len": 8, "mac_bits": "x"},
+        {"enc_len": 8},
+        {"enc_len": 8, "mac_bits": 1 << 20},
+        "256/128",
+    ])
+    def test_params_dem_profile(self, tmp_path, capsys, dem):
+        config = self.params_config(tmp_path, dem=dem)
+        assert_format_error(capsys, "params", "--config", config,
+                            "--mode", "cea", "--out", tmp_path / "p.json")
+        assert not (tmp_path / "p.json").exists()
+
+    def test_parameter_file_dem_profile(self, tmp_path, capsys):
+        doc = json.loads(envelope_params_file(tmp_path).read_text())
+        doc["dem"]["mac_bits"] = "x"
+        params = write_json(tmp_path / "bad.json", doc)
+        message = tmp_path / "message.bin"
+        message.write_bytes(b"hello")
+        assert_format_error(capsys, "he-encrypt", "--config", params,
+                            "--x", tmp_path / "x.json", "--in", message,
+                            "--out", tmp_path / "env.bin")
+
+    def test_parameter_file_scalar(self, tmp_path, capsys):
+        doc = json.loads(cea_params_file(tmp_path).read_text())
+        doc["n"] = "twelve"
+        params = write_json(tmp_path / "bad.json", doc)
+        assert_format_error(capsys, "sample", "--config", params,
+                            "--out-dir", tmp_path / "mat")
+
+    def test_game_dem_profile(self, tmp_path, capsys):
+        config = write_json(tmp_path / "game.json", {
+            "game": "dem", "atk": "ot", "adversary": "contrast",
+            "profile": {"mac_bits": 8}})
+        assert_format_error(capsys, "game", "--config", config,
+                            "--trials", 10)
+
+    @pytest.mark.parametrize("field, value", [("trials", "x"),
+                                              ("q_e", "many")])
+    def test_game_scalar(self, tmp_path, capsys, field, value):
+        config = write_json(tmp_path / "game.json", {
+            "game": "pkind", "atk": "cea", "adversary": "random",
+            "params": toy_params_doc(), field: value})
+        assert_format_error(capsys, "game", "--config", config)
+
+
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
         config = write_json(tmp_path / "config.json", {

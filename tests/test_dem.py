@@ -28,8 +28,10 @@ from prekem.dem import (
 from prekem.errors import KeyReuseError, MalformedError
 from prekem.gf2 import field
 
-# frozen reduction polynomial for the reduced-width MAC checks
+# frozen reduction polynomials for the MAC checks: the reduced width, and
+# the default profile's x^128 + x^7 + x^2 + x + 1
 POLY16 = 0x1002B
+POLY128 = (1 << 128) | 0x87
 
 FOX = b"The quick brown fox jumps over the lazy dog."
 FOX_KEY = bytes(range(32))
@@ -49,34 +51,41 @@ def otcca_key(seed=0, profile=DEFAULT_PROFILE):
     return DemKey(bits, profile.otcca_key_bits)
 
 
-def nmul16(a, b):
+def nmul(a, b, poly):
+    """Shift-and-add multiply modulo poly, reducing as it goes."""
+    bits = poly.bit_length() - 1
     acc = 0
     while b:
         if b & 1:
             acc ^= a
         a <<= 1
-        if a >> 16:
-            a ^= POLY16
+        if a >> bits:
+            a ^= poly
         b >>= 1
     return acc
 
 
-def npow16(a, e):
-    acc = 1
-    for _ in range(e):
-        acc = nmul16(acc, a)
-    return acc
+def nmul16(a, b):
+    return nmul(a, b, POLY16)
+
+
+def oracle_tag(k1, k2, body, poly):
+    """Power-sum form of the tag, independent of the Horner loop."""
+    bb = (poly.bit_length() - 1) // 8
+    blocks = [body[i:i + bb] for i in range(0, len(body), bb)]
+    ints = [int.from_bytes(b + b"\x00" * (bb - len(b)), "big") for b in blocks]
+    big = len(ints)
+    powers = [1]                      # powers[e] = k1^e
+    for _ in range(big + 2):
+        powers.append(nmul(powers[-1], k1, poly))
+    acc = 0
+    for i, m in enumerate(ints, start=1):
+        acc ^= nmul(m, powers[big + 2 - i], poly)
+    return acc ^ nmul(len(body), k1, poly) ^ k2
 
 
 def oracle_tag16(k1, k2, body):
-    """Power-sum form of the tag, independent of the Horner loop."""
-    blocks = [body[i:i + 2] for i in range(0, len(body), 2)]
-    ints = [int.from_bytes(b + b"\x00" * (2 - len(b)), "big") for b in blocks]
-    big = len(ints)
-    acc = 0
-    for i, m in enumerate(ints, start=1):
-        acc ^= nmul16(m, npow16(k1, big + 2 - i))
-    return acc ^ nmul16(len(body), k1) ^ k2
+    return oracle_tag(k1, k2, body, POLY16)
 
 
 class TestKeystreamCipher:
@@ -197,6 +206,17 @@ class TestAuthenticated:
             k1 = (k.bits >> 16) & 0xFFFF
             k2 = k.bits & 0xFFFF
             assert c.tag == oracle_tag16(k1, k2, c.body)
+
+    @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 31, 4096, 4097])
+    def test_128_bit_tag_matches_power_sum_oracle(self, size):
+        rng = random.Random(1000 + size)
+        m = rng.randbytes(size)
+        k = otcca_key(size)
+        c = encrypt_otcca(k, m)
+        mask = (1 << 128) - 1
+        k1, k2 = (k.bits >> 128) & mask, k.bits & mask
+        assert c.tag == oracle_tag(k1, k2, c.body, POLY128)
+        assert decrypt_otcca(DemKey(k.bits, k.length), c) == m
 
     def test_reduced_width_field_matches_naive(self):
         ctx = field(16)

@@ -5,6 +5,8 @@ The reference oracle here is an independent schoolbook implementation
 result is cross-checked against a second route.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,17 +17,24 @@ from prekem.gf2 import (
     Fe,
     FieldCtx,
     block,
+    clmul,
     field,
     find_irreducible,
 )
 
 
-def naive_mul(a: int, b: int, m: int, poly: int) -> int:
-    """Schoolbook carryless multiply then bit-by-bit reduction."""
+def naive_clmul(a: int, b: int) -> int:
+    """Schoolbook carryless multiply: one shifted copy of a per set bit of b."""
     prod = 0
     for i in range(b.bit_length()):
         if (b >> i) & 1:
             prod ^= a << i
+    return prod
+
+
+def naive_mul(a: int, b: int, m: int, poly: int) -> int:
+    """Schoolbook carryless multiply then bit-by-bit reduction."""
+    prod = naive_clmul(a, b)
     for i in range(prod.bit_length() - 1, m - 1, -1):
         if (prod >> i) & 1:
             prod ^= poly << (i - m)
@@ -57,6 +66,91 @@ class TestMulOracle:
     def test_against_naive_m61(self, a, b):
         f = field(61)
         assert f.mul(a, b) == naive_mul(a, b, 61, f.poly)
+
+
+WIDE = (24, 40, 128, 527, 553, 1080)
+
+
+def edge_and_random(m: int, count: int = 24):
+    """Operand pairs at width m: the edges (0, 1, all ones, top bit only),
+    pairs of very unequal length both ways round, then seeded random pairs."""
+    top, ones = 1 << (m - 1), (1 << m) - 1
+    edges = (0, 1, 2, ones, top, top | 1)
+    pairs = [(a, b) for a in edges for b in edges]
+    rng = random.Random(m)
+    for _ in range(count):
+        a, b = rng.getrandbits(m), rng.getrandbits(rng.randrange(1, m + 1))
+        pairs += [(a, b), (b, a)]
+    return pairs
+
+
+class TestWindowedClmul:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_exhaustive_small(self, m):
+        for a in range(1 << m):
+            for b in range(1 << m):
+                assert clmul(a, b) == naive_clmul(a, b), (a, b)
+
+    @pytest.mark.parametrize("m", WIDE)
+    def test_edges_and_random_wide(self, m):
+        for a, b in edge_and_random(m):
+            assert clmul(a, b) == naive_clmul(a, b), (m, a, b)
+
+    def test_operands_of_any_length(self):
+        # clmul is plain polynomial arithmetic: no width bound applies
+        a, b = (1 << 2000) | 0xDEADBEEF, 0b1011
+        assert clmul(a, b) == clmul(b, a) == naive_clmul(a, b)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_field_mul_exhaustive_small(self, m):
+        f = field(m)
+        for a in range(1 << m):
+            for b in range(1 << m):
+                assert f.mul(a, b) == naive_mul(a, b, m, f.poly)
+
+    @pytest.mark.parametrize("m", WIDE)
+    def test_field_mul_wide(self, m):
+        f = field(m)
+        for a, b in edge_and_random(m, count=8):
+            assert f.mul(a, b) == naive_mul(a, b, m, f.poly)
+
+
+class TestMulBy:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_exhaustive_small(self, m):
+        f = field(m)
+        for k in range(1 << m):
+            times_k = f.mul_by(k)
+            assert [times_k(x) for x in range(1 << m)] == \
+                [f.mul(k, x) for x in range(1 << m)], k
+
+    @pytest.mark.parametrize("m", WIDE + (16, 61))
+    def test_random_wide(self, m):
+        f = field(m)
+        for k, x in edge_and_random(m, count=12):
+            assert f.mul_by(k)(x) == f.mul(k, x) == naive_mul(k, x, m, f.poly)
+
+    def test_closure_is_reusable(self):
+        f = field(128)
+        times_k = f.mul_by(0x1234567890ABCDEF << 60)
+        xs = [random.Random(i).getrandbits(128) for i in range(20)]
+        assert [times_k(x) for x in xs] == [times_k(x) for x in xs]
+        assert [times_k(x) for x in xs] == [f.mul(x, times_k(1)) for x in xs]
+
+    @pytest.mark.parametrize("m", [1, 8, 13, 128])
+    def test_out_of_range_rejected_like_mul(self, m):
+        f = field(m)
+        for bad in (-1, 1 << m, 1 << (m + 9)):
+            with pytest.raises(ValueError) as want:
+                f.mul(bad, 1)
+            with pytest.raises(ValueError) as got:
+                f.mul_by(bad)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(ValueError) as want:
+                f.mul(1, bad)
+            with pytest.raises(ValueError) as got:
+                f.mul_by(1)(bad)
+            assert str(got.value) == str(want.value)
 
 
 class TestInverse:
