@@ -14,6 +14,11 @@ sender, receiver and observer strings can be delivered to different
 machines.  Every command that draws randomness takes --seed (hex); runs
 with the same seed are byte-identical, and without it the generator is
 seeded from OS entropy.
+
+Each command imports only the layers it runs: hybrid, combiner and games
+load inside their handlers, because every command is a fresh process whose
+start-up is mostly imports, and numpy (through games) is needed only by
+game.
 """
 
 from __future__ import annotations
@@ -27,42 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .combiner import (
-    CombinedKem,
-    IkemComponent,
-    serialize_combined,
-    test_double_kem,
-)
 from .dem import DemProfile
 from .errors import GameRuleError, InfeasibleError, MalformedError
-from .games import (
-    BayesPkind,
-    BruteForceKint,
-    CheatingPkind,
-    ContrastDemDistinguisher,
-    GameConfig,
-    RandomCiphertextForger,
-    RandomGuessPkind,
-    RandomGuessPri,
-    comp_prf_family,
-    identity_dem_decrypt,
-    identity_dem_encrypt,
-    it_prf_family,
-    run_dem_ind,
-    run_kint,
-    run_pkind,
-    run_pri,
-)
-from .hybrid import (
-    ENVELOPE_MAGIC,
-    ENVELOPE_VERSION,
-    HybridScheme,
-    _ENV_HEADER,
-    he_decrypt,
-    he_encrypt,
-    parse_envelope,
-    serialize_envelope,
-)
 from .ikem import (
     IkemInstance,
     IkemParams,
@@ -426,6 +397,8 @@ def cmd_decap(args) -> int:
 
 def _envelope_framing_error(data: bytes) -> Optional[str]:
     """Errors in the outer framing, as opposed to damage inside a payload."""
+    from .hybrid import _ENV_HEADER, ENVELOPE_MAGIC, ENVELOPE_VERSION
+
     if len(data) < _ENV_HEADER.size:
         return "envelope shorter than its header"
     magic, version, c1_len = _ENV_HEADER.unpack_from(data)
@@ -439,6 +412,8 @@ def _envelope_framing_error(data: bytes) -> Optional[str]:
 
 
 def cmd_he_encrypt(args) -> int:
+    from .hybrid import HybridScheme, he_encrypt, serialize_envelope
+
     params, dem = _load_params(args.config)
     scheme = HybridScheme.for_params(params, dem)
     x = _read_material(args.x, "x", params.n, params.source.nx)
@@ -456,6 +431,8 @@ def cmd_he_encrypt(args) -> int:
 
 
 def cmd_he_decrypt(args) -> int:
+    from .hybrid import HybridScheme, he_decrypt, parse_envelope
+
     params, dem = _load_params(args.config)
     scheme = HybridScheme.for_params(params, dem)
     y = _read_material(args.y, "y", params.n, params.source.ny)
@@ -486,6 +463,9 @@ def cmd_he_decrypt(args) -> int:
 # combiner
 
 def cmd_combine(args) -> int:
+    from .combiner import (CombinedKem, IkemComponent, serialize_combined,
+                           test_double_kem)
+
     params, _ = _load_params(args.config)
     x = _read_material(args.x, "x", params.n, params.source.nx)
     y = _read_material(args.y, "y", params.n, params.source.ny)
@@ -519,25 +499,26 @@ def cmd_combine(args) -> int:
 # ---------------------------------------------------------------------------
 # games
 
+# adversary constructors, each given the games module (imported on first use)
 _PKIND_ADVERSARIES = {
-    "random": lambda: RandomGuessPkind(),
-    "cheat": lambda: CheatingPkind(),
-    "bayes": lambda: BayesPkind(),
-    "bayes-probe": lambda: BayesPkind(probe=True),
+    "random": lambda g: g.RandomGuessPkind(),
+    "cheat": lambda g: g.CheatingPkind(),
+    "bayes": lambda g: g.BayesPkind(),
+    "bayes-probe": lambda g: g.BayesPkind(probe=True),
 }
 _KINT_ADVERSARIES = {
-    "random": lambda: RandomCiphertextForger(),
-    "brute": lambda: BruteForceKint(),
-    "brute-query": lambda: BruteForceKint(use_query=True),
+    "random": lambda g: g.RandomCiphertextForger(),
+    "brute": lambda g: g.BruteForceKint(),
+    "brute-query": lambda g: g.BruteForceKint(use_query=True),
 }
 
 
-def _pick(table: dict, name: str, game: str):
+def _pick(table: dict, name: str, game: str, games):
     if name not in table:
         known = ", ".join(sorted(table))
         raise MalformedError(
             f"unknown {game} adversary {name!r} (known: {known})")
-    return table[name]()
+    return table[name](games)
 
 
 def _target_from(doc: dict, params: IkemParams):
@@ -554,26 +535,30 @@ def _target_from(doc: dict, params: IkemParams):
 
 
 def _run_game_doc(doc: dict, trials: int, seed: int):
+    from . import games
+
     kind = _require(doc, "game", "game config")
     q_e = _number(doc, "q_e", "game config", int, 0)
     q_d = _number(doc, "q_d", "game config", int, 0)
     adversary = str(doc.get("adversary", "random"))
     if kind == "pkind":
         params, _ = params_from_doc(_require(doc, "params", "game config"))
-        config = GameConfig(
+        config = games.GameConfig(
             atk=str(_require(doc, "atk", "game config")), trials=trials,
             q_e=q_e, q_d=q_d, seed=seed, params=params,
             target=_target_from(doc, params),
             leak=bool(doc.get("leak", False)))
-        return run_pkind(config, _pick(_PKIND_ADVERSARIES, adversary, kind))
+        return games.run_pkind(
+            config, _pick(_PKIND_ADVERSARIES, adversary, kind, games))
     if kind == "kint":
         params, _ = params_from_doc(_require(doc, "params", "game config"))
-        config = GameConfig(
+        config = games.GameConfig(
             atk="kint", trials=trials, q_e=_number(doc, "q_e", "game config", int, 1), q_d=q_d,
             seed=seed, params=params, target=_target_from(doc, params))
-        return run_kint(config, _pick(_KINT_ADVERSARIES, adversary, kind))
+        return games.run_kint(
+            config, _pick(_KINT_ADVERSARIES, adversary, kind, games))
     if kind == "dem":
-        config = GameConfig(
+        config = games.GameConfig(
             atk=str(_require(doc, "atk", "game config")), trials=trials,
             q_e=q_e, q_d=q_d, seed=seed,
             dem=_dem_profile(doc, "profile") or DemProfile())
@@ -581,31 +566,32 @@ def _run_game_doc(doc: dict, trials: int, seed: int):
             raise MalformedError(
                 f"unknown dem adversary {adversary!r} (known: contrast)")
         if doc.get("stub") == "identity":
-            return run_dem_ind(config, ContrastDemDistinguisher(),
-                               encrypt=identity_dem_encrypt,
-                               decrypt=identity_dem_decrypt)
+            return games.run_dem_ind(config, games.ContrastDemDistinguisher(),
+                                     encrypt=games.identity_dem_encrypt,
+                                     decrypt=games.identity_dem_decrypt)
         if doc.get("stub") is not None:
             raise MalformedError("the only DEM stub is 'identity'")
-        return run_dem_ind(config, ContrastDemDistinguisher())
+        return games.run_dem_ind(config, games.ContrastDemDistinguisher())
     if kind == "pri":
         fam_doc = _require(doc, "family", "game config")
         fam_kind = _require(fam_doc, "kind", "family")
         out_bits = _number(fam_doc, "out_bits", "family")
         if fam_kind == "it":
-            family = it_prf_family(
+            family = games.it_prf_family(
                 _number(fam_doc, "key_bits", "family"),
                 _number(fam_doc, "q_d", "family", int, 0), out_bits)
         elif fam_kind == "comp":
-            family = comp_prf_family(out_bits)
+            family = games.comp_prf_family(out_bits)
         else:
             raise MalformedError(f"unknown PRF family {fam_kind!r}")
-        config = GameConfig(atk="pri", trials=trials, q_e=q_e, q_d=q_d,
-                            seed=seed)
+        config = games.GameConfig(atk="pri", trials=trials, q_e=q_e,
+                                  q_d=q_d, seed=seed)
         if adversary != "random":
             raise MalformedError(
                 f"unknown pri adversary {adversary!r} (known: random)")
-        return run_pri(config, family, RandomGuessPri(),
-                       bound=_number(doc, "bound", "game config", float, None))
+        return games.run_pri(
+            config, family, games.RandomGuessPri(),
+            bound=_number(doc, "bound", "game config", float, None))
     raise MalformedError(f"unknown game {kind!r}")
 
 

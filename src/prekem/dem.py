@@ -33,11 +33,10 @@ body.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .errors import KeyReuseError, MalformedError
 from .gf2 import field
@@ -136,9 +135,19 @@ def _aes_key(k_e: int, enc_len: int) -> bytes:
     return hashlib.sha256(raw).digest()
 
 
+@functools.cache
+def _aes_ctr():
+    # loaded on the first keystream, so importing the DEM (every CLI command
+    # does, for DemProfile) does not load the OpenSSL bindings; cached, so
+    # later keystreams do not pay for an import statement
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+    return Cipher, algorithms.AES, modes.CTR
+
+
 def aes_ctr_keystream(key: bytes, nbytes: int) -> bytes:
     """nbytes of AES-256-CTR keystream from a zero counter block."""
-    enc = Cipher(algorithms.AES(key), modes.CTR(b"\x00" * 16)).encryptor()
+    cipher, aes, ctr = _aes_ctr()
+    enc = cipher(aes(key), ctr(b"\x00" * 16)).encryptor()
     return enc.update(b"\x00" * nbytes) + enc.finalize()
 
 

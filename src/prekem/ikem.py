@@ -33,13 +33,13 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import InfeasibleError, MalformedError
-from .gf2 import block, field
+from .gf2 import MAX_WIDTH, block, field
 from .source import (
     DEFAULT_CAP,
     SourceSpec,
     avg_min_entropy_given_z,
     bsc_radius,
-    guessing_mass,
+    guessing_log2_mass,
     recon_set,
     sample,
     shannon_cond_entropy,
@@ -350,20 +350,22 @@ def cca_length_bound(source: SourceSpec, sigma: float, delta: float,
                + 2 * math.log2(sigma) + 2) / (q_e + 1) - t
     if q_d == 0:
         return secrecy
-    mass_x, mass_y = guessing_mass(source, nu, cap)
-    if mass_x == 0 and mass_y == 0:
-        return secrecy
     # min over the two negative logs = -log of the larger mass
-    best = max(mass_x, mass_y)
+    log_best = guessing_log2_mass(source, nu, cap)
+    if log_best == -math.inf:
+        return secrecy
     r = _piece_count(n, n - t)
-    forgery = (t - math.log2(float(best)) - n
+    forgery = (t - log_best - n
                - math.log2(q_d * (r + 3) * (r + 2) / delta))
     return min(secrecy, forgery)
 
 
 def _settle_length(bound: float, ell: Optional[int], n: int) -> int:
     # n caps the length structurally: the extractor output cannot exceed
-    # its field width
+    # its field width, and GF(2^n) must be a field encap and decap can build
+    if n > MAX_WIDTH:
+        raise InfeasibleError(
+            f"n = {n} exceeds the widest supported field ({MAX_WIDTH} bits)")
     if ell is None:
         ell = min(math.floor(bound) if bound < n else n, n)
     if ell < 1:
@@ -501,10 +503,13 @@ def forgery_bound(params: IkemParams) -> float:
         raise MalformedError("forgery bound applies to the authenticated mode")
     if params.q_d == 0:
         return 0.0
-    mass_x, mass_y = guessing_mass(params.source, params.nu, params.cap)
-    best = float(max(mass_x, mass_y))
+    log_best = guessing_log2_mass(params.source, params.nu, params.cap)
     scale = params.q_d * (params.r + 3) * (params.r + 2)
-    return min(1.0, scale * 2.0 ** (params.n + params.ell - params.t) * best)
+    # the mass joins the exponent before the power is taken, and scale >= 1
+    # makes any exponent >= 0 a bound of 1, so 2^(n + ell - t) never
+    # overflows at large n
+    expo = params.n + params.ell - params.t + log_best
+    return min(1.0, scale * 2.0 ** min(expo, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -103,22 +103,21 @@ class ReconSet:
 
 
 def _coerce(v, exact: bool) -> Number:
-    if exact:
-        if isinstance(v, Fraction):
-            return v
-        if isinstance(v, int):
-            return Fraction(v)
-        # str() round-trips the decimal literal the caller had in mind
-        # (0.25 -> 1/4) instead of the exact binary expansion of the double.
-        return Fraction(str(v))
     try:
-        return float(v)
-    except ValueError:
-        # "1/20"-style strings are valid in exact mode; accept them here too
+        if exact:
+            if isinstance(v, (Fraction, int)):
+                return Fraction(v)
+            # str() round-trips the decimal literal the caller had in mind
+            # (0.25 -> 1/4) instead of the exact binary expansion of the
+            # double.
+            return Fraction(str(v))
         try:
+            return float(v)
+        except ValueError:
+            # "1/20"-style strings are valid in exact mode; accept them here
             return float(Fraction(v))
-        except (ValueError, ZeroDivisionError):
-            raise MalformedError(f"bad probability literal {v!r}") from None
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise MalformedError(f"bad probability literal {v!r}") from None
 
 
 def bsc_source(p, q, n: int) -> SourceSpec:
@@ -156,14 +155,15 @@ def from_json(doc) -> SourceSpec:
     if "bsc" in doc:
         b = doc["bsc"]
         try:
-            return bsc_source(b["p"], b["q"], int(b["n"]))
-        except (KeyError, TypeError) as e:
+            p, q, n = b["p"], b["q"], int(b["n"])
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise MalformedError(f"bad bsc shorthand: {e!r}") from None
+        return bsc_source(p, q, n)
     try:
         nx, ny, nz = (int(a) for a in doc["alphabet"])
         n = int(doc["n"])
         rows = doc["pxyz"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise MalformedError(f"bad source document: {e!r}") from None
     exact = max(nx, ny, nz) <= EXACT_ALPHABET_MAX and n <= EXACT_N_MAX
     zero = Fraction(0) if exact else 0.0
@@ -172,7 +172,7 @@ def from_json(doc) -> SourceSpec:
         try:
             x, y, z, prob = row
             x, y, z = int(x), int(y), int(z)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise MalformedError(f"bad pxyz row {row!r}: {e!r}") from None
         if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
             raise MalformedError(f"pxyz row {row!r} outside alphabet")
@@ -393,18 +393,42 @@ def _binom_tail_leq(n: int, d: int, flip: Number) -> Number:
                for j in range(d + 1))
 
 
-def _bsc_masses(spec: SourceSpec, nu: float) -> Tuple[Number, Number]:
+def _log2(x: Number) -> float:
+    """log2 of a mass, -inf at zero; a Fraction never passes through a
+    float, so tiny exact masses do not underflow."""
+    if x == 0:
+        return -math.inf
+    if isinstance(x, Fraction):
+        return math.log2(x.numerator) - math.log2(x.denominator)
+    return math.log2(x)
+
+
+def _log2_binom_tail_leq(n: int, d: int, flip: Number) -> float:
+    """log2 P[Binomial(n, flip) <= d]; float sums are taken in the log
+    domain, where terms such as 2^-1080 stay representable."""
+    if isinstance(flip, Fraction) or not 0 < flip < 1 or not 0 <= d < n:
+        return _log2(_binom_tail_leq(n, d, flip))
+    lf, lg = math.log2(flip), math.log2(1.0 - flip)
+    terms = [math.log2(math.comb(n, j)) + j * lf + (n - j) * lg
+             for j in range(d + 1)]
+    top = max(terms)
+    return top + math.log2(math.fsum(2.0 ** (v - top) for v in terms))
+
+
+def _bsc_closed_form(spec: SourceSpec) -> bool:
+    return (spec.bsc is not None and float(spec.bsc[0]) <= 0.5
+            and float(spec.bsc[1]) <= 0.5)
+
+
+def _bsc_masses(spec: SourceSpec, nu: float, tail) -> Tuple:
+    """(mass_x, mass_y) as tail(n, d, flip) of the two flip rates."""
     p, q = spec.bsc
     d = bsc_radius(p, spec.n, nu)
-    zero = Fraction(0) if spec.exact else 0.0
-    if d < 0:
-        return zero, zero
     # Both maxima are met by centering the radius-d ball on z: given z, Y
     # flips per symbol with probability p*q' convolution and X with q, both
     # <= 1/2 here, so the ball at the mode carries the most mass.
     yz_flip = p * (1 - q) + q * (1 - p)
-    return (_binom_tail_leq(spec.n, d, yz_flip),
-            _binom_tail_leq(spec.n, d, q))
+    return tail(spec.n, d, yz_flip), tail(spec.n, d, q)
 
 
 def _all_strings(k: int, n: int):
@@ -432,8 +456,8 @@ def guessing_mass(spec: SourceSpec, nu: float,
     Satellite sources with p, q <= 1/2 use closed-form binomial sums at any
     n; general tables are enumerated exhaustively (small n only).
     """
-    if spec.bsc is not None and float(spec.bsc[0]) <= 0.5 and float(spec.bsc[1]) <= 0.5:
-        return _bsc_masses(spec, nu)
+    if _bsc_closed_form(spec):
+        return _bsc_masses(spec, nu, _binom_tail_leq)
     if max(spec.nx, spec.ny, spec.nz) ** spec.n > ENUM_STRINGS_MAX:
         raise InfeasibleError("source too large for exhaustive guessing-mass")
     one = Fraction(1) if spec.exact else 1.0
@@ -455,3 +479,16 @@ def guessing_mass(spec: SourceSpec, nu: float,
         mass_x += best_x
         mass_y += best_y
     return mass_x, mass_y
+
+
+def guessing_log2_mass(spec: SourceSpec, nu: float,
+                       cap: int = DEFAULT_CAP) -> float:
+    """log2 of the larger of the two guessing masses; -inf when both are 0.
+
+    The forgery bounds need only this.  Closed-form satellite sums are taken
+    in the log domain, so at large n a mass such as 2^-1080 keeps its value
+    instead of underflowing to zero.
+    """
+    if _bsc_closed_form(spec):
+        return max(_bsc_masses(spec, nu, _log2_binom_tail_leq))
+    return _log2(max(guessing_mass(spec, nu, cap)))

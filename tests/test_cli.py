@@ -7,6 +7,7 @@ tmp_path, and deterministic behaviour is pinned with --seed.
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import prekem
 from prekem.cli import main, params_from_doc, params_to_doc
 from prekem.combiner import parse_combined
 from prekem.dem import DemProfile
@@ -598,6 +600,49 @@ class TestConfigFields:
         assert_format_error(capsys, "game", "--config", config)
 
 
+# the README's authenticated profile: noiseless BSC, n=1080, t=527
+README_CCA = {"source": {"bsc": {"p": "0", "q": "1/2", "n": 1080}},
+              "sigma": 2.0 ** -20, "q_e": 0, "q_d": 1, "eps": 0.01,
+              "delta": 2.0 ** -10, "nu": 0.0, "t": 527}
+SMALL_CEA = {"sigma": 0.25, "q_e": 0, "t": 4, "nu": 0.0}
+
+
+class TestParamsVerdict:
+    """params answers every config with its documented exit code and a
+    verdict that encap/decap can honour."""
+
+    @pytest.mark.parametrize("config, mode, code, want", [
+        # forgery term at 2^-1080 guessing mass: no overflow, no underflow
+        (README_CCA, "cca", 0, ["ell 512", "forge<= 0.000610352"]),
+        # GF(2^10000) is beyond the widest field encap can build
+        ({**SMALL_CEA, "source": {"bsc": {"p": "0", "q": "1/2",
+                                          "n": 10000}}},
+         "cea", 2, ["verdict infeasible: n = 10000 exceeds the widest "
+                    "supported field (8192 bits)"]),
+        ({**SMALL_CEA, "source": {"bsc": {"p": "0", "q": "1/2",
+                                          "n": "abc"}}}, "cea", 1, []),
+        ({**SMALL_CEA, "source": {"bsc": {"p": "zz", "q": "1/2",
+                                          "n": 12}}}, "cea", 1, []),
+        ({**SMALL_CEA, "source": {"alphabet": [2, 2, 2], "n": 3, "pxyz": [
+            [0, 0, 0, "zz"], [1, 1, 1, "1/2"]]}}, "cea", 1, []),
+        ({**SMALL_CEA, "source": {"alphabet": [2, 2, 2], "n": 20, "pxyz": [
+            [0, 0, 0, [0.5]], [1, 1, 1, 0.5]]}}, "cea", 1, []),
+    ], ids=["cca-n1080", "n-over-max-width", "bsc-n-not-int",
+            "exact-p-not-number", "table-prob-not-number",
+            "float-table-prob-not-number"])
+    def test_exit_code_and_verdict(self, tmp_path, capsys, config, mode,
+                                   code, want):
+        path = write_json(tmp_path / "config.json", config)
+        assert run_cli("params", "--config", path, "--mode", mode) == code
+        captured = capsys.readouterr()
+        lines = [" ".join(line.split()) for line in captured.out.splitlines()]
+        for line in want:
+            assert line in lines, captured.out
+        if code == 1:
+            err = captured.err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
         config = write_json(tmp_path / "config.json", {
@@ -609,3 +654,54 @@ class TestSubprocess:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "feasible" in proc.stdout
+
+    def test_commands_import_only_their_layers(self, tmp_path):
+        # each command is a fresh process, so what it imports is start-up
+        # time: the key pipeline needs neither numpy (games) nor OpenSSL
+        params = write_json(
+            tmp_path / "params.json",
+            params_to_doc(noiseless_params(n=14, t=4, ell=8, w=14),
+                          DemProfile(enc_len=8, mac_bits=8)))
+        (tmp_path / "message.bin").write_bytes(b"hello")
+        game = write_json(tmp_path / "game.json", {
+            "game": "pkind", "atk": "cea", "params": toy_params_doc()})
+        t = str(tmp_path)
+        mat = ("--x", f"{t}/x.json", "--public", f"{t}/public.json")
+        commands = [
+            ["params", "--config", str(write_json(
+                tmp_path / "config.json",
+                {**SMALL_CEA, "source": NOISELESS})), "--mode", "cea"],
+            ["sample", "--config", str(params), "--seed", "a1",
+             "--out-dir", t],
+            ["encap", "--config", str(params), *mat, "--seed", "b2",
+             "--out", f"{t}/ct.bin", "--key-out", f"{t}/key.json"],
+            ["decap", "--config", str(params), "--y", f"{t}/y.json",
+             "--public", f"{t}/public.json", "--ciphertext", f"{t}/ct.bin"],
+            ["he-encrypt", "--config", str(params), *mat, "--seed", "c3",
+             "--in", f"{t}/message.bin", "--out", f"{t}/env.bin"],
+            ["game", "--config", str(game), "--seed", "1", "--trials", "5"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from prekem.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code = main(argv)\n"
+            "    heavy = [m for m in ('numpy', 'prekem.games',\n"
+            "                         'cryptography') if m in sys.modules]\n"
+            "    print(json.dumps([argv[0], code, heavy]), file=sys.stderr)\n")
+        src = str(Path(prekem.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        got = [json.loads(line) for line in proc.stderr.splitlines()]
+        assert got == [
+            ["params", 0, []],
+            ["sample", 0, []],
+            ["encap", 0, []],
+            ["decap", 0, []],
+            ["he-encrypt", 0, ["cryptography"]],
+            ["game", 0, ["numpy", "prekem.games", "cryptography"]],
+        ]

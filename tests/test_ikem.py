@@ -272,6 +272,17 @@ class TestDeriveCca:
         assert with_qd == pytest.approx(want)
         assert with_qd < secrecy
 
+    def test_forgery_term_at_readme_profile(self):
+        # both guessing masses are 2^-1080: the forgery term must neither
+        # vanish from the length bound nor overflow the forgery bound
+        src = bsc_source(Fraction(0), Fraction(1, 2), 1080)
+        bound = cca_length_bound(src, 2.0 ** -20, 2.0 ** -10, 0, 1, 0.0, 527)
+        assert bound == pytest.approx(527 - math.log2(20 * 2 ** 10))
+        params = derive_params_cca(src, 0.01, 2.0 ** -20, 2.0 ** -10, 0, 1,
+                                   nu=0.0, t=527)
+        assert params.ell == 512
+        assert forgery_bound(params) == pytest.approx(20 * 2.0 ** -15)
+
     def test_derive_with_overrides(self):
         src = bsc_source(0, 0.5, 16)
         params = derive_params_cca(src, 0.9, 0.5, 0.9, 0, 0, nu=0.0, t=8)
@@ -378,6 +389,15 @@ class TestAnalyticBounds:
         cea = toy_params(Mode.CEA)
         with pytest.raises(MalformedError):
             forgery_bound(cea)
+
+    def test_forgery_bound_saturates_past_double_range(self):
+        # Eve holds x (q = 0), so the mass is 1 and 2^(n + ell - t) = 2^3064
+        # is no double: the bound is 1, not an OverflowError
+        src = bsc_source(0, 0, 2048)
+        params = IkemParams(mode=Mode.CCA, source=src, n=2048, t=8,
+                            ell=1024, nu=0.0, r=2, w=2048, sigma=0.5, q_e=0,
+                            q_d=1)
+        assert forgery_bound(params) == 1.0
 
 
 class TestWire:

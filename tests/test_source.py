@@ -26,6 +26,7 @@ from prekem.source import (
     cond_neg_log_prob,
     from_json,
     guess_prob_given_z,
+    guessing_log2_mass,
     guessing_mass,
     recon_set,
     sample,
@@ -300,6 +301,25 @@ class TestGuessingMass:
     def test_closed_form_large_n_runs(self):
         mx, my = guessing_mass(bsc_source(0.02, 0.5, 1000), 340.0)
         assert 0 < mx < 1 and 0 < my < 1
+
+    def test_log2_mass_matches_linear_masses(self):
+        # exact, closed-form float and enumerated general-table sources
+        rows = [[x, y, z, str(pr)] for (x, y, z), pr in satellite_table(
+            Fraction(1, 4), Fraction(1, 4)).items()]
+        table = from_json({"alphabet": [2, 2, 2], "n": 3, "pxyz": rows})
+        for spec, nu in [(toy(4), 3.5),
+                         (bsc_source(Fraction(1, 10), Fraction(1, 3), 3), 1.0),
+                         (table, 2.0),
+                         (bsc_source(0.02, 0.5, 1000), 340.0),
+                         (bsc_source(0.1, 0.3, 200), 80.0)]:
+            want = math.log2(max(guessing_mass(spec, nu)))
+            assert guessing_log2_mass(spec, nu) == pytest.approx(
+                want, rel=1e-12)
+        assert guessing_log2_mass(toy(4), -1) == -math.inf
+
+    def test_log2_mass_below_float_range(self):
+        # 2^-1080 underflows a double; its logarithm does not
+        assert guessing_log2_mass(bsc_source(0, 0.5, 1080), 0.0) == -1080
 
 
 class TestBscRadius:
