@@ -50,7 +50,7 @@ from .ikem import (
     parse_ciphertext,
     serialize_ciphertext,
 )
-from .source import from_json
+from .source import DEFAULT_CAP, bsc_recon_size, from_json, integer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,11 +98,9 @@ def _number(doc: dict, key: str, where: str, cast=int, default=_REQUIRED):
             raise MalformedError(f"{where} is missing the '{key}' field")
         return default
     try:
-        if isinstance(value, bool) or (
-                cast is int and isinstance(value, float)
-                and not value.is_integer()):
+        if isinstance(value, bool):  # a JSON true is no number here
             raise ValueError
-        return cast(value)
+        return integer(value) if cast is int else cast(value)
     except (TypeError, ValueError, OverflowError):
         kind = "an integer" if cast is int else "a number"
         raise MalformedError(
@@ -176,6 +174,8 @@ def params_to_doc(params: IkemParams,
         doc["eps"] = float(params.eps)
     if params.delta is not None:
         doc["delta"] = float(params.delta)
+    if params.cap != DEFAULT_CAP:
+        doc["cap"] = params.cap
     if dem is not None:
         doc["dem"] = {"enc_len": dem.enc_len, "mac_bits": dem.mac_bits}
     return doc
@@ -197,7 +197,8 @@ def params_from_doc(doc: dict) -> Tuple[IkemParams, DemProfile]:
         q_e=_number(doc, "q_e", where, int, 0),
         q_d=_number(doc, "q_d", where, int, 0),
         eps=_number(doc, "eps", where, float, None),
-        delta=_number(doc, "delta", where, float, None))
+        delta=_number(doc, "delta", where, float, None),
+        cap=_number(doc, "cap", where, int, DEFAULT_CAP))
     return params, _dem_profile(doc, "dem") or DemProfile()
 
 
@@ -290,6 +291,7 @@ def cmd_params(args) -> int:
     nu = _number(doc, "nu", "config", float, None)
     ell = _number(doc, "ell", "config", int, None)
     eps = _number(doc, "eps", "config", float, None)
+    cap = _number(doc, "cap", "config", int, DEFAULT_CAP)
     dem = _dem_profile(doc, "dem")
     try:
         if args.mode == "cca":
@@ -298,12 +300,19 @@ def cmd_params(args) -> int:
             delta = _number(doc, "delta", "config", float)
             params = derive_params_cca(
                 source, eps, sigma, delta, q_e, q_d, nu=nu,
-                t=_number(doc, "t", "config", int, None), ell=ell)
+                t=_number(doc, "t", "config", int, None), ell=ell, cap=cap)
         else:
             t = _number(doc, "t", "config")
             derive = (derive_params_cea if args.mode == "cea"
                       else derive_params_baseline)
-            params = derive(source, sigma, q_e, t, nu=nu, eps=eps, ell=ell)
+            params = derive(source, sigma, q_e, t, nu=nu, eps=eps, ell=ell,
+                            cap=cap)
+        # decap enumerates R(y); on a satellite source its size is known
+        if source.bsc is not None and float(source.bsc[0]) <= 0.5:
+            size = bsc_recon_size(source.bsc[0], params.n, params.nu)
+            if size > cap:
+                raise InfeasibleError(f"reconciliation set of {size} "
+                                      f"strings exceeds cap {cap}")
     except InfeasibleError as e:
         print(f"{'verdict':<14}infeasible: {e}")
         return EXIT_INFEASIBLE

@@ -34,7 +34,6 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -204,38 +203,11 @@ def _trial_rng(seed: int, arm: str, index: int) -> random.Random:
 
 
 # ---------------------------------------------------------------------------
-# integer-scaled source probabilities
-
-@lru_cache(maxsize=32)
-def _scaled_table(spec: SourceSpec) -> Tuple[int, Tuple[int, ...]]:
-    """Clear the per-symbol table's denominators; weights sum to the scale."""
-    if not spec.exact:
-        raise InfeasibleError("exact analysis needs an exact-mode source")
-    denom = math.lcm(*(p.denominator for p in spec.table))
-    return denom, tuple(int(p * denom) for p in spec.table)
-
-
-@lru_cache(maxsize=32)
-def _cond_cells(spec: SourceSpec):
-    """Per z-symbol cumulative thresholds over the (x, y) cells."""
-    _, scaled = _scaled_table(spec)
-    out = []
-    for z in range(spec.nz):
-        cells, cums, acc = [], [], 0
-        for x in range(spec.nx):
-            for y in range(spec.ny):
-                wt = scaled[(x * spec.ny + y) * spec.nz + z]
-                if wt:
-                    acc += wt
-                    cells.append((x, y))
-                    cums.append(acc)
-        out.append((tuple(cums), tuple(cells), acc))
-    return tuple(out)
-
+# sampling and enumeration given Eve's string
 
 def _gen_conditioned(params: IkemParams, z: Tuple[int, ...], rng) -> IkemInstance:
     """Sample (x, y) from the source conditioned on Eve's pinned string."""
-    table = _cond_cells(params.source)
+    table = params.source.cond_cells
     xs, ys = [], []
     for zi in z:
         if not 0 <= zi < params.source.nz:
@@ -260,7 +232,7 @@ def _enumerate_pairs(spec: SourceSpec, z: Tuple[int, ...]) -> List[Tuple[int, in
         raise MalformedError("z must have length n")
     if spec.nx != 2 or spec.ny != 2:
         raise MalformedError("pair enumeration needs binary x and y alphabets")
-    _, scaled = _scaled_table(spec)
+    _, scaled = spec.scaled
     acc: List[Tuple[int, int, int]] = [(0, 0, 1)]
     for zi in z:
         if not 0 <= zi < spec.nz:
@@ -737,7 +709,7 @@ def exact_distance(params: IkemParams, q_e: int,
     if not 0 <= ell <= params.ell:
         raise MalformedError("ell must be in 0..params.ell")
     spec = params.source
-    denom, scaled = _scaled_table(spec)
+    denom, scaled = spec.scaled
     n, t = params.n, params.t
     X, Z = 1 << n, spec.nz ** n
     out = 1 << ell

@@ -39,6 +39,7 @@ from .source import (
     SourceSpec,
     avg_min_entropy_given_z,
     bsc_radius,
+    bsc_recon_size,
     guessing_log2_mass,
     recon_set,
     sample,
@@ -457,7 +458,7 @@ def correctness_bound(params: IkemParams) -> float:
         miss = one - sum(
             math.comb(params.n, j) * p ** j * (one - p) ** (params.n - j)
             for j in range(d + 1))
-        ball = sum(math.comb(params.n, j) for j in range(d + 1))
+        ball = bsc_recon_size(p, params.n, params.nu)
         return min(1.0, float(miss) + ball * 2.0 ** -params.t)
     if 2 ** src.n > 4096:
         raise InfeasibleError("source too large for exhaustive correctness")

@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 from .errors import InfeasibleError, MalformedError
@@ -79,6 +79,74 @@ class SourceSpec:
     def p(self, x: int, y: int, z: int) -> Number:
         return self.table[(x * self.ny + y) * self.nz + z]
 
+    # Derived per-symbol tables, each computed on first use and kept on the
+    # instance.  They are not fields, so equality, hashing, repr and the JSON
+    # form see only the table they derive from, and dataclasses.replace
+    # starts a fresh instance with none of them.
+
+    @cached_property
+    def marg_y(self) -> Tuple[Number, ...]:
+        return tuple(sum(self.p(x, y, z) for x in range(self.nx)
+                         for z in range(self.nz)) for y in range(self.ny))
+
+    @cached_property
+    def joint_xy(self) -> Tuple[Tuple[Number, ...], ...]:
+        return tuple(tuple(sum(self.p(x, y, z) for z in range(self.nz))
+                           for y in range(self.ny)) for x in range(self.nx))
+
+    @cached_property
+    def joint_xz(self) -> Tuple[Tuple[Number, ...], ...]:
+        return tuple(tuple(sum(self.p(x, y, z) for y in range(self.ny))
+                           for z in range(self.nz)) for x in range(self.nx))
+
+    @cached_property
+    def joint_yz(self) -> Tuple[Tuple[Number, ...], ...]:
+        return tuple(tuple(sum(self.p(x, y, z) for x in range(self.nx))
+                           for z in range(self.nz)) for y in range(self.ny))
+
+    @cached_property
+    def cost(self) -> Tuple[Tuple[float, ...], ...]:
+        """cost[y][x] = -log2 P(x|y) as a double; inf for zero probability."""
+        py, pxy = self.marg_y, self.joint_xy
+        return tuple(
+            tuple(math.inf if py[y] == 0 or pxy[x][y] == 0
+                  else -math.log2(float(pxy[x][y] / py[y]))
+                  for x in range(self.nx))
+            for y in range(self.ny))
+
+    @cached_property
+    def cumulative(self) -> Tuple[Tuple[float, ...], Tuple[tuple, ...]]:
+        """(running sums, cells) over the positive (x, y, z) cells, for
+        inverse-CDF sampling; the last sum is pinned to 1.0."""
+        cells = [(x, y, z) for x in range(self.nx) for y in range(self.ny)
+                 for z in range(self.nz) if float(self.p(x, y, z)) > 0]
+        cums = list(itertools.accumulate(float(self.p(*c)) for c in cells))
+        cums[-1] = 1.0
+        return tuple(cums), tuple(cells)
+
+    @cached_property
+    def scaled(self) -> Tuple[int, Tuple[int, ...]]:
+        """(denominator, table * denominator): the exact table's denominators
+        cleared, so the integer weights sum to the denominator."""
+        if not self.exact:
+            raise InfeasibleError("exact analysis needs an exact-mode source")
+        denom = math.lcm(*(p.denominator for p in self.table))
+        return denom, tuple(int(p * denom) for p in self.table)
+
+    @cached_property
+    def cond_cells(self) -> Tuple[Tuple[tuple, tuple, int], ...]:
+        """Per z-symbol (cumulative integer weights, (x, y) cells, total) over
+        the cells of positive scaled weight, for sampling given z."""
+        _, scaled = self.scaled
+        out = []
+        for z in range(self.nz):
+            cells = [(x, y) for x in range(self.nx) for y in range(self.ny)
+                     if scaled[(x * self.ny + y) * self.nz + z]]
+            cums = tuple(itertools.accumulate(
+                scaled[(x * self.ny + y) * self.nz + z] for x, y in cells))
+            out.append((cums, tuple(cells), cums[-1] if cums else 0))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class SampleTriple:
@@ -93,13 +161,24 @@ class SampleTriple:
 class ReconSet:
     """All x-strings whose conditional surprisal given y is at most nu bits.
 
-    members is materialized, sorted by ascending cost then lexicographically,
-    so iteration order is reproducible across runs and implementations.
+    members is materialized, sorted by ascending cost (cond_neg_log_prob's
+    fsum of per-symbol costs) then lexicographically, so iteration order is
+    reproducible across runs and implementations.
     """
 
     y: Tuple[int, ...]
     nu: float
     members: Tuple[Tuple[int, ...], ...]
+
+
+def integer(value) -> int:
+    """value read as an integer field of a JSON document: an int, an
+    integral float or an integer string; bools and fractional floats raise
+    ValueError, other types TypeError."""
+    if isinstance(value, bool) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _coerce(v, exact: bool) -> Number:
@@ -155,13 +234,13 @@ def from_json(doc) -> SourceSpec:
     if "bsc" in doc:
         b = doc["bsc"]
         try:
-            p, q, n = b["p"], b["q"], int(b["n"])
+            p, q, n = b["p"], b["q"], integer(b["n"])
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise MalformedError(f"bad bsc shorthand: {e!r}") from None
         return bsc_source(p, q, n)
     try:
-        nx, ny, nz = (int(a) for a in doc["alphabet"])
-        n = int(doc["n"])
+        nx, ny, nz = (integer(a) for a in doc["alphabet"])
+        n = integer(doc["n"])
         rows = doc["pxyz"]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise MalformedError(f"bad source document: {e!r}") from None
@@ -171,7 +250,7 @@ def from_json(doc) -> SourceSpec:
     for row in rows:
         try:
             x, y, z, prob = row
-            x, y, z = int(x), int(y), int(z)
+            x, y, z = integer(x), integer(y), integer(z)
         except (TypeError, ValueError, OverflowError) as e:
             raise MalformedError(f"bad pxyz row {row!r}: {e!r}") from None
         if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
@@ -181,79 +260,11 @@ def from_json(doc) -> SourceSpec:
 
 
 # ---------------------------------------------------------------------------
-# per-symbol marginals and costs (cached per spec; specs are frozen/hashable)
-
-@lru_cache(maxsize=64)
-def _marg_y(spec: SourceSpec) -> Tuple[Number, ...]:
-    return tuple(
-        sum(spec.p(x, y, z) for x in range(spec.nx) for z in range(spec.nz))
-        for y in range(spec.ny)
-    )
-
-
-@lru_cache(maxsize=64)
-def _joint_xy(spec: SourceSpec) -> Tuple[Tuple[Number, ...], ...]:
-    return tuple(
-        tuple(sum(spec.p(x, y, z) for z in range(spec.nz)) for y in range(spec.ny))
-        for x in range(spec.nx)
-    )
-
-
-@lru_cache(maxsize=64)
-def _joint_xz(spec: SourceSpec) -> Tuple[Tuple[Number, ...], ...]:
-    return tuple(
-        tuple(sum(spec.p(x, y, z) for y in range(spec.ny)) for z in range(spec.nz))
-        for x in range(spec.nx)
-    )
-
-
-@lru_cache(maxsize=64)
-def _joint_yz(spec: SourceSpec) -> Tuple[Tuple[Number, ...], ...]:
-    return tuple(
-        tuple(sum(spec.p(x, y, z) for x in range(spec.nx)) for z in range(spec.nz))
-        for y in range(spec.ny)
-    )
-
-
-@lru_cache(maxsize=64)
-def _cost_xy(spec: SourceSpec) -> Tuple[Tuple[float, ...], ...]:
-    """cost[y][x] = -log2 P(x|y) as a double; inf for zero probability."""
-    py = _marg_y(spec)
-    pxy = _joint_xy(spec)
-    out = []
-    for y in range(spec.ny):
-        row = []
-        for x in range(spec.nx):
-            if py[y] == 0 or pxy[x][y] == 0:
-                row.append(math.inf)
-            else:
-                row.append(-math.log2(float(pxy[x][y] / py[y])))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # sampling
-
-@lru_cache(maxsize=64)
-def _cumulative(spec: SourceSpec):
-    cums, cells = [], []
-    acc = 0.0
-    for x in range(spec.nx):
-        for y in range(spec.ny):
-            for z in range(spec.nz):
-                p = float(spec.p(x, y, z))
-                if p > 0:
-                    acc += p
-                    cums.append(acc)
-                    cells.append((x, y, z))
-    cums[-1] = 1.0
-    return cums, cells
-
 
 def sample(spec: SourceSpec, rng) -> SampleTriple:
     """Draw one n-fold triple; rng is a random.Random-style handle."""
-    cums, cells = _cumulative(spec)
+    cums, cells = spec.cumulative
     xs, ys, zs = [], [], []
     for _ in range(spec.n):
         i = bisect.bisect_right(cums, rng.random())
@@ -271,7 +282,7 @@ def cond_neg_log_prob(spec: SourceSpec, x: Tuple[int, ...], y: Tuple[int, ...]) 
     """Sum of per-symbol -log2 P(x_i|y_i); inf when any factor is zero."""
     if len(x) != spec.n or len(y) != spec.n:
         raise MalformedError("strings must have length n")
-    cost = _cost_xy(spec)
+    cost = spec.cost
     return math.fsum(cost[yi][xi] for xi, yi in zip(x, y))
 
 
@@ -282,19 +293,20 @@ def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float,
     Branch and bound over positions: a prefix is abandoned as soon as its
     cost plus the cheapest possible completion exceeds nu.  Every surviving
     internal node has at least one member below it, so the search does
-    O(n * |alphabet|) work per member.  More than cap members raises
-    InfeasibleError.
+    O(n * |alphabet|) work per member.  Each candidate the walk reaches is
+    then scored once, by the fsum rule of cond_neg_log_prob, kept when its
+    score is at most nu and ordered by (score, x).  More than cap
+    candidates raises InfeasibleError.
     """
     if len(y) != spec.n:
         raise MalformedError("y must have length n")
-    cost = _cost_xy(spec)
     n = spec.n
-    minc = [min(cost[y[i]]) for i in range(n)]
+    rows = [spec.cost[yi] for yi in y]  # rows[i][x] = cost of x at position i
     suffix = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + minc[i]
-    # tiny slack absorbs rounding drift of the running sum; final
-    # membership is re-decided by cond_neg_log_prob itself
+        suffix[i] = suffix[i + 1] + min(rows[i])
+    # tiny slack absorbs rounding drift of the running sum; membership is
+    # decided below by the fsum score
     budget = nu + 1e-9
     members = []
     prefix = [0] * n
@@ -317,14 +329,14 @@ def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float,
             i -= 1
             continue
         nxt[i] = sym + 1
-        c = acc[i] + cost[y[i]][sym]
+        c = acc[i] + rows[i][sym]
         if c + suffix[i + 1] <= budget:
             prefix[i] = sym
             acc[i + 1] = c
             i += 1
-    kept = [x for x in members if cond_neg_log_prob(spec, x, y) <= nu]
-    kept.sort(key=lambda x: (cond_neg_log_prob(spec, x, y), x))
-    return ReconSet(tuple(y), float(nu), tuple(kept))
+    scores = [math.fsum([r[xi] for r, xi in zip(rows, x)]) for x in members]
+    kept = sorted((c, x) for c, x in zip(scores, members) if c <= nu)
+    return ReconSet(tuple(y), float(nu), tuple(x for _, x in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +344,7 @@ def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float,
 
 def shannon_cond_entropy(spec: SourceSpec) -> float:
     """Per-symbol H(X|Y) in bits."""
-    py = _marg_y(spec)
-    pxy = _joint_xy(spec)
+    py, pxy = spec.marg_y, spec.joint_xy
     terms = []
     for x in range(spec.nx):
         for y in range(spec.ny):
@@ -345,7 +356,7 @@ def shannon_cond_entropy(spec: SourceSpec) -> float:
 
 def guess_prob_given_z(spec: SourceSpec) -> Number:
     """Per-symbol E_z max_x P(x|z) = sum_z max_x P(x,z); exact in exact mode."""
-    pxz = _joint_xz(spec)
+    pxz = spec.joint_xz
     return sum(max(pxz[x][z] for x in range(spec.nx)) for z in range(spec.nz))
 
 
@@ -380,6 +391,12 @@ def bsc_radius(p, n: int, nu: float) -> int:
         else:
             break
     return best
+
+
+def bsc_recon_size(p, n: int, nu: float) -> int:
+    """|R(y)| at every y for flip probability p <= 1/2: the Hamming ball of
+    bsc_radius; 0 when even y itself costs more than nu."""
+    return sum(math.comb(n, d) for d in range(bsc_radius(p, n, nu) + 1))
 
 
 def _binom_tail_leq(n: int, d: int, flip: Number) -> Number:
@@ -461,8 +478,7 @@ def guessing_mass(spec: SourceSpec, nu: float,
     if max(spec.nx, spec.ny, spec.nz) ** spec.n > ENUM_STRINGS_MAX:
         raise InfeasibleError("source too large for exhaustive guessing-mass")
     one = Fraction(1) if spec.exact else 1.0
-    pyz = _joint_yz(spec)
-    pxz = _joint_xz(spec)
+    pyz, pxz = spec.joint_yz, spec.joint_xz
     ys = list(_all_strings(spec.ny, spec.n))
     xs = list(_all_strings(spec.nx, spec.n))
     members = {y: frozenset(recon_set(spec, y, nu, cap).members) for y in ys}

@@ -264,6 +264,53 @@ class TestAdvantageReport:
             '{"game": "pkind", "atk": "ot", "estimate": 0.125,'
             ' "halfwidth": 0.05, "bound": null, "n_trials": 100}')
 
+    # one seeded run per games-desk benchmark entry, at small trial counts:
+    # a change to the source tables, the hashes or the trial streams that
+    # moves any tally shows here
+    @pytest.mark.parametrize("game, want", [
+        ("pkind-cca", '{"game": "pkind", "atk": "cca", '
+         '"estimate": 0.42500000000000004, "halfwidth": 0.25734989232919925, '
+         '"bound": 1.0, "n_trials": 40}'),
+        ("pkind-cea", '{"game": "pkind", "atk": "cea", '
+         '"estimate": 0.22499999999999998, "halfwidth": 0.25734989232919925, '
+         '"bound": 0.8437500000000001, "n_trials": 40}'),
+        ("kint", '{"game": "kint", "atk": "kint", "estimate": 0.55, '
+         '"halfwidth": 0.25734989232919925, "bound": 1.0, "n_trials": 40}'),
+        ("dem-ind", '{"game": "dem-ind", "atk": "otcca", '
+         '"estimate": 0.034999999999999976, "halfwidth": 0.11509037065006823, '
+         '"bound": 0.06640625, "n_trials": 200}'),
+    ])
+    def test_seeded_reports_are_pinned(self, game, want):
+        def params(mode, n, q_e=0, q_d=0):
+            return IkemParams(mode=mode, source=toy_source(n), n=n, t=2,
+                              ell=1, nu=1.7, r=2 if mode is Mode.CCA else 0,
+                              w=n, sigma=0.5, q_e=q_e, q_d=q_d)
+
+        runs = {
+            "pkind-cca": lambda: run_pkind(GameConfig(
+                atk="cca", trials=40, q_d=1, seed=3,
+                params=params(Mode.CCA, 4, q_d=1)), BayesPkind(probe=True)),
+            "pkind-cea": lambda: run_pkind(GameConfig(
+                atk="cea", trials=40, q_e=1, seed=3,
+                params=params(Mode.CEA, 6, q_e=1)), BayesPkind()),
+            "kint": lambda: run_kint(GameConfig(
+                atk="kint", trials=40, q_e=1, q_d=1, seed=3,
+                params=params(Mode.CCA, 4, q_e=1, q_d=1)),
+                BruteForceKint(use_query=True)),
+            "dem-ind": lambda: run_dem_ind(GameConfig(
+                atk="otcca", trials=200, q_d=1, seed=3,
+                dem=DemProfile(enc_len=8, mac_bits=8)),
+                ContrastDemDistinguisher()),
+        }
+        assert runs[game]().to_json_line() == want
+
+    @pytest.mark.parametrize("q_e, want", [(0, Fraction(2397, 8192)),
+                                           (1, Fraction(47025, 131072))])
+    def test_exact_distance_is_pinned(self, q_e, want):
+        params = IkemParams(mode=Mode.CEA, source=toy_source(4), n=4, t=2,
+                            ell=1, nu=1.0, r=0, w=4, sigma=0.5, q_e=q_e, q_d=0)
+        assert exact_distance(params, q_e) == want
+
     def test_bound_serializes_as_number(self):
         rep = AdvantageReport("kint", "kint", 0.5, 0.1, 0.25, 50, 0.5, 0.0)
         assert '"bound": 0.25' in rep.to_json_line()

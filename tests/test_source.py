@@ -6,6 +6,7 @@ never used as its own oracle except for explicitly-marked internal
 consistency checks.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -322,6 +323,148 @@ class TestGuessingMass:
         assert guessing_log2_mass(bsc_source(0, 0.5, 1080), 0.0) == -1080
 
 
+def brute_recon(spec, y, nu):
+    """R(y) by scoring every x-string, ordered by (cost, x).  Internal
+    consistency oracle: cond_neg_log_prob is the membership rule recon_set
+    is specified by, so this checks the pruned walk and its single scoring
+    pass, not the cost table (TestCondNegLogProb checks that)."""
+    scored = sorted((cond_neg_log_prob(spec, x, y), x)
+                    for x in bits(spec.nx, spec.n))
+    return tuple(x for c, x in scored if c <= nu)
+
+
+# 3-ary x and y, binary z, uneven weights; P(x=2, y=0) and P(x=1, y=2)
+# vanish, so those per-symbol costs are infinite
+ASYM = {"alphabet": [3, 3, 2], "n": 4, "pxyz": [
+    [0, 0, 0, "1/8"], [0, 0, 1, "1/16"], [0, 1, 0, "1/16"], [0, 2, 1, "1/8"],
+    [1, 0, 1, "1/16"], [1, 1, 0, "3/16"], [1, 1, 1, "1/16"],
+    [2, 1, 0, "1/16"], [2, 2, 0, "1/8"], [2, 2, 1, "1/8"]]}
+
+
+class TestReconSetDifferential:
+    """recon_set against brute-force enumeration, order included."""
+
+    @pytest.mark.parametrize("p, n, nu", [
+        (Fraction(1, 4), 6, 5.0),       # exact mode
+        (Fraction(1, 10), 8, 7.0),
+        (0, 6, 0.0),                    # noiseless: zero-probability flips
+        (0.1, 17, 6.0),                 # n above the exact ceiling: floats
+    ])
+    def test_bsc(self, p, n, nu):
+        spec = bsc_source(p, 0.5, n)
+        assert spec.exact == (n <= 16)
+        for seed in range(3 if n < 17 else 1):
+            y = tuple(random.Random(seed).getrandbits(1) for _ in range(n))
+            assert recon_set(spec, y, nu).members == brute_recon(spec, y, nu)
+
+    @pytest.mark.parametrize("nu", [0.0, 2.0, 4.5, 7.0, 12.0, math.inf])
+    def test_asymmetric_ternary_table(self, nu):
+        spec = from_json(ASYM)
+        for y in bits(3, 4):
+            assert recon_set(spec, y, nu).members == brute_recon(spec, y, nu)
+
+    def test_members_exactly_at_nu(self):
+        spec = from_json(ASYM)
+        y = (0, 1, 2, 1)
+        for x in bits(3, 4):
+            nu = cond_neg_log_prob(spec, x, y)
+            if nu == math.inf:
+                continue
+            got = recon_set(spec, y, nu).members
+            assert x in got
+            assert got == brute_recon(spec, y, nu)
+
+    def test_equal_cost_ties_are_lexicographic(self):
+        spec = toy(5)
+        y = (1, 0, 1, 1, 0)
+        got = recon_set(spec, y, 6.0).members
+        assert got == brute_recon(spec, y, 6.0)
+        # y itself, then the five distance-1 strings (one cost), then the
+        # ten distance-2 strings (another), each block in lexicographic order
+        assert got[0] == y and len(got) == 16
+        assert list(got[1:6]) == sorted(got[1:6])
+        assert list(got[6:]) == sorted(got[6:])
+
+    def test_empty_set(self):
+        spec = from_json(ASYM)
+        # y = 2 at every position: cheapest x costs more than nu
+        assert recon_set(spec, (2,) * 4, 1.0).members == ()
+        assert brute_recon(spec, (2,) * 4, 1.0) == ()
+
+    def test_cap_plus_one_raises(self):
+        spec = toy(6)
+        y = (0,) * 6
+        size = len(brute_recon(spec, y, 6.0))
+        assert len(recon_set(spec, y, 6.0, cap=size).members) == size
+        with pytest.raises(InfeasibleError):
+            recon_set(spec, y, 6.0, cap=size - 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_tables(self, data):
+        nx, ny = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=nx * ny,
+                                     max_size=nx * ny).filter(any))
+        n = data.draw(st.integers(1, 4))
+        spec = SourceSpec(nx, ny, 1, n, tuple(
+            Fraction(w, sum(weights)) for w in weights))
+        y = tuple(data.draw(st.integers(0, ny - 1)) for _ in range(n))
+        costs = sorted({cond_neg_log_prob(spec, x, y) for x in bits(nx, n)})
+        nu = data.draw(st.sampled_from(costs) | st.floats(-1.0, 16.0))
+        got = recon_set(spec, y, nu, cap=nx ** n).members
+        assert got == brute_recon(spec, y, nu)
+
+
+TABLES = ("marg_y", "joint_xy", "joint_xz", "joint_yz", "cost", "cumulative",
+          "scaled", "cond_cells")
+
+
+class TestSpecTables:
+    """Derived tables live on the spec instance and never leak into its
+    identity."""
+
+    def test_equal_specs_give_equal_tables(self):
+        a, b = toy(4), bsc_source(Fraction(1, 4), Fraction(1, 2), 4)
+        assert a == b and a is not b
+        for name in TABLES:
+            assert getattr(a, name) == getattr(b, name), name
+
+    def test_tables_are_built_once(self):
+        spec = from_json(ASYM)
+        for name in TABLES:
+            assert getattr(spec, name) is getattr(spec, name), name
+
+    def test_replace_builds_fresh_tables(self):
+        spec = toy(4)
+        y4 = (0, 1, 0, 1)
+        recon_set(spec, y4, 3.5)
+        longer = dataclasses.replace(spec, n=6)
+        assert not set(TABLES) & set(vars(longer))
+        y6 = (0, 1, 0, 1, 1, 1)
+        assert recon_set(longer, y6, 3.5).members == brute_recon(longer, y6, 3.5)
+        with pytest.raises(MalformedError):
+            recon_set(longer, y4, 3.5)
+        noisier = dataclasses.replace(spec, table=bsc_source(0.1, 0.5, 4).table,
+                                      bsc=None)
+        assert noisier.cost != spec.cost
+        assert noisier.cost[0][1] == pytest.approx(-math.log2(0.1))
+
+    def test_identity_unchanged_by_tables(self):
+        spec, twin = toy(4), toy(4)
+        before = (hash(spec), repr(spec), dataclasses.asdict(spec))
+        for name in TABLES:
+            getattr(spec, name)
+        assert (hash(spec), repr(spec), dataclasses.asdict(spec)) == before
+        assert spec == twin and hash(spec) == hash(twin)
+        assert {spec: 1}[twin] == 1
+
+    def test_float_spec_has_no_scaled_table(self):
+        spec = toy(17)
+        with pytest.raises(InfeasibleError):
+            spec.scaled
+        assert spec.cost == toy(4).cost
+
+
 class TestBscRadius:
     def test_toy_radii(self):
         # d=0 costs 1.66, d=1 costs 3.245, d=2 costs 4.83
@@ -389,10 +532,25 @@ class TestJson:
         {"alphabet": [2, 2, 2], "n": 2, "pxyz": [[0, 0, 0, "-1"], [1, 1, 1, "2"]]},
         "not json {",
         42,
+        # integer fields follow the CLI's rule: no bools, no fractions
+        {"bsc": {"p": 0, "q": 0.5, "n": 12.7}},
+        {"bsc": {"p": 0, "q": 0.5, "n": True}},
+        {"alphabet": [2.9, 2, 2], "n": 3, "pxyz": [[0, 0, 0, 1]]},
+        {"alphabet": [2, 2, 2], "n": 3.5, "pxyz": [[0, 0, 0, 1]]},
+        {"alphabet": [2, 2, 2], "n": 3, "pxyz": [[0.5, 0, 0, 1]]},
+        {"alphabet": [2, 2, 2], "n": 3, "pxyz": [[0, False, 0, 1]]},
+        {"alphabet": [2, 2, 2], "n": "3.0", "pxyz": [[0, 0, 0, 1]]},
     ])
     def test_malformed(self, doc):
         with pytest.raises(MalformedError):
             from_json(doc)
+
+    def test_integral_numbers_accepted(self):
+        assert from_json({"bsc": {"p": 0, "q": 0.5, "n": 12.0}}).n == 12
+        spec = from_json({"alphabet": [2.0, "2", 2], "n": "3",
+                          "pxyz": [[1.0, 1, "1", 1]]})
+        assert (spec.nx, spec.ny, spec.n) == (2, 2, 3)
+        assert spec.p(1, 1, 1) == 1
 
     def test_bad_flip_probability(self):
         with pytest.raises(MalformedError):
