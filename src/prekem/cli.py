@@ -38,6 +38,7 @@ from .ikem import (
     IkemInstance,
     IkemParams,
     Mode,
+    check_enumerable,
     correctness_bound,
     decap,
     derive_params_baseline,
@@ -50,7 +51,7 @@ from .ikem import (
     parse_ciphertext,
     serialize_ciphertext,
 )
-from .source import DEFAULT_CAP, bsc_recon_size, from_json, integer
+from .source import from_json, integer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -174,8 +175,6 @@ def params_to_doc(params: IkemParams,
         doc["eps"] = float(params.eps)
     if params.delta is not None:
         doc["delta"] = float(params.delta)
-    if params.cap != DEFAULT_CAP:
-        doc["cap"] = params.cap
     if dem is not None:
         doc["dem"] = {"enc_len": dem.enc_len, "mac_bits": dem.mac_bits}
     return doc
@@ -197,8 +196,7 @@ def params_from_doc(doc: dict) -> Tuple[IkemParams, DemProfile]:
         q_e=_number(doc, "q_e", where, int, 0),
         q_d=_number(doc, "q_d", where, int, 0),
         eps=_number(doc, "eps", where, float, None),
-        delta=_number(doc, "delta", where, float, None),
-        cap=_number(doc, "cap", where, int, DEFAULT_CAP))
+        delta=_number(doc, "delta", where, float, None))
     return params, _dem_profile(doc, "dem") or DemProfile()
 
 
@@ -291,7 +289,6 @@ def cmd_params(args) -> int:
     nu = _number(doc, "nu", "config", float, None)
     ell = _number(doc, "ell", "config", int, None)
     eps = _number(doc, "eps", "config", float, None)
-    cap = _number(doc, "cap", "config", int, DEFAULT_CAP)
     dem = _dem_profile(doc, "dem")
     try:
         if args.mode == "cca":
@@ -300,19 +297,13 @@ def cmd_params(args) -> int:
             delta = _number(doc, "delta", "config", float)
             params = derive_params_cca(
                 source, eps, sigma, delta, q_e, q_d, nu=nu,
-                t=_number(doc, "t", "config", int, None), ell=ell, cap=cap)
+                t=_number(doc, "t", "config", int, None), ell=ell)
         else:
             t = _number(doc, "t", "config")
             derive = (derive_params_cea if args.mode == "cea"
                       else derive_params_baseline)
-            params = derive(source, sigma, q_e, t, nu=nu, eps=eps, ell=ell,
-                            cap=cap)
-        # decap enumerates R(y); on a satellite source its size is known
-        if source.bsc is not None and float(source.bsc[0]) <= 0.5:
-            size = bsc_recon_size(source.bsc[0], params.n, params.nu)
-            if size > cap:
-                raise InfeasibleError(f"reconciliation set of {size} "
-                                      f"strings exceeds cap {cap}")
+            params = derive(source, sigma, q_e, t, nu=nu, eps=eps, ell=ell)
+        check_enumerable(params)
     except InfeasibleError as e:
         print(f"{'verdict':<14}infeasible: {e}")
         return EXIT_INFEASIBLE

@@ -65,6 +65,7 @@ __all__ = [
     "cca_length_bound",
     "baseline_length_bound",
     "nu_for_correctness",
+    "check_enumerable",
     "correctness_bound",
     "distance_bound",
     "forgery_bound",
@@ -127,6 +128,8 @@ class IkemParams:
                 raise MalformedError(f"{name} must be in (0, 1]")
         if self.q_e < 0 or self.q_d < 0:
             raise MalformedError("query budgets must be non-negative")
+        if self.cap < 1:
+            raise MalformedError("cap must be positive")
         if self.mode is Mode.CCA:
             if 2 * self.t > self.n:
                 raise MalformedError("authenticated mode needs t <= n/2")
@@ -441,6 +444,30 @@ def derive_params_baseline(source: SourceSpec, sigma: float, q_e: int, t: int, *
 # ---------------------------------------------------------------------------
 # analytic guarantees for a parameter set
 
+def _satellite_flip(src: SourceSpec):
+    """The flip probability of a satellite source with p <= 1/2, where
+    R(y) is a Hamming ball of closed-form radius; None otherwise."""
+    if src.bsc is not None and float(src.bsc[0]) <= 0.5:
+        return src.bsc[0]
+    return None
+
+
+def check_enumerable(params: IkemParams) -> None:
+    """Raise InfeasibleError when decap would refuse to enumerate R(y).
+
+    The derivations stay analytic (the paper's instances have sets far
+    beyond any cap); this is the check for an instance that will run.  For
+    a satellite source every R(y) has bsc_recon_size members, the count
+    recon_set applies its cap to; other tables are left to decap.
+    """
+    p = _satellite_flip(params.source)
+    if p is not None:
+        size = bsc_recon_size(p, params.n, params.nu)
+        if size > params.cap:
+            raise InfeasibleError(f"reconciliation set of {size} strings "
+                                  f"exceeds cap {params.cap}")
+
+
 def correctness_bound(params: IkemParams) -> float:
     """Upper bound on the decapsulation failure probability.
 
@@ -449,8 +476,8 @@ def correctness_bound(params: IkemParams) -> float:
     t-bit hash (at most |R| * 2^-t).
     """
     src = params.source
-    if src.bsc is not None and float(src.bsc[0]) <= 0.5:
-        p = src.bsc[0]
+    p = _satellite_flip(src)
+    if p is not None:
         d = bsc_radius(p, params.n, params.nu)
         if d < 0:
             return 1.0
@@ -458,7 +485,7 @@ def correctness_bound(params: IkemParams) -> float:
         miss = one - sum(
             math.comb(params.n, j) * p ** j * (one - p) ** (params.n - j)
             for j in range(d + 1))
-        ball = bsc_recon_size(p, params.n, params.nu)
+        ball = sum(math.comb(params.n, j) for j in range(d + 1))
         return min(1.0, float(miss) + ball * 2.0 ** -params.t)
     if 2 ** src.n > 4096:
         raise InfeasibleError("source too large for exhaustive correctness")

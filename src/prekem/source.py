@@ -293,10 +293,10 @@ def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float,
     Branch and bound over positions: a prefix is abandoned as soon as its
     cost plus the cheapest possible completion exceeds nu.  Every surviving
     internal node has at least one member below it, so the search does
-    O(n * |alphabet|) work per member.  Each candidate the walk reaches is
-    then scored once, by the fsum rule of cond_neg_log_prob, kept when its
-    score is at most nu and ordered by (score, x).  More than cap
-    candidates raises InfeasibleError.
+    O(n * |alphabet|) work per member.  Each string the walk reaches is
+    scored once, by the fsum rule of cond_neg_log_prob, kept when its score
+    is at most nu and ordered by (score, x).  More than cap kept members
+    raises InfeasibleError, so cap counts exactly what bsc_recon_size does.
     """
     if len(y) != spec.n:
         raise MalformedError("y must have length n")
@@ -306,9 +306,9 @@ def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float,
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + min(rows[i])
     # tiny slack absorbs rounding drift of the running sum; membership is
-    # decided below by the fsum score
+    # decided at each leaf by the fsum score
     budget = nu + 1e-9
-    members = []
+    kept = []
     prefix = [0] * n
     # iterative depth-first walk (n can exceed the recursion limit):
     # nxt[i] is the next symbol to try at position i, acc[i] the prefix cost
@@ -317,10 +317,12 @@ def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float,
     i = 0 if suffix[0] <= budget else -1
     while i >= 0:
         if i == n:
-            members.append(tuple(prefix))
-            if len(members) > cap:
-                raise InfeasibleError(
-                    f"reconciliation set exceeds cap {cap} at nu={nu}")
+            score = math.fsum([r[xi] for r, xi in zip(rows, prefix)])
+            if score <= nu:
+                kept.append((score, tuple(prefix)))
+                if len(kept) > cap:
+                    raise InfeasibleError(
+                        f"reconciliation set exceeds cap {cap} at nu={nu}")
             i -= 1
             continue
         sym = nxt[i]
@@ -334,8 +336,7 @@ def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float,
             prefix[i] = sym
             acc[i + 1] = c
             i += 1
-    scores = [math.fsum([r[xi] for r, xi in zip(rows, x)]) for x in members]
-    kept = sorted((c, x) for c, x in zip(scores, members) if c <= nu)
+    kept.sort()
     return ReconSet(tuple(y), float(nu), tuple(x for _, x in kept))
 
 
@@ -395,7 +396,8 @@ def bsc_radius(p, n: int, nu: float) -> int:
 
 def bsc_recon_size(p, n: int, nu: float) -> int:
     """|R(y)| at every y for flip probability p <= 1/2: the Hamming ball of
-    bsc_radius; 0 when even y itself costs more than nu."""
+    bsc_radius; 0 when even y itself costs more than nu.  This is the count
+    recon_set compares with its cap."""
     return sum(math.comb(n, d) for d in range(bsc_radius(p, n, nu) + 1))
 
 

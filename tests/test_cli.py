@@ -139,39 +139,6 @@ class TestParams:
         _, dem = params_from_doc(json.loads(out.read_text()))
         assert dem == DemProfile(enc_len=8, mac_bits=8)
 
-    def test_default_cap_is_not_written(self, tmp_path):
-        out = tmp_path / "params.json"
-        assert run_cli("params", "--config", self.config(tmp_path),
-                       "--mode", "cea", "--out", out) == 0
-        assert "cap" not in json.loads(out.read_text())
-        assert params_from_doc(json.loads(out.read_text()))[0].cap == 1 << 20
-
-    def test_cap_reaches_decap(self, tmp_path, capsys):
-        # the README's noisy source: every R(y) holds 301 strings
-        config = self.config(tmp_path, source=NOISY, t=14, nu=12, cap=301)
-        params = tmp_path / "params.json"
-        assert run_cli("params", "--config", config, "--mode", "cea",
-                       "--out", params) == 0
-        doc = json.loads(params.read_text())
-        assert doc["cap"] == 301
-        assert params_from_doc(doc)[0].cap == 301
-        mat = tmp_path / "mat"
-        assert run_cli("sample", "--config", params, "--seed", "c0ffee",
-                       "--out-dir", mat) == 0
-        assert run_cli("encap", "--config", params, "--x", mat / "x.json",
-                       "--public", mat / "public.json", "--seed", "01",
-                       "--out", tmp_path / "ct.bin",
-                       "--key-out", tmp_path / "key.json") == 0
-        decap = ("decap", "--config", params, "--y", mat / "y.json",
-                 "--public", mat / "public.json",
-                 "--ciphertext", tmp_path / "ct.bin")
-        assert run_cli(*decap) == 0
-        # one string fewer than R(y) holds: decap must honour it and refuse
-        write_json(params, {**doc, "cap": 300})
-        capsys.readouterr()
-        assert run_cli(*decap) == 2
-        assert "exceeds cap 300" in capsys.readouterr().err
-
     def test_baseline_mode(self, tmp_path, capsys):
         config = self.config(tmp_path)
         assert run_cli("params", "--config", config, "--mode",
@@ -568,7 +535,7 @@ class TestConfigFields:
         return write_json(tmp_path / "config.json", doc)
 
     @pytest.mark.parametrize("key", ["sigma", "q_e", "q_d", "nu", "ell",
-                                     "eps", "t", "cap"])
+                                     "eps", "t"])
     def test_params_scalar_not_a_number(self, tmp_path, capsys, key):
         config = self.params_config(tmp_path, **{key: "abc"})
         assert_format_error(capsys, "params", "--config", config,
@@ -662,26 +629,17 @@ class TestParamsVerdict:
             [0, 0, 0, "zz"], [1, 1, 1, "1/2"]]}}, "cea", 1, []),
         ({**SMALL_CEA, "source": {"alphabet": [2, 2, 2], "n": 20, "pxyz": [
             [0, 0, 0, [0.5]], [1, 1, 1, 0.5]]}}, "cea", 1, []),
-        # |R| is the radius-3 Hamming ball at n=24: 301 strings, which decap
-        # would refuse to enumerate under a smaller cap
-        ({**NOISY_CEA, "cap": 300}, "cea", 2, [
-            "verdict infeasible: reconciliation set of 301 strings exceeds "
-            "cap 300"]),
-        ({**NOISY_CEA, "cap": 301}, "cea", 0, ["verdict feasible"]),
-        ({**NOISY_CEA, "cap": 301}, "baseline", 0, ["verdict feasible"]),
         # radius 7 at n=100: C(100, <=7) strings, far over the default cap
         ({**NOISY_CEA, "source": {"bsc": {"p": "1/20", "q": "1/2",
                                           "n": 100}}, "nu": 40}, "cea", 2, [
             "verdict infeasible: reconciliation set of 17278988696 strings "
             "exceeds cap 1048576"]),
-        ({**SMALL_CEA, "source": NOISELESS, "cap": 8.5}, "cea", 1, []),
         ({**SMALL_CEA, "source": {"bsc": {"p": "0", "q": "1/2",
                                           "n": 12.7}}}, "cea", 1, []),
     ], ids=["cca-n1080", "n-over-max-width", "bsc-n-not-int",
             "exact-p-not-number", "table-prob-not-number",
-            "float-table-prob-not-number", "recon-over-cap", "recon-at-cap",
-            "baseline-recon-at-cap", "recon-over-default-cap",
-            "cap-not-int", "bsc-n-fractional"])
+            "float-table-prob-not-number", "recon-over-default-cap",
+            "bsc-n-fractional"])
     def test_exit_code_and_verdict(self, tmp_path, capsys, config, mode,
                                    code, want):
         path = write_json(tmp_path / "config.json", config)

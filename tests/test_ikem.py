@@ -20,6 +20,7 @@ from prekem.ikem import (
     Mode,
     baseline_length_bound,
     cca_length_bound,
+    check_enumerable,
     cea_length_bound,
     correctness_bound,
     decap,
@@ -187,6 +188,48 @@ class TestEncapDecap:
         k, c = encap(params, (0, 1, 1, 0), random.Random(61))
         with pytest.raises(InfeasibleError):
             decap(params, (0, 1, 1, 0), c)
+
+
+
+# kem-noisy's channel: every R(y) is the radius-2 Hamming ball, 301 strings
+NOISY24 = bsc_source(Fraction(1, 20), Fraction(1, 2), 24)
+NU_UNDER_R3 = math.fsum([-math.log2(1 / 20)] * 3
+                        + [-math.log2(19 / 20)] * 21) - 5e-10
+
+
+class TestCheckEnumerable:
+    """check_enumerable refuses a satellite instance whose R(y) decap would
+    refuse to enumerate, and passes one it can."""
+
+    @pytest.mark.parametrize("derive", [derive_params_cea,
+                                        derive_params_baseline])
+    def test_verdict_matches_decap(self, derive):
+        with pytest.raises(InfeasibleError,
+                           match="301 strings exceeds cap 300"):
+            check_enumerable(derive(NOISY24, 0.25, 0, 14, nu=12.0, cap=300))
+        # nu sits just under the radius-3 cost, inside recon_set's slack
+        params = derive(NOISY24, 0.25, 0, 14, nu=NU_UNDER_R3, cap=301)
+        check_enumerable(params)
+        inst = gen(params, random.Random(8))
+        key, c = encap(params, inst.x, random.Random(9), inst.public_seed)
+        decap(params, inst.y, c, inst.public_seed)  # within cap: no raise
+
+    def test_cca_over_default_cap(self):
+        src = bsc_source(Fraction(1, 1000), Fraction(1, 2), 1080)
+        check_enumerable(derive_params_cca(
+            src, 0.01, 2.0 ** -20, 2.0 ** -10, 0, 0, nu=20.0, t=100))
+        # the derivation itself stays analytic
+        params = derive_params_cca(src, 0.01, 2.0 ** -20, 2.0 ** -10, 0, 0,
+                                   nu=40.0, t=100)
+        with pytest.raises(InfeasibleError,
+                           match="209952901 strings exceeds cap 1048576"):
+            check_enumerable(params)
+
+    def test_general_tables_left_to_decap(self):
+        src = from_json({"alphabet": [2, 2, 2], "n": 4,
+                         "pxyz": [[0, 0, 0, "1/2"], [1, 1, 1, "1/2"]]})
+        check_enumerable(dataclasses.replace(
+            toy_params(Mode.CEA), source=src, nu=100.0, cap=1))
 
 
 class TestDeriveCea:
@@ -464,6 +507,13 @@ class TestParamsValidation:
     def test_rejects_baseline_wrong_w(self):
         with pytest.raises(MalformedError):
             toy_params(Mode.BASELINE, w=4)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_cap_below_one(self, cap):
+        with pytest.raises(MalformedError, match="cap must be positive"):
+            toy_params(Mode.CEA, cap=cap)
+        with pytest.raises(MalformedError, match="cap must be positive"):
+            derive_params_cea(NOISY24, 0.25, 0, 14, nu=12.0, cap=cap)
 
     def test_key_type(self):
         assert IkemKey(5, 3).to_bytes() == b"\x05"

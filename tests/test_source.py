@@ -23,6 +23,7 @@ from prekem.source import (
     SourceSpec,
     avg_min_entropy_given_z,
     bsc_radius,
+    bsc_recon_size,
     bsc_source,
     cond_neg_log_prob,
     from_json,
@@ -149,6 +150,20 @@ class TestReconSet:
 
     def test_negative_nu_empty(self):
         assert recon_set(toy(4), (0,) * 4, -1).members == ()
+
+    def test_cap_counts_members_not_slack(self):
+        # nu 5e-10 under the radius-3 cost: the walk's slack reaches the
+        # 2024 distance-3 strings, but only the 301-string radius-2 ball is
+        # kept, and cap is measured against that, as bsc_recon_size counts
+        p = Fraction(1, 20)
+        spec = bsc_source(p, Fraction(1, 2), 24)
+        nu = math.fsum([-math.log2(1 / 20)] * 3
+                       + [-math.log2(19 / 20)] * 21) - 5e-10
+        assert bsc_recon_size(p, 24, nu) == 301
+        y = tuple(random.Random(7).getrandbits(1) for _ in range(24))
+        assert len(recon_set(spec, y, nu, cap=301).members) == 301
+        with pytest.raises(InfeasibleError):
+            recon_set(spec, y, nu, cap=300)
 
     def test_large_n_noiseless(self):
         spec = bsc_source(0, 0.5, 1080)
