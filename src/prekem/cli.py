@@ -48,7 +48,7 @@ from .ikem import (
     encap,
     forgery_bound,
     gen,
-    parse_ciphertext,
+    parse_ciphertext_for,
     serialize_ciphertext,
 )
 from .source import from_json, integer
@@ -58,9 +58,6 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_REJECT = 3
 EXIT_BOUND = 4
-
-_MODE_NAMES = {Mode.CEA: "cea", Mode.CCA: "cca", Mode.BASELINE: "baseline"}
-_MODES = {name: mode for mode, name in _MODE_NAMES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +85,15 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _typed(doc: dict, key: str, where: str, kind: type):
+    """doc[key], which must be a JSON object (kind dict) or string (str)."""
+    value = _require(doc, key, where)
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a string"
+        raise MalformedError(f"{where} field '{key}' must be {name}")
+    return value
+
+
 _REQUIRED = object()
 
 
@@ -108,13 +114,11 @@ def _number(doc: dict, key: str, where: str, cast=int, default=_REQUIRED):
             f"{where} field '{key}' must be {kind}, got {value!r}") from None
 
 
-def _dem_profile(doc: dict, key: str) -> Optional[DemProfile]:
+def _dem_profile(doc: dict, key: str, where: str) -> Optional[DemProfile]:
     """The DemProfile held in doc[key], or None when there is none."""
-    sub = doc.get(key)
-    if sub is None:
+    if doc.get(key) is None:
         return None
-    if not isinstance(sub, dict):
-        raise MalformedError(f"'{key}' must be a JSON object")
+    sub = _typed(doc, key, where, dict)
     enc_len = _number(sub, "enc_len", key)
     mac_bits = _number(sub, "mac_bits", key)
     try:
@@ -159,7 +163,7 @@ def _source_doc(spec) -> dict:
 def params_to_doc(params: IkemParams,
                   dem: Optional[DemProfile] = None) -> dict:
     doc = {
-        "mode": _MODE_NAMES[params.mode],
+        "mode": params.mode.name.lower(),
         "source": _source_doc(params.source),
         "n": params.n,
         "t": params.t,
@@ -182,12 +186,10 @@ def params_to_doc(params: IkemParams,
 
 def params_from_doc(doc: dict) -> Tuple[IkemParams, DemProfile]:
     where = "parameter file"
-    mode_name = _require(doc, "mode", where)
-    if mode_name not in _MODES:
-        raise MalformedError(f"unknown mode {mode_name!r}")
+    mode = Mode.from_name(_require(doc, "mode", where))
     source = from_json(_require(doc, "source", where))
     params = IkemParams(
-        mode=_MODES[mode_name], source=source,
+        mode=mode, source=source,
         n=_number(doc, "n", where), t=_number(doc, "t", where),
         ell=_number(doc, "ell", where),
         nu=_number(doc, "nu", where, float),
@@ -197,7 +199,7 @@ def params_from_doc(doc: dict) -> Tuple[IkemParams, DemProfile]:
         q_d=_number(doc, "q_d", where, int, 0),
         eps=_number(doc, "eps", where, float, None),
         delta=_number(doc, "delta", where, float, None))
-    return params, _dem_profile(doc, "dem") or DemProfile()
+    return params, _dem_profile(doc, "dem", where) or DemProfile()
 
 
 def _load_params(path: str) -> Tuple[IkemParams, DemProfile]:
@@ -224,7 +226,7 @@ def _read_material(path: str, role: str, n: int, alphabet: int):
     if doc.get("role") != role:
         raise MalformedError(
             f"{path} holds role {doc.get('role')!r}, expected {role!r}")
-    text = _require(doc, "symbols", path)
+    text = _typed(doc, "symbols", path, str)
     if _number(doc, "n", path) != n or len(text) != n:
         raise MalformedError(f"{path} length does not match n = {n}")
     try:
@@ -251,7 +253,7 @@ def _read_public(path: str, n: int) -> int:
     if _number(doc, "n", path) != n:
         raise MalformedError(f"{path} width does not match n = {n}")
     try:
-        seed = int(_require(doc, "seed", path), 16)
+        seed = int(_typed(doc, "seed", path, str), 16)
     except ValueError:
         raise MalformedError(f"{path} has a non-hex seed") from None
     if seed >= (1 << n):
@@ -289,7 +291,7 @@ def cmd_params(args) -> int:
     nu = _number(doc, "nu", "config", float, None)
     ell = _number(doc, "ell", "config", int, None)
     eps = _number(doc, "eps", "config", float, None)
-    dem = _dem_profile(doc, "dem")
+    dem = _dem_profile(doc, "dem", "config")
     try:
         if args.mode == "cca":
             if eps is None:
@@ -309,7 +311,7 @@ def cmd_params(args) -> int:
         return EXIT_INFEASIBLE
 
     rows = [
-        ("mode", _MODE_NAMES[params.mode]),
+        ("mode", params.mode.name.lower()),
         ("n", params.n),
         ("nu", f"{params.nu:.4f}"),
         ("t", params.t),
@@ -377,10 +379,7 @@ def cmd_decap(args) -> int:
         raw = Path(args.ciphertext).read_bytes()
     except OSError as e:
         raise MalformedError(f"cannot read {args.ciphertext}: {e}") from None
-    mode, n, t, w, c = parse_ciphertext(raw)
-    if (mode, n, t, w) != (params.mode, params.n, params.t, params.w):
-        raise MalformedError("ciphertext header does not match the parameters")
-    key = decap(params, y, c, public)
+    key = decap(params, y, parse_ciphertext_for(params, raw), public)
     if key is None:
         print("rejected: no unique reconciliation", file=sys.stderr)
         return EXIT_REJECT
@@ -394,22 +393,6 @@ def cmd_decap(args) -> int:
 
 # ---------------------------------------------------------------------------
 # hybrid encryption
-
-def _envelope_framing_error(data: bytes) -> Optional[str]:
-    """Errors in the outer framing, as opposed to damage inside a payload."""
-    from .hybrid import _ENV_HEADER, ENVELOPE_MAGIC, ENVELOPE_VERSION
-
-    if len(data) < _ENV_HEADER.size:
-        return "envelope shorter than its header"
-    magic, version, c1_len = _ENV_HEADER.unpack_from(data)
-    if magic != ENVELOPE_MAGIC:
-        return "bad envelope magic"
-    if version != ENVELOPE_VERSION:
-        return f"unsupported envelope version {version}"
-    if _ENV_HEADER.size + c1_len > len(data):
-        return "envelope truncated"
-    return None
-
 
 def cmd_he_encrypt(args) -> int:
     from .hybrid import HybridScheme, he_encrypt, serialize_envelope
@@ -431,7 +414,8 @@ def cmd_he_encrypt(args) -> int:
 
 
 def cmd_he_decrypt(args) -> int:
-    from .hybrid import HybridScheme, he_decrypt, parse_envelope
+    from .hybrid import (HybridScheme, he_decrypt, parse_envelope,
+                         split_envelope)
 
     params, dem = _load_params(args.config)
     scheme = HybridScheme.for_params(params, dem)
@@ -441,11 +425,9 @@ def cmd_he_decrypt(args) -> int:
         data = Path(args.infile).read_bytes()
     except OSError as e:
         raise MalformedError(f"cannot read {args.infile}: {e}") from None
-    framing = _envelope_framing_error(data)
-    if framing is not None:
-        raise MalformedError(framing)
-    # damage inside the payloads is the decapsulator's rejection, not a
-    # usage error
+    # a damaged outer frame is a format error; damage inside the payloads
+    # is the decapsulator's rejection
+    split_envelope(data)
     try:
         env = parse_envelope(scheme, data)
         message = he_decrypt(scheme, y, env, public)
@@ -542,7 +524,8 @@ def _run_game_doc(doc: dict, trials: int, seed: int):
     q_d = _number(doc, "q_d", "game config", int, 0)
     adversary = str(doc.get("adversary", "random"))
     if kind == "pkind":
-        params, _ = params_from_doc(_require(doc, "params", "game config"))
+        params, _ = params_from_doc(
+            _typed(doc, "params", "game config", dict))
         config = games.GameConfig(
             atk=str(_require(doc, "atk", "game config")), trials=trials,
             q_e=q_e, q_d=q_d, seed=seed, params=params,
@@ -551,7 +534,8 @@ def _run_game_doc(doc: dict, trials: int, seed: int):
         return games.run_pkind(
             config, _pick(_PKIND_ADVERSARIES, adversary, kind, games))
     if kind == "kint":
-        params, _ = params_from_doc(_require(doc, "params", "game config"))
+        params, _ = params_from_doc(
+            _typed(doc, "params", "game config", dict))
         config = games.GameConfig(
             atk="kint", trials=trials, q_e=_number(doc, "q_e", "game config", int, 1), q_d=q_d,
             seed=seed, params=params, target=_target_from(doc, params))
@@ -561,7 +545,7 @@ def _run_game_doc(doc: dict, trials: int, seed: int):
         config = games.GameConfig(
             atk=str(_require(doc, "atk", "game config")), trials=trials,
             q_e=q_e, q_d=q_d, seed=seed,
-            dem=_dem_profile(doc, "profile") or DemProfile())
+            dem=_dem_profile(doc, "profile", "game config") or DemProfile())
         if adversary != "contrast":
             raise MalformedError(
                 f"unknown dem adversary {adversary!r} (known: contrast)")
@@ -573,7 +557,7 @@ def _run_game_doc(doc: dict, trials: int, seed: int):
             raise MalformedError("the only DEM stub is 'identity'")
         return games.run_dem_ind(config, games.ContrastDemDistinguisher())
     if kind == "pri":
-        fam_doc = _require(doc, "family", "game config")
+        fam_doc = _typed(doc, "family", "game config", dict)
         fam_kind = _require(fam_doc, "kind", "family")
         out_bits = _number(fam_doc, "out_bits", "family")
         if fam_kind == "it":
@@ -638,7 +622,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="derive and print parameters")
     p.add_argument("--config", required=True)
-    p.add_argument("--mode", required=True, choices=sorted(_MODES))
+    p.add_argument("--mode", required=True,
+                   choices=sorted(m.name.lower() for m in Mode))
     p.add_argument("--out", help="write the derived parameter file here")
     p.set_defaults(func=cmd_params)
 

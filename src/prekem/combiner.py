@@ -38,13 +38,12 @@ from cryptography.hazmat.primitives.cmac import CMAC
 from .errors import MalformedError
 from .gf2 import EXTRA_POLYS, POLY_TABLE, field
 from .ikem import (
-    IkemCiphertext,
     IkemInstance,
     IkemKey,
     IkemParams,
     decap,
     encap,
-    parse_ciphertext,
+    parse_ciphertext_for,
     serialize_ciphertext,
 )
 from .uhash import twise_poly
@@ -109,11 +108,9 @@ class IkemComponent(KemInterface):
         return k, serialize_ciphertext(self.params, c)
 
     def dec(self, c: bytes) -> Optional[IkemKey]:
-        mode, n, t, w, parsed = parse_ciphertext(c)
-        p = self.params
-        if (mode, n, t, w) != (p.mode, p.n, p.t, p.w):
-            raise MalformedError("ciphertext header does not match component")
-        return decap(p, self.instance.y, parsed, self.instance.public_seed)
+        return decap(self.params, self.instance.y,
+                     parse_ciphertext_for(self.params, c),
+                     self.instance.public_seed)
 
 
 class ToyPkem(KemInterface):

@@ -57,12 +57,14 @@ from .ikem import (
     IkemParams,
     Mode,
     _extract,
+    _recon_seed,
     _recon_value,
     decap,
     distance_bound,
     encap,
     forgery_bound,
     gen,
+    pack_bits,
     unpack_bits,
 )
 from .source import SourceSpec, recon_set
@@ -388,9 +390,7 @@ class CheatingPkind:
         return None
 
     def phase2(self, params, view, st, c_star, k_b, oracle, rng):
-        xp = 0
-        for bit in view.x:
-            xp = (xp << 1) | bit
+        xp = pack_bits(view.x)
         return 0 if _extract(params, xp, c_star.sprime) == k_b.bits else 1
 
 
@@ -424,19 +424,17 @@ class BayesPkind:
     def phase2(self, params, view, transcript, c_star, k_b, oracle, rng):
         pairs = self._pairs(params.source, view.z)
         pub = view.public_seed
-
-        def recon_seed(c: IkemCiphertext) -> int:
-            return pub if params.mode is Mode.CEA else c.s
-
         consistent: Dict[int, bool] = {}
         chal_key: Dict[int, int] = {}
         for xp in {p[0] for p in pairs}:
             ok = all(
-                _recon_value(params, xp, c.sprime, recon_seed(c)) == c.v
+                _recon_value(params, xp, c.sprime,
+                             _recon_seed(params, c.s, pub)) == c.v
                 and _extract(params, xp, c.sprime) == k.bits
                 for k, c in transcript)
             ok = ok and _recon_value(
-                params, xp, c_star.sprime, recon_seed(c_star)) == c_star.v
+                params, xp, c_star.sprime,
+                _recon_seed(params, c_star.s, pub)) == c_star.v
             consistent[xp] = ok
             if ok:
                 chal_key[xp] = _extract(params, xp, c_star.sprime)
@@ -512,12 +510,9 @@ class RandomCiphertextForger:
     def forge(self, params, view, oracle, rng):
         v = rng.getrandbits(params.t)
         sprime = rng.getrandbits(params.w)
-        if params.mode is Mode.CEA:
-            s = None
-        else:
-            s = rng.getrandbits(
-                params.n + (params.t if params.mode is Mode.BASELINE else 0))
-        return IkemCiphertext(v, sprime, s)
+        s_bits = params.mode.s_bits(params.n, params.t)
+        return IkemCiphertext(v, sprime,
+                              rng.getrandbits(s_bits) if s_bits else None)
 
 
 class FixedForger:
@@ -594,7 +589,7 @@ def brute_force_forger(params: IkemParams, z, rng,
         raise MalformedError("a query transcript needs both key and ciphertext")
     pairs = _enumerate_pairs(spec, z)
     if key is not None:
-        seed = public_seed if params.mode is Mode.CEA else ciphertext.s
+        seed = _recon_seed(params, ciphertext.s, public_seed)
         good = {
             xp: (_recon_value(params, xp, ciphertext.sprime, seed)
                  == ciphertext.v
@@ -608,13 +603,7 @@ def brute_force_forger(params: IkemParams, z, rng,
     members: Dict[int, frozenset] = {}
     for yp in {p[1] for p in pairs}:
         rs = recon_set(spec, unpack_bits(yp, params.n), params.nu, params.cap)
-        packed = []
-        for m in rs.members:
-            v = 0
-            for bit in m:
-                v = (v << 1) | bit
-            packed.append(v)
-        members[yp] = frozenset(packed)
+        members[yp] = frozenset(pack_bits(m) for m in rs.members)
     score_x: Dict[int, int] = {xp: 0 for xp in {p[0] for p in pairs}}
     score_y: Dict[int, int] = {yp: 0 for yp in members}
     pair_wt: Dict[Tuple[int, int], int] = {}
@@ -678,7 +667,7 @@ def _seed_tables(params: IkemParams):
             for x in range(X):
                 K[sp, x] = _extract(params, x, sp)
         return G, NQ, V, K
-    s_bits = n + (params.t if params.mode is Mode.BASELINE else 0)
+    s_bits = params.mode.s_bits(n, params.t)
     NQ = (1 << params.w) * (1 << s_bits)
     V = np.empty((NQ, X), dtype=np.int64)
     Ksp = np.empty((1 << params.w, X), dtype=np.int64)
@@ -734,8 +723,7 @@ def exact_distance(params: IkemParams, q_e: int,
         G, NQ = 1 << n, 1 << params.w
     else:
         G = 1
-        NQ = 1 << (params.w + n
-                   + (params.t if params.mode is Mode.BASELINE else 0))
+        NQ = 1 << (params.w + params.mode.s_bits(n, t))
     flops = G * NQ ** q_e * NQ * out * X * cells_cap * Z
     if flops > FLOP_MAX:
         raise InfeasibleError("view enumeration exceeds the work ceiling")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from .dem import (
     DemCiphertext,
@@ -40,7 +40,7 @@ from .ikem import (
     Mode,
     decap,
     encap,
-    parse_ciphertext,
+    parse_ciphertext_for,
     serialize_ciphertext,
 )
 
@@ -50,6 +50,7 @@ __all__ = [
     "he_encrypt",
     "he_decrypt",
     "serialize_envelope",
+    "split_envelope",
     "parse_envelope",
 ]
 
@@ -114,8 +115,8 @@ def serialize_envelope(scheme: HybridScheme, c: HybridCiphertext) -> bytes:
             + c1 + serialize_dem(scheme.dem, c.c2))
 
 
-def parse_envelope(scheme: HybridScheme, data: bytes) -> HybridCiphertext:
-    """Strict parse against the scheme: the KEM header must match it."""
+def split_envelope(data: bytes) -> Tuple[bytes, bytes]:
+    """Check the outer framing and split the payloads into (c1, c2)."""
     if len(data) < _ENV_HEADER.size:
         raise MalformedError("envelope shorter than its header")
     magic, ver, c1_len = _ENV_HEADER.unpack_from(data)
@@ -123,12 +124,14 @@ def parse_envelope(scheme: HybridScheme, data: bytes) -> HybridCiphertext:
         raise MalformedError("bad envelope magic")
     if ver != ENVELOPE_VERSION:
         raise MalformedError(f"unsupported envelope version {ver}")
-    rest = data[_ENV_HEADER.size:]
-    if len(rest) < c1_len:
+    end = _ENV_HEADER.size + c1_len
+    if len(data) < end:
         raise MalformedError("envelope truncated inside c1")
-    mode, n, t, w, c1 = parse_ciphertext(rest[:c1_len])
-    kem = scheme.kem
-    if (mode, n, t, w) != (kem.mode, kem.n, kem.t, kem.w):
-        raise MalformedError("KEM header does not match the scheme")
-    c2 = parse_dem(scheme.dem, rest[c1_len:], scheme.otcca)
-    return HybridCiphertext(c1, c2)
+    return data[_ENV_HEADER.size:end], data[end:]
+
+
+def parse_envelope(scheme: HybridScheme, data: bytes) -> HybridCiphertext:
+    """Strict parse against the scheme: the KEM header must match it."""
+    c1, c2 = split_envelope(data)
+    return HybridCiphertext(parse_ciphertext_for(scheme.kem, c1),
+                            parse_dem(scheme.dem, c2, scheme.otcca))

@@ -1,6 +1,12 @@
 """Information-theoretic KEMs over correlated randomness.
 
-Three modes share one parameter object and wire format:
+Three modes share one parameter object and wire format.  Each fixes
+which seeds are fresh and how wide they are (ell is the key length):
+
+  mode      public seed   s on the wire   w, the width of s'
+  CEA       n bits        0 bits          n
+  CCA       none          n bits          n
+  BASELINE  none          n + t bits      n + ell
 
   CEA       shared-seed mode: the reconciliation seed s is sampled once at
             instance setup, published out of band, and reused by every
@@ -20,6 +26,9 @@ failure, never a protocol answer).
 The derive_params_* engines turn a source plus security targets
 (sigma: key indistinguishability, eps: correctness, delta: forgery) into
 maximal key lengths; length bounds are also exposed directly as floats.
+
+Wire layout: "IKEM" || version u8 || mode u8 || n, t, w as u16 || v || s'
+|| s, each field big-endian in whole bytes with its padding bits zero.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from .gf2 import MAX_WIDTH, block, field
 from .source import (
     DEFAULT_CAP,
     SourceSpec,
+    _binom_tail_leq,
     avg_min_entropy_given_z,
     bsc_radius,
     bsc_recon_size,
@@ -45,7 +55,8 @@ from .source import (
     sample,
     shannon_cond_entropy,
 )
-from .uhash import ExtractorSeed, ReconSeed, h_cca, h_cea, hprime, split_seed
+from .uhash import (ExtractorSeed, ReconSeed, h_cca, h_cea, hprime,
+                    piece_count, split_seed)
 
 __all__ = [
     "Mode",
@@ -71,6 +82,7 @@ __all__ = [
     "forgery_bound",
     "serialize_ciphertext",
     "parse_ciphertext",
+    "parse_ciphertext_for",
 ]
 
 WIRE_MAGIC = b"IKEM"
@@ -82,9 +94,32 @@ _BOUND_TOL = 1e-9
 
 
 class Mode(enum.IntEnum):
+    """The wire code of each mode, and its seed widths."""
+
     CEA = 1
     CCA = 2
     BASELINE = 3
+
+    @classmethod
+    def from_name(cls, value) -> "Mode":
+        """The mode named 'cea', 'cca' or 'baseline'."""
+        for mode in cls:
+            if isinstance(value, str) and value == mode.name.lower():
+                return mode
+        raise MalformedError(f"unknown mode {value!r}")
+
+    def s_bits(self, n: int, t: int) -> int:
+        """Width of the fresh reconciliation seed s; 0 when s is the
+        published seed and the wire carries none."""
+        if self is Mode.BASELINE:
+            return n + t
+        return n if self is Mode.CCA else 0
+
+    def seed_width(self, n: int, ell: int) -> int:
+        """Width w of the extractor seed s'."""
+        if self is Mode.BASELINE:
+            return n + ell
+        return n
 
 
 @dataclass(frozen=True)
@@ -130,28 +165,16 @@ class IkemParams:
             raise MalformedError("query budgets must be non-negative")
         if self.cap < 1:
             raise MalformedError("cap must be positive")
+        w = self.mode.seed_width(self.n, self.ell)
+        if self.w != w:
+            raise MalformedError(f"{self.mode.name} mode needs w = {w}")
         if self.mode is Mode.CCA:
             if 2 * self.t > self.n:
                 raise MalformedError("authenticated mode needs t <= n/2")
-            if self.w != self.n:
-                raise MalformedError(
-                    "authenticated mode shares one n-bit fresh seed")
-            pw = self.n - self.t
-            if self.r < 2 or self.r % 2:
-                raise MalformedError("piece count must be even and >= 2")
-            if not (self.r - 2) * pw < self.w <= self.r * pw:
+            if self.r != piece_count(self.w, self.n - self.t):
                 raise MalformedError("piece count inconsistent with w")
-        elif self.mode is Mode.BASELINE:
-            if self.t > self.n:
-                raise MalformedError("t must be at most n")
-            if self.w != self.n + self.ell:
-                raise MalformedError(
-                    "comparison mode seed is an (n + ell)-bit pair")
-        else:
-            if self.t > self.n:
-                raise MalformedError("t must be at most n")
-            if self.w != self.n:
-                raise MalformedError("shared-seed mode uses an n-bit seed")
+        elif self.t > self.n:
+            raise MalformedError("t must be at most n")
 
 
 @dataclass(frozen=True)
@@ -223,6 +246,17 @@ def gen(params: IkemParams, rng) -> IkemInstance:
     return IkemInstance(trip.x, trip.y, trip.z, pub)
 
 
+def _recon_seed(params: IkemParams, s: Optional[int],
+                public_seed: Optional[int]) -> int:
+    """The seed v is computed under: the wire's s, or the published seed
+    where the mode carries none."""
+    if params.mode.s_bits(params.n, params.t):
+        return s
+    if public_seed is None:
+        raise MalformedError("shared-seed mode needs the public seed")
+    return public_seed
+
+
 def _recon_value(params: IkemParams, xp: int, sprime: int, s: int) -> int:
     if params.mode is Mode.CEA:
         return h_cea(xp, ReconSeed(s, params.n, params.t))
@@ -248,17 +282,10 @@ def encap(params: IkemParams, x, rng,
     if len(x) != params.n:
         raise MalformedError("x must have length n")
     xp = pack_bits(x)
-    if params.mode is Mode.CEA:
-        if public_seed is None:
-            raise MalformedError("shared-seed mode needs the public seed")
-        sprime = rng.getrandbits(params.w)
-        s: Optional[int] = None
-        v = _recon_value(params, xp, sprime, public_seed)
-    else:
-        sprime = rng.getrandbits(params.w)
-        s = rng.getrandbits(
-            params.n + (params.t if params.mode is Mode.BASELINE else 0))
-        v = _recon_value(params, xp, sprime, s)
+    sprime = rng.getrandbits(params.w)
+    s_bits = params.mode.s_bits(params.n, params.t)
+    s = rng.getrandbits(s_bits) if s_bits else None
+    v = _recon_value(params, xp, sprime, _recon_seed(params, s, public_seed))
     return (IkemKey(_extract(params, xp, sprime), params.ell),
             IkemCiphertext(v, sprime, s))
 
@@ -268,13 +295,11 @@ def _check_ciphertext(params: IkemParams, c: IkemCiphertext) -> None:
         raise MalformedError("hash value outside t bits")
     if not 0 <= c.sprime < (1 << params.w):
         raise MalformedError("seed outside w bits")
-    if params.mode is Mode.CEA:
-        if c.s is not None:
-            raise MalformedError("shared-seed mode carries no s")
-    else:
-        s_bits = params.n + (params.t if params.mode is Mode.BASELINE else 0)
-        if c.s is None or not 0 <= c.s < (1 << s_bits):
-            raise MalformedError("reconciliation seed missing or too wide")
+    s_bits = params.mode.s_bits(params.n, params.t)
+    if s_bits == 0 and c.s is not None:
+        raise MalformedError("shared-seed mode carries no s")
+    if s_bits and (c.s is None or not 0 <= c.s < (1 << s_bits)):
+        raise MalformedError("reconciliation seed missing or too wide")
 
 
 def decap(params: IkemParams, y, c: IkemCiphertext,
@@ -287,12 +312,7 @@ def decap(params: IkemParams, y, c: IkemCiphertext,
     if len(y) != params.n:
         raise MalformedError("y must have length n")
     _check_ciphertext(params, c)
-    if params.mode is Mode.CEA:
-        if public_seed is None:
-            raise MalformedError("shared-seed mode needs the public seed")
-        s = public_seed
-    else:
-        s = c.s
+    s = _recon_seed(params, c.s, public_seed)
     cands = recon_set(params.source, tuple(y), params.nu, params.cap).members
     match: Optional[int] = None
     for m in cands:
@@ -324,12 +344,6 @@ def nu_for_correctness(source: SourceSpec, eps: float) -> float:
     return n * shannon_cond_entropy(source) + rn * math.log2(source.nx + 3) * spread
 
 
-def _piece_count(w: int, piece_width: int) -> int:
-    r = -(-w // piece_width)
-    r += r % 2
-    return max(r, 2)
-
-
 def cea_length_bound(source: SourceSpec, sigma: float, q_e: int, t: int) -> float:
     """Largest key length (in bits, real-valued) for the shared-seed mode."""
     n = source.n
@@ -358,7 +372,7 @@ def cca_length_bound(source: SourceSpec, sigma: float, delta: float,
     log_best = guessing_log2_mass(source, nu, cap)
     if log_best == -math.inf:
         return secrecy
-    r = _piece_count(n, n - t)
+    r = piece_count(n, n - t)
     forgery = (t - log_best - n
                - math.log2(q_d * (r + 3) * (r + 2) / delta))
     return min(secrecy, forgery)
@@ -397,7 +411,8 @@ def derive_params_cea(source: SourceSpec, sigma: float, q_e: int, t: int, *,
     ell = _settle_length(cea_length_bound(source, sigma, q_e, t), ell, source.n)
     return IkemParams(
         mode=Mode.CEA, source=source, n=source.n, t=t, ell=ell, nu=nu,
-        r=0, w=source.n, sigma=sigma, q_e=q_e, q_d=0, eps=eps, cap=cap)
+        r=0, w=Mode.CEA.seed_width(source.n, ell), sigma=sigma, q_e=q_e,
+        q_d=0, eps=eps, cap=cap)
 
 
 def derive_params_cca(source: SourceSpec, eps: float, sigma: float,
@@ -420,8 +435,8 @@ def derive_params_cca(source: SourceSpec, eps: float, sigma: float,
         cca_length_bound(source, sigma, delta, q_e, q_d, nu, t, cap), ell, n)
     return IkemParams(
         mode=Mode.CCA, source=source, n=n, t=t, ell=ell, nu=nu,
-        r=_piece_count(n, n - t), w=n, sigma=sigma, q_e=q_e, q_d=q_d,
-        eps=eps, delta=delta, cap=cap)
+        r=piece_count(n, n - t), w=Mode.CCA.seed_width(n, ell), sigma=sigma,
+        q_e=q_e, q_d=q_d, eps=eps, delta=delta, cap=cap)
 
 
 def derive_params_baseline(source: SourceSpec, sigma: float, q_e: int, t: int, *,
@@ -438,7 +453,8 @@ def derive_params_baseline(source: SourceSpec, sigma: float, q_e: int, t: int, *
         baseline_length_bound(source, sigma, q_e, t), ell, source.n)
     return IkemParams(
         mode=Mode.BASELINE, source=source, n=source.n, t=t, ell=ell, nu=nu,
-        r=0, w=source.n + ell, sigma=sigma, q_e=q_e, q_d=0, eps=eps, cap=cap)
+        r=0, w=Mode.BASELINE.seed_width(source.n, ell), sigma=sigma,
+        q_e=q_e, q_d=0, eps=eps, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +497,8 @@ def correctness_bound(params: IkemParams) -> float:
         d = bsc_radius(p, params.n, params.nu)
         if d < 0:
             return 1.0
-        one = Fraction(1) if isinstance(p, Fraction) else 1.0
-        miss = one - sum(
-            math.comb(params.n, j) * p ** j * (one - p) ** (params.n - j)
-            for j in range(d + 1))
-        ball = sum(math.comb(params.n, j) for j in range(d + 1))
+        miss = 1 - _binom_tail_leq(params.n, d, p)
+        ball = bsc_recon_size(p, params.n, params.nu)
         return min(1.0, float(miss) + ball * 2.0 ** -params.t)
     if 2 ** src.n > 4096:
         raise InfeasibleError("source too large for exhaustive correctness")
@@ -543,22 +556,15 @@ def forgery_bound(params: IkemParams) -> float:
 # ---------------------------------------------------------------------------
 # wire format
 
-def _s_bytes(mode: Mode, n: int, t: int) -> int:
-    if mode is Mode.CEA:
-        return 0
-    if mode is Mode.CCA:
-        return (n + 7) // 8
-    return (n + t + 7) // 8
-
-
 def serialize_ciphertext(params: IkemParams, c: IkemCiphertext) -> bytes:
     _check_ciphertext(params, c)
     out = _HEADER.pack(WIRE_MAGIC, WIRE_VERSION, int(params.mode),
                        params.n, params.t, params.w)
     out += c.v.to_bytes((params.t + 7) // 8, "big")
     out += c.sprime.to_bytes((params.w + 7) // 8, "big")
-    if params.mode is not Mode.CEA:
-        out += c.s.to_bytes(_s_bytes(params.mode, params.n, params.t), "big")
+    s_bits = params.mode.s_bits(params.n, params.t)
+    if s_bits:
+        out += c.s.to_bytes((s_bits + 7) // 8, "big")
     return out
 
 
@@ -577,8 +583,8 @@ def parse_ciphertext(data: bytes) -> Tuple[Mode, int, int, int, IkemCiphertext]:
         raise MalformedError(f"unknown mode {mode_code}") from None
     if n < 1 or t < 1 or w < 1:
         raise MalformedError("degenerate header widths")
-    vlen, slen = (t + 7) // 8, _s_bytes(mode, n, t)
-    plen = (w + 7) // 8
+    s_bits = mode.s_bits(n, t)
+    vlen, plen, slen = (t + 7) // 8, (w + 7) // 8, (s_bits + 7) // 8
     if len(data) != _HEADER.size + vlen + plen + slen:
         raise MalformedError("ciphertext length mismatch")
     pos = _HEADER.size
@@ -587,8 +593,15 @@ def parse_ciphertext(data: bytes) -> Tuple[Mode, int, int, int, IkemCiphertext]:
     sprime = int.from_bytes(data[pos:pos + plen], "big")
     pos += plen
     s = int.from_bytes(data[pos:], "big") if slen else None
-    if v >= (1 << t) or sprime >= (1 << w):
-        raise MalformedError("nonzero padding bits")
-    if s is not None and s >= (1 << (n + (t if mode is Mode.BASELINE else 0))):
+    if (v >= (1 << t) or sprime >= (1 << w)
+            or s is not None and s >= (1 << s_bits)):
         raise MalformedError("nonzero padding bits")
     return mode, n, t, w, IkemCiphertext(v, sprime, s)
+
+
+def parse_ciphertext_for(params: IkemParams, data: bytes) -> IkemCiphertext:
+    """Strict parse whose header must name params' mode and widths."""
+    mode, n, t, w, c = parse_ciphertext(data)
+    if (mode, n, t, w) != (params.mode, params.n, params.t, params.w):
+        raise MalformedError("ciphertext header does not match the parameters")
+    return c

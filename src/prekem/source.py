@@ -241,7 +241,7 @@ def from_json(doc) -> SourceSpec:
     try:
         nx, ny, nz = (integer(a) for a in doc["alphabet"])
         n = integer(doc["n"])
-        rows = doc["pxyz"]
+        rows = list(doc["pxyz"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise MalformedError(f"bad source document: {e!r}") from None
     exact = max(nx, ny, nz) <= EXACT_ALPHABET_MAX and n <= EXACT_N_MAX
@@ -377,28 +377,33 @@ def bsc_radius(p, n: int, nu: float) -> int:
 
     For flip probability p <= 1/2 the reconciliation set of y is exactly the
     Hamming ball of this radius around y.  Costs are fsum'd doubles, the
-    same rule recon_set membership uses.
+    same rule recon_set membership uses; a correctly rounded sum of
+    c1 >= c0 terms cannot fall as d grows, so the radius is bisected.
     """
     p = float(p)
     if not 0 <= p <= 0.5:
         raise MalformedError("closed forms need flip probability <= 1/2")
-    c0 = -math.log2(1.0 - p) if p < 1.0 else math.inf
+    c0 = -math.log2(1.0 - p)
     c1 = -math.log2(p) if p > 0 else math.inf
-    best = -1
-    for d in range(n + 1):
-        cost = math.fsum([c1] * d + [c0] * (n - d))
-        if cost <= nu:
-            best = d
+    lo, hi = -1, n  # cost(lo) <= nu, or lo = -1; the answer is in lo..hi
+    while lo < hi:
+        d = (lo + hi + 1) // 2
+        if math.fsum([c1] * d + [c0] * (n - d)) <= nu:
+            lo = d
         else:
-            break
-    return best
+            hi = d - 1
+    return lo
 
 
 def bsc_recon_size(p, n: int, nu: float) -> int:
     """|R(y)| at every y for flip probability p <= 1/2: the Hamming ball of
     bsc_radius; 0 when even y itself costs more than nu.  This is the count
     recon_set compares with its cap."""
-    return sum(math.comb(n, d) for d in range(bsc_radius(p, n, nu) + 1))
+    total, term = 0, 1
+    for d in range(bsc_radius(p, n, nu) + 1):
+        total += term
+        term = term * (n - d) // (d + 1)  # C(n, d + 1)
+    return total
 
 
 def _binom_tail_leq(n: int, d: int, flip: Number) -> Number:

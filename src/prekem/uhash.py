@@ -29,6 +29,7 @@ __all__ = [
     "ExtractorSeed",
     "ReconSeed",
     "PaddedSeedVector",
+    "piece_count",
     "split_seed",
     "join_seed",
     "hprime",
@@ -106,13 +107,17 @@ class PaddedSeedVector:
         return len(self.pieces)
 
 
+def piece_count(w: int, piece_width: int) -> int:
+    """The minimal even r >= 2 with w <= r * piece_width."""
+    r = -(-w // piece_width)
+    return max(r + r % 2, 2)
+
+
 def split_seed(sprime: int, w: int, piece_width: int) -> PaddedSeedVector:
     """Split a w-bit seed into the minimal even number of pieces."""
     if w < 1 or piece_width < 1 or not 0 <= sprime < (1 << w):
         raise MalformedError("bad seed or widths")
-    r = -(-w // piece_width)
-    r += r % 2
-    r = max(r, 2)
+    r = piece_count(w, piece_width)
     pad = r * piece_width - w
     padded = (sprime << pad) | ((1 << pad) - 1)
     mask = (1 << piece_width) - 1

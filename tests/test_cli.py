@@ -19,7 +19,8 @@ import prekem
 from prekem.cli import main, params_from_doc, params_to_doc
 from prekem.combiner import parse_combined
 from prekem.dem import DemProfile
-from prekem.ikem import IkemParams, Mode
+from prekem.ikem import (IkemCiphertext, IkemParams, Mode, parse_ciphertext,
+                         serialize_ciphertext)
 from prekem.source import bsc_source
 
 NOISELESS = {"bsc": {"p": "0", "q": "1/2", "n": 12}}
@@ -369,6 +370,32 @@ class TestHybrid:
                      "--out", tmp_path / "out.bin")
         assert rc == 3
 
+    def test_unknown_envelope_version_is_format_error(self, tmp_path, setup,
+                                                      capsys):
+        params, mat, message = setup
+        env = self.encrypt(tmp_path, params, mat, message)
+        raw = bytearray(env.read_bytes())
+        raw[4] = 2
+        env.write_bytes(bytes(raw))
+        assert_format_error(capsys, "he-decrypt", "--config", params, "--y",
+                            mat / "y.json", "--in", env,
+                            "--out", tmp_path / "out.bin")
+
+    def test_c1_header_of_another_mode_rejects(self, tmp_path, setup):
+        # a well-formed shared-seed c1 with the scheme's n, t and w
+        params, mat, message = setup
+        env = self.encrypt(tmp_path, params, mat, message)
+        raw = env.read_bytes()
+        c2 = raw[9 + int.from_bytes(raw[5:9], "big"):]
+        c1 = serialize_ciphertext(noiseless_params(n=96, t=45, ell=40),
+                                  IkemCiphertext(0, 0, None))
+        assert parse_ciphertext(c1)[:4] == (Mode.CEA, 96, 45, 96)
+        env.write_bytes(raw[:5] + len(c1).to_bytes(4, "big") + c1 + c2)
+        rc = run_cli("he-decrypt", "--config", params, "--y",
+                     mat / "y.json", "--in", env,
+                     "--out", tmp_path / "out.bin")
+        assert rc == 3
+
     def test_shared_seed_mode_round_trip(self, tmp_path):
         params = write_json(
             tmp_path / "params.json",
@@ -599,6 +626,84 @@ class TestConfigFields:
             "game": "pkind", "atk": "cea", "adversary": "random",
             "params": toy_params_doc(), field: value})
         assert_format_error(capsys, "game", "--config", config)
+
+
+JSON_VALUES = [None, True, 3, 2.5, "x", [1], {"a": 1}]
+JSON_IDS = ["null", "bool", "int", "float", "string", "list", "object"]
+
+
+def sweep_fields(doc):
+    return [(field, value) for field in doc for value in JSON_VALUES]
+
+
+def sweep_ids(doc):
+    return [f"{field}-{kind}" for field in doc for kind in JSON_IDS]
+
+
+SWEPT_PARAMS = {**toy_params_doc(), "eps": 0.5, "delta": 0.5,
+                "dem": {"enc_len": 8, "mac_bits": 8}}
+SWEPT_GAMES = {
+    "pkind": {"game": "pkind", "atk": "cea", "adversary": "random",
+              "trials": 4, "q_e": 1, "q_d": 0, "leak": False,
+              "target": "0110", "params": toy_params_doc()},
+    "kint": {"game": "kint", "adversary": "random", "trials": 4, "q_e": 1,
+             "q_d": 1, "target": "0110",
+             "params": toy_params_doc(mode=Mode.CCA, r=2, q_e=1, q_d=1)},
+    "dem": {"game": "dem", "atk": "ot", "adversary": "contrast",
+            "trials": 4, "q_e": 0, "q_d": 0, "stub": "identity",
+            "profile": {"enc_len": 16, "mac_bits": 8}},
+    "pri": {"game": "pri", "atk": "pri", "adversary": "random", "trials": 4,
+            "q_e": 2, "q_d": 0, "bound": 0.5,
+            "family": {"kind": "it", "key_bits": 9, "q_d": 1,
+                       "out_bits": 3}},
+}
+
+
+class TestJsonTypeSweep:
+    """Each field of a parameter file, of every game entry and of the
+    material files, replaced by each JSON type: main() answers with a
+    documented exit code and at most one line on stderr, never a
+    traceback."""
+
+    def assert_answers(self, capsys, *args):
+        rc = run_cli(*args)
+        err = capsys.readouterr().err
+        assert rc in range(5)
+        assert err.count("\n") <= 1, err
+
+    @pytest.mark.parametrize("field, value", sweep_fields(SWEPT_PARAMS),
+                             ids=sweep_ids(SWEPT_PARAMS))
+    def test_parameter_file(self, tmp_path, capsys, field, value):
+        params = write_json(tmp_path / "params.json",
+                            {**SWEPT_PARAMS, field: value})
+        self.assert_answers(capsys, "sample", "--config", params, "--seed",
+                            "01", "--out-dir", tmp_path / "mat")
+
+    @pytest.mark.parametrize("kind, field, value", [
+        (kind, field, value) for kind, entry in SWEPT_GAMES.items()
+        for field, value in sweep_fields(entry)], ids=[
+        f"{kind}-{i}" for kind, entry in SWEPT_GAMES.items()
+        for i in sweep_ids(entry)])
+    def test_game_entry(self, tmp_path, capsys, kind, field, value):
+        config = write_json(tmp_path / "game.json",
+                            {"games": [{**SWEPT_GAMES[kind], field: value}]})
+        self.assert_answers(capsys, "game", "--config", config, "--seed",
+                            "2a")
+
+    @pytest.mark.parametrize("role", ["x", "public"])
+    @pytest.mark.parametrize("value", JSON_VALUES + [[0, 1, 1, 0]],
+                             ids=JSON_IDS + ["list-of-n"])
+    def test_material_file(self, tmp_path, capsys, role, value):
+        params = write_json(tmp_path / "params.json", SWEPT_PARAMS)
+        mat = sampled_materials(tmp_path, params)
+        doc = json.loads((mat / f"{role}.json").read_text())
+        for field in doc:
+            write_json(mat / f"{role}.json", {**doc, field: value})
+            self.assert_answers(
+                capsys, "encap", "--config", params, "--x", mat / "x.json",
+                "--public", mat / "public.json", "--seed", "01",
+                "--out", tmp_path / "ct.bin",
+                "--key-out", tmp_path / "key.json")
 
 
 # the README's authenticated profile: noiseless BSC, n=1080, t=527

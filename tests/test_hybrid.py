@@ -17,6 +17,7 @@ from prekem.hybrid import (
     he_encrypt,
     parse_envelope,
     serialize_envelope,
+    split_envelope,
 )
 from prekem.ikem import IkemCiphertext, IkemParams, Mode, gen
 from prekem.source import bsc_source
@@ -136,6 +137,15 @@ class TestEnvelope:
         blob = serialize_envelope(scheme, he_encrypt(scheme, inst.x, b"m", rng))
         with pytest.raises(MalformedError):
             parse_envelope(scheme, mangle(blob))
+
+    def test_split_envelope(self):
+        head = b"HENV\x01\x00\x00\x00"
+        assert split_envelope(head + b"\x02abcd") == (b"ab", b"cd")
+        assert split_envelope(head + b"\x00") == (b"", b"")
+        for bad in (head, b"HENX" + head[4:] + b"\x00",
+                    b"HENV\x02" + head[5:] + b"\x00", head + b"\x03ab"):
+            with pytest.raises(MalformedError):
+                split_envelope(bad)
 
     def test_scheme_mismatch_rejected(self):
         a, b = cca_scheme(t=8), cca_scheme(t=9)

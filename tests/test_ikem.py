@@ -34,6 +34,7 @@ from prekem.ikem import (
     nu_for_correctness,
     pack_bits,
     parse_ciphertext,
+    parse_ciphertext_for,
     serialize_ciphertext,
     unpack_bits,
 )
@@ -478,6 +479,87 @@ class TestWire:
         params = toy_params(Mode.CEA)
         with pytest.raises(MalformedError):
             serialize_ciphertext(params, IkemCiphertext(0, 0, 0))
+
+    # n=13, t=5: s pads 3 bits in CCA (13 in 2 bytes), 6 in BASELINE (18 in 3)
+    S_BITS = {Mode.CEA: 0, Mode.CCA: 13, Mode.BASELINE: 18}
+
+    def wide_s_blob(self, mode):
+        params = toy_params(mode, n=13, t=5, ell=3, nu=2.5)
+        _, c = encap(params, tuple([1, 0] * 6 + [1]), random.Random(11),
+                     0x1ABC if mode is Mode.CEA else None)
+        return params, c, serialize_ciphertext(params, c)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_blob_length_per_mode(self, mode):
+        params, c, blob = self.wide_s_blob(mode)
+        s_bits = self.S_BITS[mode]
+        assert len(blob) == (12 + -(-5 // 8) + -(-params.w // 8)
+                             + -(-s_bits // 8))
+        assert parse_ciphertext(blob) == (mode, 13, 5, params.w, c)
+
+    @pytest.mark.parametrize("mode", [Mode.CCA, Mode.BASELINE])
+    def test_s_padding_bit_rejected(self, mode):
+        _, _, blob = self.wide_s_blob(mode)
+        s_len = -(-self.S_BITS[mode] // 8)
+        start = len(blob) - s_len
+        top_pad = 0x80  # the first s byte's top bit is padding in both modes
+        bad = blob[:start] + bytes([blob[start] | top_pad]) + blob[start + 1:]
+        with pytest.raises(MalformedError):
+            parse_ciphertext(bad)
+        lowest_pad = 1 << (7 - (8 * s_len - self.S_BITS[mode] - 1))
+        bad = (blob[:start] + bytes([blob[start] | lowest_pad])
+               + blob[start + 1:])
+        with pytest.raises(MalformedError):
+            parse_ciphertext(bad)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_serialize_rejects_wrong_s(self, mode):
+        params, c, _ = self.wide_s_blob(mode)
+        s_bits = self.S_BITS[mode]
+        # CEA: an extra s; otherwise a missing, a too-wide and a negative s
+        bad = [0, 1] if s_bits == 0 else [None, 1 << s_bits, -1]
+        for s in bad:
+            with pytest.raises(MalformedError):
+                serialize_ciphertext(params, dataclasses.replace(c, s=s))
+
+    def test_parse_for_params_checks_header(self):
+        cea = toy_params(Mode.CEA, n=8, t=2)
+        cca = toy_params(Mode.CCA, n=8, t=2, r=2)
+        blob = serialize_ciphertext(cea, IkemCiphertext(0b01, 0xAB, None))
+        assert parse_ciphertext_for(cea, blob) == IkemCiphertext(1, 0xAB, None)
+        for other in (cca, toy_params(Mode.CEA, n=8, t=3)):
+            with pytest.raises(MalformedError):
+                parse_ciphertext_for(other, blob)
+
+
+class TestMode:
+    @pytest.mark.parametrize("name, mode", [
+        ("cea", Mode.CEA), ("cca", Mode.CCA), ("baseline", Mode.BASELINE)])
+    def test_from_name(self, name, mode):
+        assert Mode.from_name(name) is mode
+
+    @pytest.mark.parametrize("value", [
+        "CEA", "ot", "", None, True, 1, 2.0, ["cea"], {"cea": 1}])
+    def test_from_name_rejects(self, value):
+        with pytest.raises(MalformedError):
+            Mode.from_name(value)
+
+    def test_widths(self):
+        assert [m.s_bits(13, 5) for m in Mode] == [0, 13, 18]
+        assert [m.seed_width(13, 3) for m in Mode] == [13, 13, 16]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_draws_s_prime_then_s(self, mode):
+        params = toy_params(mode, n=13, t=5, ell=3, nu=2.5)
+        pub = 0x123 if mode is Mode.CEA else None
+        enc_rng, rng = random.Random(5), random.Random(5)
+        _, c = encap(params, (0,) * 13, enc_rng, pub)
+        assert c.sprime == rng.getrandbits(params.w)
+        if mode is Mode.CEA:
+            assert c.s is None
+        else:
+            assert c.s == rng.getrandbits(mode.s_bits(13, 5))
+        assert enc_rng.getstate() == rng.getstate()  # nothing else drawn
 
 
 class TestParamsValidation:

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -504,6 +505,54 @@ class TestBscRadius:
             want = sum(math.comb(4, j) for j in range(d + 1)) if d >= 0 else 0
             assert size == want
 
+    @staticmethod
+    def linear_radius(p, n, nu):
+        """Oracle: scan d upwards while the fsum'd cost stays <= nu."""
+        p = float(p)
+        c0 = -math.log2(1.0 - p)
+        c1 = -math.log2(p) if p > 0 else math.inf
+        best = -1
+        for d in range(n + 1):
+            if math.fsum([c1] * d + [c0] * (n - d)) > nu:
+                break
+            best = d
+        return best
+
+    @pytest.mark.parametrize("p, n", [
+        (p, n) for n in (1, 2, 3, 24, 100)
+        for p in (0, 1e-9, 0.02, 0.05, 0.25, 0.45, 0.5, Fraction(1, 20),
+                  Fraction(1, 3), Fraction(1, 2))
+    ] + [(0.02, 1080), (Fraction(1, 2), 1080)])
+    def test_bisection_matches_linear_scan(self, p, n):
+        # every radius cost, one ulp and 1e-9 either side of it, and
+        # thresholds below, at and far above the whole range
+        pf = float(p)
+        c0 = -math.log2(1.0 - pf)
+        c1 = -math.log2(pf) if pf > 0 else math.inf
+        nus = [-1.0, 0.0, 1e9]
+        for d in range(0, n + 1, max(1, n // 5)):
+            c = math.fsum([c1] * d + [c0] * (n - d))
+            if math.isfinite(c):
+                nus += [c, math.nextafter(c, -math.inf),
+                        math.nextafter(c, math.inf), c - 1e-9, c + 1e-9]
+        for nu in nus:
+            assert bsc_radius(p, n, nu) == self.linear_radius(p, n, nu), nu
+
+    @pytest.mark.parametrize("p, n, nu", [
+        (0.25, 4, 3.5), (Fraction(1, 20), 24, 12.0), (0.05, 100, 40.0),
+        (0.5, 8, 1e9), (0.25, 4, -1.0)])
+    def test_recon_size_is_the_ball(self, p, n, nu):
+        d = bsc_radius(p, n, nu)
+        assert bsc_recon_size(p, n, nu) == sum(math.comb(n, j)
+                                               for j in range(d + 1))
+
+    def test_wide_radius_is_fast(self):
+        # a linear scan needs ~0.8 s here; the bisection a few fsums
+        start = time.perf_counter()
+        assert bsc_radius(0.45, 8192, 8100.0) == 3573
+        assert bsc_recon_size(0.5, 8192, 1e9) == 1 << 8192
+        assert time.perf_counter() - start < 0.2
+
 
 class TestJson:
     def test_bsc_shorthand(self):
@@ -559,6 +608,11 @@ class TestJson:
     def test_malformed(self, doc):
         with pytest.raises(MalformedError):
             from_json(doc)
+
+    @pytest.mark.parametrize("rows", [None, True, 3, 2.5, "x", {"a": 1}])
+    def test_pxyz_must_be_a_list_of_rows(self, rows):
+        with pytest.raises(MalformedError):
+            from_json({"alphabet": [2, 2, 2], "n": 3, "pxyz": rows})
 
     def test_integral_numbers_accepted(self):
         assert from_json({"bsc": {"p": 0, "q": 0.5, "n": 12.0}}).n == 12

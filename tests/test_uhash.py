@@ -25,6 +25,7 @@ from prekem.uhash import (
     h_cea,
     hprime,
     join_seed,
+    piece_count,
     split_seed,
     twise_poly,
 )
@@ -159,6 +160,13 @@ class TestSeedSplitting:
         assert join_seed(sv) == sprime
         assert sv.r % 2 == 0
         assert (sv.r - 2) * pw < w <= sv.r * pw
+
+    def test_piece_count_is_minimal_even(self):
+        for w in range(1, 41):
+            for pw in range(1, 13):
+                want = min(r for r in range(2, 2 * w + 3, 2) if w <= r * pw)
+                assert piece_count(w, pw) == want
+                assert split_seed(0, w, pw).r == want
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(MalformedError):
