@@ -127,13 +127,24 @@ def _dem_profile(doc: dict, key: str, where: str) -> Optional[DemProfile]:
         raise MalformedError(f"'{key}': {e}") from None
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def _is_hex(text: str) -> bool:
+    """Non-empty and ASCII hex digits only.  int(..., 16) alone would also
+    take other scripts' digits, a 0x prefix, '_', a sign or whitespace."""
+    return bool(text) and _HEX_DIGITS.issuperset(text)
+
+
+def _seed_arg(text: str) -> int:
+    if not _is_hex(text):
+        raise MalformedError(f"--seed must be hex, got {text!r}")
+    return int(text, 16)
+
+
 def _rng_for(args) -> random.Random:
     if getattr(args, "seed", None) is not None:
-        try:
-            return random.Random(int(args.seed, 16))
-        except ValueError:
-            raise MalformedError(f"--seed must be hex, got {args.seed!r}") \
-                from None
+        return random.Random(_seed_arg(args.seed))
     return random.Random(int.from_bytes(os.urandom(32), "big"))
 
 
@@ -229,10 +240,9 @@ def _read_material(path: str, role: str, n: int, alphabet: int):
     text = _typed(doc, "symbols", path, str)
     if _number(doc, "n", path) != n or len(text) != n:
         raise MalformedError(f"{path} length does not match n = {n}")
-    try:
-        symbols = tuple(int(ch, 16) for ch in text)
-    except ValueError:
-        raise MalformedError(f"{path} has non-hex symbols") from None
+    if not _is_hex(text):
+        raise MalformedError(f"{path} has non-hex symbols")
+    symbols = tuple(int(ch, 16) for ch in text)
     if any(s >= alphabet for s in symbols):
         raise MalformedError(f"{path} has symbols outside the alphabet")
     return symbols
@@ -252,10 +262,10 @@ def _read_public(path: str, n: int) -> int:
         raise MalformedError(f"{path} does not hold the public seed")
     if _number(doc, "n", path) != n:
         raise MalformedError(f"{path} width does not match n = {n}")
-    try:
-        seed = int(_typed(doc, "seed", path, str), 16)
-    except ValueError:
-        raise MalformedError(f"{path} has a non-hex seed") from None
+    text = _typed(doc, "seed", path, str)
+    if not _is_hex(text):
+        raise MalformedError(f"{path} has a non-hex seed")
+    seed = int(text, 16)
     if seed >= (1 << n):
         raise MalformedError(f"{path} seed is wider than n bits")
     return seed
@@ -507,10 +517,10 @@ def _target_from(doc: dict, params: IkemParams):
     text = doc.get("target")
     if text is None:
         return None
-    try:
-        target = tuple(int(ch, 16) for ch in str(text))
-    except ValueError:
-        raise MalformedError("target must be a symbol string") from None
+    text = str(text)
+    if not _is_hex(text):
+        raise MalformedError("target must be a symbol string")
+    target = tuple(int(ch, 16) for ch in text)
     if len(target) != params.n:
         raise MalformedError(f"target length must be n = {params.n}")
     return target
@@ -585,11 +595,7 @@ def cmd_game(args) -> int:
     if not isinstance(games, list) or not games:
         raise MalformedError("'games' must be a non-empty list")
     if args.seed is not None:
-        try:
-            base_seed = int(args.seed, 16)
-        except ValueError:
-            raise MalformedError(f"--seed must be hex, got {args.seed!r}") \
-                from None
+        base_seed = _seed_arg(args.seed)
     else:
         base_seed = int.from_bytes(os.urandom(8), "big")
     lines = []

@@ -20,8 +20,11 @@ degree at most B+1 in k1, and a forged tag verifies with probability at
 most (B+1) / 2^mac_bits over a uniform (k1, k2).  An empty body tags to
 k2.  The length term uses the byte count, which keeps zero-padding of the
 final block unambiguous.  The tag is computed by Horner's rule in k1, and
-every step multiplies by the same k1, so one call builds k1's nibble tables
-(FieldCtx.mul_by) and each block then costs a table read per nibble.
+every step multiplies by the same k1, so one call builds k1's product tables
+(FieldCtx.mul_by, told the B+2 multiplies to come).  A short body gets nibble
+tables, and each block costs a table read per nibble; once B+2 reaches
+gf2.BYTE_TABLE_USES, byte tables are built instead, and the body repays
+their larger build at a read per block byte.
 
 A key narrower than the AES key space (enc_len != 256) is stretched with
 SHA-256 before keying the cipher; at enc_len = 256 the key bits are used
@@ -169,8 +172,8 @@ def _split_key(key: DemKey, profile: DemProfile):
 
 
 def _mac_tag(k1: int, k2: int, body: bytes, bits: int) -> int:
-    times_k1 = field(bits).mul_by(k1)
     bb = bits // 8
+    times_k1 = field(bits).mul_by(k1, uses=-(-len(body) // bb) + 2)
     padded = body + bytes(-len(body) % bb)
     acc = 0
     for i in range(0, len(padded), bb):

@@ -14,10 +14,12 @@ a Rabin test above that.
 
 Multiplication is table-driven.  The generic product (clmul) forms the 16
 multiples of one operand and walks the other a 4-bit window at a time, then
-reduces by the sparse tail of the polynomial.  FieldCtx.mul_by(k) serves a
-fixed multiplicand: its closure reads k*x from per-nibble tables of reduced
-products, with no reduction step.  Tables are built per call and never
-cached.
+reduces by the sparse tail of the polynomial.  FieldCtx.mul_by(k, uses)
+serves a fixed multiplicand: its closure reads k*x from tables of reduced
+products, with no reduction step.  The tables are per nibble of x, or per
+byte once the caller expects at least BYTE_TABLE_USES products, where the
+byte tables' larger build is paid back by one read per byte instead of two.
+Tables are built per call and never cached.
 
 Serialization is big-endian, ceil(m/8) bytes, zero-padded at the top.
 """
@@ -117,6 +119,12 @@ EXTRA_POLYS = {
 # Widths beyond this are refused outright; the constructions never need them
 # and irreducibility search would dominate runtime.
 MAX_WIDTH = 8192
+
+# From this many expected products on, mul_by builds byte tables.  They take
+# about six times as long to build as nibble tables, and a product then reads
+# one entry per byte of x instead of two; on a 2-vCPU x86 VM the two broke
+# even at 170-245 products for m = 64, 128 and 256.
+BYTE_TABLE_USES = 256
 
 
 def clmul(a: int, b: int) -> int:
@@ -310,15 +318,18 @@ class FieldCtx:
             self.check(b)
         return self._reduce(clmul(a, b))
 
-    def mul_by(self, k: int):
-        """The map x -> k*x for a fixed k, as a closure over nibble tables.
+    def mul_by(self, k: int, uses: int = 1):
+        """The map x -> k*x for a fixed k, as a closure over product tables.
 
         Multiplying by k is GF(2)-linear, so k*x is the xor over the
         nibbles x_j of x of the reduced products x_j * x^(4j) * k.  Those
         come from ceil(m/4) tables of 16 entries, built once here, so a
         product costs a table read per nibble and no reduction (Shoup's
-        method, as used for GHASH in GCM).  The closure checks x as mul
-        does.
+        method, as used for GHASH in GCM).  uses is the number of products
+        the caller expects: from BYTE_TABLE_USES on, each pair of nibble
+        tables is composed into one 256-entry table per byte of x, and a
+        product costs a read per byte.  Both widths give the same products,
+        and the closure checks x as mul does.
         """
         m, poly, mask, check = self.m, self.poly, self._mask, self.check
         check(k)
@@ -340,8 +351,23 @@ class FieldCtx:
             b1 = times_x(b8)
         # (low, high) nibble tables per little-endian byte of x; the high
         # nibble past the top of an odd count is always 0
-        pairs = tuple(zip(tables[0::2], tables[1::2] + [(0,)]))
+        pairs = tuple(zip(tables[0::2], tables[1::2] + [(0,) * 16]))
         nbytes = len(pairs)
+
+        if uses >= BYTE_TABLE_USES:
+            # entry c of a byte's table is lo[c & 15] ^ hi[c >> 4]
+            byte_tables = tuple([lo_k ^ hi_k for hi_k in hi for lo_k in lo]
+                                 for lo, hi in pairs)
+
+            def times_k(x: int) -> int:
+                if not 0 <= x <= mask:
+                    check(x)
+                acc = 0
+                for table, c in zip(byte_tables, x.to_bytes(nbytes, "little")):
+                    acc ^= table[c]
+                return acc
+
+            return times_k
 
         def times_k(x: int) -> int:
             if not 0 <= x <= mask:

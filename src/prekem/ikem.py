@@ -47,6 +47,7 @@ from .source import (
     DEFAULT_CAP,
     SourceSpec,
     _binom_tail_leq,
+    _log2_binom_tail_gt,
     avg_min_entropy_given_z,
     bsc_radius,
     bsc_recon_size,
@@ -209,14 +210,25 @@ class IkemInstance:
     public_seed: Optional[int]
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def pack_bits(bits) -> int:
-    """First symbol becomes the most significant bit."""
-    v = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise MalformedError("packing needs binary symbols")
-        v = (v << 1) | b
-    return v
+    """First symbol becomes the most significant bit.
+
+    The symbols become one byte each and then the digits of a base-2
+    literal, so the work runs in C.  Anything but the ints 0 and 1 (2, -1,
+    256, 1.0, None) raises MalformedError.
+    """
+    try:
+        # a tuple or list goes straight to bytes(); anything else is listed
+        # first, so a multi-byte buffer is read per item, not per byte
+        raw = bytes(bits if isinstance(bits, (tuple, list)) else list(bits))
+    except (TypeError, ValueError):
+        raise MalformedError("packing needs binary symbols") from None
+    if raw.strip(b"\x00\x01"):
+        raise MalformedError("packing needs binary symbols")
+    return int(raw.translate(_BIT_DIGITS), 2) if raw else 0
 
 
 def unpack_bits(v: int, n: int) -> Tuple[int, ...]:
@@ -497,9 +509,13 @@ def correctness_bound(params: IkemParams) -> float:
         d = bsc_radius(p, params.n, params.nu)
         if d < 0:
             return 1.0
-        miss = 1 - _binom_tail_leq(params.n, d, p)
+        if isinstance(p, Fraction):
+            miss = float(1 - _binom_tail_leq(params.n, d, p))
+        else:  # C(n, j) * p^j would pass the float range at large n
+            miss = 2.0 ** _log2_binom_tail_gt(params.n, d, p)
         ball = bsc_recon_size(p, params.n, params.nu)
-        return min(1.0, float(miss) + ball * 2.0 ** -params.t)
+        collision = ball / 2 ** params.t if ball < 2 ** params.t else 1.0
+        return min(1.0, miss + collision)
     if 2 ** src.n > 4096:
         raise InfeasibleError("source too large for exhaustive correctness")
     miss_mass = Fraction(0) if src.exact else 0.0

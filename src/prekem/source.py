@@ -407,13 +407,15 @@ def bsc_recon_size(p, n: int, nu: float) -> int:
 
 
 def _binom_tail_leq(n: int, d: int, flip: Number) -> Number:
-    """P[Binomial(n, flip) <= d], in the arithmetic of flip's type."""
-    one = Fraction(1) if isinstance(flip, Fraction) else 1.0
+    """P[Binomial(n, flip) <= d]: exact for a Fraction flip, from the log
+    domain for a float one."""
+    if not isinstance(flip, Fraction):
+        return 2.0 ** _log2_binom_tail_leq(n, d, flip)
     if d < 0:
-        return one * 0
+        return Fraction(0)
     if d >= n:
-        return one
-    return sum(math.comb(n, j) * flip ** j * (one - flip) ** (n - j)
+        return Fraction(1)
+    return sum(math.comb(n, j) * flip ** j * (1 - flip) ** (n - j)
                for j in range(d + 1))
 
 
@@ -427,16 +429,38 @@ def _log2(x: Number) -> float:
     return math.log2(x)
 
 
-def _log2_binom_tail_leq(n: int, d: int, flip: Number) -> float:
-    """log2 P[Binomial(n, flip) <= d]; float sums are taken in the log
-    domain, where terms such as 2^-1080 stay representable."""
-    if isinstance(flip, Fraction) or not 0 < flip < 1 or not 0 <= d < n:
-        return _log2(_binom_tail_leq(n, d, flip))
+def _log2_binom_sum(n: int, js, flip: float) -> float:
+    """log2 of the sum over j in js of P[Binomial(n, flip) = j], for a float
+    flip strictly between 0 and 1.  The sum is taken in the log domain,
+    where terms such as 2^-1080 stay representable and C(n, j) never
+    becomes a float."""
     lf, lg = math.log2(flip), math.log2(1.0 - flip)
-    terms = [math.log2(math.comb(n, j)) + j * lf + (n - j) * lg
-             for j in range(d + 1)]
+    terms = [math.log2(math.comb(n, j)) + j * lf + (n - j) * lg for j in js]
     top = max(terms)
     return top + math.log2(math.fsum(2.0 ** (v - top) for v in terms))
+
+
+def _log2_binom_tail_leq(n: int, d: int, flip: Number) -> float:
+    """log2 P[Binomial(n, flip) <= d]; float sums are taken in the log
+    domain."""
+    if isinstance(flip, Fraction):
+        return _log2(_binom_tail_leq(n, d, flip))
+    if d < 0:
+        return -math.inf
+    if d >= n or flip == 0:
+        return 0.0
+    if flip == 1:  # all the mass sits at j = n > d
+        return -math.inf
+    return _log2_binom_sum(n, range(d + 1), flip)
+
+
+def _log2_binom_tail_gt(n: int, d: int, flip: float) -> float:
+    """log2 P[Binomial(n, flip) > d] for a float flip below 1 and d >= 0,
+    in the log domain; summing the upper tail itself keeps a tiny tail
+    from cancelling against 1."""
+    if flip == 0 or d >= n:
+        return -math.inf
+    return _log2_binom_sum(n, range(d + 1, n + 1), flip)
 
 
 def _bsc_closed_form(spec: SourceSpec) -> bool:

@@ -706,6 +706,71 @@ class TestJsonTypeSweep:
                 "--key-out", tmp_path / "key.json")
 
 
+# each reader takes ASCII hex digits only, one per symbol; the forms below
+# keep the text's length, so only the digit rule can refuse them
+HEX_FORMS = {
+    "arabic-indic": lambda s: s.translate(
+        {ord("0") + i: 0x660 + i for i in range(10)}),
+    "0x-prefix": lambda s: "0x" + s[2:],
+    "underscore": lambda s: s[:1] + "_" + s[2:],
+    "plus-sign": lambda s: "+" + s[1:],
+    "whitespace": lambda s: " " + s[1:-1] + "\n",
+}
+
+
+class TestAsciiHexOnly:
+    """The x file's symbols, the public seed, a game's target and --seed
+    are refused, exit 1 with one line, unless every character is an ASCII
+    hex digit."""
+
+    def encap(self, tmp_path, params, mat):
+        return ("encap", "--config", params, "--x", mat / "x.json",
+                "--public", mat / "public.json", "--seed", "05",
+                "--out", tmp_path / "ct.bin",
+                "--key-out", tmp_path / "key.json")
+
+    @pytest.mark.parametrize("form", HEX_FORMS)
+    def test_material_symbols(self, tmp_path, capsys, form):
+        params = cea_params_file(tmp_path)
+        mat = sampled_materials(tmp_path, params)
+        write_json(mat / "x.json", {"role": "x", "n": 12,
+                                    "symbols": "011001011001"})
+        assert run_cli(*self.encap(tmp_path, params, mat)) == 0
+        write_json(mat / "x.json", {"role": "x", "n": 12,
+                                    "symbols": HEX_FORMS[form]("011001011001")})
+        assert_format_error(capsys, *self.encap(tmp_path, params, mat))
+
+    @pytest.mark.parametrize("form", HEX_FORMS)
+    def test_public_seed(self, tmp_path, capsys, form):
+        params = cea_params_file(tmp_path)
+        mat = sampled_materials(tmp_path, params)
+        write_json(mat / "public.json", {"role": "public", "n": 12,
+                                         "seed": "0123"})
+        assert run_cli(*self.encap(tmp_path, params, mat)) == 0
+        write_json(mat / "public.json", {"role": "public", "n": 12,
+                                         "seed": HEX_FORMS[form]("0123")})
+        assert_format_error(capsys, *self.encap(tmp_path, params, mat))
+
+    @pytest.mark.parametrize("form", HEX_FORMS)
+    def test_game_target(self, tmp_path, capsys, form):
+        entry = SWEPT_GAMES["pkind"]
+        config = write_json(tmp_path / "game.json", entry)
+        assert run_cli("game", "--config", config, "--seed", "2a") != 1
+        capsys.readouterr()
+        write_json(config, {**entry, "target": HEX_FORMS[form]("0110")})
+        assert_format_error(capsys, "game", "--config", config, "--seed", "2a")
+
+    @pytest.mark.parametrize("form", HEX_FORMS)
+    def test_seed_option(self, tmp_path, capsys, form):
+        params = cea_params_file(tmp_path)
+        config = write_json(tmp_path / "game.json", SWEPT_GAMES["pkind"])
+        seed = HEX_FORMS[form]("c0ffee")
+        assert_format_error(capsys, "sample", "--config", params, "--seed",
+                            seed, "--out-dir", tmp_path / "mat")
+        assert_format_error(capsys, "game", "--config", config, "--seed",
+                            seed)
+
+
 # the README's authenticated profile: noiseless BSC, n=1080, t=527
 README_CCA = {"source": {"bsc": {"p": "0", "q": "1/2", "n": 1080}},
               "sigma": 2.0 ** -20, "q_e": 0, "q_d": 1, "eps": 0.01,

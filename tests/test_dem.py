@@ -26,7 +26,7 @@ from prekem.dem import (
     serialize_dem,
 )
 from prekem.errors import KeyReuseError, MalformedError
-from prekem.gf2 import field
+from prekem.gf2 import BYTE_TABLE_USES, field
 
 # frozen reduction polynomials for the MAC checks: the reduced width, and
 # the default profile's x^128 + x^7 + x^2 + x + 1
@@ -217,6 +217,29 @@ class TestAuthenticated:
         k1, k2 = (k.bits >> 128) & mask, k.bits & mask
         assert c.tag == oracle_tag(k1, k2, c.body, POLY128)
         assert decrypt_otcca(DemKey(k.bits, k.length), c) == m
+
+    @pytest.mark.parametrize("mac_bits", [8, 16, 64, 128, 256])
+    def test_tag_matches_oracle_across_table_widths(self, mac_bits):
+        # B + 2 multiplies by k1; the MAC switches to byte tables at
+        # B = BYTE_TABLE_USES - 2 blocks.  Each block count is taken full
+        # and with a one-byte final block.
+        profile = DemProfile(enc_len=8, mac_bits=mac_bits)
+        bb = mac_bits // 8
+        cross = BYTE_TABLE_USES - 2
+        sizes = [0, 1, 15, 17]
+        for blocks in (cross - 1, cross, cross + 1):
+            sizes += [blocks * bb, (blocks - 1) * bb + 1]
+        poly = field(mac_bits).poly
+        rng = random.Random(mac_bits)
+        for size in sizes:
+            m = rng.randbytes(size)
+            k = DemKey(rng.getrandbits(profile.otcca_key_bits),
+                       profile.otcca_key_bits)
+            c = encrypt_otcca(k, m, profile)
+            mask = (1 << mac_bits) - 1
+            k1, k2 = (k.bits >> mac_bits) & mask, k.bits & mask
+            assert c.tag == oracle_tag(k1, k2, c.body, poly), size
+            assert decrypt_otcca(DemKey(k.bits, k.length), c, profile) == m
 
     def test_reduced_width_field_matches_naive(self):
         ctx = field(16)

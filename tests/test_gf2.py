@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from prekem.errors import FieldMismatchError
 from prekem.gf2 import (
+    BYTE_TABLE_USES,
     EXTRA_POLYS,
     POLY_TABLE,
     Fe,
@@ -151,6 +152,50 @@ class TestMulBy:
             with pytest.raises(ValueError) as got:
                 f.mul_by(1)(bad)
             assert str(got.value) == str(want.value)
+
+
+# a use count on each side of the switch from nibble to byte tables
+TABLE_USES = (1, BYTE_TABLE_USES - 1, BYTE_TABLE_USES, 1 << 20)
+
+
+class TestMulByTableWidths:
+    """mul_by(k, uses) picks nibble or byte tables by uses; every width
+    must give the schoolbook product and refuse what mul refuses."""
+
+    @pytest.mark.parametrize("uses", TABLE_USES)
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_exhaustive_small(self, m, uses):
+        f = field(m)
+        for k in range(1 << m):
+            times_k = f.mul_by(k, uses)
+            assert [times_k(x) for x in range(1 << m)] == \
+                [naive_mul(k, x, m, f.poly) for x in range(1 << m)], k
+
+    # 12, 20 and 553 have an odd number of nibbles, 13 a part-filled top byte
+    @pytest.mark.parametrize("uses", TABLE_USES)
+    @pytest.mark.parametrize("m", (12, 13, 20, 24, 128, 527, 553, 1080))
+    def test_random_wide(self, m, uses):
+        f = field(m)
+        rng = random.Random(m * 7919 + uses)
+        ks = [0, 1, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(3)]
+        for k in ks:
+            times_k = f.mul_by(k, uses)
+            for x in [0, 1, 1 << (m - 1), (1 << m) - 1] + \
+                    [rng.getrandbits(m) for _ in range(6)]:
+                assert times_k(x) == naive_mul(k, x, m, f.poly), (k, x)
+
+    @pytest.mark.parametrize("m", [1, 8, 13, 128])
+    def test_out_of_range_rejected_alike(self, m):
+        f = field(m)
+        for bad in (-1, 1 << m, 1 << (m + 9)):
+            with pytest.raises(ValueError) as want:
+                f.mul(bad, 1)
+            for uses in TABLE_USES:
+                with pytest.raises(ValueError) as as_k:
+                    f.mul_by(bad, uses)
+                with pytest.raises(ValueError) as as_x:
+                    f.mul_by(1, uses)(bad)
+                assert str(as_k.value) == str(as_x.value) == str(want.value)
 
 
 class TestInverse:

@@ -38,7 +38,7 @@ from prekem.ikem import (
     serialize_ciphertext,
     unpack_bits,
 )
-from prekem.source import bsc_source, from_json
+from prekem.source import bsc_radius, bsc_source, from_json
 
 
 def toy_params(mode, n=4, t=2, ell=1, nu=2.5, p=0.25, q=0.5, **kw):
@@ -68,6 +68,42 @@ class TestPacking:
             pack_bits((0, 2, 1))
         with pytest.raises(MalformedError):
             unpack_bits(16, 4)
+
+
+def loop_pack_bits(bits):
+    """The per-bit loop pack_bits replaced, kept as its oracle."""
+    v = 0
+    for b in bits:
+        if b not in (0, 1):
+            raise MalformedError("packing needs binary symbols")
+        v = (v << 1) | b
+    return v
+
+
+class TestPackBitsAgainstLoop:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 24, 1080, 8192])
+    def test_matches_loop(self, n):
+        rng = random.Random(n)
+        shapes = [tuple(rng.getrandbits(1) for _ in range(n)),
+                  (0,) * n, (1,) * n, (1,) + (0,) * n, (0,) * n + (1,)]
+        for bits in shapes:
+            want = loop_pack_bits(bits)
+            assert pack_bits(bits) == want
+            assert pack_bits(list(bits)) == want
+            assert pack_bits(iter(bits)) == want
+            assert pack_bits(b for b in bits) == want
+
+    @pytest.mark.parametrize("bad", [2, -1, 256, None, 1.0, 0.0, "1", b"0"])
+    def test_non_binary_symbols_rejected(self, bad):
+        for bits in [(bad,), (0, bad, 1), [1] * 30 + [bad]]:
+            with pytest.raises(MalformedError):
+                pack_bits(bits)
+
+    def test_non_sequences_rejected(self):
+        # bytes(5) would be five zero symbols, and "01" is text, not bits
+        for bits in (5, "01", None):
+            with pytest.raises(MalformedError):
+                pack_bits(bits)
 
 
 class TestGen:
@@ -378,6 +414,44 @@ class TestAnalyticBounds:
         ball = 1 + 12 + 66
         assert correctness_bound(params) == pytest.approx(
             float(miss) + ball * 2.0 ** -10, abs=1e-12)
+
+    def test_correctness_float_source_at_large_n(self):
+        # C(2000, j) * p^j once passed the float range; the ball also
+        # exceeds 2^1000, so the collision term is clamped
+        src = bsc_source(0.25, 0.5, 2000)
+        params = IkemParams(mode=Mode.CEA, source=src, n=2000, t=1000,
+                            ell=1, nu=2500.0, r=0, w=2000, sigma=0.25,
+                            q_e=0, q_d=0)
+        bound = correctness_bound(params)
+        assert isinstance(bound, float) and 0.0 <= bound <= 1.0
+        assert bound == 1.0
+
+    @pytest.mark.parametrize("n, p, nu, t", [(24, "1/20", 12.0, 12),
+                                             (40, "1/10", 30.0, 30),
+                                             (200, "1/4", 194.0, 199),
+                                             (1100, "1/20", 420.0, 1000)])
+    def test_correctness_float_source_matches_exact_sum(self, n, p, nu, t):
+        # n > 16 keeps the flip a float; for that same float a/b the miss
+        # is 1 - P[Bin <= d], exact over the common denominator b^n
+        src = bsc_source(p, "1/2", n)
+        params = IkemParams(mode=Mode.CEA, source=src, n=n, t=t, ell=1,
+                            nu=nu, r=0, w=n, sigma=0.25, q_e=0, q_d=0)
+        a, b = src.bsc[0].as_integer_ratio()
+        d = bsc_radius(src.bsc[0], n, nu)
+        hit = sum(math.comb(n, j) * a ** j * (b - a) ** (n - j)
+                  for j in range(d + 1))
+        miss = Fraction(b ** n - hit, b ** n)
+        ball = sum(math.comb(n, j) for j in range(d + 1))
+        want = min(1.0, float(miss + Fraction(ball, 2 ** t)))
+        assert correctness_bound(params) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_correctness_tiny_float_miss_survives(self):
+        # 1 - P[Bin <= 0] cancels to 0 in floats; the upper tail does not
+        src = bsc_source(1e-30, 0.5, 2000)
+        params = IkemParams(mode=Mode.CEA, source=src, n=2000, t=1000,
+                            ell=1, nu=0.0, r=0, w=2000, sigma=0.25,
+                            q_e=0, q_d=0)
+        assert correctness_bound(params) == pytest.approx(2000e-30, rel=1e-9, abs=0)
 
     def test_correctness_empirical_within_bound(self):
         src = bsc_source(0.25, 0.5, 12)

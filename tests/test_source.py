@@ -338,6 +338,15 @@ class TestGuessingMass:
         # 2^-1080 underflows a double; its logarithm does not
         assert guessing_log2_mass(bsc_source(0, 0.5, 1080), 0.0) == -1080
 
+    def test_float_masses_at_large_n(self):
+        # C(2000, j) times a float once passed the float range.  With
+        # q = 1/2 both strategies hit the same ball; q = 0 leaves z = x,
+        # so guessing x always succeeds
+        mx, my = guessing_mass(bsc_source(0.25, 0.5, 2000), 2500.0)
+        assert 0.99 < mx < 1 and my == pytest.approx(mx, rel=1e-12)
+        assert guessing_log2_mass(bsc_source(0.25, 0.0, 2000), 2500.0) == \
+            pytest.approx(0.0, abs=1e-9)
+
 
 def brute_recon(spec, y, nu):
     """R(y) by scoring every x-string, ordered by (cost, x).  Internal
