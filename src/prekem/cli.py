@@ -136,6 +136,13 @@ def _is_hex(text: str) -> bool:
     return bool(text) and _HEX_DIGITS.issuperset(text)
 
 
+def _hex_symbols(text: str, what: str) -> Tuple[int, ...]:
+    """One symbol per hex digit of text."""
+    if not _is_hex(text):
+        raise MalformedError(f"{what} has non-hex symbols")
+    return tuple(int(ch, 16) for ch in text)
+
+
 def _seed_arg(text: str) -> int:
     if not _is_hex(text):
         raise MalformedError(f"--seed must be hex, got {text!r}")
@@ -240,9 +247,7 @@ def _read_material(path: str, role: str, n: int, alphabet: int):
     text = _typed(doc, "symbols", path, str)
     if _number(doc, "n", path) != n or len(text) != n:
         raise MalformedError(f"{path} length does not match n = {n}")
-    if not _is_hex(text):
-        raise MalformedError(f"{path} has non-hex symbols")
-    symbols = tuple(int(ch, 16) for ch in text)
+    symbols = _hex_symbols(text, path)
     if any(s >= alphabet for s in symbols):
         raise MalformedError(f"{path} has symbols outside the alphabet")
     return symbols
@@ -514,13 +519,9 @@ def _pick(table: dict, name: str, game: str, games):
 
 
 def _target_from(doc: dict, params: IkemParams):
-    text = doc.get("target")
-    if text is None:
+    if doc.get("target") is None:
         return None
-    text = str(text)
-    if not _is_hex(text):
-        raise MalformedError("target must be a symbol string")
-    target = tuple(int(ch, 16) for ch in text)
+    target = _hex_symbols(_typed(doc, "target", "game config", str), "target")
     if len(target) != params.n:
         raise MalformedError(f"target length must be n = {params.n}")
     return target
@@ -536,11 +537,14 @@ def _run_game_doc(doc: dict, trials: int, seed: int):
     if kind == "pkind":
         params, _ = params_from_doc(
             _typed(doc, "params", "game config", dict))
+        leak = doc.get("leak")
+        if leak is not None and not isinstance(leak, bool):
+            raise MalformedError("game config field 'leak' must be a boolean")
         config = games.GameConfig(
             atk=str(_require(doc, "atk", "game config")), trials=trials,
             q_e=q_e, q_d=q_d, seed=seed, params=params,
             target=_target_from(doc, params),
-            leak=bool(doc.get("leak", False)))
+            leak=bool(leak))
         return games.run_pkind(
             config, _pick(_PKIND_ADVERSARIES, adversary, kind, games))
     if kind == "kint":

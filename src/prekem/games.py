@@ -204,6 +204,31 @@ def _trial_rng(seed: int, arm: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{arm}:{index}")
 
 
+def _trial_rngs(config: GameConfig, arm: str):
+    """The rng of each of config.trials trials on one arm."""
+    return (_trial_rng(config.seed, arm, i) for i in range(config.trials))
+
+
+def _two_arm_report(config: GameConfig, game: str, arm: str,
+                    trial: Callable[[int, Any], int],
+                    bound: Callable[[], Optional[float]]) -> AdvantageReport:
+    """Run trial(b, rng) on every trial of arms arm0 and arm1, where b is
+    the challenge bit and the result the distinguisher's bit; bound() is
+    read once the trials are done."""
+    rates = []
+    for b in (0, 1):
+        ones = 0
+        for rng in _trial_rngs(config, f"{arm}{b}"):
+            guess = trial(b, rng)
+            if guess not in (0, 1):
+                raise GameRuleError("distinguisher must output a bit")
+            ones += guess
+        rates.append(ones / config.trials)
+    return AdvantageReport(game, config.atk, abs(rates[0] - rates[1]),
+                           hoeffding_halfwidth(config.trials), bound(),
+                           config.trials, rates[0], rates[1])
+
+
 # ---------------------------------------------------------------------------
 # sampling and enumeration given Eve's string
 
@@ -252,12 +277,6 @@ def _enumerate_pairs(spec: SourceSpec, z: Tuple[int, ...]) -> List[Tuple[int, in
     if not acc:
         raise MalformedError("target string has zero probability")
     return acc
-
-
-def _instance_for_trial(params: IkemParams, config: GameConfig, rng) -> IkemInstance:
-    if config.target is not None:
-        return _gen_conditioned(params, tuple(config.target), rng)
-    return gen(params, rng)
 
 
 def _need_params(config: GameConfig) -> IkemParams:
@@ -314,6 +333,46 @@ class PkemOracle:
         return decap(self._params, self._inst.y, c, self._inst.public_seed)
 
 
+def _pkem_trial(params: IkemParams, config: GameConfig, rng):
+    """(instance, oracle, Eve's view) at the start of an encapsulation-layer
+    trial; the instance is conditioned on the pinned target, if any."""
+    if config.target is not None:
+        inst = _gen_conditioned(params, tuple(config.target), rng)
+    else:
+        inst = gen(params, rng)
+    oracle = PkemOracle(params, inst, config.atk, config.q_e, config.q_d, rng)
+    view = EveView(inst.z, inst.public_seed, inst.x if config.leak else None)
+    return inst, oracle, view
+
+
+def _explains(params: IkemParams, xp: int, transcript, pub) -> bool:
+    """Packed x explains every (key, ciphertext) of the transcript; a None
+    key leaves the ciphertext's hash value alone to check."""
+    for k, c in transcript:
+        if _recon_value(params, xp, c.sprime,
+                        _recon_seed(params, c.s, pub)) != c.v:
+            return False
+        if k is not None and _extract(params, xp, c.sprime) != k.bits:
+            return False
+    return True
+
+
+def _honest_redraw(params: IkemParams, xp: int, avoid, rng, pub):
+    """An honest encapsulation under packed x other than avoid, or None
+    when 64 draws all return avoid."""
+    x = unpack_bits(xp, params.n)
+    for _ in range(64):
+        _, c = encap(params, x, rng, pub)
+        if c != avoid:
+            return c
+    return None
+
+
+def _receiver_answers(params: IkemParams, ys, c: IkemCiphertext, pub):
+    """Packed y -> what a receiver holding y decapsulates c to."""
+    return {yp: decap(params, unpack_bits(yp, params.n), c, pub) for yp in ys}
+
+
 # ---------------------------------------------------------------------------
 # key indistinguishability
 
@@ -342,32 +401,20 @@ def run_pkind(config: GameConfig, adversary) -> AdvantageReport:
     params = _need_params(config)
     if config.atk not in PKIND_ATTACKS:
         raise MalformedError(f"pkind attack must be one of {PKIND_ATTACKS}")
-    rates = []
-    for b in (0, 1):
-        ones = 0
-        for i in range(config.trials):
-            rng = _trial_rng(config.seed, f"pkind{b}", i)
-            inst = _instance_for_trial(params, config, rng)
-            oracle = PkemOracle(params, inst, config.atk,
-                                config.q_e, config.q_d, rng)
-            view = EveView(inst.z, inst.public_seed,
-                           inst.x if config.leak else None)
-            st = adversary.phase1(params, view, oracle, rng)
-            k_star, c_star = encap(params, inst.x, rng, inst.public_seed)
-            if b == 0:
-                k_b = k_star
-            else:
-                k_b = IkemKey(rng.getrandbits(params.ell), params.ell)
-            oracle.bar(c_star)
-            guess = adversary.phase2(params, view, st, c_star, k_b, oracle, rng)
-            if guess not in (0, 1):
-                raise GameRuleError("distinguisher must output a bit")
-            ones += guess
-        rates.append(ones / config.trials)
-    return AdvantageReport("pkind", config.atk, abs(rates[0] - rates[1]),
-                           hoeffding_halfwidth(config.trials),
-                           _pkind_bound(params, config), config.trials,
-                           rates[0], rates[1])
+
+    def trial(b, rng):
+        inst, oracle, view = _pkem_trial(params, config, rng)
+        st = adversary.phase1(params, view, oracle, rng)
+        k_star, c_star = encap(params, inst.x, rng, inst.public_seed)
+        if b == 0:
+            k_b = k_star
+        else:
+            k_b = IkemKey(rng.getrandbits(params.ell), params.ell)
+        oracle.bar(c_star)
+        return adversary.phase2(params, view, st, c_star, k_b, oracle, rng)
+
+    return _two_arm_report(config, "pkind", "pkind", trial,
+                           lambda: _pkind_bound(params, config))
 
 
 class RandomGuessPkind:
@@ -424,21 +471,11 @@ class BayesPkind:
     def phase2(self, params, view, transcript, c_star, k_b, oracle, rng):
         pairs = self._pairs(params.source, view.z)
         pub = view.public_seed
-        consistent: Dict[int, bool] = {}
-        chal_key: Dict[int, int] = {}
-        for xp in {p[0] for p in pairs}:
-            ok = all(
-                _recon_value(params, xp, c.sprime,
-                             _recon_seed(params, c.s, pub)) == c.v
-                and _extract(params, xp, c.sprime) == k.bits
-                for k, c in transcript)
-            ok = ok and _recon_value(
-                params, xp, c_star.sprime,
-                _recon_seed(params, c_star.s, pub)) == c_star.v
-            consistent[xp] = ok
-            if ok:
-                chal_key[xp] = _extract(params, xp, c_star.sprime)
-        keep = [p for p in pairs if consistent[p[0]]]
+        seen = transcript + [(None, c_star)]
+        chal_key = {xp: _extract(params, xp, c_star.sprime)
+                    for xp in {p[0] for p in pairs}
+                    if _explains(params, xp, seen, pub)}
+        keep = [p for p in pairs if p[0] in chal_key]
         if self.probe and oracle.decaps_left > 0 and keep:
             keep = self._probe(params, keep, c_star, pub, oracle, rng)
         mass = sum(wt for xp, _, wt in keep if chal_key[xp] == k_b.bits)
@@ -451,19 +488,11 @@ class BayesPkind:
             by_x[xp] = by_x.get(xp, 0) + wt
         ranked = sorted(by_x, key=lambda xp: (-by_x[xp], xp))
         target = ranked[1] if len(ranked) > 1 else ranked[0]
-        probe_c = None
-        for _ in range(64):
-            _, cand = encap(params, unpack_bits(target, params.n), rng, pub)
-            if cand != c_star:
-                probe_c = cand
-                break
+        probe_c = _honest_redraw(params, target, c_star, rng, pub)
         if probe_c is None:
             return keep
         answer = oracle.decap(probe_c)
-        verdict = {
-            yp: decap(params, unpack_bits(yp, params.n), probe_c, pub)
-            for yp in {p[1] for p in keep}
-        }
+        verdict = _receiver_answers(params, {p[1] for p in keep}, probe_c, pub)
         return [p for p in keep if verdict[p[1]] == answer]
 
 
@@ -484,12 +513,8 @@ def run_kint(config: GameConfig, adversary) -> AdvantageReport:
         raise MalformedError(
             "the integrity game is analyzed at exactly one encapsulation query")
     wins = 0
-    for i in range(config.trials):
-        rng = _trial_rng(config.seed, "kint", i)
-        inst = _instance_for_trial(params, config, rng)
-        oracle = PkemOracle(params, inst, "kint", config.q_e, config.q_d, rng)
-        view = EveView(inst.z, inst.public_seed,
-                       inst.x if config.leak else None)
+    for rng in _trial_rngs(config, "kint"):
+        inst, oracle, view = _pkem_trial(params, config, rng)
         forged = adversary.forge(params, view, oracle, rng)
         if not isinstance(forged, IkemCiphertext):
             raise GameRuleError("forger must output a ciphertext")
@@ -589,14 +614,9 @@ def brute_force_forger(params: IkemParams, z, rng,
         raise MalformedError("a query transcript needs both key and ciphertext")
     pairs = _enumerate_pairs(spec, z)
     if key is not None:
-        seed = _recon_seed(params, ciphertext.s, public_seed)
-        good = {
-            xp: (_recon_value(params, xp, ciphertext.sprime, seed)
-                 == ciphertext.v
-                 and _extract(params, xp, ciphertext.sprime) == key.bits)
-            for xp in {p[0] for p in pairs}
-        }
-        pairs = [p for p in pairs if good[p[0]]]
+        good = {xp for xp in {p[0] for p in pairs}
+                if _explains(params, xp, [(key, ciphertext)], public_seed)}
+        pairs = [p for p in pairs if p[0] in good]
         if not pairs:
             raise MalformedError("transcript inconsistent with the source")
     total = sum(wt for _, _, wt in pairs)
@@ -623,20 +643,11 @@ def brute_force_forger(params: IkemParams, z, rng,
         strategy, x_f = "x", x_star
     else:
         strategy, x_f = "y", x_from_y
-    forged = None
-    for _ in range(64):
-        _, cand = encap(params, unpack_bits(x_f, params.n), rng, public_seed)
-        if ciphertext is None or cand != ciphertext:
-            forged = cand
-            break
+    forged = _honest_redraw(params, x_f, ciphertext, rng, public_seed)
     if forged is None:
         raise InfeasibleError("could not draw a forgery distinct from the query")
-    accept = {
-        yp: decap(params, unpack_bits(yp, params.n), forged, public_seed)
-        is not None
-        for yp in members
-    }
-    won = sum(wt for _, yp, wt in pairs if accept[yp])
+    answers = _receiver_answers(params, members, forged, public_seed)
+    won = sum(wt for _, yp, wt in pairs if answers[yp] is not None)
     return ForgeryResult(forged, Fraction(won, total),
                          Fraction(score_x[x_star], total),
                          Fraction(score_y[y_star], total),
@@ -646,40 +657,34 @@ def brute_force_forger(params: IkemParams, z, rng,
 # ---------------------------------------------------------------------------
 # exact key-uniformity distance
 
+def _seed_space(params: IkemParams) -> Tuple[int, int]:
+    """(G, NQ): the shared-seed count (1 outside the shared-seed mode) and
+    the per-query seed count (the fresh-seed pair outside it)."""
+    if params.mode is Mode.CEA:
+        return 1 << params.n, 1 << params.w
+    return 1, 1 << (params.w + params.mode.s_bits(params.n, params.t))
+
+
 def _seed_tables(params: IkemParams):
     """Per-seed hash tables for the passive view.
 
-    Returns (G, NQ, V, K): V[g or sigma][x] the reconciliation value and
-    K[sigma][x] the extracted key, with sigma running over the per-query
-    seed space (the fresh-seed pair outside the shared-seed mode).
+    Returns (V, K): V[g or sigma][x] the reconciliation value and
+    K[sigma][x] the extracted key, with g and sigma running over the seed
+    spaces of _seed_space; outside the shared-seed mode sigma packs the
+    fresh-seed pair (s', s) as s' * S + s.
     """
-    n = params.n
-    X = 1 << n
+    xs = range(1 << params.n)
+    G, NQ = _seed_space(params)
+    S = NQ >> params.w
     if params.mode is Mode.CEA:
-        G = 1 << n
-        NQ = 1 << params.w
-        V = np.empty((G, X), dtype=np.int64)
-        for g in range(G):
-            for x in range(X):
-                V[g, x] = _recon_value(params, x, 0, g)
-        K = np.empty((NQ, X), dtype=np.int64)
-        for sp in range(NQ):
-            for x in range(X):
-                K[sp, x] = _extract(params, x, sp)
-        return G, NQ, V, K
-    s_bits = params.mode.s_bits(n, params.t)
-    NQ = (1 << params.w) * (1 << s_bits)
-    V = np.empty((NQ, X), dtype=np.int64)
-    Ksp = np.empty((1 << params.w, X), dtype=np.int64)
-    for sp in range(1 << params.w):
-        for x in range(X):
-            Ksp[sp, x] = _extract(params, x, sp)
-        for s in range(1 << s_bits):
-            sigma = sp * (1 << s_bits) + s
-            for x in range(X):
-                V[sigma, x] = _recon_value(params, x, sp, s)
-    K = np.repeat(Ksp, 1 << s_bits, axis=0)
-    return 1, NQ, V, K
+        seeds = [(0, g) for g in range(G)]
+    else:
+        seeds = [divmod(sigma, S) for sigma in range(NQ)]
+    V = np.array([[_recon_value(params, x, sp, s) for x in xs]
+                  for sp, s in seeds], dtype=np.int64)
+    K = np.array([[_extract(params, x, sp) for x in xs]
+                  for sp in range(1 << params.w)], dtype=np.int64)
+    return V, np.repeat(K, S, axis=0)
 
 
 def exact_distance(params: IkemParams, q_e: int,
@@ -717,19 +722,13 @@ def exact_distance(params: IkemParams, q_e: int,
 
     per_query = params.ell if params.mode is Mode.CEA else t + params.ell
     cells_cap = min(X, 1 << (t + q_e * per_query))
-    # seed-table sizes are implied by params, so the guard can run before
-    # the tables are built
-    if params.mode is Mode.CEA:
-        G, NQ = 1 << n, 1 << params.w
-    else:
-        G = 1
-        NQ = 1 << (params.w + params.mode.s_bits(n, t))
-    flops = G * NQ ** q_e * NQ * out * X * cells_cap * Z
-    if flops > FLOP_MAX:
+    G, NQ = _seed_space(params)
+    n_seeds = G * NQ ** (q_e + 1)
+    if n_seeds * out * X * cells_cap * Z > FLOP_MAX:
         raise InfeasibleError("view enumeration exceeds the work ceiling")
     if 2 * out * denom ** n * NQ >= 1 << 52:
         raise InfeasibleError("scaled masses overflow exact float accounting")
-    G, NQ, V, K = _seed_tables(params)
+    V, K = _seed_tables(params)
 
     # challenge selector: rows (value, seed) pick x's whose truncated
     # challenge key equals value
@@ -771,7 +770,6 @@ def exact_distance(params: IkemParams, q_e: int,
             T = (S @ B).reshape(out, NQ, nc, Z)
             tot = T.sum(axis=0, keepdims=True)
             total += int(round(np.abs(T * out - tot).sum()))
-    n_seeds = G * NQ ** q_e * NQ
     return Fraction(total, 2 * out * denom ** n * n_seeds)
 
 
@@ -892,36 +890,27 @@ def run_dem_ind(config: GameConfig, adversary,
     if decrypt is None:
         decrypt = ((lambda key, c: decrypt_otcca(key, c, profile)) if otcca
                    else (lambda key, c: decrypt_ot(key, c, profile)))
-    rates = []
     longest = 0
-    for b in (0, 1):
-        ones = 0
-        for i in range(config.trials):
-            rng = _trial_rng(config.seed, f"dem{b}", i)
-            kbits = rng.getrandbits(key_bits)
-            m0, m1, st = adversary.choose(profile, rng)
-            if not (isinstance(m0, bytes) and isinstance(m1, bytes)
-                    and len(m0) == len(m1)):
-                raise GameRuleError(
-                    "challenge messages must be equal-length byte strings")
-            longest = max(longest, len(m0))
-            c_star = encrypt(DemKey(kbits, key_bits), (m0, m1)[b])
-            oracle = DemOracle(
-                config.atk,
-                lambda c: decrypt(DemKey(kbits, key_bits), c),
-                config.q_d, c_star)
-            guess = adversary.distinguish(profile, st, c_star, oracle, rng)
-            if guess not in (0, 1):
-                raise GameRuleError("distinguisher must output a bit")
-            ones += guess
-        rates.append(ones / config.trials)
-    if otcca:
-        bound = min(1.0, config.q_d * mac_forgery_bound(profile, longest))
-    else:
-        bound = 0.0
-    return AdvantageReport("dem-ind", config.atk, abs(rates[0] - rates[1]),
-                           hoeffding_halfwidth(config.trials), bound,
-                           config.trials, rates[0], rates[1])
+
+    def trial(b, rng):
+        nonlocal longest
+        kbits = rng.getrandbits(key_bits)
+        m0, m1, st = adversary.choose(profile, rng)
+        if not (isinstance(m0, bytes) and isinstance(m1, bytes)
+                and len(m0) == len(m1)):
+            raise GameRuleError(
+                "challenge messages must be equal-length byte strings")
+        longest = max(longest, len(m0))
+        c_star = encrypt(DemKey(kbits, key_bits), (m0, m1)[b])
+        oracle = DemOracle(config.atk,
+                           lambda c: decrypt(DemKey(kbits, key_bits), c),
+                           config.q_d, c_star)
+        return adversary.distinguish(profile, st, c_star, oracle, rng)
+
+    return _two_arm_report(
+        config, "dem-ind", "dem", trial,
+        lambda: min(1.0, config.q_d * mac_forgery_bound(profile, longest))
+        if otcca else 0.0)
 
 
 class ContrastDemDistinguisher:
@@ -1010,21 +999,12 @@ def run_pri(config: GameConfig, family: PrfFamily, adversary,
     """Two-arm real-vs-random experiment; q_e is the evaluation budget."""
     if config.atk != "pri":
         raise MalformedError("run_pri needs atk='pri'")
-    rates = []
-    for b in (0, 1):
-        ones = 0
-        for i in range(config.trials):
-            rng = _trial_rng(config.seed, f"pri{b}", i)
-            key = family.sample_key(rng)
-            oracle = PriOracle(family, key, b, config.q_e, rng)
-            guess = adversary.distinguish(family, oracle, rng)
-            if guess not in (0, 1):
-                raise GameRuleError("distinguisher must output a bit")
-            ones += guess
-        rates.append(ones / config.trials)
-    return AdvantageReport("pri", "pri", abs(rates[0] - rates[1]),
-                           hoeffding_halfwidth(config.trials), bound,
-                           config.trials, rates[0], rates[1])
+
+    def trial(b, rng):
+        oracle = PriOracle(family, family.sample_key(rng), b, config.q_e, rng)
+        return adversary.distinguish(family, oracle, rng)
+
+    return _two_arm_report(config, "pri", "pri", trial, lambda: bound)
 
 
 class RandomGuessPri:

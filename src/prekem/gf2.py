@@ -213,7 +213,7 @@ def _irreducible_rabin(f: int) -> bool:
     # divisor p of m (checked in ascending exponent order so most reducible
     # candidates die cheaply), then the x^(2^m) == x test at the end.
     checkpoints = sorted(m // p for p in _prime_factors(m))
-    r = 2 % f if m == 1 else 2
+    r = 2
     k = 0
     for cp in checkpoints:
         while k < cp:
@@ -225,18 +225,6 @@ def _irreducible_rabin(f: int) -> bool:
         r = _mod_sparse(_sqr(r), m, terms, mask)
         k += 1
     return r == 2
-
-
-def _irreducible_trial(f: int) -> bool:
-    m = f.bit_length() - 1
-    if m < 1:
-        return False
-    if m == 1:
-        return True
-    for d in range(2, 1 << (m // 2 + 1)):
-        if 1 <= d.bit_length() - 1 <= m // 2 and _poly_mod(f, d) == 0:
-            return False
-    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,8 +264,6 @@ def _verify(m: int, poly: int) -> bool:
         return False
     if POLY_TABLE.get(m) == poly or EXTRA_POLYS.get(m) == poly:
         return True
-    if m <= 32:
-        return _irreducible_trial(poly)
     return _irreducible_rabin(poly)
 
 
@@ -316,7 +302,7 @@ class FieldCtx:
         if not (0 <= a <= mask and 0 <= b <= mask):
             self.check(a)
             self.check(b)
-        return self._reduce(clmul(a, b))
+        return _mod_sparse(clmul(a, b), self.m, self._tail_terms, mask)
 
     def mul_by(self, k: int, uses: int = 1):
         """The map x -> k*x for a fixed k, as a closure over product tables.
@@ -378,17 +364,6 @@ class FieldCtx:
             return acc
 
         return times_k
-
-    def _reduce(self, a: int) -> int:
-        m = self.m
-        while True:
-            hi = a >> m
-            if not hi:
-                return a
-            a &= self._mask
-            for e in self._tail_terms:
-                a ^= hi << e
-            # Shifted tail terms can re-exceed m bits; loop handles it.
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

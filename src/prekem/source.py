@@ -433,11 +433,13 @@ def _log2_binom_sum(n: int, js, flip: float) -> float:
     """log2 of the sum over j in js of P[Binomial(n, flip) = j], for a float
     flip strictly between 0 and 1.  The sum is taken in the log domain,
     where terms such as 2^-1080 stay representable and C(n, j) never
-    becomes a float."""
+    becomes a float.  The result is capped at 0: when the terms hold all
+    the mass, the rounded sum can land just above 1."""
     lf, lg = math.log2(flip), math.log2(1.0 - flip)
     terms = [math.log2(math.comb(n, j)) + j * lf + (n - j) * lg for j in js]
     top = max(terms)
-    return top + math.log2(math.fsum(2.0 ** (v - top) for v in terms))
+    return min(top + math.log2(math.fsum(2.0 ** (v - top) for v in terms)),
+               0.0)
 
 
 def _log2_binom_tail_leq(n: int, d: int, flip: Number) -> float:

@@ -771,6 +771,30 @@ class TestAsciiHexOnly:
                             seed)
 
 
+class TestGameEntryTypes:
+    """A game entry's leak is a JSON boolean and its target a JSON string;
+    any other type exits 1 with one line rather than being coerced."""
+
+    def check(self, tmp_path, capsys, entry, field, good, bad):
+        config = write_json(tmp_path / "game.json", {**entry, field: good})
+        assert run_cli("game", "--config", config, "--seed", "2a") != 1
+        capsys.readouterr()
+        write_json(config, {**entry, field: bad})
+        assert_format_error(capsys, "game", "--config", config, "--seed", "2a")
+
+    @pytest.mark.parametrize("value", ["false", "true", 1, 0, [False]])
+    def test_leak_is_a_boolean(self, tmp_path, capsys, value):
+        # the calibration fixture reads x through the leak, so a string
+        # "false" read as true would let it run and exit 0
+        entry = {**SWEPT_GAMES["pkind"], "atk": "ot", "adversary": "cheat"}
+        self.check(tmp_path, capsys, entry, "leak", True, value)
+
+    @pytest.mark.parametrize("value", [1010, 110, 1001.0, [0, 1, 1, 0]])
+    def test_target_is_a_string(self, tmp_path, capsys, value):
+        self.check(tmp_path, capsys, SWEPT_GAMES["pkind"], "target",
+                   "1010", value)
+
+
 # the README's authenticated profile: noiseless BSC, n=1080, t=527
 README_CCA = {"source": {"bsc": {"p": "0", "q": "1/2", "n": 1080}},
               "sigma": 2.0 ** -20, "q_e": 0, "q_d": 1, "eps": 0.01,

@@ -241,6 +241,17 @@ class ScriptedPri:
         return 0
 
 
+class ParityPri:
+    """Spends the whole budget on distinct one-byte inputs and answers with
+    the parity of the outputs, as the games-desk PRF entries do."""
+
+    def distinguish(self, family, oracle, rng):
+        acc = 0
+        for x in range(oracle.queries_left):
+            acc ^= oracle.eval(bytes([x]))
+        return acc & 1
+
+
 # ---------------------------------------------------------------------------
 
 class TestHoeffdingHalfwidth:
@@ -279,6 +290,12 @@ class TestAdvantageReport:
         ("dem-ind", '{"game": "dem-ind", "atk": "otcca", '
          '"estimate": 0.034999999999999976, "halfwidth": 0.11509037065006823, '
          '"bound": 0.06640625, "n_trials": 200}'),
+        ("pri-it", '{"game": "pri", "atk": "pri", '
+         '"estimate": 0.015000000000000013, "halfwidth": 0.11509037065006823, '
+         '"bound": 0.0, "n_trials": 200}'),
+        ("pri-comp", '{"game": "pri", "atk": "pri", '
+         '"estimate": 0.030000000000000027, "halfwidth": 0.11509037065006823, '
+         '"bound": null, "n_trials": 200}'),
     ])
     def test_seeded_reports_are_pinned(self, game, want):
         def params(mode, n, q_e=0, q_d=0):
@@ -301,6 +318,12 @@ class TestAdvantageReport:
                 atk="otcca", trials=200, q_d=1, seed=3,
                 dem=DemProfile(enc_len=8, mac_bits=8)),
                 ContrastDemDistinguisher()),
+            "pri-it": lambda: run_pri(GameConfig(
+                atk="pri", trials=200, q_e=3, seed=3),
+                it_prf_family(120, 1, 8), ParityPri(), bound=0.0),
+            "pri-comp": lambda: run_pri(GameConfig(
+                atk="pri", trials=200, q_e=3, seed=3),
+                comp_prf_family(8), ParityPri()),
         }
         assert runs[game]().to_json_line() == want
 

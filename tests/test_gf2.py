@@ -17,6 +17,7 @@ from prekem.gf2 import (
     POLY_TABLE,
     Fe,
     FieldCtx,
+    _irreducible_rabin,
     block,
     clmul,
     field,
@@ -401,6 +402,12 @@ class TestPolyTable:
                 if _trial_irreducible(cand):
                     assert bin(cand).count("1") > weight, (m, bin(cand))
 
+    def test_rabin_matches_trial_division(self):
+        # every polynomial of degree 1..12, constant term or not
+        mismatches = [f for f in range(2, 1 << 13)
+                      if _irreducible_rabin(f) != _trial_irreducible(f)]
+        assert mismatches == []
+
     def test_search_for_gap_width(self):
         # a width outside the table: search result must be irreducible per an
         # independent route and usable as a context
@@ -416,7 +423,10 @@ class TestPolyTable:
 
 
 def _trial_irreducible(f: int) -> bool:
+    """Trial division by every polynomial of degree 1..m/2."""
     m = f.bit_length() - 1
+    if m < 1:
+        return False
     for d in range(2, 1 << (m // 2 + 1)):
         if d.bit_length() - 1 < 1 or d.bit_length() - 1 > m // 2:
             continue

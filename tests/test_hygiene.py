@@ -2,7 +2,10 @@
 
 Every name a prekem module imports must be read somewhere in that module
 (inside functions and annotations included) or be re-exported through its
-__all__; `from __future__` imports are exempt.
+__all__; `from __future__` imports are exempt.  Every module-level private
+function or class must be read somewhere in the package, so helpers that
+only tests use live in the tests.  Every __all__ entry must be bound in its
+module.
 """
 
 import ast
@@ -26,21 +29,71 @@ def imported_names(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-def used_names(tree):
-    used = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+def exported_names(tree):
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(getattr(t, "id", None) == "__all__"
                         for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
-    return used
+            return ast.literal_eval(node.value)
+    return []
+
+
+def used_names(tree):
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return used.union(exported_names(tree))
+
+
+def read_names(tree):
+    """Names read as a variable or as an attribute (module.name)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def bound_names(tree):
+    """Names bound at module level by a def, class, assignment or import."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                yield from (n.id for n in ast.walk(target)
+                            if isinstance(n, ast.Name))
+        elif isinstance(node, ast.AnnAssign):
+            yield node.target.id
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+TREES = {path: ast.parse(path.read_text(), filename=str(path))
+         for path in MODULES}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = TREES[path]
     used = used_names(tree)
     unused = [f"{path.name}:{line} {name}"
               for name, line in imported_names(tree) if name not in used]
     assert not unused, unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_definitions_are_read(path):
+    read = set().union(*(read_names(tree) for tree in TREES.values()))
+    unread = [f"{path.name}:{node.lineno} {node.name}"
+              for node in TREES[path].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and node.name not in read]
+    assert not unread, unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_are_bound(path):
+    bound = set(bound_names(TREES[path]))
+    unbound = [name for name in exported_names(TREES[path])
+               if name not in bound]
+    assert not unbound, unbound

@@ -347,6 +347,13 @@ class TestGuessingMass:
         assert guessing_log2_mass(bsc_source(0.25, 0.0, 2000), 2500.0) == \
             pytest.approx(0.0, abs=1e-9)
 
+    def test_masses_stay_probabilities_when_the_tail_holds_all(self):
+        # the rounded log-domain sum once came out above 1: mass_x
+        # 1.0000000000000056 and log2 mass +8.0e-15
+        spec = bsc_source(0.25, 0.0, 2000)
+        assert max(guessing_mass(spec, 2500.0)) <= 1
+        assert guessing_log2_mass(spec, 2500.0) <= 0
+
 
 def brute_recon(spec, y, nu):
     """R(y) by scoring every x-string, ordered by (cost, x).  Internal
