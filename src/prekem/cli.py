@@ -607,8 +607,9 @@ def cmd_game(args) -> int:
     for index, game_doc in enumerate(games):
         if not isinstance(game_doc, dict):
             raise MalformedError("each game entry must be an object")
-        trials = args.trials or _number(game_doc, "trials", "game entry",
-                                        int, 1000)
+        trials = args.trials
+        if trials is None:
+            trials = _number(game_doc, "trials", "game entry", int, 1000)
         report = _run_game_doc(game_doc, trials, base_seed + index)
         line = report.to_json_line()
         print(line)

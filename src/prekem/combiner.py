@@ -30,13 +30,13 @@ from __future__ import annotations
 import abc
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from cryptography.hazmat.primitives.ciphers import algorithms
 from cryptography.hazmat.primitives.cmac import CMAC
 
 from .errors import MalformedError
-from .gf2 import EXTRA_POLYS, POLY_TABLE, field
+from .gf2 import EXTRA_POLYS, POLY_TABLE
 from .ikem import (
     IkemInstance,
     IkemKey,
@@ -70,8 +70,6 @@ COMBINED_MAGIC = b"CMB1"
 _CMB_HEADER = struct.Struct(">4sI")
 
 SUPPORTED_WIDTHS = tuple(sorted(set(POLY_TABLE) | set(EXTRA_POLYS)))
-
-PrfFn = Callable[[IkemKey, bytes, int], int]
 
 
 class KemInterface(abc.ABC):
@@ -223,8 +221,7 @@ def _encode_input(x: bytes, m: int) -> int:
 
 def prf_it(key: ItPrfKey, x: bytes, out_bits: int) -> int:
     """(len(coeffs))-wise independent PRF: polynomial eval at the input."""
-    return twise_poly(key.coeffs, field(key.m).fe(_encode_input(x, key.m)),
-                      out_bits)
+    return twise_poly(key.coeffs, _encode_input(x, key.m), key.m, out_bits)
 
 
 def prf_comp(key: CompPrfKey, x: bytes, out_bits: int) -> int:
@@ -255,26 +252,15 @@ def combine_xor(k1: Optional[IkemKey], k2: Optional[IkemKey]) -> Optional[IkemKe
     return IkemKey(k1.bits ^ k2.bits, k1.ell)
 
 
-def _default_f1(q_d: int) -> PrfFn:
-    def f1(key: IkemKey, data: bytes, out_bits: int) -> int:
-        return prf_it(ItPrfKey.from_kem_key(key, q_d), data, out_bits)
-    return f1
-
-
-def _f2(key: IkemKey, data: bytes, out_bits: int) -> int:
-    return prf_comp(CompPrfKey.from_kem_key(key), data, out_bits)
-
-
 def combine_ptx(k1: Optional[IkemKey], k2: Optional[IkemKey],
-                c1: bytes, c2: bytes, out_bits: int, q_d: int,
-                f1: Optional[PrfFn] = None,
-                f2: Optional[PrfFn] = None) -> Optional[IkemKey]:
+                c1: bytes, c2: bytes, out_bits: int,
+                q_d: int) -> Optional[IkemKey]:
     """F1(k1, c2) xor F2(k2, c1): each key binds the other ciphertext."""
     if k1 is None or k2 is None:
         return None
-    use1 = f1 if f1 is not None else _default_f1(q_d)
-    use2 = f2 if f2 is not None else _f2
-    return IkemKey(use1(k1, c2, out_bits) ^ use2(k2, c1, out_bits), out_bits)
+    f1 = prf_it(ItPrfKey.from_kem_key(k1, q_d), c2, out_bits)
+    f2 = prf_comp(CompPrfKey.from_kem_key(k2), c1, out_bits)
+    return IkemKey(f1 ^ f2, out_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +275,13 @@ class CombinedCiphertext:
 class CombinedKem:
     """Two components behind one enc/dec with a selectable core.
 
-    f1_calls counts evaluations of the information-theoretic PRF; the
-    design budget is one call per encapsulation or decapsulation.  The
-    counter is per-object.
+    The ptx core evaluates the information-theoretic PRF once per
+    encapsulation or decapsulation, its design budget.
     """
 
     def __init__(self, first: KemInterface, second: KemInterface,
                  core: str = "xor", out_bits: Optional[int] = None,
-                 q_d: int = 0, f1: Optional[PrfFn] = None,
-                 f2: Optional[PrfFn] = None) -> None:
+                 q_d: int = 0) -> None:
         if core not in ("xor", "ptx"):
             raise MalformedError(f"unknown core {core!r}")
         if core == "xor":
@@ -318,7 +302,7 @@ class CombinedKem:
                 out_bits = m
             if not 1 <= out_bits <= m:
                 raise MalformedError("output length must be in 1..m")
-            if f2 is None and second.key_bits != 256:
+            if second.key_bits != 256:
                 raise MalformedError(
                     "computational PRF needs a 256-bit second component")
         self.first = first
@@ -326,20 +310,12 @@ class CombinedKem:
         self.core = core
         self.out_bits = out_bits
         self.q_d = q_d
-        self._f1 = f1 if f1 is not None else _default_f1(q_d)
-        self._f2 = f2 if f2 is not None else _f2
-        self.f1_calls = 0
-
-    def _counted_f1(self, key: IkemKey, data: bytes, out_bits: int) -> int:
-        self.f1_calls += 1
-        return self._f1(key, data, out_bits)
 
     def _combine(self, k1: Optional[IkemKey], k2: Optional[IkemKey],
                  c1: bytes, c2: bytes) -> Optional[IkemKey]:
         if self.core == "xor":
             return combine_xor(k1, k2)
-        return combine_ptx(k1, k2, c1, c2, self.out_bits, self.q_d,
-                           f1=self._counted_f1, f2=self._f2)
+        return combine_ptx(k1, k2, c1, c2, self.out_bits, self.q_d)
 
     def enc(self, rng) -> Tuple[Optional[IkemKey], CombinedCiphertext]:
         k1, c1 = self.first.enc(rng)

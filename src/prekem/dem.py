@@ -28,10 +28,7 @@ their larger build at a read per block byte.
 
 A key narrower than the AES key space (enc_len != 256) is stretched with
 SHA-256 before keying the cipher; at enc_len = 256 the key bits are used
-directly.  The keystream parameter of the four operations swaps in a
-replacement generator (key_bytes, nbytes) -> bytes; tests use it to
-substitute true randomness when checking the one-time-pad shape of the
-body.
+directly.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import KeyReuseError, MalformedError
 from .gf2 import field
@@ -58,8 +55,6 @@ __all__ = [
     "mac_forgery_bound",
     "aes_ctr_keystream",
 ]
-
-Keystream = Callable[[bytes, int], bytes]
 
 
 @dataclass(frozen=True)
@@ -154,12 +149,8 @@ def aes_ctr_keystream(key: bytes, nbytes: int) -> bytes:
     return enc.update(b"\x00" * nbytes) + enc.finalize()
 
 
-def _xor_stream(k_e: int, data: bytes, profile: DemProfile,
-                keystream: Optional[Keystream]) -> bytes:
-    gen = keystream if keystream is not None else aes_ctr_keystream
-    ks = gen(_aes_key(k_e, profile.enc_len), len(data))
-    if len(ks) != len(data):
-        raise MalformedError("keystream generator returned a wrong length")
+def _xor_stream(k_e: int, data: bytes, profile: DemProfile) -> bytes:
+    ks = aes_ctr_keystream(_aes_key(k_e, profile.enc_len), len(data))
     x = int.from_bytes(data, "big") ^ int.from_bytes(ks, "big")
     return x.to_bytes(len(data), "big")
 
@@ -181,40 +172,37 @@ def _mac_tag(k1: int, k2: int, body: bytes, bits: int) -> int:
     return times_k1(times_k1(acc) ^ len(body)) ^ k2
 
 
-def encrypt_ot(key: DemKey, m: bytes, profile: DemProfile = DEFAULT_PROFILE,
-               keystream: Optional[Keystream] = None) -> DemCiphertext:
+def encrypt_ot(key: DemKey, m: bytes,
+               profile: DemProfile = DEFAULT_PROFILE) -> DemCiphertext:
     if key.length != profile.ot_key_bits:
         raise MalformedError("ot needs an enc_len-bit key")
     key.consume()
-    return DemCiphertext(_xor_stream(key.bits, m, profile, keystream), None)
+    return DemCiphertext(_xor_stream(key.bits, m, profile), None)
 
 
 def decrypt_ot(key: DemKey, c: DemCiphertext,
-               profile: DemProfile = DEFAULT_PROFILE,
-               keystream: Optional[Keystream] = None) -> bytes:
+               profile: DemProfile = DEFAULT_PROFILE) -> bytes:
     if key.length != profile.ot_key_bits:
         raise MalformedError("ot needs an enc_len-bit key")
     if c.tag is not None:
         raise MalformedError("ot ciphertext carries no tag")
-    return _xor_stream(key.bits, c.body, profile, keystream)
+    return _xor_stream(key.bits, c.body, profile)
 
 
 def encrypt_otcca(key: DemKey, m: bytes,
-                  profile: DemProfile = DEFAULT_PROFILE,
-                  keystream: Optional[Keystream] = None) -> DemCiphertext:
+                  profile: DemProfile = DEFAULT_PROFILE) -> DemCiphertext:
     if key.length != profile.otcca_key_bits:
         raise MalformedError("otcca needs an (enc_len + 2*mac_bits)-bit key")
     if len(m) >= (1 << profile.mac_bits):
         raise MalformedError("message too long for the MAC length term")
     key.consume()
     k_e, k1, k2 = _split_key(key, profile)
-    body = _xor_stream(k_e, m, profile, keystream)
+    body = _xor_stream(k_e, m, profile)
     return DemCiphertext(body, _mac_tag(k1, k2, body, profile.mac_bits))
 
 
 def decrypt_otcca(key: DemKey, c: DemCiphertext,
-                  profile: DemProfile = DEFAULT_PROFILE,
-                  keystream: Optional[Keystream] = None) -> Optional[bytes]:
+                  profile: DemProfile = DEFAULT_PROFILE) -> Optional[bytes]:
     """Verify the tag, then decrypt; None is the rejection value."""
     if key.length != profile.otcca_key_bits:
         raise MalformedError("otcca needs an (enc_len + 2*mac_bits)-bit key")
@@ -225,7 +213,7 @@ def decrypt_otcca(key: DemKey, c: DemCiphertext,
     k_e, k1, k2 = _split_key(key, profile)
     if _mac_tag(k1, k2, c.body, profile.mac_bits) != c.tag:
         return None
-    return _xor_stream(k_e, c.body, profile, keystream)
+    return _xor_stream(k_e, c.body, profile)
 
 
 def mac_forgery_bound(profile: DemProfile, body_len: int) -> float:

@@ -7,10 +7,6 @@ a rejection.
 """
 
 
-class FieldMismatchError(ValueError):
-    """Arithmetic attempted between elements of different field contexts."""
-
-
 class MalformedError(ValueError):
     """A wire blob or config violates its format contract."""
 

@@ -108,6 +108,11 @@ PAIR_MAX = 1 << 13
 FLOP_MAX = 1 << 35
 COUNT_N_MAX = 16
 
+# Confidence of each arm's Hoeffding radius, and how many radii past its
+# bound an estimate must sit before a report says the bound is exceeded.
+CONFIDENCE = 0.99
+BOUND_SLACK = 2.0
+
 
 # ---------------------------------------------------------------------------
 # configuration and reports
@@ -173,11 +178,12 @@ class AdvantageReport:
             "n_trials": self.n_trials,
         })
 
-    def exceeds_bound(self, slack: float = 2.0) -> bool:
-        """True when the estimate is beyond bound plus slack half-widths."""
+    def exceeds_bound(self) -> bool:
+        """True when the estimate is beyond bound plus BOUND_SLACK
+        half-widths."""
         if self.bound is None:
             return False
-        return self.estimate > self.bound + slack * self.halfwidth
+        return self.estimate > self.bound + BOUND_SLACK * self.halfwidth
 
 
 @dataclass(frozen=True)
@@ -189,13 +195,11 @@ class EveView:
     x: Optional[Tuple[int, ...]] = None
 
 
-def hoeffding_halfwidth(trials: int, confidence: float = 0.99) -> float:
-    """Per-arm radius h with P(|p_hat - p| >= h) <= 1 - confidence."""
+def hoeffding_halfwidth(trials: int) -> float:
+    """Per-arm radius h with P(|p_hat - p| >= h) <= 1 - CONFIDENCE."""
     if trials < 1:
         raise MalformedError("trials must be positive")
-    if not 0 < confidence < 1:
-        raise MalformedError("confidence must be in (0, 1)")
-    return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * trials))
+    return math.sqrt(math.log(2.0 / (1.0 - CONFIDENCE)) / (2.0 * trials))
 
 
 def _trial_rng(seed: int, arm: str, index: int) -> random.Random:
@@ -622,7 +626,7 @@ def brute_force_forger(params: IkemParams, z, rng,
     total = sum(wt for _, _, wt in pairs)
     members: Dict[int, frozenset] = {}
     for yp in {p[1] for p in pairs}:
-        rs = recon_set(spec, unpack_bits(yp, params.n), params.nu, params.cap)
+        rs = recon_set(spec, unpack_bits(yp, params.n), params.nu)
         members[yp] = frozenset(pack_bits(m) for m in rs.members)
     score_x: Dict[int, int] = {xp: 0 for xp in {p[0] for p in pairs}}
     score_y: Dict[int, int] = {yp: 0 for yp in members}
@@ -687,27 +691,20 @@ def _seed_tables(params: IkemParams):
     return V, np.repeat(K, S, axis=0)
 
 
-def exact_distance(params: IkemParams, q_e: int,
-                   ell: Optional[int] = None) -> Fraction:
+def exact_distance(params: IkemParams, q_e: int) -> Fraction:
     """Exact statistical distance of the session key from uniform.
 
     Enumerates the adversary's full passive view after q_e encapsulation
     queries plus the challenge: Eve's string, every seed, every hash
-    value and every queried key.  ell optionally truncates the challenge
-    key (0 gives the empty key and hence distance zero); query keys are
-    always full length.  Arithmetic is integer-scaled end to end.
+    value and every queried key.  Arithmetic is integer-scaled end to end.
     """
     if q_e < 0:
         raise MalformedError("q_e must be non-negative")
-    ell = params.ell if ell is None else ell
-    if not 0 <= ell <= params.ell:
-        raise MalformedError("ell must be in 0..params.ell")
     spec = params.source
     denom, scaled = spec.scaled
     n, t = params.n, params.t
     X, Z = 1 << n, spec.nz ** n
-    out = 1 << ell
-    shift = params.ell - ell
+    out = 1 << params.ell
 
     # per-symbol (x, z) weights, then the n-fold Kronecker product;
     # first symbol is the most significant index digit on both axes
@@ -730,12 +727,12 @@ def exact_distance(params: IkemParams, q_e: int,
         raise InfeasibleError("scaled masses overflow exact float accounting")
     V, K = _seed_tables(params)
 
-    # challenge selector: rows (value, seed) pick x's whose truncated
-    # challenge key equals value
+    # challenge selector: rows (value, seed) pick x's whose challenge key
+    # equals value
     S = np.zeros((out * NQ, X))
     for sigma in range(NQ):
         for val in range(out):
-            S[val * NQ + sigma] = (K[sigma] >> shift) == val
+            S[val * NQ + sigma] = K[sigma] == val
 
     total = 0
     xs = np.arange(X)
@@ -746,7 +743,7 @@ def exact_distance(params: IkemParams, q_e: int,
             for sigma in qseeds:
                 if params.mode is not Mode.CEA:
                     keyvec = keyvec * (1 << t) + V[sigma]
-                keyvec = keyvec * (1 << params.ell) + K[sigma]
+                keyvec = keyvec * out + K[sigma]
             if params.mode is not Mode.CEA:
                 # the challenge ciphertext's own hash value is visible too
                 keyvec = keyvec[None, :] * (1 << t) + V
@@ -755,7 +752,7 @@ def exact_distance(params: IkemParams, q_e: int,
                     cells, inv = np.unique(keyvec[sigma], return_inverse=True)
                     nc = len(cells)
                     A = np.zeros((X, nc * out))
-                    A[xs, inv * out + (K[sigma] >> shift)] = 1.0
+                    A[xs, inv * out + K[sigma]] = 1.0
                     M = A.T @ W
                     Mr = M.reshape(nc, out, Z)
                     tot = Mr.sum(axis=1, keepdims=True)
@@ -914,18 +911,18 @@ def run_dem_ind(config: GameConfig, adversary,
 
 
 class ContrastDemDistinguisher:
-    """Submits all-zero vs all-one messages and matches the challenge body."""
+    """Submits 16 zero bytes vs 16 0xff bytes and matches the challenge
+    body."""
 
-    def __init__(self, length: int = 16) -> None:
-        self.length = length
+    M0, M1 = bytes(16), b"\xff" * 16
 
     def choose(self, profile, rng):
-        return bytes(self.length), b"\xff" * self.length, None
+        return self.M0, self.M1, None
 
     def distinguish(self, profile, st, c_star, oracle, rng):
-        if c_star.body == bytes(self.length):
+        if c_star.body == self.M0:
             return 0
-        if c_star.body == b"\xff" * self.length:
+        if c_star.body == self.M1:
             return 1
         return rng.getrandbits(1)
 

@@ -6,11 +6,9 @@ string, the most-significant bit comes first, so "bit 1" of the string is
 the coefficient of x^(m-1).  The block operator below indexes in that
 MSB-first convention.
 
-Reduction polynomials default to a built-in table of the lowest-weight
-irreducible of each width (minimal number of terms, ties broken by smallest
-integer encoding), overridable per context.  Custom polynomials are checked
-for irreducibility at construction: exhaustive trial division up to m=32,
-a Rabin test above that.
+Each width has one reduction polynomial: the lowest-weight irreducible of
+that degree (minimal number of terms, ties broken by smallest integer
+encoding), read from a built-in table or found by a Rabin-test search.
 
 Multiplication is table-driven.  The generic product (clmul) forms the 16
 multiples of one operand and walks the other a 4-bit window at a time, then
@@ -28,8 +26,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-
-from .errors import FieldMismatchError
 
 # Lowest-weight irreducible polynomial of degree m, encoded with bit m set.
 # Generated by minimal-weight/minimal-value search with a Rabin
@@ -258,29 +254,14 @@ def _middle_terms(m: int, count: int, lo: int = 1):
             yield (1 << p) | rest
 
 
-@functools.lru_cache(maxsize=None)
-def _verify(m: int, poly: int) -> bool:
-    if poly.bit_length() - 1 != m:
-        return False
-    if POLY_TABLE.get(m) == poly or EXTRA_POLYS.get(m) == poly:
-        return True
-    return _irreducible_rabin(poly)
-
-
 @dataclass(frozen=True)
 class FieldCtx:
-    """Immutable GF(2^m) context; equal (m, poly) means identical arithmetic."""
+    """Immutable GF(2^m) context; its poly is find_irreducible(m)."""
 
     m: int
-    poly: int
 
     def __post_init__(self):
-        if not 1 <= self.m <= MAX_WIDTH:
-            raise ValueError(f"field width {self.m} out of range 1..{MAX_WIDTH}")
-        if not _verify(self.m, self.poly):
-            raise ValueError(
-                f"0x{self.poly:x} is not an irreducible polynomial of degree {self.m}"
-            )
+        object.__setattr__(self, "poly", find_irreducible(self.m))
         # Precompute the sparse reduction tail x^m = poly - x^m.
         object.__setattr__(self, "_mask", (1 << self.m) - 1)
         tail = self.poly ^ (1 << self.m)
@@ -293,9 +274,6 @@ class FieldCtx:
         if not 0 <= a <= self._mask:
             raise ValueError(f"0x{a:x} is not a GF(2^{self.m}) element")
         return a
-
-    def add(self, a: int, b: int) -> int:
-        return self.check(a) ^ self.check(b)
 
     def mul(self, a: int, b: int) -> int:
         mask = self._mask
@@ -399,54 +377,11 @@ class FieldCtx:
         v = int.from_bytes(data, "big")
         return self.check(v)
 
-    def fe(self, value: int) -> "Fe":
-        return Fe(self, self.check(value))
-
 
 @functools.lru_cache(maxsize=None)
-def field(m: int, poly: int | None = None) -> FieldCtx:
-    """Shared context for GF(2^m); default polynomial from the built-in table."""
-    if poly is None:
-        poly = find_irreducible(m)
-    return FieldCtx(m, poly)
-
-
-@dataclass(frozen=True)
-class Fe:
-    """A field element bound to its context; operators reject mixed contexts."""
-
-    ctx: FieldCtx
-    value: int
-
-    def _peer(self, other: "Fe") -> int:
-        if not isinstance(other, Fe):
-            raise TypeError(f"expected Fe, got {type(other).__name__}")
-        if other.ctx != self.ctx:
-            raise FieldMismatchError(
-                f"GF(2^{self.ctx.m}) vs GF(2^{other.ctx.m}) operands"
-            )
-        return other.value
-
-    def __add__(self, other: "Fe") -> "Fe":
-        return Fe(self.ctx, self.ctx.add(self.value, self._peer(other)))
-
-    __sub__ = __add__
-    __xor__ = __add__
-
-    def __mul__(self, other: "Fe") -> "Fe":
-        return Fe(self.ctx, self.ctx.mul(self.value, self._peer(other)))
-
-    def __pow__(self, e: int) -> "Fe":
-        return Fe(self.ctx, self.ctx.pow(self.value, e))
-
-    def inv(self) -> "Fe":
-        return Fe(self.ctx, self.ctx.inv(self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def to_bytes(self) -> bytes:
-        return self.ctx.to_bytes(self.value)
+def field(m: int) -> FieldCtx:
+    """Shared context for GF(2^m)."""
+    return FieldCtx(m)
 
 
 def block(x: int, width: int, i: int, j: int) -> int:

@@ -20,7 +20,7 @@ which seeds are fresh and how wide they are (ell is the key length):
 Encapsulation hashes Alice's packed x; decapsulation enumerates the
 reconciliation set of Bob's y and accepts iff exactly one member explains
 the hash value v.  None is the rejection value; an enumeration that would
-exceed the configured cap raises InfeasibleError instead (an operational
+exceed source.RECON_CAP raises InfeasibleError instead (an operational
 failure, never a protocol answer).
 
 The derive_params_* engines turn a source plus security targets
@@ -41,10 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from . import source as _source  # RECON_CAP is read when a check runs
 from .errors import InfeasibleError, MalformedError
 from .gf2 import MAX_WIDTH, block, field
 from .source import (
-    DEFAULT_CAP,
     SourceSpec,
     _binom_tail_leq,
     _log2_binom_tail_gt,
@@ -129,8 +129,7 @@ class IkemParams:
 
     sigma bounds key distinguishability, eps decapsulation failure, delta
     forgery; q_e and q_d are the adversary's query budgets the targets are
-    stated for.  nu is the reconciliation threshold in bits, cap the
-    largest reconciliation set decap will enumerate.
+    stated for.  nu is the reconciliation threshold in bits.
     """
 
     mode: Mode
@@ -146,7 +145,6 @@ class IkemParams:
     q_d: int
     eps: Optional[float] = None
     delta: Optional[float] = None
-    cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
         if self.source.nx != 2 or self.source.ny != 2:
@@ -164,8 +162,6 @@ class IkemParams:
                 raise MalformedError(f"{name} must be in (0, 1]")
         if self.q_e < 0 or self.q_d < 0:
             raise MalformedError("query budgets must be non-negative")
-        if self.cap < 1:
-            raise MalformedError("cap must be positive")
         w = self.mode.seed_width(self.n, self.ell)
         if self.w != w:
             raise MalformedError(f"{self.mode.name} mode needs w = {w}")
@@ -325,7 +321,7 @@ def decap(params: IkemParams, y, c: IkemCiphertext,
         raise MalformedError("y must have length n")
     _check_ciphertext(params, c)
     s = _recon_seed(params, c.s, public_seed)
-    cands = recon_set(params.source, tuple(y), params.nu, params.cap).members
+    cands = recon_set(params.source, tuple(y), params.nu).members
     match: Optional[int] = None
     for m in cands:
         xp = pack_bits(m)
@@ -372,8 +368,7 @@ def baseline_length_bound(source: SourceSpec, sigma: float, q_e: int, t: int) ->
 
 
 def cca_length_bound(source: SourceSpec, sigma: float, delta: float,
-                     q_e: int, q_d: int, nu: float, t: int,
-                     cap: int = DEFAULT_CAP) -> float:
+                     q_e: int, q_d: int, nu: float, t: int) -> float:
     """Authenticated-mode key length: min of the secrecy and forgery bounds."""
     n = source.n
     secrecy = (n * avg_min_entropy_given_z(source)
@@ -381,7 +376,7 @@ def cca_length_bound(source: SourceSpec, sigma: float, delta: float,
     if q_d == 0:
         return secrecy
     # min over the two negative logs = -log of the larger mass
-    log_best = guessing_log2_mass(source, nu, cap)
+    log_best = guessing_log2_mass(source, nu)
     if log_best == -math.inf:
         return secrecy
     r = piece_count(n, n - t)
@@ -409,8 +404,7 @@ def _settle_length(bound: float, ell: Optional[int], n: int) -> int:
 
 def derive_params_cea(source: SourceSpec, sigma: float, q_e: int, t: int, *,
                       nu: Optional[float] = None, eps: Optional[float] = None,
-                      ell: Optional[int] = None,
-                      cap: int = DEFAULT_CAP) -> IkemParams:
+                      ell: Optional[int] = None) -> IkemParams:
     """Shared-seed instance with the longest key the secrecy bound allows.
 
     nu is a free knob here; when omitted it is filled from eps via
@@ -424,14 +418,13 @@ def derive_params_cea(source: SourceSpec, sigma: float, q_e: int, t: int, *,
     return IkemParams(
         mode=Mode.CEA, source=source, n=source.n, t=t, ell=ell, nu=nu,
         r=0, w=Mode.CEA.seed_width(source.n, ell), sigma=sigma, q_e=q_e,
-        q_d=0, eps=eps, cap=cap)
+        q_d=0, eps=eps)
 
 
 def derive_params_cca(source: SourceSpec, eps: float, sigma: float,
                       delta: float, q_e: int, q_d: int, *,
                       nu: Optional[float] = None, t: Optional[int] = None,
-                      ell: Optional[int] = None,
-                      cap: int = DEFAULT_CAP) -> IkemParams:
+                      ell: Optional[int] = None) -> IkemParams:
     """Authenticated instance; nu and minimal t default to the correctness
     recipe, and the key length to the secrecy/forgery minimum."""
     n = source.n
@@ -444,18 +437,17 @@ def derive_params_cca(source: SourceSpec, eps: float, sigma: float,
     if t < 1 or 2 * t > n:
         raise InfeasibleError(f"t = {t} outside 1..n/2")
     ell = _settle_length(
-        cca_length_bound(source, sigma, delta, q_e, q_d, nu, t, cap), ell, n)
+        cca_length_bound(source, sigma, delta, q_e, q_d, nu, t), ell, n)
     return IkemParams(
         mode=Mode.CCA, source=source, n=n, t=t, ell=ell, nu=nu,
         r=piece_count(n, n - t), w=Mode.CCA.seed_width(n, ell), sigma=sigma,
-        q_e=q_e, q_d=q_d, eps=eps, delta=delta, cap=cap)
+        q_e=q_e, q_d=q_d, eps=eps, delta=delta)
 
 
 def derive_params_baseline(source: SourceSpec, sigma: float, q_e: int, t: int, *,
                            nu: Optional[float] = None,
                            eps: Optional[float] = None,
-                           ell: Optional[int] = None,
-                           cap: int = DEFAULT_CAP) -> IkemParams:
+                           ell: Optional[int] = None) -> IkemParams:
     """Comparison instance under the prior fresh-seed length bound."""
     if nu is None:
         if eps is None:
@@ -466,7 +458,7 @@ def derive_params_baseline(source: SourceSpec, sigma: float, q_e: int, t: int, *
     return IkemParams(
         mode=Mode.BASELINE, source=source, n=source.n, t=t, ell=ell, nu=nu,
         r=0, w=Mode.BASELINE.seed_width(source.n, ell), sigma=sigma,
-        q_e=q_e, q_d=0, eps=eps, cap=cap)
+        q_e=q_e, q_d=0, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +478,16 @@ def check_enumerable(params: IkemParams) -> None:
     The derivations stay analytic (the paper's instances have sets far
     beyond any cap); this is the check for an instance that will run.  For
     a satellite source every R(y) has bsc_recon_size members, the count
-    recon_set applies its cap to; other tables are left to decap.
+    recon_set compares with source.RECON_CAP; other tables are left to
+    decap.
     """
     p = _satellite_flip(params.source)
     if p is not None:
         size = bsc_recon_size(p, params.n, params.nu)
-        if size > params.cap:
+        cap = _source.RECON_CAP
+        if size > cap:
             raise InfeasibleError(f"reconciliation set of {size} strings "
-                                  f"exceeds cap {params.cap}")
+                                  f"exceeds cap {cap}")
 
 
 def correctness_bound(params: IkemParams) -> float:
@@ -520,16 +514,13 @@ def correctness_bound(params: IkemParams) -> float:
         raise InfeasibleError("source too large for exhaustive correctness")
     miss_mass = Fraction(0) if src.exact else 0.0
     worst_size = 0
-    pxy = {}
-    for xs in range(src.nx):
-        for ys in range(src.ny):
-            pxy[(xs, ys)] = sum(src.p(xs, ys, z) for z in range(src.nz))
+    pxy = src.joint_xy
     for y in itertools.product(range(src.ny), repeat=src.n):
-        members = set(recon_set(src, y, params.nu, params.cap).members)
+        members = set(recon_set(src, y, params.nu).members)
         worst_size = max(worst_size, len(members))
         for x in itertools.product(range(src.nx), repeat=src.n):
             if x not in members:
-                pr = math.prod((pxy[(a, b)] for a, b in zip(x, y)),
+                pr = math.prod((pxy[a][b] for a, b in zip(x, y)),
                                start=Fraction(1) if src.exact else 1.0)
                 miss_mass += pr
     return min(1.0, float(miss_mass) + worst_size * 2.0 ** -params.t)
@@ -560,7 +551,7 @@ def forgery_bound(params: IkemParams) -> float:
         raise MalformedError("forgery bound applies to the authenticated mode")
     if params.q_d == 0:
         return 0.0
-    log_best = guessing_log2_mass(params.source, params.nu, params.cap)
+    log_best = guessing_log2_mass(params.source, params.nu)
     scale = params.q_d * (params.r + 3) * (params.r + 2)
     # the mass joins the exponent before the power is taken, and scale >= 1
     # makes any exponent >= 0 a bound of 1, so 2^(n + ell - t) never

@@ -35,7 +35,9 @@ Number = Union[Fraction, float]
 EXACT_ALPHABET_MAX = 4
 EXACT_N_MAX = 16
 SUM_TOL = 2.0 ** -40
-DEFAULT_CAP = 1 << 20
+# Most members recon_set will keep; a larger reconciliation set raises
+# InfeasibleError.
+RECON_CAP = 1 << 20
 
 # Work ceiling for exhaustive guessing-mass enumeration: largest
 # per-coordinate string count we are willing to iterate over.
@@ -183,6 +185,8 @@ def integer(value) -> int:
 
 def _coerce(v, exact: bool) -> Number:
     try:
+        if isinstance(v, bool):  # a JSON true is no probability
+            raise ValueError
         if exact:
             if isinstance(v, (Fraction, int)):
                 return Fraction(v)
@@ -286,8 +290,7 @@ def cond_neg_log_prob(spec: SourceSpec, x: Tuple[int, ...], y: Tuple[int, ...]) 
     return math.fsum(cost[yi][xi] for xi, yi in zip(x, y))
 
 
-def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float,
-              cap: int = DEFAULT_CAP) -> ReconSet:
+def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float) -> ReconSet:
     """All x with cond_neg_log_prob(x, y) <= nu, cost-then-lex ordered.
 
     Branch and bound over positions: a prefix is abandoned as soon as its
@@ -295,12 +298,14 @@ def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float,
     internal node has at least one member below it, so the search does
     O(n * |alphabet|) work per member.  Each string the walk reaches is
     scored once, by the fsum rule of cond_neg_log_prob, kept when its score
-    is at most nu and ordered by (score, x).  More than cap kept members
-    raises InfeasibleError, so cap counts exactly what bsc_recon_size does.
+    is at most nu and ordered by (score, x).  More than RECON_CAP kept
+    members raises InfeasibleError, so the cap counts exactly what
+    bsc_recon_size does.
     """
     if len(y) != spec.n:
         raise MalformedError("y must have length n")
     n = spec.n
+    cap = RECON_CAP
     rows = [spec.cost[yi] for yi in y]  # rows[i][x] = cost of x at position i
     suffix = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -398,7 +403,7 @@ def bsc_radius(p, n: int, nu: float) -> int:
 def bsc_recon_size(p, n: int, nu: float) -> int:
     """|R(y)| at every y for flip probability p <= 1/2: the Hamming ball of
     bsc_radius; 0 when even y itself costs more than nu.  This is the count
-    recon_set compares with its cap."""
+    recon_set compares with RECON_CAP."""
     total, term = 0, 1
     for d in range(bsc_radius(p, n, nu) + 1):
         total += term
@@ -494,8 +499,7 @@ def _string_prob(pair_table, a: Tuple[int, ...], b: Tuple[int, ...], one):
     return p
 
 
-def guessing_mass(spec: SourceSpec, nu: float,
-                  cap: int = DEFAULT_CAP) -> Tuple[Number, Number]:
+def guessing_mass(spec: SourceSpec, nu: float) -> Tuple[Number, Number]:
     """Success probabilities of the two optimal guessing strategies.
 
     mass_x: guess Alice's string x outright and hope it reconciles with the
@@ -514,7 +518,7 @@ def guessing_mass(spec: SourceSpec, nu: float,
     pyz, pxz = spec.joint_yz, spec.joint_xz
     ys = list(_all_strings(spec.ny, spec.n))
     xs = list(_all_strings(spec.nx, spec.n))
-    members = {y: frozenset(recon_set(spec, y, nu, cap).members) for y in ys}
+    members = {y: frozenset(recon_set(spec, y, nu).members) for y in ys}
     mass_x = one * 0
     mass_y = one * 0
     for z in _all_strings(spec.nz, spec.n):
@@ -530,8 +534,7 @@ def guessing_mass(spec: SourceSpec, nu: float,
     return mass_x, mass_y
 
 
-def guessing_log2_mass(spec: SourceSpec, nu: float,
-                       cap: int = DEFAULT_CAP) -> float:
+def guessing_log2_mass(spec: SourceSpec, nu: float) -> float:
     """log2 of the larger of the two guessing masses; -inf when both are 0.
 
     The forgery bounds need only this.  Closed-form satellite sums are taken
@@ -540,4 +543,4 @@ def guessing_log2_mass(spec: SourceSpec, nu: float,
     """
     if _bsc_closed_form(spec):
         return max(_bsc_masses(spec, nu, _log2_binom_tail_leq))
-    return _log2(max(guessing_mass(spec, nu, cap)))
+    return _log2(max(guessing_mass(spec, nu)))

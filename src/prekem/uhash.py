@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import MalformedError
-from .gf2 import Fe, block, field
+from .gf2 import block, field
 
 __all__ = [
     "ExtractorSeed",
@@ -178,19 +178,19 @@ def h_cca(x: int, sv: PaddedSeedVector, seed: ReconSeed) -> int:
     return bracket ^ small.pow(x1, 3) ^ small.mul(seed.s1, x1)
 
 
-def twise_poly(key: Sequence[int], x: Fe, out_bits: int) -> int:
-    """Evaluate the polynomial with coefficients key (a_0 first) at x.
+def twise_poly(key: Sequence[int], x: int, m: int, out_bits: int) -> int:
+    """Evaluate the polynomial with coefficients key (a_0 first) at the
+    GF(2^m) element x, which ctx.mul checks.
 
     Uniform keys of length d+1 make outputs (d+1)-wise independent; the
     result is truncated to its top out_bits bits.
     """
-    ctx = x.ctx
+    ctx = field(m)
     if not key:
         raise MalformedError("key needs at least one coefficient")
-    if not 1 <= out_bits <= ctx.m:
+    if not 1 <= out_bits <= m:
         raise MalformedError("output length must be in 1..m")
     acc = 0
-    xv = int(x)
     for a in reversed(key):
-        acc = ctx.mul(acc, xv) ^ ctx.check(a)
-    return block(acc, ctx.m, 1, out_bits)
+        acc = ctx.mul(acc, x) ^ ctx.check(a)
+    return block(acc, m, 1, out_bits)

@@ -534,6 +534,14 @@ class TestGame:
         doc = json.loads(capsys.readouterr().out.splitlines()[0])
         assert doc["game"] == "kint" and doc["bound"] is not None
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_flag_must_be_positive(self, tmp_path, capsys, trials):
+        # 0 is a count like any other, not "use each entry's own"
+        config = write_json(tmp_path / "game.json", SWEPT_GAMES["pri"])
+        assert run_cli("game", "--config", config, "--seed", "2a",
+                       "--trials", trials) == 1
+        assert "trials must be positive" in capsys.readouterr().err
+
     def test_unknown_game_kind(self, tmp_path):
         config = write_json(tmp_path / "game.json", {"game": "poker"})
         assert run_cli("game", "--config", config, "--trials", 10) == 1
@@ -659,6 +667,32 @@ SWEPT_GAMES = {
 }
 
 
+# nested source fields, as paths of keys and indices into a source document
+SOURCE_PATHS = {"bsc.p": ("bsc", "p"), "bsc.q": ("bsc", "q"),
+                "bsc.n": ("bsc", "n"), "alphabet": ("alphabet",),
+                "n": ("n",), "pxyz-row": ("pxyz", 0),
+                "pxyz-prob": ("pxyz", 0, 3)}
+
+
+def source_with(path, value):
+    """A source document with the field at path set to value."""
+    if path[0] == "bsc":
+        doc = {"bsc": {"p": "1/20", "q": "1/2", "n": 24}}
+    else:
+        doc = {"alphabet": [2, 2, 2], "n": 4,
+               "pxyz": [[0, 0, 0, "1"], [1, 1, 1, "0"]]}
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def params_config_for(source):
+    return {"source": source, "sigma": 0.25, "q_e": 0, "t": 4, "nu": 0.0}
+
+
 class TestJsonTypeSweep:
     """Each field of a parameter file, of every game entry and of the
     material files, replaced by each JSON type: main() answers with a
@@ -689,6 +723,30 @@ class TestJsonTypeSweep:
                             {"games": [{**SWEPT_GAMES[kind], field: value}]})
         self.assert_answers(capsys, "game", "--config", config, "--seed",
                             "2a")
+
+    @pytest.mark.parametrize("path, value", [
+        (path, value) for path in SOURCE_PATHS.values()
+        for value in JSON_VALUES], ids=[
+        f"{name}-{kind}" for name in SOURCE_PATHS for kind in JSON_IDS])
+    def test_source_field(self, tmp_path, capsys, path, value):
+        config = write_json(tmp_path / "config.json",
+                            params_config_for(source_with(path, value)))
+        self.assert_answers(capsys, "params", "--config", config, "--mode",
+                            "cea")
+
+    @pytest.mark.parametrize("path, value", [
+        (("bsc", "p"), True), (("bsc", "p"), False),
+        (("bsc", "q"), True), (("bsc", "q"), False),
+        (("pxyz", 0, 3), True), (("pxyz", 1, 3), False)], ids=[
+        "bsc.p-true", "bsc.p-false", "bsc.q-true", "bsc.q-false",
+        "pxyz-prob-true", "pxyz-prob-false"])
+    def test_boolean_probability_is_format_error(self, tmp_path, capsys,
+                                                 path, value):
+        # read as 1 or 0, each of these would be a valid source
+        config = write_json(tmp_path / "config.json",
+                            params_config_for(source_with(path, value)))
+        assert_format_error(capsys, "params", "--config", config, "--mode",
+                            "cea")
 
     @pytest.mark.parametrize("role", ["x", "public"])
     @pytest.mark.parametrize("value", JSON_VALUES + [[0, 1, 1, 0]],

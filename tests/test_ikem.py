@@ -220,8 +220,9 @@ class TestEncapDecap:
         with pytest.raises(MalformedError):
             decap(params, (0, 0, 0, 0), IkemCiphertext(0, 0, None))
 
-    def test_decap_cap_is_operational_error(self):
-        params = toy_params(Mode.CCA, nu=12.0, cap=3)
+    def test_decap_cap_is_operational_error(self, monkeypatch):
+        monkeypatch.setattr("prekem.source.RECON_CAP", 3)
+        params = toy_params(Mode.CCA, nu=12.0)
         k, c = encap(params, (0, 1, 1, 0), random.Random(61))
         with pytest.raises(InfeasibleError):
             decap(params, (0, 1, 1, 0), c)
@@ -240,12 +241,14 @@ class TestCheckEnumerable:
 
     @pytest.mark.parametrize("derive", [derive_params_cea,
                                         derive_params_baseline])
-    def test_verdict_matches_decap(self, derive):
+    def test_verdict_matches_decap(self, derive, monkeypatch):
+        monkeypatch.setattr("prekem.source.RECON_CAP", 300)
         with pytest.raises(InfeasibleError,
                            match="301 strings exceeds cap 300"):
-            check_enumerable(derive(NOISY24, 0.25, 0, 14, nu=12.0, cap=300))
+            check_enumerable(derive(NOISY24, 0.25, 0, 14, nu=12.0))
         # nu sits just under the radius-3 cost, inside recon_set's slack
-        params = derive(NOISY24, 0.25, 0, 14, nu=NU_UNDER_R3, cap=301)
+        monkeypatch.setattr("prekem.source.RECON_CAP", 301)
+        params = derive(NOISY24, 0.25, 0, 14, nu=NU_UNDER_R3)
         check_enumerable(params)
         inst = gen(params, random.Random(8))
         key, c = encap(params, inst.x, random.Random(9), inst.public_seed)
@@ -262,11 +265,12 @@ class TestCheckEnumerable:
                            match="209952901 strings exceeds cap 1048576"):
             check_enumerable(params)
 
-    def test_general_tables_left_to_decap(self):
+    def test_general_tables_left_to_decap(self, monkeypatch):
+        monkeypatch.setattr("prekem.source.RECON_CAP", 1)
         src = from_json({"alphabet": [2, 2, 2], "n": 4,
                          "pxyz": [[0, 0, 0, "1/2"], [1, 1, 1, "1/2"]]})
         check_enumerable(dataclasses.replace(
-            toy_params(Mode.CEA), source=src, nu=100.0, cap=1))
+            toy_params(Mode.CEA), source=src, nu=100.0))
 
 
 class TestDeriveCea:
@@ -663,13 +667,6 @@ class TestParamsValidation:
     def test_rejects_baseline_wrong_w(self):
         with pytest.raises(MalformedError):
             toy_params(Mode.BASELINE, w=4)
-
-    @pytest.mark.parametrize("cap", [0, -1])
-    def test_rejects_cap_below_one(self, cap):
-        with pytest.raises(MalformedError, match="cap must be positive"):
-            toy_params(Mode.CEA, cap=cap)
-        with pytest.raises(MalformedError, match="cap must be positive"):
-            derive_params_cea(NOISY24, 0.25, 0, 14, nu=12.0, cap=cap)
 
     def test_key_type(self):
         assert IkemKey(5, 3).to_bytes() == b"\x05"

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from prekem.errors import InfeasibleError, MalformedError
 from prekem.source import (
-    DEFAULT_CAP,
     ReconSet,
     SourceSpec,
     avg_min_entropy_given_z,
@@ -145,14 +144,15 @@ class TestReconSet:
         noiseless = bsc_source(0, 0.5, 4)
         assert recon_set(noiseless, (1, 0, 1, 1), 0).members == ((1, 0, 1, 1),)
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
+        monkeypatch.setattr("prekem.source.RECON_CAP", 3)
         with pytest.raises(InfeasibleError):
-            recon_set(toy(4), (0,) * 4, 3.5, cap=3)
+            recon_set(toy(4), (0,) * 4, 3.5)
 
     def test_negative_nu_empty(self):
         assert recon_set(toy(4), (0,) * 4, -1).members == ()
 
-    def test_cap_counts_members_not_slack(self):
+    def test_cap_counts_members_not_slack(self, monkeypatch):
         # nu 5e-10 under the radius-3 cost: the walk's slack reaches the
         # 2024 distance-3 strings, but only the 301-string radius-2 ball is
         # kept, and cap is measured against that, as bsc_recon_size counts
@@ -162,9 +162,12 @@ class TestReconSet:
                        + [-math.log2(19 / 20)] * 21) - 5e-10
         assert bsc_recon_size(p, 24, nu) == 301
         y = tuple(random.Random(7).getrandbits(1) for _ in range(24))
-        assert len(recon_set(spec, y, nu, cap=301).members) == 301
-        with pytest.raises(InfeasibleError):
-            recon_set(spec, y, nu, cap=300)
+        monkeypatch.setattr("prekem.source.RECON_CAP", 301)
+        assert len(recon_set(spec, y, nu).members) == 301
+        monkeypatch.setattr("prekem.source.RECON_CAP", 300)
+        with pytest.raises(InfeasibleError,
+                           match="reconciliation set exceeds cap 300 at nu="):
+            recon_set(spec, y, nu)
 
     def test_large_n_noiseless(self):
         spec = bsc_source(0, 0.5, 1080)
@@ -181,7 +184,7 @@ class TestReconSet:
     def test_membership_iff_cost_within_budget(self, p, nu, n, data):
         spec = bsc_source(p, 0.5, n)
         y = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
-        got = set(recon_set(spec, y, nu, cap=1 << n).members)
+        got = set(recon_set(spec, y, nu).members)
         want = {x for x in bits(2, n) if cond_neg_log_prob(spec, x, y) <= nu}
         assert got == want
         assert len(got) <= 2 ** nu
@@ -423,13 +426,15 @@ class TestReconSetDifferential:
         assert recon_set(spec, (2,) * 4, 1.0).members == ()
         assert brute_recon(spec, (2,) * 4, 1.0) == ()
 
-    def test_cap_plus_one_raises(self):
+    def test_cap_plus_one_raises(self, monkeypatch):
         spec = toy(6)
         y = (0,) * 6
         size = len(brute_recon(spec, y, 6.0))
-        assert len(recon_set(spec, y, 6.0, cap=size).members) == size
+        monkeypatch.setattr("prekem.source.RECON_CAP", size)
+        assert len(recon_set(spec, y, 6.0).members) == size
+        monkeypatch.setattr("prekem.source.RECON_CAP", size - 1)
         with pytest.raises(InfeasibleError):
-            recon_set(spec, y, 6.0, cap=size - 1)
+            recon_set(spec, y, 6.0)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -443,7 +448,7 @@ class TestReconSetDifferential:
         y = tuple(data.draw(st.integers(0, ny - 1)) for _ in range(n))
         costs = sorted({cond_neg_log_prob(spec, x, y) for x in bits(nx, n)})
         nu = data.draw(st.sampled_from(costs) | st.floats(-1.0, 16.0))
-        got = recon_set(spec, y, nu, cap=nx ** n).members
+        got = recon_set(spec, y, nu).members
         assert got == brute_recon(spec, y, nu)
 
 

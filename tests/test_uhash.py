@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prekem.errors import MalformedError
-from prekem.gf2 import field
 from prekem.uhash import (
     ExtractorSeed,
     PaddedSeedVector,
@@ -289,17 +288,14 @@ class TestTwoSeedSolutionCounts:
 
 class TestTwisePoly:
     def test_constant(self):
-        f8 = field(3)
         for x in range(8):
-            assert twise_poly([0b101], f8.fe(x), 3) == 0b101
-            assert twise_poly([0b101], f8.fe(x), 1) == 0b1
+            assert twise_poly([0b101], x, 3, 3) == 0b101
+            assert twise_poly([0b101], x, 3, 1) == 0b1
 
     def test_zero_key(self):
-        f8 = field(3)
-        assert all(twise_poly([0, 0, 0], f8.fe(x), 2) == 0 for x in range(8))
+        assert all(twise_poly([0, 0, 0], x, 3, 2) == 0 for x in range(8))
 
     def test_matches_naive_sum(self):
-        f8 = field(3)
         rng = random.Random(3)
         for _ in range(60):
             key = [rng.getrandbits(3) for _ in range(4)]
@@ -307,13 +303,12 @@ class TestTwisePoly:
             want = 0
             for i, a in enumerate(key):
                 want ^= naive_mul(a, naive_pow(x, i, 3), 3)
-            assert twise_poly(key, f8.fe(x), 3) == want
+            assert twise_poly(key, x, 3, 3) == want
 
     def test_three_wise_independence(self):
-        f8 = field(3)
         outs = []
         for key in itertools.product(range(8), repeat=3):
-            outs.append(tuple(twise_poly(key, f8.fe(x), 1) for x in range(8)))
+            outs.append(tuple(twise_poly(key, x, 3, 1) for x in range(8)))
         for xs in itertools.combinations(range(8), 3):
             seen = {}
             for row in outs:
@@ -323,20 +318,20 @@ class TestTwisePoly:
                        for k in itertools.product((0, 1), repeat=3))
 
     def test_pairwise_collision_bound(self):
-        f8 = field(3)
         for x, y in itertools.combinations(range(8), 2):
             hits = sum(
-                twise_poly(key, f8.fe(x), 2) == twise_poly(key, f8.fe(y), 2)
+                twise_poly(key, x, 3, 2) == twise_poly(key, y, 3, 2)
                 for key in itertools.product(range(8), repeat=3)
             )
             assert hits <= 512 // 4
 
     def test_bad_params(self):
-        f8 = field(3)
         with pytest.raises(MalformedError):
-            twise_poly([], f8.fe(1), 1)
+            twise_poly([], 1, 3, 1)
         with pytest.raises(MalformedError):
-            twise_poly([1], f8.fe(1), 4)
+            twise_poly([1], 1, 3, 4)
+        with pytest.raises(ValueError, match="not a GF"):
+            twise_poly([1], 8, 3, 1)
 
 
 class TestExtractionDistance:
