@@ -228,10 +228,6 @@ def _load_params(path: str) -> Tuple[IkemParams, DemProfile]:
 # instance-material files
 
 def _write_material(path: Path, role: str, symbols) -> None:
-    if any(s > 15 for s in symbols):
-        raise MalformedError(
-            "material files encode one hex digit per symbol; alphabets "
-            "wider than 16 are not representable")
     _write_json(str(path), {
         "role": role,
         "n": len(symbols),
@@ -463,6 +459,8 @@ def cmd_combine(args) -> int:
     from .combiner import (CombinedKem, IkemComponent, serialize_combined,
                            test_double_kem)
 
+    if args.core == "xor" and args.bits is not None:
+        raise MalformedError("--bits applies only to the ptx core")
     params, _ = _load_params(args.config)
     x = _read_material(args.x, "x", params.n, params.source.nx)
     y = _read_material(args.y, "y", params.n, params.source.ny)

@@ -126,13 +126,6 @@ class DemCiphertext:
     tag: Optional[int]
 
 
-def _aes_key(k_e: int, enc_len: int) -> bytes:
-    raw = k_e.to_bytes(enc_len // 8, "big")
-    if enc_len == 256:
-        return raw
-    return hashlib.sha256(raw).digest()
-
-
 @functools.cache
 def _aes_ctr():
     # loaded on the first keystream, so importing the DEM (every CLI command
@@ -142,17 +135,17 @@ def _aes_ctr():
     return Cipher, algorithms.AES, modes.CTR
 
 
-def aes_ctr_keystream(key: bytes, nbytes: int) -> bytes:
-    """nbytes of AES-256-CTR keystream from a zero counter block."""
+def aes_ctr_keystream(key: bytes, data: bytes) -> bytes:
+    """data XORed with the AES-256-CTR keystream from a zero counter block."""
     cipher, aes, ctr = _aes_ctr()
     enc = cipher(aes(key), ctr(b"\x00" * 16)).encryptor()
-    return enc.update(b"\x00" * nbytes) + enc.finalize()
+    return enc.update(data) + enc.finalize()
 
 
 def _xor_stream(k_e: int, data: bytes, profile: DemProfile) -> bytes:
-    ks = aes_ctr_keystream(_aes_key(k_e, profile.enc_len), len(data))
-    x = int.from_bytes(data, "big") ^ int.from_bytes(ks, "big")
-    return x.to_bytes(len(data), "big")
+    raw = k_e.to_bytes(profile.enc_len // 8, "big")
+    key = raw if profile.enc_len == 256 else hashlib.sha256(raw).digest()
+    return aes_ctr_keystream(key, data)
 
 
 def _split_key(key: DemKey, profile: DemProfile):

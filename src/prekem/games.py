@@ -102,10 +102,12 @@ __all__ = [
 PKIND_ATTACKS = ("ot", "cea", "cca")
 DEM_ATTACKS = ("ot", "otcca")
 
-# Enumeration ceilings: candidate (x, y) pairs for posterior analysis and
-# the inner-product count of the distance enumeration.
+# Enumeration ceilings: candidate (x, y) pairs for posterior analysis, the
+# inner-product count of the distance enumeration, and the entries of one
+# block of its challenge selector or product.
 PAIR_MAX = 1 << 13
 FLOP_MAX = 1 << 35
+SELECT_MAX = 1 << 18
 COUNT_N_MAX = 16
 
 # Confidence of each arm's Hoeffding radius, and how many radii past its
@@ -661,112 +663,73 @@ def brute_force_forger(params: IkemParams, z, rng,
 # ---------------------------------------------------------------------------
 # exact key-uniformity distance
 
-def _seed_space(params: IkemParams) -> Tuple[int, int]:
-    """(G, NQ): the shared-seed count (1 outside the shared-seed mode) and
-    the per-query seed count (the fresh-seed pair outside it)."""
-    if params.mode is Mode.CEA:
-        return 1 << params.n, 1 << params.w
-    return 1, 1 << (params.w + params.mode.s_bits(params.n, params.t))
-
-
-def _seed_tables(params: IkemParams):
-    """Per-seed hash tables for the passive view.
-
-    Returns (V, K): V[g or sigma][x] the reconciliation value and
-    K[sigma][x] the extracted key, with g and sigma running over the seed
-    spaces of _seed_space; outside the shared-seed mode sigma packs the
-    fresh-seed pair (s', s) as s' * S + s.
-    """
-    xs = range(1 << params.n)
-    G, NQ = _seed_space(params)
-    S = NQ >> params.w
-    if params.mode is Mode.CEA:
-        seeds = [(0, g) for g in range(G)]
-    else:
-        seeds = [divmod(sigma, S) for sigma in range(NQ)]
-    V = np.array([[_recon_value(params, x, sp, s) for x in xs]
-                  for sp, s in seeds], dtype=np.int64)
-    K = np.array([[_extract(params, x, sp) for x in xs]
-                  for sp in range(1 << params.w)], dtype=np.int64)
-    return V, np.repeat(K, S, axis=0)
-
-
 def exact_distance(params: IkemParams, q_e: int) -> Fraction:
     """Exact statistical distance of the session key from uniform.
 
-    Enumerates the adversary's full passive view after q_e encapsulation
-    queries plus the challenge: Eve's string, every seed, every hash
-    value and every queried key.  Arithmetic is integer-scaled end to end.
+    Enumerates Eve's full passive view after q_e encapsulation queries plus
+    the challenge, in two parts.  The query cell is what she sees before
+    the challenge: the published seed's hash value (shared-seed mode), then
+    per query its hash value (fresh seeds only) and its key.  The challenge
+    shows its key, plus its hash value where seeds are fresh.  One
+    selector, a row per (shown value, challenge seed), marks the x showing
+    that value; for each grouping of x into query cells, |2^ell M - tot| is
+    summed over the key digit.  Arithmetic is integer-scaled end to end.
     """
     if q_e < 0:
         raise MalformedError("q_e must be non-negative")
     spec = params.source
-    denom, scaled = spec.scaled
+    denom, _ = spec.scaled
     n, t = params.n, params.t
     X, Z = 1 << n, spec.nz ** n
     out = 1 << params.ell
-
-    # per-symbol (x, z) weights, then the n-fold Kronecker product;
-    # first symbol is the most significant index digit on both axes
-    sym = np.zeros((2, spec.nz))
-    for x in (0, 1):
-        for zi in range(spec.nz):
-            sym[x, zi] = sum(scaled[(x * spec.ny + y) * spec.nz + zi]
-                             for y in range(spec.ny))
-    W = np.ones((1, 1))
-    for _ in range(n):
-        W = np.kron(W, sym)
-
-    per_query = params.ell if params.mode is Mode.CEA else t + params.ell
-    cells_cap = min(X, 1 << (t + q_e * per_query))
-    G, NQ = _seed_space(params)
+    # G published seeds (shared-seed mode), NQ seed pairs sigma = (s', s)
+    # per ciphertext, packed as s' * 2^s_bits + s
+    shared = params.mode is Mode.CEA
+    s_bits = params.mode.s_bits(n, t)
+    G, NQ = (X if shared else 1), 1 << (params.w + s_bits)
+    shown_bits = params.ell if shared else t + params.ell
+    cells_cap = min(X, 1 << (t + q_e * shown_bits))
     n_seeds = G * NQ ** (q_e + 1)
     if n_seeds * out * X * cells_cap * Z > FLOP_MAX:
         raise InfeasibleError("view enumeration exceeds the work ceiling")
     if 2 * out * denom ** n * NQ >= 1 << 52:
         raise InfeasibleError("scaled masses overflow exact float accounting")
-    V, K = _seed_tables(params)
 
-    # challenge selector: rows (value, seed) pick x's whose challenge key
-    # equals value
-    S = np.zeros((out * NQ, X))
-    for sigma in range(NQ):
-        for val in range(out):
-            S[val * NQ + sigma] = K[sigma] == val
+    # W[x, z]: scaled mass, the n-fold Kronecker product of the per-symbol
+    # table, first symbol the most significant index digit on both axes
+    W = np.ones((1, 1))
+    sym = np.array([[p * denom for p in row] for row in spec.joint_xz],
+                   dtype=float)
+    for _ in range(n):
+        W = np.kron(W, sym)
+    # code[sigma][x]: the shown value; base[g][x]: the cell before queries
+    code = np.repeat(np.array([[_extract(params, x, sp) for x in range(X)]
+                               for sp in range(1 << params.w)]),
+                     1 << s_bits, axis=0)
+    seeds = ([(0, g) for g in range(G)] if shared
+             else [divmod(sigma, 1 << s_bits) for sigma in range(NQ)])
+    V = np.array([[_recon_value(params, x, sp, s) for x in range(X)]
+                  for sp, s in seeds])
+    base, code = ((V, code) if shared
+                  else (V[:1] * 0, code + (V << params.ell)))
 
-    total = 0
-    xs = np.arange(X)
-    for g in range(G):
-        base = V[g] if params.mode is Mode.CEA else np.zeros(X, dtype=np.int64)
-        for qseeds in itertools.product(range(NQ), repeat=q_e):
-            keyvec = base.copy()
-            for sigma in qseeds:
-                if params.mode is not Mode.CEA:
-                    keyvec = keyvec * (1 << t) + V[sigma]
-                keyvec = keyvec * out + K[sigma]
-            if params.mode is not Mode.CEA:
-                # the challenge ciphertext's own hash value is visible too
-                keyvec = keyvec[None, :] * (1 << t) + V
-                contrib = 0.0
-                for sigma in range(NQ):
-                    cells, inv = np.unique(keyvec[sigma], return_inverse=True)
-                    nc = len(cells)
-                    A = np.zeros((X, nc * out))
-                    A[xs, inv * out + K[sigma]] = 1.0
-                    M = A.T @ W
-                    Mr = M.reshape(nc, out, Z)
-                    tot = Mr.sum(axis=1, keepdims=True)
-                    contrib += np.abs(Mr * out - tot).sum()
-                total += int(round(contrib))
-                continue
-            cells, inv = np.unique(keyvec, return_inverse=True)
-            nc = len(cells)
-            A = np.zeros((X, nc))
-            A[xs, inv] = 1.0
-            B = (A[:, :, None] * W[:, None, :]).reshape(X, nc * Z)
-            T = (S @ B).reshape(out, NQ, nc, Z)
-            tot = T.sum(axis=0, keepdims=True)
-            total += int(round(np.abs(T * out - tot).sum()))
+    total, xs = 0, np.arange(X)
+    step = max(1, SELECT_MAX // ((1 << shown_bits) * max(X, cells_cap * Z)))
+    for lo in range(0, NQ, step):
+        block = code[lo:lo + step]
+        sel = np.zeros((len(block) << shown_bits, X))
+        sel[np.arange(len(block))[:, None] << shown_bits | block, xs] = 1.0
+        for cell0 in base:
+            for qseeds in itertools.product(range(NQ), repeat=q_e):
+                cell = cell0
+                for sigma in qseeds:
+                    cell = cell << shown_bits | code[sigma]
+                _, inv = np.unique(cell, return_inverse=True)
+                B = np.zeros((X, inv.max() + 1, Z))
+                B[xs, inv] = W
+                T = (sel @ B.reshape(X, -1)).reshape(-1, out, B[0].size)
+                tot = T.sum(axis=1, keepdims=True)
+                total += int(round(np.abs(T * out - tot).sum()))
     return Fraction(total, 2 * out * denom ** n * n_seeds)
 
 

@@ -52,6 +52,7 @@ from .source import (
     bsc_radius,
     bsc_recon_size,
     guessing_log2_mass,
+    max_recon_size,
     recon_set,
     sample,
     shannon_cond_entropy,
@@ -151,17 +152,15 @@ class IkemParams:
             raise MalformedError("encapsulation needs binary x and y alphabets")
         if self.n != self.source.n:
             raise MalformedError("n must equal the source repetition count")
+        if self.n > MAX_WIDTH:  # GF(2^n) must be a field encap can build
+            raise InfeasibleError(f"n = {self.n} exceeds the widest "
+                                  f"supported field ({MAX_WIDTH} bits)")
         if not 1 <= self.t:
             raise MalformedError("t must be positive")
         if not 1 <= self.ell <= self.n:
             raise MalformedError("ell must be in 1..n")
-        if not 0 < self.sigma <= 1:
-            raise MalformedError("sigma must be in (0, 1]")
-        for name, v in (("eps", self.eps), ("delta", self.delta)):
-            if v is not None and not 0 < v <= 1:
-                raise MalformedError(f"{name} must be in (0, 1]")
-        if self.q_e < 0 or self.q_d < 0:
-            raise MalformedError("query budgets must be non-negative")
+        _checked_nu(self.source, self.nu, self.sigma, self.q_e, self.q_d,
+                    self.eps, self.delta)
         w = self.mode.seed_width(self.n, self.ell)
         if self.w != w:
             raise MalformedError(f"{self.mode.name} mode needs w = {w}")
@@ -172,6 +171,24 @@ class IkemParams:
                 raise MalformedError("piece count inconsistent with w")
         elif self.t > self.n:
             raise MalformedError("t must be at most n")
+
+
+def _checked_nu(source: SourceSpec, nu: Optional[float], sigma: float,
+                q_e: int, q_d: int = 0, eps: Optional[float] = None,
+                delta: Optional[float] = None) -> float:
+    """nu, or when None the nu_for_correctness of eps, once sigma, eps,
+    delta and the query budgets are in range: derivations take their
+    logarithms."""
+    for name, v in (("sigma", sigma), ("eps", eps), ("delta", delta)):
+        if v is not None and not 0 < v <= 1:
+            raise MalformedError(f"{name} must be in (0, 1]")
+    if q_e < 0 or q_d < 0:
+        raise MalformedError("query budgets must be non-negative")
+    if nu is None:
+        if eps is None:
+            raise MalformedError("need nu or eps to fix the threshold")
+        nu = nu_for_correctness(source, eps)
+    return nu
 
 
 @dataclass(frozen=True)
@@ -387,10 +404,7 @@ def cca_length_bound(source: SourceSpec, sigma: float, delta: float,
 
 def _settle_length(bound: float, ell: Optional[int], n: int) -> int:
     # n caps the length structurally: the extractor output cannot exceed
-    # its field width, and GF(2^n) must be a field encap and decap can build
-    if n > MAX_WIDTH:
-        raise InfeasibleError(
-            f"n = {n} exceeds the widest supported field ({MAX_WIDTH} bits)")
+    # its field width
     if ell is None:
         ell = min(math.floor(bound) if bound < n else n, n)
     if ell < 1:
@@ -410,10 +424,7 @@ def derive_params_cea(source: SourceSpec, sigma: float, q_e: int, t: int, *,
     nu is a free knob here; when omitted it is filled from eps via
     nu_for_correctness, and one of the two must be given.
     """
-    if nu is None:
-        if eps is None:
-            raise MalformedError("need nu or eps to fix the threshold")
-        nu = nu_for_correctness(source, eps)
+    nu = _checked_nu(source, nu, sigma, q_e, eps=eps)
     ell = _settle_length(cea_length_bound(source, sigma, q_e, t), ell, source.n)
     return IkemParams(
         mode=Mode.CEA, source=source, n=source.n, t=t, ell=ell, nu=nu,
@@ -428,11 +439,8 @@ def derive_params_cca(source: SourceSpec, eps: float, sigma: float,
     """Authenticated instance; nu and minimal t default to the correctness
     recipe, and the key length to the secrecy/forgery minimum."""
     n = source.n
-    if nu is None:
-        nu = nu_for_correctness(source, eps)
+    nu = _checked_nu(source, nu, sigma, q_e, q_d, eps, delta)
     if t is None:
-        if not 0 < eps <= 1:
-            raise MalformedError("eps must be in (0, 1]")
         t = math.ceil(nu + math.log2(math.sqrt(n) / eps))
     if t < 1 or 2 * t > n:
         raise InfeasibleError(f"t = {t} outside 1..n/2")
@@ -449,10 +457,7 @@ def derive_params_baseline(source: SourceSpec, sigma: float, q_e: int, t: int, *
                            eps: Optional[float] = None,
                            ell: Optional[int] = None) -> IkemParams:
     """Comparison instance under the prior fresh-seed length bound."""
-    if nu is None:
-        if eps is None:
-            raise MalformedError("need nu or eps to fix the threshold")
-        nu = nu_for_correctness(source, eps)
+    nu = _checked_nu(source, nu, sigma, q_e, eps=eps)
     ell = _settle_length(
         baseline_length_bound(source, sigma, q_e, t), ell, source.n)
     return IkemParams(
@@ -477,17 +482,17 @@ def check_enumerable(params: IkemParams) -> None:
 
     The derivations stay analytic (the paper's instances have sets far
     beyond any cap); this is the check for an instance that will run.  For
-    a satellite source every R(y) has bsc_recon_size members, the count
-    recon_set compares with source.RECON_CAP; other tables are left to
-    decap.
+    a satellite source every R(y) has bsc_recon_size members; for any other
+    table max_recon_size counts the largest R(y).  Either count is what
+    recon_set compares with source.RECON_CAP.
     """
     p = _satellite_flip(params.source)
-    if p is not None:
-        size = bsc_recon_size(p, params.n, params.nu)
-        cap = _source.RECON_CAP
-        if size > cap:
-            raise InfeasibleError(f"reconciliation set of {size} strings "
-                                  f"exceeds cap {cap}")
+    size = (bsc_recon_size(p, params.n, params.nu) if p is not None
+            else max_recon_size(params.source, params.nu))
+    cap = _source.RECON_CAP
+    if size > cap:
+        raise InfeasibleError(f"reconciliation set of {size} strings "
+                              f"exceeds cap {cap}")
 
 
 def correctness_bound(params: IkemParams) -> float:

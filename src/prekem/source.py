@@ -33,6 +33,8 @@ from .errors import InfeasibleError, MalformedError
 Number = Union[Fraction, float]
 
 EXACT_ALPHABET_MAX = 4
+# Widest alphabet: material files write one hex digit per symbol.
+ALPHABET_MAX = 16
 EXACT_N_MAX = 16
 SUM_TOL = 2.0 ** -40
 # Most members recon_set will keep; a larger reconciliation set raises
@@ -248,6 +250,9 @@ def from_json(doc) -> SourceSpec:
         rows = list(doc["pxyz"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise MalformedError(f"bad source document: {e!r}") from None
+    if max(nx, ny, nz) > ALPHABET_MAX:
+        raise MalformedError(f"alphabets wider than {ALPHABET_MAX} symbols "
+                             f"are not supported")
     exact = max(nx, ny, nz) <= EXACT_ALPHABET_MAX and n <= EXACT_N_MAX
     zero = Fraction(0) if exact else 0.0
     table = [zero] * (nx * ny * nz)
@@ -409,6 +414,44 @@ def bsc_recon_size(p, n: int, nu: float) -> int:
         total += term
         term = term * (n - d) // (d + 1)  # C(n, d + 1)
     return total
+
+
+def max_recon_size(spec: SourceSpec, nu: float) -> int:
+    """max over y of |R(y)| for binary x and y, counted until it passes
+    RECON_CAP, the count recon_set compares with the cap.
+
+    |R(y)| depends only on y's count a of zeros: a member takes the dearer
+    x symbol at i of those positions and at j of the other n - a.  Its
+    fsum score is the rounded exact sum of four count * cost terms, here
+    integers over a power-of-two denominator, and it rises with i and j,
+    so each scan stops at its first score above nu.
+    """
+    n = spec.n
+    # cheaper, then dearer, cost per y symbol; None where x is impossible
+    ratios = [c.as_integer_ratio() if c < math.inf else None
+              for row in spec.cost for c in sorted(row)]
+    den = max(r[1] for r in ratios if r)
+    nums = [None if r is None else r[0] * (den // r[1]) for r in ratios]
+
+    def score(counts):
+        if any(k and m is None for k, m in zip(counts, nums)):
+            return math.inf
+        return sum(k * m for k, m in zip(counts, nums) if k) / den
+
+    best = 0
+    for a in range(n + 1):
+        size = 0
+        for i in range(a + 1):
+            j = 0
+            while j <= n - a and score((a - i, i, n - a - j, j)) <= nu:
+                size += math.comb(a, i) * math.comb(n - a, j)
+                if size > RECON_CAP:
+                    return size
+                j += 1
+            if j == 0:
+                break
+        best = max(best, size)
+    return best
 
 
 def _binom_tail_leq(n: int, d: int, flip: Number) -> Number:

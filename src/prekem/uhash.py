@@ -166,16 +166,13 @@ def h_cca(x: int, sv: PaddedSeedVector, seed: ReconSeed) -> int:
     small = field(t)
     x2 = x >> t
     x1 = x & ((1 << t) - 1)
-    p = big.mul(x2, x2)
-    acc = 0
-    for piece in sv.pieces:
-        # p holds x2^(i+1) on the i-th iteration
-        acc ^= big.mul(piece, p)
-        p = big.mul(p, x2)
-    acc ^= big.mul(p, x2)            # x2^(r+3)
-    acc ^= big.mul(seed.s2, x2)
+    # Horner: acc ends at x2^(r+1) + sum_i sv_i * x2^(i-1)
+    acc = x2
+    for piece in reversed(sv.pieces):
+        acc = big.mul(acc, x2) ^ piece
+    acc = big.mul(big.mul(acc, x2) ^ seed.s2, x2)
     bracket = block(acc, n - t, 1, t)
-    return bracket ^ small.pow(x1, 3) ^ small.mul(seed.s1, x1)
+    return bracket ^ small.mul(x1, small.mul(x1, x1) ^ seed.s1)
 
 
 def twise_poly(key: Sequence[int], x: int, m: int, out_bits: int) -> int:

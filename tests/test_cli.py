@@ -199,6 +199,18 @@ class TestMaterialsPipeline:
                 for n in ("x.json", "z.json", "public.json")]
         assert not all(same)
 
+    def test_parameter_file_wider_than_any_field(self, tmp_path, capsys):
+        doc = params_to_doc(noiseless_params())
+        doc.update(n=10000, w=10000)
+        doc["source"]["bsc"]["n"] = 10000
+        params = write_json(tmp_path / "params.json", doc)
+        assert run_cli("sample", "--config", params, "--seed", "1",
+                       "--out-dir", tmp_path / "mat") == 2
+        assert capsys.readouterr().err == (
+            "infeasible: n = 10000 exceeds the widest supported field "
+            "(8192 bits)\n")
+        assert not (tmp_path / "mat").exists()
+
     def test_encap_decap_round_trip(self, tmp_path):
         params = cea_params_file(tmp_path)
         mat = sampled_materials(tmp_path, params)
@@ -467,6 +479,14 @@ class TestCombine:
         mat = sampled_materials(tmp_path, params)
         rc, _, _ = self.combine(tmp_path, params, mat, "--core", "ptx")
         assert rc == 1
+
+    def test_xor_core_takes_no_bits(self, tmp_path, setup, capsys):
+        params, mat = setup
+        rc, ct, _ = self.combine(tmp_path, params, mat, "--bits", "128")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: --bits applies only to the ptx core\n"
+        assert not ct.exists()
 
 
 class TestGame:
@@ -859,6 +879,10 @@ README_CCA = {"source": {"bsc": {"p": "0", "q": "1/2", "n": 1080}},
               "delta": 2.0 ** -10, "nu": 0.0, "t": 527}
 SMALL_CEA = {"sigma": 0.25, "q_e": 0, "t": 4, "nu": 0.0}
 NOISY_CEA = {"source": NOISY, "sigma": 0.25, "q_e": 0, "t": 14, "nu": 12}
+# P(y != x) = 1/20 with Eve independent, as an explicit table
+NOISY_TABLE_40 = {"alphabet": [2, 2, 2], "n": 40, "pxyz": [
+    [x, y, z, "19/80" if x == y else "1/80"]
+    for x in (0, 1) for y in (0, 1) for z in (0, 1)]}
 
 
 class TestParamsVerdict:
@@ -888,10 +912,23 @@ class TestParamsVerdict:
             "exceeds cap 1048576"]),
         ({**SMALL_CEA, "source": {"bsc": {"p": "0", "q": "1/2",
                                           "n": 12.7}}}, "cea", 1, []),
+        # ranges checked before a derivation takes their logarithms
+        ({**SMALL_CEA, "source": NOISELESS, "sigma": 0}, "cea", 1, []),
+        ({**SMALL_CEA, "source": NOISELESS, "q_e": -1}, "cea", 1, []),
+        ({**README_CCA, "delta": 0}, "cca", 1, []),
+        # a table of 2 * 2 * 10^10 cells is refused before it is allocated
+        ({**SMALL_CEA, "source": {"alphabet": [2, 2, 1e10], "n": 3,
+                                  "pxyz": [[0, 0, 0, 1]]}}, "cea", 1, []),
+        # the same channel as NOISY written as a table: radius 6 at n=40
+        ({**NOISY_CEA, "source": NOISY_TABLE_40, "nu": 30}, "cea", 2, [
+            "verdict infeasible: reconciliation set of 4598479 strings "
+            "exceeds cap 1048576"]),
     ], ids=["cca-n1080", "n-over-max-width", "bsc-n-not-int",
             "exact-p-not-number", "table-prob-not-number",
             "float-table-prob-not-number", "recon-over-default-cap",
-            "bsc-n-fractional"])
+            "bsc-n-fractional", "sigma-zero", "q_e-negative",
+            "delta-zero", "alphabet-over-max",
+            "table-recon-over-default-cap"])
     def test_exit_code_and_verdict(self, tmp_path, capsys, config, mode,
                                    code, want):
         path = write_json(tmp_path / "config.json", config)

@@ -96,7 +96,7 @@ class TestKeystreamCipher:
         assert decrypt_ot(ot_key(), c) == FOX
 
     def test_golden_keystream_block(self):
-        assert aes_ctr_keystream(FOX_KEY, 16) == bytes.fromhex(
+        assert aes_ctr_keystream(FOX_KEY, bytes(16)) == bytes.fromhex(
             "f29000b62a499fd0a9f39a6add2e7780")
 
     def test_short_key_is_stretched(self):
@@ -124,7 +124,8 @@ class TestKeystreamCipher:
             decrypt_ot(ot_key(), DemCiphertext(b"x", 3))
 
     def test_keystream_hook_flows_through(self, monkeypatch):
-        monkeypatch.setattr(dem, "aes_ctr_keystream", lambda k, n: b"\xf0" * n)
+        monkeypatch.setattr(dem, "aes_ctr_keystream",
+                            lambda k, d: bytes(b ^ 0xF0 for b in d))
         c = encrypt_ot(ot_key(), b"\x00\x01")
         assert c.body == b"\xf0\xf1"
 
@@ -137,7 +138,7 @@ class TestKeystreamCipher:
             bodies = []
             for ks in range(256):
                 monkeypatch.setattr(dem, "aes_ctr_keystream",
-                                    lambda k, n: bytes([ks]))
+                                    lambda k, d: bytes([d[0] ^ ks]))
                 c = encrypt_ot(ot_key(), m)
                 bodies.append(c.body)
                 assert c.body == bytes([m[0] ^ ks])

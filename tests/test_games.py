@@ -11,12 +11,14 @@ confidence radius.
 
 import itertools
 import random
+import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from prekem import games
 from prekem.dem import DemCiphertext, DemProfile, decrypt_otcca
 from prekem.errors import GameRuleError, InfeasibleError, MalformedError
 from prekem.games import (
@@ -677,6 +679,40 @@ class TestExactDistance:
     def test_baseline_mode_matches_view_enumeration(self):
         params = self._tiny(Mode.BASELINE, w=3)
         assert exact_distance(params, 0) == view_distance_fresh_seed(params, 0)
+
+    @pytest.mark.parametrize("mode, n, q_e, want", [
+        (Mode.CCA, 4, 0, Fraction(303389, 1048576)),
+        (Mode.CCA, 4, 1, Fraction(121906285, 268435456)),
+        (Mode.BASELINE, 3, 0, Fraction(283, 1024)),
+    ])
+    def test_fresh_seed_distance_is_pinned(self, mode, n, q_e, want):
+        if mode is Mode.CCA:
+            params = cca_params(n=n)
+        else:
+            params = IkemParams(mode=mode, source=toy_source(n), n=n, t=1,
+                                ell=1, nu=1.7, r=2, w=n + 1, sigma=0.5,
+                                q_e=0, q_d=0)
+        assert exact_distance(params, q_e) == want
+
+    @pytest.mark.parametrize("mode", [Mode.CEA, Mode.CCA])
+    def test_selector_blocks_add_up(self, monkeypatch, mode):
+        # a ceiling of 2^6 entries splits the challenge seeds into blocks
+        # of two (shared seed) and one (fresh seeds)
+        params = self._tiny(mode)
+        monkeypatch.setattr(games, "SELECT_MAX", 1 << 6)
+        oracle = (view_distance_shared_seed if mode is Mode.CEA
+                  else view_distance_fresh_seed)
+        assert exact_distance(params, 1) == oracle(params, 1)
+
+    def test_selector_blocks_bound_memory(self):
+        params = cca_params(n=5)
+        tracemalloc.start()
+        try:
+            exact_distance(params, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
 
     def test_known_string_leaves_only_the_uniform_mass(self):
         det = from_json({"alphabet": [2, 2, 2], "n": 3, "pxyz": [[0, 0, 0, 1]]})

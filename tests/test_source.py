@@ -30,6 +30,7 @@ from prekem.source import (
     guess_prob_given_z,
     guessing_log2_mass,
     guessing_mass,
+    max_recon_size,
     recon_set,
     sample,
     shannon_cond_entropy,
@@ -573,6 +574,40 @@ class TestBscRadius:
         assert bsc_radius(0.45, 8192, 8100.0) == 3573
         assert bsc_recon_size(0.5, 8192, 1e9) == 1 << 8192
         assert time.perf_counter() - start < 0.2
+
+
+
+class TestMaxReconSize:
+    """max_recon_size against the largest recon_set over every y."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_random_binary_tables(self, data):
+        # n <= 8 keeps the oracle, 2^n sets of up to 2^n members, fast
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=8,
+                                     max_size=8).filter(any))
+        n = data.draw(st.integers(1, 8))
+        spec = SourceSpec(2, 2, 2, n, tuple(
+            Fraction(w, sum(weights)) for w in weights))
+        pair = st.tuples(*[st.integers(0, 1)] * n)
+        # thresholds exactly at some string's score, or anywhere
+        at = cond_neg_log_prob(spec, data.draw(pair), data.draw(pair))
+        nu = data.draw(st.just(at) | st.floats(-1.0, 3.0 * n))
+        want = max(len(recon_set(spec, y, nu).members) for y in bits(2, n))
+        assert max_recon_size(spec, nu) == want
+
+    def test_symmetric_table_matches_the_ball(self, monkeypatch):
+        table = from_json({"alphabet": [2, 2, 2], "n": 40, "pxyz": [
+            [x, y, z, "19/80" if x == y else "1/80"]
+            for x in (0, 1) for y in (0, 1) for z in (0, 1)]})
+        monkeypatch.setattr("prekem.source.RECON_CAP", 1 << 23)
+        assert max_recon_size(table, 30.0) == \
+            bsc_recon_size(Fraction(1, 20), 40, 30.0) == 4598479
+
+    def test_stops_past_the_cap(self, monkeypatch):
+        assert max_recon_size(toy(8), 1e9) == 256
+        monkeypatch.setattr("prekem.source.RECON_CAP", 10)
+        assert 10 < max_recon_size(toy(8), 1e9) < 256
 
 
 class TestJson:

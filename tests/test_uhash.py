@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prekem.errors import MalformedError
+from prekem.gf2 import block, field
 from prekem.uhash import (
     ExtractorSeed,
     PaddedSeedVector,
@@ -50,6 +51,22 @@ def naive_pow(a, e, m):
     for _ in range(e):
         r = naive_mul(r, a, m)
     return r
+
+
+def power_by_power_hash(x, sv, seed):
+    # the defining formula term by term, on the package's field arithmetic:
+    # a running power of x2 multiplies each piece, 2r + 3 big multiplies
+    n, t = seed.n, seed.t
+    big, small = field(n - t), field(t)
+    x2, x1 = x >> t, x & ((1 << t) - 1)
+    p = big.mul(x2, x2)
+    acc = 0
+    for piece in sv.pieces:
+        acc ^= big.mul(piece, p)
+        p = big.mul(p, x2)
+    acc ^= big.mul(p, x2) ^ big.mul(seed.s2, x2)
+    return (block(acc, n - t, 1, t) ^ small.pow(x1, 3)
+            ^ small.mul(seed.s1, x1))
 
 
 def eq_hash(x, pieces, s2, s1, n, t):
@@ -221,6 +238,19 @@ class TestHcca:
                 x = rng.getrandbits(8)
                 want = eq_hash(x, sv.pieces, seed.s2, seed.s1, 8, 3)
                 assert h_cca(x, sv, seed) == want
+
+    @pytest.mark.parametrize("n, t", [(4, 2), (5, 2), (13, 5), (24, 12),
+                                      (40, 20), (1080, 527)])
+    def test_matches_power_by_power_evaluation(self, n, t):
+        # Horner's rule against the formula's own term order, with seed
+        # vectors exactly n wide and 7 bits wider (more pieces, padded)
+        rng = random.Random(n * 1000 + t)
+        for w in (n, n + 7):
+            for _ in range(20 if n > 100 else 100):
+                sv = split_seed(rng.getrandbits(w), w, n - t)
+                seed = ReconSeed(rng.getrandbits(n), n, t)
+                x = rng.getrandbits(n)
+                assert h_cca(x, sv, seed) == power_by_power_hash(x, sv, seed)
 
     def test_exhaustive_universality(self):
         pairs = all_seed_pairs(4, 2, 4)
