@@ -51,7 +51,7 @@ from .ikem import (
     parse_ciphertext_for,
     serialize_ciphertext,
 )
-from .source import from_json, integer
+from .source import from_json, read_field
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,12 +63,18 @@ EXIT_BOUND = 4
 # ---------------------------------------------------------------------------
 # small I/O helpers
 
-def _read_json(path: str) -> dict:
+def _read_file(path: str) -> bytes:
     try:
-        doc = json.loads(Path(path).read_text())
+        return Path(path).read_bytes()
     except OSError as e:
         raise MalformedError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+
+
+def _read_json(path: str) -> dict:
+    raw = _read_file(path)
+    try:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError) as e:  # bad text, too deeply nested
         raise MalformedError(f"{path} is not valid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise MalformedError(f"{path} must hold a JSON object")
@@ -79,52 +85,16 @@ def _write_json(path: str, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise MalformedError(f"{where} is missing the '{key}' field")
-    return doc[key]
-
-
-def _typed(doc: dict, key: str, where: str, kind: type):
-    """doc[key], which must be a JSON object (kind dict) or string (str)."""
-    value = _require(doc, key, where)
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "a string"
-        raise MalformedError(f"{where} field '{key}' must be {name}")
-    return value
-
-
-_REQUIRED = object()
-
-
-def _number(doc: dict, key: str, where: str, cast=int, default=_REQUIRED):
-    """doc[key] read as an int or a float; absent or null gives default."""
-    value = doc.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise MalformedError(f"{where} is missing the '{key}' field")
-        return default
-    try:
-        if isinstance(value, bool):  # a JSON true is no number here
-            raise ValueError
-        return integer(value) if cast is int else cast(value)
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if cast is int else "a number"
-        raise MalformedError(
-            f"{where} field '{key}' must be {kind}, got {value!r}") from None
-
-
-def _dem_profile(doc: dict, key: str, where: str) -> Optional[DemProfile]:
-    """The DemProfile held in doc[key], or None when there is none."""
-    if doc.get(key) is None:
+def _dem_profile(sub: Optional[dict], where: str) -> Optional[DemProfile]:
+    """The DemProfile a document's sub-object holds, or None for none."""
+    if sub is None:
         return None
-    sub = _typed(doc, key, where, dict)
-    enc_len = _number(sub, "enc_len", key)
-    mac_bits = _number(sub, "mac_bits", key)
+    enc_len = read_field(sub, "enc_len", where, int)
+    mac_bits = read_field(sub, "mac_bits", where, int)
     try:
         return DemProfile(enc_len=enc_len, mac_bits=mac_bits)
     except ValueError as e:  # field widths out of range
-        raise MalformedError(f"'{key}': {e}") from None
+        raise MalformedError(f"'{where}': {e}") from None
 
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
@@ -204,20 +174,22 @@ def params_to_doc(params: IkemParams,
 
 def params_from_doc(doc: dict) -> Tuple[IkemParams, DemProfile]:
     where = "parameter file"
-    mode = Mode.from_name(_require(doc, "mode", where))
-    source = from_json(_require(doc, "source", where))
+    mode = Mode.from_name(read_field(doc, "mode", where, str))
+    source = from_json(read_field(doc, "source", where, dict))
     params = IkemParams(
         mode=mode, source=source,
-        n=_number(doc, "n", where), t=_number(doc, "t", where),
-        ell=_number(doc, "ell", where),
-        nu=_number(doc, "nu", where, float),
-        r=_number(doc, "r", where, int, 0), w=_number(doc, "w", where),
-        sigma=_number(doc, "sigma", where, float, 0.5),
-        q_e=_number(doc, "q_e", where, int, 0),
-        q_d=_number(doc, "q_d", where, int, 0),
-        eps=_number(doc, "eps", where, float, None),
-        delta=_number(doc, "delta", where, float, None))
-    return params, _dem_profile(doc, "dem", where) or DemProfile()
+        n=read_field(doc, "n", where, int), t=read_field(doc, "t", where, int),
+        ell=read_field(doc, "ell", where, int),
+        nu=read_field(doc, "nu", where, float),
+        r=read_field(doc, "r", where, int, 0),
+        w=read_field(doc, "w", where, int),
+        sigma=read_field(doc, "sigma", where, float, 0.5),
+        q_e=read_field(doc, "q_e", where, int, 0),
+        q_d=read_field(doc, "q_d", where, int, 0),
+        eps=read_field(doc, "eps", where, float, None),
+        delta=read_field(doc, "delta", where, float, None))
+    dem = _dem_profile(read_field(doc, "dem", where, dict, None), "dem")
+    return params, dem or DemProfile()
 
 
 def _load_params(path: str) -> Tuple[IkemParams, DemProfile]:
@@ -237,11 +209,11 @@ def _write_material(path: Path, role: str, symbols) -> None:
 
 def _read_material(path: str, role: str, n: int, alphabet: int):
     doc = _read_json(path)
-    if doc.get("role") != role:
-        raise MalformedError(
-            f"{path} holds role {doc.get('role')!r}, expected {role!r}")
-    text = _typed(doc, "symbols", path, str)
-    if _number(doc, "n", path) != n or len(text) != n:
+    held = read_field(doc, "role", path, str)
+    if held != role:
+        raise MalformedError(f"{path} holds role {held!r}, expected {role!r}")
+    text = read_field(doc, "symbols", path, str)
+    if read_field(doc, "n", path, int) != n or len(text) != n:
         raise MalformedError(f"{path} length does not match n = {n}")
     symbols = _hex_symbols(text, path)
     if any(s >= alphabet for s in symbols):
@@ -259,11 +231,11 @@ def _write_public(path: Path, seed: int, n: int) -> None:
 
 def _read_public(path: str, n: int) -> int:
     doc = _read_json(path)
-    if doc.get("role") != "public":
+    if read_field(doc, "role", path, str) != "public":
         raise MalformedError(f"{path} does not hold the public seed")
-    if _number(doc, "n", path) != n:
+    if read_field(doc, "n", path, int) != n:
         raise MalformedError(f"{path} width does not match n = {n}")
-    text = _typed(doc, "seed", path, str)
+    text = read_field(doc, "seed", path, str)
     if not _is_hex(text):
         raise MalformedError(f"{path} has a non-hex seed")
     seed = int(text, 16)
@@ -295,24 +267,25 @@ def _write_key(path: str, key) -> None:
 
 def cmd_params(args) -> int:
     doc = _read_json(args.config)
-    source = from_json(_require(doc, "source", "config"))
-    sigma = _number(doc, "sigma", "config", float)
-    q_e = _number(doc, "q_e", "config", int, 0)
-    q_d = _number(doc, "q_d", "config", int, 0)
-    nu = _number(doc, "nu", "config", float, None)
-    ell = _number(doc, "ell", "config", int, None)
-    eps = _number(doc, "eps", "config", float, None)
-    dem = _dem_profile(doc, "dem", "config")
+    where = "config"
+    source = from_json(read_field(doc, "source", where, dict))
+    sigma = read_field(doc, "sigma", where, float)
+    q_e = read_field(doc, "q_e", where, int, 0)
+    q_d = read_field(doc, "q_d", where, int, 0)
+    nu = read_field(doc, "nu", where, float, None)
+    ell = read_field(doc, "ell", where, int, None)
+    eps = read_field(doc, "eps", where, float, None)
+    dem = _dem_profile(read_field(doc, "dem", where, dict, None), "dem")
     try:
         if args.mode == "cca":
             if eps is None:
                 raise MalformedError("the authenticated mode needs 'eps'")
-            delta = _number(doc, "delta", "config", float)
+            delta = read_field(doc, "delta", where, float)
             params = derive_params_cca(
                 source, eps, sigma, delta, q_e, q_d, nu=nu,
-                t=_number(doc, "t", "config", int, None), ell=ell)
+                t=read_field(doc, "t", where, int, None), ell=ell)
         else:
-            t = _number(doc, "t", "config")
+            t = read_field(doc, "t", where, int)
             derive = (derive_params_cea if args.mode == "cea"
                       else derive_params_baseline)
             params = derive(source, sigma, q_e, t, nu=nu, eps=eps, ell=ell)
@@ -386,10 +359,7 @@ def cmd_decap(args) -> int:
     params, _ = _load_params(args.config)
     y = _read_material(args.y, "y", params.n, params.source.ny)
     public = _public_for(args, params)
-    try:
-        raw = Path(args.ciphertext).read_bytes()
-    except OSError as e:
-        raise MalformedError(f"cannot read {args.ciphertext}: {e}") from None
+    raw = _read_file(args.ciphertext)
     key = decap(params, y, parse_ciphertext_for(params, raw), public)
     if key is None:
         print("rejected: no unique reconciliation", file=sys.stderr)
@@ -413,11 +383,7 @@ def cmd_he_encrypt(args) -> int:
     x = _read_material(args.x, "x", params.n, params.source.nx)
     public = _public_for(args, params)
     rng = _rng_for(args)
-    try:
-        message = Path(args.infile).read_bytes()
-    except OSError as e:
-        raise MalformedError(f"cannot read {args.infile}: {e}") from None
-    env = he_encrypt(scheme, x, message, rng, public)
+    env = he_encrypt(scheme, x, _read_file(args.infile), rng, public)
     blob = serialize_envelope(scheme, env)
     Path(args.out).write_bytes(blob)
     print(f"envelope   {args.out} ({len(blob)} bytes)")
@@ -432,10 +398,7 @@ def cmd_he_decrypt(args) -> int:
     scheme = HybridScheme.for_params(params, dem)
     y = _read_material(args.y, "y", params.n, params.source.ny)
     public = _public_for(args, params)
-    try:
-        data = Path(args.infile).read_bytes()
-    except OSError as e:
-        raise MalformedError(f"cannot read {args.infile}: {e}") from None
+    data = _read_file(args.infile)
     # a damaged outer frame is a format error; damage inside the payloads
     # is the decapsulator's rejection
     split_envelope(data)
@@ -494,107 +457,91 @@ def cmd_combine(args) -> int:
 # ---------------------------------------------------------------------------
 # games
 
-# adversary constructors, each given the games module (imported on first use)
-_PKIND_ADVERSARIES = {
-    "random": lambda g: g.RandomGuessPkind(),
-    "cheat": lambda g: g.CheatingPkind(),
-    "bayes": lambda g: g.BayesPkind(),
-    "bayes-probe": lambda g: g.BayesPkind(probe=True),
+# Per game kind: its adversaries by name, the default first, each built
+# from the games module (imported on first use); then the entry fields its
+# run reads, as read_field's (key, kind, default), with no default where
+# the field is required.
+_GAMES = {
+    "pkind": ({"random": lambda g: g.RandomGuessPkind(),
+               "cheat": lambda g: g.CheatingPkind(),
+               "bayes": lambda g: g.BayesPkind(),
+               "bayes-probe": lambda g: g.BayesPkind(probe=True)},
+              (("atk", str), ("params", dict), ("target", str, None),
+               ("leak", bool, False), ("q_e", int, 0), ("q_d", int, 0))),
+    "kint": ({"random": lambda g: g.RandomCiphertextForger(),
+              "brute": lambda g: g.BruteForceKint(),
+              "brute-query": lambda g: g.BruteForceKint(use_query=True)},
+             (("params", dict), ("target", str, None), ("q_e", int, 1),
+              ("q_d", int, 0))),
+    "dem": ({"contrast": lambda g: g.ContrastDemDistinguisher()},
+            (("atk", str), ("profile", dict, None), ("stub", str, None),
+             ("q_e", int, 0), ("q_d", int, 0))),
+    "pri": ({"random": lambda g: g.RandomGuessPri()},
+            (("family", dict), ("bound", float, None), ("q_e", int, 0),
+             ("q_d", int, 0))),
 }
-_KINT_ADVERSARIES = {
-    "random": lambda g: g.RandomCiphertextForger(),
-    "brute": lambda g: g.BruteForceKint(),
-    "brute-query": lambda g: g.BruteForceKint(use_query=True),
-}
 
 
-def _pick(table: dict, name: str, game: str, games):
-    if name not in table:
-        known = ", ".join(sorted(table))
-        raise MalformedError(
-            f"unknown {game} adversary {name!r} (known: {known})")
-    return table[name](games)
-
-
-def _target_from(doc: dict, params: IkemParams):
-    if doc.get("target") is None:
-        return None
-    target = _hex_symbols(_typed(doc, "target", "game config", str), "target")
-    if len(target) != params.n:
-        raise MalformedError(f"target length must be n = {params.n}")
-    return target
+def _prf_family(games, doc: dict):
+    where = "family"
+    kind = read_field(doc, "kind", where, str)
+    out_bits = read_field(doc, "out_bits", where, int)
+    if kind == "it":
+        return games.it_prf_family(read_field(doc, "key_bits", where, int),
+                                   read_field(doc, "q_d", where, int, 0),
+                                   out_bits)
+    if kind == "comp":
+        return games.comp_prf_family(out_bits)
+    raise MalformedError(f"unknown PRF family {kind!r}")
 
 
 def _run_game_doc(doc: dict, trials: int, seed: int):
     from . import games
 
-    kind = _require(doc, "game", "game config")
-    q_e = _number(doc, "q_e", "game config", int, 0)
-    q_d = _number(doc, "q_d", "game config", int, 0)
-    adversary = str(doc.get("adversary", "random"))
-    if kind == "pkind":
-        params, _ = params_from_doc(
-            _typed(doc, "params", "game config", dict))
-        leak = doc.get("leak")
-        if leak is not None and not isinstance(leak, bool):
-            raise MalformedError("game config field 'leak' must be a boolean")
-        config = games.GameConfig(
-            atk=str(_require(doc, "atk", "game config")), trials=trials,
-            q_e=q_e, q_d=q_d, seed=seed, params=params,
-            target=_target_from(doc, params),
-            leak=bool(leak))
-        return games.run_pkind(
-            config, _pick(_PKIND_ADVERSARIES, adversary, kind, games))
-    if kind == "kint":
-        params, _ = params_from_doc(
-            _typed(doc, "params", "game config", dict))
-        config = games.GameConfig(
-            atk="kint", trials=trials, q_e=_number(doc, "q_e", "game config", int, 1), q_d=q_d,
-            seed=seed, params=params, target=_target_from(doc, params))
-        return games.run_kint(
-            config, _pick(_KINT_ADVERSARIES, adversary, kind, games))
+    where = "game config"
+    kind = read_field(doc, "game", where, str)
+    if kind not in _GAMES:
+        raise MalformedError(f"unknown game {kind!r}")
+    adversaries, fields = _GAMES[kind]
+    name = read_field(doc, "adversary", where, str, next(iter(adversaries)))
+    if name not in adversaries:
+        raise MalformedError(f"unknown {kind} adversary {name!r} "
+                             f"(known: {', '.join(adversaries)})")
+    adversary = adversaries[name](games)
+    f = {key: read_field(doc, key, where, *spec) for key, *spec in fields}
+    budgets = dict(trials=trials, q_e=f["q_e"], q_d=f["q_d"], seed=seed)
     if kind == "dem":
-        config = games.GameConfig(
-            atk=str(_require(doc, "atk", "game config")), trials=trials,
-            q_e=q_e, q_d=q_d, seed=seed,
-            dem=_dem_profile(doc, "profile", "game config") or DemProfile())
-        if adversary != "contrast":
-            raise MalformedError(
-                f"unknown dem adversary {adversary!r} (known: contrast)")
-        if doc.get("stub") == "identity":
-            return games.run_dem_ind(config, games.ContrastDemDistinguisher(),
-                                     encrypt=games.identity_dem_encrypt,
-                                     decrypt=games.identity_dem_decrypt)
-        if doc.get("stub") is not None:
+        dem = _dem_profile(f["profile"], "profile") or DemProfile()
+        config = games.GameConfig(atk=f["atk"], dem=dem, **budgets)
+        if f["stub"] is None:
+            return games.run_dem_ind(config, adversary)
+        if f["stub"] != "identity":
             raise MalformedError("the only DEM stub is 'identity'")
-        return games.run_dem_ind(config, games.ContrastDemDistinguisher())
+        return games.run_dem_ind(config, adversary,
+                                 encrypt=games.identity_dem_encrypt,
+                                 decrypt=games.identity_dem_decrypt)
     if kind == "pri":
-        fam_doc = _typed(doc, "family", "game config", dict)
-        fam_kind = _require(fam_doc, "kind", "family")
-        out_bits = _number(fam_doc, "out_bits", "family")
-        if fam_kind == "it":
-            family = games.it_prf_family(
-                _number(fam_doc, "key_bits", "family"),
-                _number(fam_doc, "q_d", "family", int, 0), out_bits)
-        elif fam_kind == "comp":
-            family = games.comp_prf_family(out_bits)
-        else:
-            raise MalformedError(f"unknown PRF family {fam_kind!r}")
-        config = games.GameConfig(atk="pri", trials=trials, q_e=q_e,
-                                  q_d=q_d, seed=seed)
-        if adversary != "random":
-            raise MalformedError(
-                f"unknown pri adversary {adversary!r} (known: random)")
-        return games.run_pri(
-            config, family, games.RandomGuessPri(),
-            bound=_number(doc, "bound", "game config", float, None))
-    raise MalformedError(f"unknown game {kind!r}")
+        return games.run_pri(games.GameConfig(atk="pri", **budgets),
+                             _prf_family(games, f["family"]), adversary,
+                             bound=f["bound"])
+    params, _ = params_from_doc(f["params"])
+    target = f["target"]
+    if target is not None:
+        target = _hex_symbols(target, "target")
+        if len(target) != params.n:
+            raise MalformedError(f"target length must be n = {params.n}")
+    if kind == "kint":
+        return games.run_kint(games.GameConfig(
+            atk="kint", params=params, target=target, **budgets), adversary)
+    return games.run_pkind(games.GameConfig(
+        atk=f["atk"], params=params, target=target, leak=f["leak"],
+        **budgets), adversary)
 
 
 def cmd_game(args) -> int:
     doc = _read_json(args.config)
-    games = doc["games"] if "games" in doc else [doc]
-    if not isinstance(games, list) or not games:
+    games = read_field(doc, "games", "game config", list, [doc])
+    if not games:
         raise MalformedError("'games' must be a non-empty list")
     if args.seed is not None:
         base_seed = _seed_arg(args.seed)
@@ -607,7 +554,7 @@ def cmd_game(args) -> int:
             raise MalformedError("each game entry must be an object")
         trials = args.trials
         if trials is None:
-            trials = _number(game_doc, "trials", "game entry", int, 1000)
+            trials = read_field(game_doc, "trials", "game entry", int, 1000)
         report = _run_game_doc(game_doc, trials, base_seed + index)
         line = report.to_json_line()
         print(line)

@@ -1,11 +1,10 @@
 """Hybrid encryption: KEM-derived one-time keys driving the DEM.
 
-A HybridScheme pairs iKEM parameters with a DEM profile and a DEM
-flavor.  The pairing is a type constraint, not a convention: the
-authenticated KEM mode (CCA) must drive the authenticated DEM (otcca),
-and the passive modes (CEA, BASELINE) the plain one (ot).  Key lengths
-must agree exactly, since the encapsulated key is consumed as the
-one-time DEM key.
+A HybridScheme pairs iKEM parameters with a DEM profile, and the KEM
+mode fixes the DEM flavor: the authenticated mode (CCA) drives the
+authenticated DEM (otcca), and the passive modes (CEA, BASELINE) the
+plain one (ot).  Key lengths must agree exactly, since the encapsulated
+key is consumed as the one-time DEM key.
 
 Encryption encapsulates, wraps the key, and encrypts the message;
 decryption returns None (the rejection value) iff decapsulation rejects
@@ -19,7 +18,7 @@ the serialized KEM ciphertext and c2 = body || tag.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .dem import (
@@ -65,12 +64,10 @@ class HybridScheme:
 
     kem: IkemParams
     dem: DemProfile
-    otcca: bool
+    otcca: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if (self.kem.mode is Mode.CCA) != self.otcca:
-            raise MalformedError(
-                "authenticated KEM mode pairs with the otcca DEM only")
+        object.__setattr__(self, "otcca", self.kem.mode is Mode.CCA)
         need = self.dem.otcca_key_bits if self.otcca else self.dem.ot_key_bits
         if self.kem.ell != need:
             raise MalformedError(
@@ -78,7 +75,7 @@ class HybridScheme:
 
     @classmethod
     def for_params(cls, kem: IkemParams, dem: DemProfile) -> "HybridScheme":
-        return cls(kem, dem, kem.mode is Mode.CCA)
+        return cls(kem, dem)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ Wire layout: "IKEM" || version u8 || mode u8 || n, t, w as u16 || v || s'
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -53,6 +52,7 @@ from .source import (
     bsc_recon_size,
     guessing_log2_mass,
     max_recon_size,
+    miss_mass,
     recon_set,
     sample,
     shannon_cond_entropy,
@@ -169,6 +169,8 @@ class IkemParams:
                 raise MalformedError("authenticated mode needs t <= n/2")
             if self.r != piece_count(self.w, self.n - self.t):
                 raise MalformedError("piece count inconsistent with w")
+        elif self.r != 0:
+            raise MalformedError(f"{self.mode.name} mode needs r = 0")
         elif self.t > self.n:
             raise MalformedError("t must be at most n")
 
@@ -500,7 +502,9 @@ def correctness_bound(params: IkemParams) -> float:
 
     Failure is covered by two events: the true x falls outside the
     reconciliation set, or some other member collides with it under the
-    t-bit hash (at most |R| * 2^-t).
+    t-bit hash (at most |R| * 2^-t).  Satellite sources use the closed
+    form; other tables sum their miss mass over the count classes of
+    source.miss_mass, kept to the small n the tests check exhaustively.
     """
     src = params.source
     p = _satellite_flip(src)
@@ -515,20 +519,11 @@ def correctness_bound(params: IkemParams) -> float:
         ball = bsc_recon_size(p, params.n, params.nu)
         collision = ball / 2 ** params.t if ball < 2 ** params.t else 1.0
         return min(1.0, miss + collision)
-    if 2 ** src.n > 4096:
-        raise InfeasibleError("source too large for exhaustive correctness")
-    miss_mass = Fraction(0) if src.exact else 0.0
-    worst_size = 0
-    pxy = src.joint_xy
-    for y in itertools.product(range(src.ny), repeat=src.n):
-        members = set(recon_set(src, y, params.nu).members)
-        worst_size = max(worst_size, len(members))
-        for x in itertools.product(range(src.nx), repeat=src.n):
-            if x not in members:
-                pr = math.prod((pxy[a][b] for a, b in zip(x, y)),
-                               start=Fraction(1) if src.exact else 1.0)
-                miss_mass += pr
-    return min(1.0, float(miss_mass) + worst_size * 2.0 ** -params.t)
+    if src.n > 12:
+        raise InfeasibleError("correctness bound limited to n <= 12 "
+                              "for general tables")
+    return min(1.0, float(miss_mass(src, params.nu))
+               + max_recon_size(src, params.nu) * 2.0 ** -params.t)
 
 
 def distance_bound(params: IkemParams) -> float:

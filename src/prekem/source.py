@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,6 +184,35 @@ def integer(value) -> int:
     return int(value)
 
 
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "a boolean", dict: "an object", list: "a list"}
+
+
+def read_field(doc: dict, key: str, where: str, kind: type, *default):
+    """doc[key] read as kind: int by integer's rule, float with bools
+    refused, or a str, bool, dict or list as it stands; kind object takes
+    any value, for the probability literals _coerce checks.  A missing or
+    null field gives default when one is given.  Every other case raises
+    MalformedError with a one-line message naming where and key."""
+    value = doc.get(key)
+    if value is None:
+        if default:
+            return default[0]
+        raise MalformedError(f"{where} is missing the '{key}' field")
+    try:
+        if kind is int:
+            return integer(value)
+        if kind is float:
+            if not isinstance(value, bool):  # a JSON true is no number
+                return float(value)
+        elif isinstance(value, kind):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise MalformedError(
+        f"{where} field '{key}' must be {_KIND_NAMES[kind]}, got {value!r}")
+
+
 def _coerce(v, exact: bool) -> Number:
     try:
         if isinstance(v, bool):  # a JSON true is no probability
@@ -222,49 +250,46 @@ def bsc_source(p, q, n: int) -> SourceSpec:
     return SourceSpec(2, 2, 2, n, tuple(table), bsc=(pc, qc))
 
 
-def from_json(doc) -> SourceSpec:
-    """Build a SourceSpec from a JSON document (dict or serialized string).
+def from_json(doc: dict) -> SourceSpec:
+    """Build a SourceSpec from a parsed JSON document.
 
     Accepted shapes:
       {"bsc": {"p": ..., "q": ..., "n": ...}}
       {"alphabet": [nx, ny, nz], "n": ..., "pxyz": [[x, y, z, prob], ...]}
     Omitted (x, y, z) cells are zero.
     """
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as e:
-            raise MalformedError(f"bad source JSON: {e}") from None
     if not isinstance(doc, dict):
         raise MalformedError("source document must be a JSON object")
     if "bsc" in doc:
-        b = doc["bsc"]
-        try:
-            p, q, n = b["p"], b["q"], integer(b["n"])
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
-            raise MalformedError(f"bad bsc shorthand: {e!r}") from None
-        return bsc_source(p, q, n)
-    try:
-        nx, ny, nz = (integer(a) for a in doc["alphabet"])
-        n = integer(doc["n"])
-        rows = list(doc["pxyz"])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise MalformedError(f"bad source document: {e!r}") from None
+        b = read_field(doc, "bsc", "source", dict)
+        return bsc_source(read_field(b, "p", "bsc", object),
+                          read_field(b, "q", "bsc", object),
+                          read_field(b, "n", "bsc", int))
+    alphabet = read_field(doc, "alphabet", "source", list)
+    if len(alphabet) != 3:
+        raise MalformedError(
+            f"source field 'alphabet' must list 3 sizes, got {alphabet!r}")
+    sizes = dict(zip(("nx", "ny", "nz"), alphabet))
+    nx, ny, nz = (read_field(sizes, k, "alphabet", int) for k in sizes)
+    n = read_field(doc, "n", "source", int)
+    rows = read_field(doc, "pxyz", "source", list)
     if max(nx, ny, nz) > ALPHABET_MAX:
         raise MalformedError(f"alphabets wider than {ALPHABET_MAX} symbols "
                              f"are not supported")
     exact = max(nx, ny, nz) <= EXACT_ALPHABET_MAX and n <= EXACT_N_MAX
     zero = Fraction(0) if exact else 0.0
     table = [zero] * (nx * ny * nz)
-    for row in rows:
-        try:
-            x, y, z, prob = row
-            x, y, z = integer(x), integer(y), integer(z)
-        except (TypeError, ValueError, OverflowError) as e:
-            raise MalformedError(f"bad pxyz row {row!r}: {e!r}") from None
+    for index, row in enumerate(rows):
+        where = f"pxyz row {index}"
+        if not isinstance(row, list) or len(row) != 4:
+            raise MalformedError(
+                f"{where} must be [x, y, z, probability], got {row!r}")
+        cell = dict(zip(("x", "y", "z", "prob"), row))
+        x, y, z = (read_field(cell, k, where, int) for k in "xyz")
         if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
-            raise MalformedError(f"pxyz row {row!r} outside alphabet")
-        table[(x * ny + y) * nz + z] = _coerce(prob, exact)
+            raise MalformedError(f"{where} {row!r} is outside the alphabet")
+        table[(x * ny + y) * nz + z] = _coerce(
+            read_field(cell, "prob", where, object), exact)
     return SourceSpec(nx, ny, nz, n, tuple(table))
 
 
@@ -416,15 +441,15 @@ def bsc_recon_size(p, n: int, nu: float) -> int:
     return total
 
 
-def max_recon_size(spec: SourceSpec, nu: float) -> int:
-    """max over y of |R(y)| for binary x and y, counted until it passes
-    RECON_CAP, the count recon_set compares with the cap.
+def _member_classes(spec: SourceSpec, nu: float):
+    """Yield (a, i, j) for each class of reconciliation-set members, binary
+    x and y only: y has a zeros, and x takes the dearer symbol at i of them
+    and at j of the other n - a positions.  Classes come in ascending a,
+    then i, then j.
 
-    |R(y)| depends only on y's count a of zeros: a member takes the dearer
-    x symbol at i of those positions and at j of the other n - a.  Its
-    fsum score is the rounded exact sum of four count * cost terms, here
-    integers over a power-of-two denominator, and it rises with i and j,
-    so each scan stops at its first score above nu.
+    A member's fsum score is the rounded exact sum of four count * cost
+    terms, here integers over a power-of-two denominator, and it rises with
+    i and j, so each scan stops at its first score above nu.
     """
     n = spec.n
     # cheaper, then dearer, cost per y symbol; None where x is impossible
@@ -438,20 +463,44 @@ def max_recon_size(spec: SourceSpec, nu: float) -> int:
             return math.inf
         return sum(k * m for k, m in zip(counts, nums) if k) / den
 
-    best = 0
     for a in range(n + 1):
-        size = 0
         for i in range(a + 1):
             j = 0
             while j <= n - a and score((a - i, i, n - a - j, j)) <= nu:
-                size += math.comb(a, i) * math.comb(n - a, j)
-                if size > RECON_CAP:
-                    return size
+                yield a, i, j
                 j += 1
             if j == 0:
                 break
-        best = max(best, size)
-    return best
+
+
+def max_recon_size(spec: SourceSpec, nu: float) -> int:
+    """max over y of |R(y)| for binary x and y, counted until it passes
+    RECON_CAP, the count recon_set compares with the cap.  |R(y)| depends
+    only on y's count a of zeros."""
+    sizes = [0] * (spec.n + 1)
+    for a, i, j in _member_classes(spec, nu):
+        sizes[a] += math.comb(a, i) * math.comb(spec.n - a, j)
+        if sizes[a] > RECON_CAP:
+            return sizes[a]
+    return max(sizes)
+
+
+def miss_mass(spec: SourceSpec, nu: float) -> Fraction:
+    """P[x not in R(y)] for binary x and y, exact in the table's values:
+    the total mass less that of every member class."""
+    n = spec.n
+    pxy = spec.joint_xy
+    # P(x, y) per symbol in _member_classes's order: per y symbol, the
+    # cheaper x, then the dearer (sorted's tie order; tied costs give
+    # every class of a tie the same membership)
+    cells = [Fraction(pxy[x][b]) for b in (0, 1)
+             for x in sorted((0, 1), key=spec.cost[b].__getitem__)]
+    hit = Fraction(0)
+    for a, i, j in _member_classes(spec, nu):
+        hit += (math.comb(n, a) * math.comb(a, i) * math.comb(n - a, j)
+                * cells[0] ** (a - i) * cells[1] ** i
+                * cells[2] ** (n - a - j) * cells[3] ** j)
+    return sum(cells) ** n - hit
 
 
 def _binom_tail_leq(n: int, d: int, flip: Number) -> Number:

@@ -8,8 +8,10 @@ tmp_path, and deterministic behaviour is pinned with --seed.
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,15 +95,23 @@ class TestUsage:
                      "--out-dir", tmp_path / "mat")
         assert rc == 1
 
-    def test_missing_config_file(self, tmp_path):
-        rc = run_cli("params", "--config", tmp_path / "absent.json",
-                     "--mode", "cea")
-        assert rc == 1
+    def test_missing_config_file(self, tmp_path, capsys):
+        err = assert_format_error(capsys, "params", "--config",
+                                  tmp_path / "absent.json", "--mode", "cea")
+        assert err.startswith("error: cannot read "), err
 
     def test_config_not_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
         assert run_cli("params", "--config", bad, "--mode", "cea") == 1
+
+    @pytest.mark.parametrize("raw", [b"\x80{}", b"[" * 100000],
+                             ids=["not-utf8", "nested-past-recursion"])
+    def test_config_unreadable_as_json(self, tmp_path, capsys, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert_format_error(capsys, "params", "--config", bad,
+                            "--mode", "cea")
 
 
 class TestParams:
@@ -572,12 +582,28 @@ class TestGame:
             "params": toy_params_doc()})
         assert run_cli("game", "--config", config, "--trials", 10) == 1
 
+    @pytest.mark.parametrize("kind", ["dem", "kint", "pkind", "pri"])
+    def test_default_adversary(self, tmp_path, capsys, kind):
+        # without "adversary" each kind runs the first it names: random,
+        # or contrast for dem, its only one (the identity stub would exit 4)
+        entry = dict(SWEPT_GAMES[kind])
+        entry.pop("stub", None)
+        named = write_json(tmp_path / "named.json", entry)
+        assert run_cli("game", "--config", named, "--seed", "2a") == 0
+        first = capsys.readouterr().out
+        del entry["adversary"]
+        bare = write_json(tmp_path / "bare.json", entry)
+        assert run_cli("game", "--config", bare, "--seed", "2a") == 0
+        assert capsys.readouterr().out == first
 
-def assert_format_error(capsys, *args):
-    """The command exits 1 with a one-line message and no traceback."""
+
+def assert_format_error(capsys, *args) -> str:
+    """The command exits 1 with a one-line message and no traceback; the
+    message is returned."""
     assert run_cli(*args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestConfigFields:
@@ -632,6 +658,17 @@ class TestConfigFields:
         assert_format_error(capsys, "he-encrypt", "--config", params,
                             "--x", tmp_path / "x.json", "--in", message,
                             "--out", tmp_path / "env.bin")
+
+    @pytest.mark.parametrize("mode", [Mode.CEA, Mode.BASELINE],
+                             ids=["cea", "baseline"])
+    def test_parameter_file_r_outside_authenticated_mode(self, tmp_path,
+                                                         capsys, mode):
+        doc = toy_params_doc(mode=mode, w=5 if mode is Mode.BASELINE else 4)
+        doc["r"] = 7
+        params = write_json(tmp_path / "bad.json", doc)
+        err = assert_format_error(capsys, "sample", "--config", params,
+                                  "--out-dir", tmp_path / "mat")
+        assert "r = 0" in err, err
 
     def test_parameter_file_scalar(self, tmp_path, capsys):
         doc = json.loads(cea_params_file(tmp_path).read_text())
@@ -873,6 +910,27 @@ class TestGameEntryTypes:
                    "1010", value)
 
 
+class TestSourceMessages:
+    """A malformed source block exits 1 with one line that names the
+    field, never a Python exception's repr."""
+
+    @pytest.mark.parametrize("source, field", [
+        ({"bsc": {"q": "1/2", "n": 8}}, "'p'"),
+        ({"alphabet": [2, 2], "n": 4, "pxyz": [[0, 0, 0, 1]]}, "'alphabet'"),
+        ({"alphabet": [2, 2, 2], "n": 4, "pxyz": [[0, 0, 0]]}, "pxyz"),
+        ({"alphabet": [2, 2, 2], "n": "x", "pxyz": [[0, 0, 0, 1]]}, "'n'"),
+        ({"alphabet": "222", "n": 4, "pxyz": [[0, 0, 0, 1]]}, "'alphabet'"),
+    ], ids=["missing-p", "two-entry-alphabet", "three-entry-row",
+            "n-not-integer", "alphabet-not-list"])
+    def test_names_the_field(self, tmp_path, capsys, source, field):
+        config = write_json(tmp_path / "config.json",
+                            params_config_for(source))
+        err = assert_format_error(capsys, "params", "--config", config,
+                                  "--mode", "cea")
+        assert field in err, err
+        assert not re.search(r"\b\w+(Error|Exception)\(", err), err
+
+
 # the README's authenticated profile: noiseless BSC, n=1080, t=527
 README_CCA = {"source": {"bsc": {"p": "0", "q": "1/2", "n": 1080}},
               "sigma": 2.0 ** -20, "q_e": 0, "q_d": 1, "eps": 0.01,
@@ -940,6 +998,24 @@ class TestParamsVerdict:
         if code == 1:
             err = captured.err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_general_table_matches_bsc_quickly(self, tmp_path, capsys):
+        # the correctness bound of a general table sums count classes, not
+        # 4^n string pairs; the same channel as bsc prints the same lines
+        out = {}
+        for name, source in (("table", {**NOISY_TABLE_40, "n": 8}),
+                             ("bsc", {"bsc": {"p": "1/20", "q": "1/2",
+                                              "n": 8}})):
+            path = write_json(tmp_path / f"{name}.json",
+                              {**NOISY_CEA, "source": source, "t": 4,
+                               "nu": 3})
+            start = time.perf_counter()
+            assert run_cli("params", "--config", path, "--mode", "cea") == 0
+            out[name] = (time.perf_counter() - start,
+                         capsys.readouterr().out)
+        assert out["table"][1] == out["bsc"][1]
+        assert "fail<=" in out["table"][1]
+        assert out["table"][0] < 0.1, out["table"][0]
 
 
 class TestSubprocess:

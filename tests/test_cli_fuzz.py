@@ -2,19 +2,23 @@
 
 Mutated configs, parameter files, material files, ciphertext and envelope
 bytes and game configs go through main(argv) in-process.  Every answer
-must be one of the documented exit codes 0-4; any exception escaping
-main() fails the test.  Mutated numbers stay at or below 64, or jump past
-every width limit, so no command builds a field outside the polynomial
-table, whose irreducible search would dominate the run.  The
-reconciliation cap is lowered for the fuzz, so a mutation that widens nu
-on a noisy source meets the cap after a few hundred members rather than
-a million.
+must be one of the documented exit codes 0-4 with at most one line on
+stderr, and that line must show no Python exception's repr; any
+exception escaping main() fails the test.  Mutated numbers stay at or
+below 64, or jump past every width limit, so no command builds a field
+outside the polynomial table, whose irreducible search would dominate
+the run.  The reconciliation cap is lowered for the fuzz, so a mutation
+that widens nu on a noisy source meets the cap after a few hundred
+members rather than a million.
 """
 
 import copy
+import io
 import json
 import math
+import re
 import tempfile
+from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +33,7 @@ from prekem.ikem import IkemParams, Mode
 from prekem.source import bsc_source
 
 EXIT_CODES = range(5)
+EXCEPTION_REPR = re.compile(r"\b\w+(Error|Exception)\(")
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
@@ -137,10 +142,15 @@ def _write(path: Path, doc) -> Path:
 
 
 def _call(*args) -> int:
-    with pytest.MonkeyPatch.context() as mp:
+    """main(args) under the fuzz cap: a documented exit code, and at most
+    one line on stderr that shows no Python exception's repr."""
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stderr(err):
         mp.setattr(source, "RECON_CAP", 1 << 8)
         code = main([str(a) for a in args])
     assert code in EXIT_CODES
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    assert not EXCEPTION_REPR.search(err.getvalue()), err.getvalue()
     return code
 
 

@@ -70,7 +70,7 @@ def toy_source(n):
 
 def cea_params(n=4, t=2, ell=1, nu=1.7, **kw):
     return IkemParams(mode=Mode.CEA, source=toy_source(n), n=n, t=t, ell=ell,
-                      nu=nu, r=2, w=n, sigma=0.5, q_e=0, q_d=0, **kw)
+                      nu=nu, r=0, w=n, sigma=0.5, q_e=0, q_d=0, **kw)
 
 
 def cca_params(n=4, t=2, ell=1, nu=1.7, q_d=1, source=None, w=None):
@@ -398,7 +398,7 @@ class TestConditionedSampling:
     def test_zero_probability_string_rejected(self):
         det = from_json({"alphabet": [2, 2, 2], "n": 2, "pxyz": [[0, 0, 0, 1]]})
         params = IkemParams(mode=Mode.CEA, source=det, n=2, t=1, ell=1, nu=2.0,
-                            r=2, w=2, sigma=0.5, q_e=0, q_d=0)
+                            r=0, w=2, sigma=0.5, q_e=0, q_d=0)
         with pytest.raises(MalformedError):
             _gen_conditioned(params, (1, 1), random.Random(0))
 
@@ -486,7 +486,7 @@ class TestRunPkind:
     def test_leaked_string_breaks_the_game(self):
         spec = bsc_source(0, 0, 8)
         params = IkemParams(mode=Mode.CEA, source=spec, n=8, t=2, ell=4,
-                            nu=0.5, r=2, w=8, sigma=0.5, q_e=0, q_d=0)
+                            nu=0.5, r=0, w=8, sigma=0.5, q_e=0, q_d=0)
         cfg = GameConfig(atk="ot", trials=400, seed=3, params=params, leak=True)
         rep = run_pkind(cfg, CheatingPkind())
         assert rep.estimate > 0.9
@@ -653,9 +653,10 @@ class TestBruteForceForger:
 
 class TestExactDistance:
     def _tiny(self, mode, w=2, **kw):
+        cca = mode is Mode.CCA
         return IkemParams(mode=mode, source=toy_source(2), n=2, t=1, ell=1,
-                          nu=1.2, r=2, w=w, sigma=0.5, q_e=0,
-                          q_d=1 if mode is Mode.CCA else 0, **kw)
+                          nu=1.2, r=2 if cca else 0, w=w, sigma=0.5, q_e=0,
+                          q_d=1 if cca else 0, **kw)
 
     @pytest.mark.parametrize("q_e", [0, 1])
     def test_shared_seed_matches_view_enumeration(self, q_e):
@@ -668,7 +669,7 @@ class TestExactDistance:
             [0, 0, 0, "3/8"], [0, 1, 1, "1/8"], [1, 1, 0, "1/4"],
             [1, 0, 1, "1/8"], [1, 1, 1, "1/8"]]}
         params = IkemParams(mode=Mode.CEA, source=from_json(doc), n=2, t=1,
-                            ell=1, nu=2.0, r=2, w=2, sigma=0.5, q_e=0, q_d=0)
+                            ell=1, nu=2.0, r=0, w=2, sigma=0.5, q_e=0, q_d=0)
         assert exact_distance(params, q_e) == view_distance_shared_seed(params, q_e)
 
     @pytest.mark.parametrize("q_e", [0, 1])
@@ -690,7 +691,7 @@ class TestExactDistance:
             params = cca_params(n=n)
         else:
             params = IkemParams(mode=mode, source=toy_source(n), n=n, t=1,
-                                ell=1, nu=1.7, r=2, w=n + 1, sigma=0.5,
+                                ell=1, nu=1.7, r=0, w=n + 1, sigma=0.5,
                                 q_e=0, q_d=0)
         assert exact_distance(params, q_e) == want
 
@@ -717,7 +718,7 @@ class TestExactDistance:
     def test_known_string_leaves_only_the_uniform_mass(self):
         det = from_json({"alphabet": [2, 2, 2], "n": 3, "pxyz": [[0, 0, 0, 1]]})
         params = IkemParams(mode=Mode.CEA, source=det, n=3, t=1, ell=2, nu=2.0,
-                            r=2, w=3, sigma=0.5, q_e=0, q_d=0)
+                            r=0, w=3, sigma=0.5, q_e=0, q_d=0)
         assert exact_distance(params, 0) == Fraction(3, 4)
 
     def test_work_ceiling(self):
@@ -728,7 +729,7 @@ class TestExactDistance:
     def test_needs_exact_source(self):
         spec = bsc_source(0.25, 0.25, 20)
         params = IkemParams(mode=Mode.CEA, source=spec, n=20, t=2, ell=1,
-                            nu=2.0, r=2, w=20, sigma=0.5, q_e=0, q_d=0)
+                            nu=2.0, r=0, w=20, sigma=0.5, q_e=0, q_d=0)
         with pytest.raises(InfeasibleError):
             exact_distance(params, 0)
 

@@ -47,21 +47,10 @@ class TestAssembly:
         assert cca_scheme().otcca is True
         assert baseline_scheme().otcca is False
 
-    def test_mode_mismatch_rejected(self):
-        # key lengths agree in both cases, so only the mode check can fire
-        wide_cea = IkemParams(
-            mode=Mode.CEA, source=bsc_source(0, 0.5, 24), n=24, t=4, ell=24,
-            nu=0.0, r=0, w=24, sigma=0.5, q_e=0, q_d=0)
-        with pytest.raises(MalformedError):
-            HybridScheme(wide_cea, DemProfile(enc_len=8, mac_bits=8), True)
-        cca = cca_scheme()
-        with pytest.raises(MalformedError):
-            HybridScheme(cca.kem, DemProfile(enc_len=24, mac_bits=8), False)
-
     def test_key_length_mismatch_rejected(self):
         cea = cea_scheme()
         with pytest.raises(MalformedError):
-            HybridScheme(cea.kem, DemProfile(enc_len=16, mac_bits=16), False)
+            HybridScheme(cea.kem, DemProfile(enc_len=16, mac_bits=16))
 
 
 class TestRoundTrip:

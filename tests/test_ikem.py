@@ -6,11 +6,14 @@ test-locally.  Round trips and tamper sweeps run the real protocol.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prekem.errors import InfeasibleError, MalformedError
 from prekem.ikem import (
@@ -38,7 +41,26 @@ from prekem.ikem import (
     serialize_ciphertext,
     unpack_bits,
 )
-from prekem.source import bsc_radius, bsc_source, from_json
+from prekem.source import (SourceSpec, bsc_radius, bsc_source,
+                           cond_neg_log_prob, from_json, miss_mass,
+                           recon_set)
+
+
+def exhaustive_correctness(params):
+    """(miss mass, correctness bound) by walking all 4^n (x, y) pairs: the
+    oracle for correctness_bound on general binary tables."""
+    src = params.source
+    miss = Fraction(0) if src.exact else 0.0
+    worst = 0
+    pxy = src.joint_xy
+    for y in itertools.product(range(2), repeat=src.n):
+        members = set(recon_set(src, y, params.nu).members)
+        worst = max(worst, len(members))
+        for x in itertools.product(range(2), repeat=src.n):
+            if x not in members:
+                miss += math.prod((pxy[a][b] for a, b in zip(x, y)),
+                                  start=Fraction(1) if src.exact else 1.0)
+    return miss, min(1.0, float(miss) + worst * 2.0 ** -params.t)
 
 
 def toy_params(mode, n=4, t=2, ell=1, nu=2.5, p=0.25, q=0.5, **kw):
@@ -489,6 +511,41 @@ class TestAnalyticBounds:
                        r=0, w=4, sigma=0.5, q_e=0, q_d=0)
         assert correctness_bound(a) == pytest.approx(correctness_bound(b))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_general_table_matches_exhaustive_oracle(self, data):
+        # weights 0..3 give zero cells, impossible (x, y) pairs and tied
+        # costs; n <= 7 keeps the 4^n oracle fast
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=8,
+                                     max_size=8).filter(any))
+        n = data.draw(st.integers(1, 7))
+        src = SourceSpec(2, 2, 2, n, tuple(
+            Fraction(w, sum(weights)) for w in weights))
+        pair = st.tuples(*[st.integers(0, 1)] * n)
+        # thresholds exactly at some string's score, or anywhere
+        at = cond_neg_log_prob(src, data.draw(pair), data.draw(pair))
+        nu = data.draw(st.just(at) | st.floats(-1.0, 3.0 * n))
+        params = IkemParams(mode=Mode.CEA, source=src, n=n, t=1, ell=1,
+                            nu=nu, r=0, w=n, sigma=0.5, q_e=0, q_d=0)
+        miss, bound = exhaustive_correctness(params)
+        assert miss_mass(src, nu) == miss
+        assert correctness_bound(params) == bound
+
+    def test_float_table_matches_exhaustive_oracle(self):
+        # five z symbols put the table in float mode; x and y asymmetric
+        pxy = {(0, 0): 0.5, (0, 1): 0.1, (1, 0): 0.15, (1, 1): 0.25}
+        rows = [[x, y, z, pr / 2] for (x, y), pr in pxy.items()
+                for z in (0, 1)]
+        src = from_json({"alphabet": [2, 2, 5], "n": 6, "pxyz": rows})
+        assert not src.exact
+        for nu in (0.0, 1.5, 4.0, 9.0):
+            params = IkemParams(mode=Mode.CEA, source=src, n=6, t=5, ell=1,
+                                nu=nu, r=0, w=6, sigma=0.5, q_e=0, q_d=0)
+            miss, bound = exhaustive_correctness(params)
+            assert float(miss_mass(src, nu)) == pytest.approx(miss, rel=1e-12)
+            assert correctness_bound(params) == pytest.approx(bound,
+                                                              rel=1e-12)
+
     def test_distance_bound_shapes(self):
         src = bsc_source(0.25, 0.5, 8)
         cea = IkemParams(mode=Mode.CEA, source=src, n=8, t=2, ell=2, nu=2.5,
@@ -657,6 +714,13 @@ class TestParamsValidation:
             toy_params(Mode.CCA, w=5)       # w != n
         with pytest.raises(MalformedError):
             toy_params(Mode.CCA, r=3)       # odd piece count
+
+    @pytest.mark.parametrize("mode", [Mode.CEA, Mode.BASELINE],
+                             ids=["cea", "baseline"])
+    def test_rejects_r_outside_authenticated_mode(self, mode):
+        assert toy_params(mode, q_d=0).r == 0
+        with pytest.raises(MalformedError, match="r = 0"):
+            toy_params(mode, r=7, q_d=0)
 
     def test_rejects_mismatched_n(self):
         src = bsc_source(0.25, 0.5, 6)

@@ -616,10 +616,6 @@ class TestJson:
         assert spec == toy(4)
         assert spec.exact and spec.bsc == (Fraction(1, 4), Fraction(1, 2))
 
-    def test_string_form(self):
-        spec = from_json('{"bsc": {"p": 0, "q": 0.5, "n": 3}}')
-        assert spec == bsc_source(0, 0.5, 3)
-
     def test_float_mode_above_exact_ceiling(self):
         spec = from_json({"bsc": {"p": 0.25, "q": 0.5, "n": 17}})
         assert not spec.exact
