@@ -19,12 +19,25 @@ so two distinct (body, length) pairs disagree by a nonzero polynomial of
 degree at most B+1 in k1, and a forged tag verifies with probability at
 most (B+1) / 2^mac_bits over a uniform (k1, k2).  An empty body tags to
 k2.  The length term uses the byte count, which keeps zero-padding of the
-final block unambiguous.  The tag is computed by Horner's rule in k1, and
-every step multiplies by the same k1, so one call builds k1's product tables
-(FieldCtx.mul_by, told the B+2 multiplies to come).  A short body gets nibble
-tables, and each block costs a table read per nibble; once B+2 reaches
-gf2.BYTE_TABLE_USES, byte tables are built instead, and the body repays
-their larger build at a read per block byte.
+final block unambiguous.  How the sum is evaluated changes no tag and no
+bound.
+
+The full blocks' part, sum_j m_j * k1^(F-1-j) over the F full blocks, is
+the costly one.  A body of at least LANE_BLOCKS full blocks runs it as L
+interleaved Horner streams (the aggregated form GHASH implementations use),
+L the largest power of two up to F, capped at MAX_LANES; zero blocks lead
+the body up to a multiple of L, which leaves the sum unchanged.  The L
+accumulators sit in 2*mac_bits-bit lanes of one int, and a step is
+state = state * k1^L + <next L blocks>: one clmul of the whole int by k1^L,
+reduced in every lane at once (FieldCtx.lanes_by).  Each step lays its
+blocks into an L-lane buffer by strided slices, so memory stays O(L)
+whatever the body's length.  Halving the lanes then folds the streams
+together, times k1^(L/2), ..., k1 (Estrin's scheme), and the final block,
+length and k2 terms follow by Horner on the field's mul.  A shorter body
+keeps plain Horner on k1's nibble tables (FieldCtx.mul_by): below
+LANE_BLOCKS blocks, at any width, the lanes' set-up (a closure per power of
+k1, the buffer, the masks) costs more than it saves.  The games' 16-byte
+tags at mac_bits 8 are such bodies.
 
 A key narrower than the AES key space (enc_len != 256) is stretched with
 SHA-256 before keying the cipher; at enc_len = 256 the key bits are used
@@ -39,7 +52,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import KeyReuseError, MalformedError
-from .gf2 import field
+from .gf2 import FieldCtx, field
 
 __all__ = [
     "DemProfile",
@@ -55,6 +68,13 @@ __all__ = [
     "mac_forgery_bound",
     "aes_ctr_keystream",
 ]
+
+# Bodies of at least LANE_BLOCKS full blocks take the lane path; on a 2-vCPU
+# x86 VM it broke even with nibble-table Horner at 32-56 blocks for mac_bits
+# 8 to 256.  A step carries at most MAX_LANES streams: wider lane ints
+# stopped paying at 512.
+LANE_BLOCKS = 48
+MAX_LANES = 256
 
 
 @dataclass(frozen=True)
@@ -157,12 +177,55 @@ def _split_key(key: DemKey, profile: DemProfile):
 
 def _mac_tag(k1: int, k2: int, body: bytes, bits: int) -> int:
     bb = bits // 8
-    times_k1 = field(bits).mul_by(k1, uses=-(-len(body) // bb) + 2)
-    padded = body + bytes(-len(body) % bb)
-    acc = 0
-    for i in range(0, len(padded), bb):
-        acc = times_k1(acc) ^ int.from_bytes(padded[i:i + bb], "big")
+    ctx = field(bits)
+    blocks = len(body) // bb
+    if blocks < LANE_BLOCKS:
+        times_k1 = ctx.mul_by(k1)
+        acc = 0
+        for i in range(0, blocks * bb, bb):
+            acc = times_k1(acc) ^ int.from_bytes(body[i:i + bb], "big")
+    else:
+        times_k1 = functools.partial(ctx.mul, k1)
+        acc = _lane_sum(ctx, k1, body, blocks, bb)
+    if len(body) % bb:
+        last = body[blocks * bb:].ljust(bb, b"\x00")
+        acc = times_k1(acc) ^ int.from_bytes(last, "big")
     return times_k1(times_k1(acc) ^ len(body)) ^ k2
+
+
+def _lane_sum(ctx: FieldCtx, k1: int, body: bytes, blocks: int,
+              bb: int) -> int:
+    """Sum of m_j * k1^(blocks-1-j) over body's first `blocks` full blocks.
+
+    A step lays the next L blocks out big-endian, so lane i (from the
+    bottom) gets a block whose weight is k1^i times a power of k1^L; each
+    halving adds the top half of the lanes, times k1^(lanes/2), onto the
+    bottom half, until lane 0 holds the sum.
+    """
+    lanes = min(MAX_LANES, 1 << (blocks.bit_length() - 1))
+    powers = [k1]  # k1^(2^l) up to k1^lanes
+    for _ in range(lanes.bit_length() - 1):
+        powers.append(ctx.mul(powers[-1], powers[-1]))
+    width = 2 * bb  # lane bytes
+    buf = bytearray(lanes * width)
+
+    def laid(chunk: bytes) -> int:
+        for t in range(bb):
+            buf[bb + t::width] = chunk[t::bb]
+        return int.from_bytes(buf, "big")
+
+    step = lanes * bb
+    first = step - (-blocks % lanes) * bb  # body bytes in the first step
+    state = laid(bytes(step - first) + body[:first])
+    times = ctx.lanes_by(powers.pop(), lanes)
+    for i in range(first, blocks * bb, step):
+        state = times(state) ^ laid(body[i:i + step])
+    while powers:
+        lanes >>= 1
+        cut = 8 * width * lanes
+        top = ctx.lanes_by(powers.pop(), lanes)(state >> cut)
+        state = top ^ (state & ((1 << cut) - 1))
+    return state
 
 
 def encrypt_ot(key: DemKey, m: bytes,

@@ -12,12 +12,12 @@ encoding), read from a built-in table or found by a Rabin-test search.
 
 Multiplication is table-driven.  The generic product (clmul) forms the 16
 multiples of one operand and walks the other a 4-bit window at a time, then
-reduces by the sparse tail of the polynomial.  FieldCtx.mul_by(k, uses)
-serves a fixed multiplicand: its closure reads k*x from tables of reduced
-products, with no reduction step.  The tables are per nibble of x, or per
-byte once the caller expects at least BYTE_TABLE_USES products, where the
-byte tables' larger build is paid back by one read per byte instead of two.
-Tables are built per call and never cached.
+reduces by the sparse tail of the polynomial.  Two maps serve a fixed
+multiplicand k.  FieldCtx.mul_by(k) reads k*x from nibble tables of reduced
+products, with no reduction step; the tables are built per call and never
+cached.  FieldCtx.lanes_by(k, lanes) multiplies many elements by k at once:
+they sit in 2m-bit lanes of one int, whose clmul by k is reduced in every
+lane together by shifts and masks.
 
 Serialization is big-endian, ceil(m/8) bytes, zero-padded at the top.
 """
@@ -115,13 +115,6 @@ EXTRA_POLYS = {
 # Widths beyond this are refused outright; the constructions never need them
 # and irreducibility search would dominate runtime.
 MAX_WIDTH = 8192
-
-# From this many expected products on, mul_by builds byte tables.  They take
-# about six times as long to build as nibble tables, and a product then reads
-# one entry per byte of x instead of two; on a 2-vCPU x86 VM the two broke
-# even at 170-245 products for m = 64, 128 and 256.
-BYTE_TABLE_USES = 256
-
 
 def clmul(a: int, b: int) -> int:
     """Carryless (GF(2)[x]) product of two int-encoded polynomials.
@@ -282,18 +275,15 @@ class FieldCtx:
             self.check(b)
         return _mod_sparse(clmul(a, b), self.m, self._tail_terms, mask)
 
-    def mul_by(self, k: int, uses: int = 1):
+    def mul_by(self, k: int):
         """The map x -> k*x for a fixed k, as a closure over product tables.
 
         Multiplying by k is GF(2)-linear, so k*x is the xor over the
         nibbles x_j of x of the reduced products x_j * x^(4j) * k.  Those
         come from ceil(m/4) tables of 16 entries, built once here, so a
         product costs a table read per nibble and no reduction (Shoup's
-        method, as used for GHASH in GCM).  uses is the number of products
-        the caller expects: from BYTE_TABLE_USES on, each pair of nibble
-        tables is composed into one 256-entry table per byte of x, and a
-        product costs a read per byte.  Both widths give the same products,
-        and the closure checks x as mul does.
+        method, as used for GHASH in GCM).  The closure checks x as mul
+        does.
         """
         m, poly, mask, check = self.m, self.poly, self._mask, self.check
         check(k)
@@ -318,27 +308,48 @@ class FieldCtx:
         pairs = tuple(zip(tables[0::2], tables[1::2] + [(0,) * 16]))
         nbytes = len(pairs)
 
-        if uses >= BYTE_TABLE_USES:
-            # entry c of a byte's table is lo[c & 15] ^ hi[c >> 4]
-            byte_tables = tuple([lo_k ^ hi_k for hi_k in hi for lo_k in lo]
-                                 for lo, hi in pairs)
-
-            def times_k(x: int) -> int:
-                if not 0 <= x <= mask:
-                    check(x)
-                acc = 0
-                for table, c in zip(byte_tables, x.to_bytes(nbytes, "little")):
-                    acc ^= table[c]
-                return acc
-
-            return times_k
-
         def times_k(x: int) -> int:
             if not 0 <= x <= mask:
                 check(x)
             acc = 0
             for (lo, hi), c in zip(pairs, x.to_bytes(nbytes, "little")):
                 acc ^= lo[c & 15] ^ hi[c >> 4]
+            return acc
+
+        return times_k
+
+    def lanes_by(self, k: int, lanes: int):
+        """The map x -> k*x in every lane of a packed int, as one closure.
+
+        The packed int holds up to `lanes` elements, lane i in bits
+        [2m*i, 2m*i + m) with the lane's upper m bits clear.  The closure
+        takes the carryless product of the whole int and k (clmul: 4-bit
+        windows of k, each a shifted multiple of the int), which stays
+        inside each lane since a lane's product has degree at most 2m-2.
+        It then folds every lane's bits from m up back onto its low bits by
+        the polynomial's tail, all lanes per shift and mask.  Each fold
+        lowers the top degree by m minus the tail's degree, so the fold
+        count is fixed here.  The result holds the reduced products in the
+        same layout.  Packed ints are not checked: the caller lays them out.
+        """
+        m, terms = self.m, self._tail_terms
+        self.check(k)
+        top, folds = 2 * m - 2, 0
+        while top >= m:
+            top -= m - max(terms)
+            folds += 1
+        low, n = self._mask, 1  # the low m bits of every lane
+        while n < lanes:
+            low |= low << (2 * m * n)
+            n *= 2
+
+        def times_k(x: int) -> int:
+            acc = clmul(x, k)
+            for _ in range(folds):
+                hi = (acc >> m) & low
+                acc &= low
+                for e in terms:
+                    acc ^= hi << e
             return acc
 
         return times_k

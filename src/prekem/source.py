@@ -189,11 +189,12 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
 
 
 def read_field(doc: dict, key: str, where: str, kind: type, *default):
-    """doc[key] read as kind: int by integer's rule, float with bools
-    refused, or a str, bool, dict or list as it stands; kind object takes
-    any value, for the probability literals _coerce checks.  A missing or
-    null field gives default when one is given.  Every other case raises
-    MalformedError with a one-line message naming where and key."""
+    """doc[key] read as kind: int by integer's rule, a finite float with
+    bools refused, or a str, bool, dict or list as it stands; kind object
+    takes any value, for the probability literals _coerce checks.  A
+    missing or null field gives default when one is given.  Every other
+    case raises MalformedError with a one-line message naming where and
+    key."""
     value = doc.get(key)
     if value is None:
         if default:
@@ -203,8 +204,10 @@ def read_field(doc: dict, key: str, where: str, kind: type, *default):
         if kind is int:
             return integer(value)
         if kind is float:
-            if not isinstance(value, bool):  # a JSON true is no number
-                return float(value)
+            # a JSON true is no number, and neither is NaN or an infinity
+            number = float(value)
+            if not isinstance(value, bool) and math.isfinite(number):
+                return number
         elif isinstance(value, kind):
             return value
     except (TypeError, ValueError, OverflowError):

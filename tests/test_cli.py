@@ -7,6 +7,7 @@ tmp_path, and deterministic behaviour is pinned with --seed.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -630,6 +631,19 @@ class TestConfigFields:
         config = self.params_config(tmp_path, **fields)
         assert_format_error(capsys, "params", "--config", config,
                             "--mode", "cca")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", math.nan,
+                                       math.inf],
+                             ids=["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_params_nu_not_finite(self, tmp_path, capsys, value):
+        # json.dumps writes math.nan and math.inf as the literals NaN and
+        # Infinity, which json.loads reads back as floats
+        config = self.params_config(tmp_path, nu=value)
+        out = tmp_path / "p.json"
+        err = assert_format_error(capsys, "params", "--config", config,
+                                  "--mode", "cea", "--out", out)
+        assert "field 'nu' must be a number" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [8.5, True, [8], None])
     def test_params_integer_field_kinds(self, tmp_path, capsys, value):

@@ -6,10 +6,13 @@ oracle below reimplements the tag polynomial from its formula with
 schoolbook field arithmetic.
 """
 
+import hashlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prekem import dem
 from prekem.dem import (
@@ -27,7 +30,7 @@ from prekem.dem import (
     serialize_dem,
 )
 from prekem.errors import KeyReuseError, MalformedError
-from prekem.gf2 import BYTE_TABLE_USES, field
+from prekem.gf2 import field
 
 # frozen reduction polynomials for the MAC checks: the reduced width, and
 # the default profile's x^128 + x^7 + x^2 + x + 1
@@ -87,6 +90,31 @@ def oracle_tag(k1, k2, body, poly):
 
 def oracle_tag16(k1, k2, body):
     return oracle_tag(k1, k2, body, POLY16)
+
+
+def horner_tag(k1, k2, body, bits):
+    """The tag by plain Horner on field(bits).mul, one block at a time."""
+    bb = bits // 8
+    mul = field(bits).mul
+    acc = 0
+    for i in range(0, len(body), bb):
+        block = body[i:i + bb].ljust(bb, b"\x00")
+        acc = mul(acc, k1) ^ int.from_bytes(block, "big")
+    return mul(mul(acc, k1) ^ len(body), k1) ^ k2
+
+
+def key_parts(k, mac_bits):
+    mask = (1 << mac_bits) - 1
+    return (k.bits >> mac_bits) & mask, k.bits & mask
+
+
+# full block counts at every regime edge of the MAC: the short path's end,
+# each doubling of the stream count, and the cap on it
+DIGEST_BLOCKS = (47, 48, 49, 63, 64, 65, 127, 128, 129, 255, 256, 257,
+                 511, 512, 513)
+# recorded with the byte-table Horner MAC that preceded the lane path
+DIGEST_SHA256 = \
+    "ceb7cda271cf4c36cb4c04364df367d99651857a2d24268d07ed4679c11cc75b"
 
 
 class TestKeystreamCipher:
@@ -214,33 +242,85 @@ class TestAuthenticated:
         m = rng.randbytes(size)
         k = otcca_key(size)
         c = encrypt_otcca(k, m)
-        mask = (1 << 128) - 1
-        k1, k2 = (k.bits >> 128) & mask, k.bits & mask
+        k1, k2 = key_parts(k, 128)
         assert c.tag == oracle_tag(k1, k2, c.body, POLY128)
         assert decrypt_otcca(DemKey(k.bits, k.length), c) == m
 
     @pytest.mark.parametrize("mac_bits", [8, 16, 64, 128, 256])
     def test_tag_matches_oracle_across_table_widths(self, mac_bits):
-        # B + 2 multiplies by k1; the MAC switches to byte tables at
-        # B = BYTE_TABLE_USES - 2 blocks.  Each block count is taken full
-        # and with a one-byte final block.
+        # bodies of LANE_BLOCKS full blocks on take the lane path, which
+        # runs MAX_LANES streams from that many blocks on.  Each block count
+        # is taken full and with a one-byte final block.
         profile = DemProfile(enc_len=8, mac_bits=mac_bits)
         bb = mac_bits // 8
-        cross = BYTE_TABLE_USES - 2
         sizes = [0, 1, 15, 17]
-        for blocks in (cross - 1, cross, cross + 1):
-            sizes += [blocks * bb, (blocks - 1) * bb + 1]
+        for edge in (dem.LANE_BLOCKS, dem.MAX_LANES):
+            for blocks in (edge - 1, edge, edge + 1):
+                sizes += [blocks * bb, blocks * bb + 1]
         poly = field(mac_bits).poly
         rng = random.Random(mac_bits)
         for size in sizes:
+            if size >= 1 << mac_bits:
+                continue
             m = rng.randbytes(size)
             k = DemKey(rng.getrandbits(profile.otcca_key_bits),
                        profile.otcca_key_bits)
             c = encrypt_otcca(k, m, profile)
-            mask = (1 << mac_bits) - 1
-            k1, k2 = (k.bits >> mac_bits) & mask, k.bits & mask
+            k1, k2 = key_parts(k, mac_bits)
             assert c.tag == oracle_tag(k1, k2, c.body, poly), size
             assert decrypt_otcca(DemKey(k.bits, k.length), c, profile) == m
+
+    @settings(max_examples=150, deadline=None)
+    @given(mac_bits=st.sampled_from([8, 16, 24, 64, 128, 256]),
+           k1_kind=st.sampled_from(["zero", "one", "top", "random"]),
+           blocks=st.integers(0, 3 * dem.MAX_LANES), extra=st.integers(0, 31),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_mac_matches_horner_oracle(self, mac_bits, k1_kind, blocks,
+                                       extra, seed):
+        bb = mac_bits // 8
+        size = blocks * bb + extra % bb
+        if size >= 1 << mac_bits:
+            size = (1 << mac_bits) - 1
+        rng = random.Random(seed)
+        body = rng.randbytes(size)
+        k1 = {"zero": 0, "one": 1, "top": (1 << mac_bits) - 1,
+              "random": rng.getrandbits(mac_bits)}[k1_kind]
+        k2 = rng.getrandbits(mac_bits)
+        assert dem._mac_tag(k1, k2, body, mac_bits) == \
+            horner_tag(k1, k2, body, mac_bits)
+
+    def test_serialized_otcca_digest(self):
+        # seeded otcca ciphertexts at every MAC width and regime edge, and
+        # k1 in {0, 1, random}; one width (72) is outside POLY_TABLE
+        rng = random.Random(20241)
+        h = hashlib.sha256()
+        for mac_bits in (8, 16, 64, 72, 128, 256):
+            profile = DemProfile(mac_bits=mac_bits)
+            bb = mac_bits // 8
+            sizes = {0, 1, bb - 1, bb, bb + 1, 4096, 65541}
+            for blocks in DIGEST_BLOCKS:
+                sizes.update((blocks * bb - 1, blocks * bb, blocks * bb + 1))
+            for size in sorted(s for s in sizes if s < 1 << mac_bits):
+                m = rng.randbytes(size)
+                for k1 in (0, 1, rng.getrandbits(mac_bits)):
+                    bits = ((rng.getrandbits(profile.enc_len) << 2 * mac_bits)
+                            | k1 << mac_bits | rng.getrandbits(mac_bits))
+                    blob = serialize_dem(profile, encrypt_otcca(
+                        DemKey(bits, profile.otcca_key_bits), m, profile))
+                    h.update(len(blob).to_bytes(4, "big") + blob)
+        assert h.hexdigest() == DIGEST_SHA256
+
+    def test_long_mac_memory_is_independent_of_body(self):
+        # no padded copy of the body and no lane int the body's size: one
+        # MAC over 1 MiB peaks far below the body
+        body = random.Random(23).randbytes(1 << 20)
+        tracemalloc.start()
+        try:
+            dem._mac_tag(3, 5, body, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(body) // 4
 
     def test_reduced_width_field_matches_naive(self):
         ctx = field(16)

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prekem.gf2 import (
-    BYTE_TABLE_USES,
     EXTRA_POLYS,
     POLY_TABLE,
     FieldCtx,
@@ -153,32 +152,27 @@ class TestMulBy:
             assert str(got.value) == str(want.value)
 
 
-# a use count on each side of the switch from nibble to byte tables
-TABLE_USES = (1, BYTE_TABLE_USES - 1, BYTE_TABLE_USES, 1 << 20)
-
-
 class TestMulByTableWidths:
-    """mul_by(k, uses) picks nibble or byte tables by uses; every width
-    must give the schoolbook product and refuse what mul refuses."""
+    """mul_by's nibble tables at every small width and at wide ones with an
+    odd nibble count or a part-filled top byte must give the schoolbook
+    product and refuse what mul refuses."""
 
-    @pytest.mark.parametrize("uses", TABLE_USES)
     @pytest.mark.parametrize("m", range(1, 9))
-    def test_exhaustive_small(self, m, uses):
+    def test_exhaustive_small(self, m):
         f = field(m)
         for k in range(1 << m):
-            times_k = f.mul_by(k, uses)
+            times_k = f.mul_by(k)
             assert [times_k(x) for x in range(1 << m)] == \
                 [naive_mul(k, x, m, f.poly) for x in range(1 << m)], k
 
     # 12, 20 and 553 have an odd number of nibbles, 13 a part-filled top byte
-    @pytest.mark.parametrize("uses", TABLE_USES)
     @pytest.mark.parametrize("m", (12, 13, 20, 24, 128, 527, 553, 1080))
-    def test_random_wide(self, m, uses):
+    def test_random_wide(self, m):
         f = field(m)
-        rng = random.Random(m * 7919 + uses)
+        rng = random.Random(m * 7919)
         ks = [0, 1, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(3)]
         for k in ks:
-            times_k = f.mul_by(k, uses)
+            times_k = f.mul_by(k)
             for x in [0, 1, 1 << (m - 1), (1 << m) - 1] + \
                     [rng.getrandbits(m) for _ in range(6)]:
                 assert times_k(x) == naive_mul(k, x, m, f.poly), (k, x)
@@ -189,12 +183,47 @@ class TestMulByTableWidths:
         for bad in (-1, 1 << m, 1 << (m + 9)):
             with pytest.raises(ValueError) as want:
                 f.mul(bad, 1)
-            for uses in TABLE_USES:
-                with pytest.raises(ValueError) as as_k:
-                    f.mul_by(bad, uses)
-                with pytest.raises(ValueError) as as_x:
-                    f.mul_by(1, uses)(bad)
-                assert str(as_k.value) == str(as_x.value) == str(want.value)
+            with pytest.raises(ValueError) as as_k:
+                f.mul_by(bad)
+            with pytest.raises(ValueError) as as_x:
+                f.mul_by(1)(bad)
+            with pytest.raises(ValueError) as as_lane_k:
+                f.lanes_by(bad, 4)
+            assert str(as_k.value) == str(as_x.value) == \
+                str(as_lane_k.value) == str(want.value)
+
+
+def packed(xs, m):
+    """xs in 2m-bit lanes, xs[i] in lane i from the bottom."""
+    return sum(x << (2 * m * i) for i, x in enumerate(xs))
+
+
+class TestLanesBy:
+    """lanes_by(k, lanes) must give, in every lane, the schoolbook product
+    of k and that lane's element, for lane counts that fill or undershoot
+    the count it was built for."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_exhaustive_small(self, m):
+        f = field(m)
+        xs = list(range(1 << m))
+        for k in range(1 << m):
+            want = packed([naive_mul(k, x, m, f.poly) for x in xs], m)
+            assert f.lanes_by(k, len(xs))(packed(xs, m)) == want, k
+            assert f.lanes_by(k, 3 * len(xs))(packed(xs, m)) == want, k
+
+    @pytest.mark.parametrize("lanes", (1, 3, 256))
+    @pytest.mark.parametrize("m", (12, 13, 20, 24, 72, 128, 256, 527, 553,
+                                   1080))
+    def test_random_wide(self, m, lanes):
+        f = field(m)
+        rng = random.Random(m * 31 + lanes)
+        top = (1 << m) - 1
+        for k in [0, 1, top, rng.getrandbits(m)]:
+            xs = [0, 1, top] + [rng.getrandbits(m) for _ in range(lanes)]
+            xs = xs[:lanes]
+            got = f.lanes_by(k, lanes)(packed(xs, m))
+            assert got == packed([naive_mul(k, x, m, f.poly) for x in xs], m)
 
 
 class TestInverse:
