@@ -152,30 +152,63 @@ class TestMulBy:
             assert str(got.value) == str(want.value)
 
 
-class TestMulByTableWidths:
-    """mul_by's nibble tables at every small width and at wide ones with an
-    odd nibble count or a part-filled top byte must give the schoolbook
-    product and refuse what mul refuses."""
+def packed(xs, m):
+    """xs in 2m-bit lanes, xs[i] in lane i from the bottom."""
+    return sum(x << (2 * m * i) for i, x in enumerate(xs))
 
+
+def by_lanes(f, k, lanes, xs):
+    """k*x for every x in xs through lanes_by(k, lanes), `lanes` elements to
+    a packed int, the last int part-filled when lanes does not divide."""
+    times_k, m = f.lanes_by(k, lanes), f.m
+    out = []
+    for i in range(0, len(xs), lanes):
+        chunk = xs[i:i + lanes]
+        got = times_k(packed(chunk, m))
+        out += [(got >> (2 * m * j)) & f._mask for j in range(len(chunk))]
+        assert got >> (2 * m * len(chunk)) == 0
+    return out
+
+
+# lane counts: one lane, an odd count just under the MAC's 256 streams, and
+# 256 itself
+LANE_COUNTS = (1, 255, 256)
+
+
+class TestMulByTableWidths:
+    """The two fixed-multiplicand maps, mul_by's nibble tables and
+    lanes_by's packed lanes, at every small width and at wide ones with an
+    odd nibble count or a part-filled top byte, must give the schoolbook
+    product for lane counts that fill, split or undershoot the elements,
+    and refuse what mul refuses."""
+
+    @pytest.mark.parametrize("lanes", LANE_COUNTS)
     @pytest.mark.parametrize("m", range(1, 9))
-    def test_exhaustive_small(self, m):
+    def test_exhaustive_small(self, m, lanes):
         f = field(m)
+        xs = list(range(1 << m))
         for k in range(1 << m):
+            want = [naive_mul(k, x, m, f.poly) for x in xs]
             times_k = f.mul_by(k)
-            assert [times_k(x) for x in range(1 << m)] == \
-                [naive_mul(k, x, m, f.poly) for x in range(1 << m)], k
+            assert [times_k(x) for x in xs] == want, k
+            assert by_lanes(f, k, lanes, xs) == want, k
 
     # 12, 20 and 553 have an odd number of nibbles, 13 a part-filled top byte
-    @pytest.mark.parametrize("m", (12, 13, 20, 24, 128, 527, 553, 1080))
-    def test_random_wide(self, m):
+    @pytest.mark.parametrize("lanes", LANE_COUNTS)
+    @pytest.mark.parametrize("m", (12, 13, 20, 24, 72, 128, 256, 527, 553,
+                                   1080))
+    def test_random_wide(self, m, lanes):
         f = field(m)
-        rng = random.Random(m * 7919)
-        ks = [0, 1, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(3)]
-        for k in ks:
+        rng = random.Random(m * 7919 + lanes)
+        top = (1 << m) - 1
+        for k in [0, 1, top, rng.getrandbits(m)]:
             times_k = f.mul_by(k)
-            for x in [0, 1, 1 << (m - 1), (1 << m) - 1] + \
-                    [rng.getrandbits(m) for _ in range(6)]:
-                assert times_k(x) == naive_mul(k, x, m, f.poly), (k, x)
+            # enough elements to fill 256 lanes and spill into a second int
+            xs = [0, 1, 1 << (m - 1), top] + \
+                [rng.getrandbits(m) for _ in range(min(lanes, 256) + 2)]
+            want = [naive_mul(k, x, m, f.poly) for x in xs]
+            assert [times_k(x) for x in xs] == want, k
+            assert by_lanes(f, k, lanes, xs) == want, k
 
     @pytest.mark.parametrize("m", [1, 8, 13, 128])
     def test_out_of_range_rejected_alike(self, m):
@@ -191,39 +224,6 @@ class TestMulByTableWidths:
                 f.lanes_by(bad, 4)
             assert str(as_k.value) == str(as_x.value) == \
                 str(as_lane_k.value) == str(want.value)
-
-
-def packed(xs, m):
-    """xs in 2m-bit lanes, xs[i] in lane i from the bottom."""
-    return sum(x << (2 * m * i) for i, x in enumerate(xs))
-
-
-class TestLanesBy:
-    """lanes_by(k, lanes) must give, in every lane, the schoolbook product
-    of k and that lane's element, for lane counts that fill or undershoot
-    the count it was built for."""
-
-    @pytest.mark.parametrize("m", range(1, 9))
-    def test_exhaustive_small(self, m):
-        f = field(m)
-        xs = list(range(1 << m))
-        for k in range(1 << m):
-            want = packed([naive_mul(k, x, m, f.poly) for x in xs], m)
-            assert f.lanes_by(k, len(xs))(packed(xs, m)) == want, k
-            assert f.lanes_by(k, 3 * len(xs))(packed(xs, m)) == want, k
-
-    @pytest.mark.parametrize("lanes", (1, 3, 256))
-    @pytest.mark.parametrize("m", (12, 13, 20, 24, 72, 128, 256, 527, 553,
-                                   1080))
-    def test_random_wide(self, m, lanes):
-        f = field(m)
-        rng = random.Random(m * 31 + lanes)
-        top = (1 << m) - 1
-        for k in [0, 1, top, rng.getrandbits(m)]:
-            xs = [0, 1, top] + [rng.getrandbits(m) for _ in range(lanes)]
-            xs = xs[:lanes]
-            got = f.lanes_by(k, lanes)(packed(xs, m))
-            assert got == packed([naive_mul(k, x, m, f.poly) for x in xs], m)
 
 
 class TestInverse:
