@@ -67,7 +67,7 @@ from .ikem import (
     pack_bits,
     unpack_bits,
 )
-from .source import SourceSpec, recon_set
+from .source import SourceSpec, recon_ints
 from .uhash import PaddedSeedVector, ReconSeed, h_cca
 
 __all__ = [
@@ -628,8 +628,7 @@ def brute_force_forger(params: IkemParams, z, rng,
     total = sum(wt for _, _, wt in pairs)
     members: Dict[int, frozenset] = {}
     for yp in {p[1] for p in pairs}:
-        rs = recon_set(spec, unpack_bits(yp, params.n), params.nu)
-        members[yp] = frozenset(pack_bits(m) for m in rs.members)
+        members[yp] = frozenset(recon_ints(spec, yp, params.nu))
     score_x: Dict[int, int] = {xp: 0 for xp in {p[0] for p in pairs}}
     score_y: Dict[int, int] = {yp: 0 for yp in members}
     pair_wt: Dict[Tuple[int, int], int] = {}

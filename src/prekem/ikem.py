@@ -17,11 +17,12 @@ which seeds are fresh and how wide they are (ell is the key length):
   BASELINE  comparison mode: as CEA but with per-encapsulation fresh seeds
             and strongly universal (multiply-add) families for both hashes.
 
-Encapsulation hashes Alice's packed x; decapsulation enumerates the
-reconciliation set of Bob's y and accepts iff exactly one member explains
-the hash value v.  None is the rejection value; an enumeration that would
-exceed source.RECON_CAP raises InfeasibleError instead (an operational
-failure, never a protocol answer).
+Encapsulation hashes Alice's packed x; decapsulation builds the
+reconciliation set of Bob's y as packed ints from its member classes
+(source.recon_ints) and accepts iff exactly one member explains the hash
+value v.  None is the rejection value; a set larger than source.RECON_CAP
+raises InfeasibleError before any member is built (an operational failure,
+never a protocol answer).
 
 The derive_params_* engines turn a source plus security targets
 (sigma: key indistinguishability, eps: correctness, delta: forgery) into
@@ -53,7 +54,7 @@ from .source import (
     guessing_log2_mass,
     max_recon_size,
     miss_mass,
-    recon_set,
+    recon_ints,
     sample,
     shannon_cond_entropy,
 )
@@ -334,16 +335,16 @@ def decap(params: IkemParams, y, c: IkemCiphertext,
     """Return the key iff exactly one reconciliation candidate explains v.
 
     None means reject: zero candidates or an ambiguous tie.  A candidate
-    set too large to enumerate raises InfeasibleError instead.
+    set too large to enumerate raises InfeasibleError instead, and a y of
+    any symbol but 0 and 1 MalformedError.
     """
     if len(y) != params.n:
         raise MalformedError("y must have length n")
+    yp = pack_bits(y)
     _check_ciphertext(params, c)
     s = _recon_seed(params, c.s, public_seed)
-    cands = recon_set(params.source, tuple(y), params.nu).members
     match: Optional[int] = None
-    for m in cands:
-        xp = pack_bits(m)
+    for xp in recon_ints(params.source, yp, params.nu):
         if _recon_value(params, xp, c.sprime, s) == c.v:
             if match is not None:
                 return None
@@ -486,7 +487,7 @@ def check_enumerable(params: IkemParams) -> None:
     beyond any cap); this is the check for an instance that will run.  For
     a satellite source every R(y) has bsc_recon_size members; for any other
     table max_recon_size counts the largest R(y).  Either count is what
-    recon_set compares with source.RECON_CAP.
+    decap's source.recon_ints compares with source.RECON_CAP.
     """
     p = _satellite_flip(params.source)
     size = (bsc_recon_size(p, params.n, params.nu) if p is not None

@@ -36,8 +36,9 @@ EXACT_ALPHABET_MAX = 4
 ALPHABET_MAX = 16
 EXACT_N_MAX = 16
 SUM_TOL = 2.0 ** -40
-# Most members recon_set will keep; a larger reconciliation set raises
-# InfeasibleError.
+# Most members a reconciliation set may have: recon_ints (decap's walk)
+# counts its member classes, and recon_set the members it keeps.  A larger
+# set raises InfeasibleError.
 RECON_CAP = 1 << 20
 
 # Work ceiling for exhaustive guessing-mass enumeration: largest
@@ -149,6 +150,13 @@ class SourceSpec:
                 scaled[(x * self.ny + y) * self.nz + z] for x, y in cells))
             out.append((cums, tuple(cells), cums[-1] if cums else 0))
         return tuple(out)
+
+    @cached_property
+    def recon_classes(self) -> dict:
+        """recon_ints's memo, filled as it runs: (nu, a) -> (|R(y)|, member
+        classes (i, j)) for the y with a zeros, whose R(y) is within the
+        cap."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -436,7 +444,7 @@ def bsc_radius(p, n: int, nu: float) -> int:
 def bsc_recon_size(p, n: int, nu: float) -> int:
     """|R(y)| at every y for flip probability p <= 1/2: the Hamming ball of
     bsc_radius; 0 when even y itself costs more than nu.  This is the count
-    recon_set compares with RECON_CAP."""
+    decap's recon_ints compares with RECON_CAP."""
     total, term = 0, 1
     for d in range(bsc_radius(p, n, nu) + 1):
         total += term
@@ -444,11 +452,11 @@ def bsc_recon_size(p, n: int, nu: float) -> int:
     return total
 
 
-def _member_classes(spec: SourceSpec, nu: float):
+def _member_classes(spec: SourceSpec, nu: float, zeros):
     """Yield (a, i, j) for each class of reconciliation-set members, binary
-    x and y only: y has a zeros, and x takes the dearer symbol at i of them
-    and at j of the other n - a positions.  Classes come in ascending a,
-    then i, then j.
+    x and y only: y has a zeros, for each a in zeros, and x takes the
+    dearer symbol at i of them and at j of the other n - a positions.
+    Classes come in zeros' order of a, then ascending i, then j.
 
     A member's fsum score is the rounded exact sum of four count * cost
     terms, here integers over a power-of-two denominator, and it rises with
@@ -466,7 +474,7 @@ def _member_classes(spec: SourceSpec, nu: float):
             return math.inf
         return sum(k * m for k, m in zip(counts, nums) if k) / den
 
-    for a in range(n + 1):
+    for a in zeros:
         for i in range(a + 1):
             j = 0
             while j <= n - a and score((a - i, i, n - a - j, j)) <= nu:
@@ -478,14 +486,80 @@ def _member_classes(spec: SourceSpec, nu: float):
 
 def max_recon_size(spec: SourceSpec, nu: float) -> int:
     """max over y of |R(y)| for binary x and y, counted until it passes
-    RECON_CAP, the count recon_set compares with the cap.  |R(y)| depends
-    only on y's count a of zeros."""
+    RECON_CAP, the count decap's recon_ints compares with the cap.  |R(y)|
+    depends only on y's count a of zeros."""
     sizes = [0] * (spec.n + 1)
-    for a, i, j in _member_classes(spec, nu):
+    for a, i, j in _member_classes(spec, nu, range(spec.n + 1)):
         sizes[a] += math.comb(a, i) * math.comb(spec.n - a, j)
         if sizes[a] > RECON_CAP:
             return sizes[a]
     return max(sizes)
+
+
+def _classes_within_cap(spec: SourceSpec, nu: float, a: int):
+    """(|R(y)|, [(i, j), ...]) for the y with a zeros; InfeasibleError as
+    soon as the count passes RECON_CAP."""
+    size, classes = 0, []
+    for _, i, j in _member_classes(spec, nu, (a,)):
+        size += math.comb(a, i) * math.comb(spec.n - a, j)
+        if size > RECON_CAP:
+            raise InfeasibleError(
+                f"reconciliation set exceeds cap {RECON_CAP} at nu={nu}")
+        classes.append((i, j))
+    return size, classes
+
+
+def _flip_masks(v: int, most: int):
+    """masks[k] lists every int made of k of v's set bits, k = 0..most."""
+    bits = []
+    while v and most:
+        low = v & -v
+        bits.append(low)
+        v ^= low
+    return [list(map(sum, itertools.combinations(bits, k)))
+            for k in range(most + 1)]
+
+
+def recon_ints(spec: SourceSpec, yp: int, nu: float) -> list:
+    """The members of R(y) as packed ints, first symbol most significant,
+    in no particular order; binary x and y only, and yp is y packed the
+    same way.
+
+    Membership is _member_classes's exact fsum rule, the one recon_set
+    applies to each string it reaches.  Every member is the cheapest x for
+    y with the dearer symbol taken at i of y's zeros and at j of its ones,
+    over the classes (i, j) of y's count a of zeros.  The classes and
+    their total are found once per (nu, a) and kept on the spec; a total
+    above RECON_CAP raises InfeasibleError before any member is built.
+    """
+    n = spec.n
+    if spec.nx != 2 or spec.ny != 2:
+        raise MalformedError("packed strings need binary x and y alphabets")
+    if yp < 0 or yp >> n:
+        raise MalformedError("y does not fit in n bits")
+    a = n - yp.bit_count()
+    memo = spec.recon_classes
+    entry = memo.get((nu, a))
+    if entry is None or entry[0] > RECON_CAP:
+        entry = memo[nu, a] = _classes_within_cap(spec, nu, a)
+    classes = entry[1]
+    if not classes:
+        return []
+    # the cheaper x for each y symbol; on a tie the classes take every
+    # count of that symbol's flips or none, so either x will do
+    zeros = yp ^ ((1 << n) - 1)
+    cost = spec.cost
+    base = ((zeros if cost[0][1] < cost[0][0] else 0)
+            | (yp if cost[1][1] < cost[1][0] else 0))
+    if len(classes) == 1:  # (0, 0), the cheapest x alone
+        return [base]
+    heads = _flip_masks(zeros, classes[-1][0])
+    tails = _flip_masks(yp, max(j for _, j in classes))
+    members = []
+    for i, j in classes:
+        for head in heads[i]:
+            members += map((base ^ head).__xor__, tails[j])
+    return members
 
 
 def miss_mass(spec: SourceSpec, nu: float) -> Fraction:
@@ -499,7 +573,7 @@ def miss_mass(spec: SourceSpec, nu: float) -> Fraction:
     cells = [Fraction(pxy[x][b]) for b in (0, 1)
              for x in sorted((0, 1), key=spec.cost[b].__getitem__)]
     hit = Fraction(0)
-    for a, i, j in _member_classes(spec, nu):
+    for a, i, j in _member_classes(spec, nu, range(n + 1)):
         hit += (math.comb(n, a) * math.comb(a, i) * math.comb(n - a, j)
                 * cells[0] ** (a - i) * cells[1] ** i
                 * cells[2] ** (n - a - j) * cells[3] ** j)

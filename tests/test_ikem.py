@@ -6,6 +6,7 @@ test-locally.  Round trips and tamper sweeps run the real protocol.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -41,9 +42,11 @@ from prekem.ikem import (
     serialize_ciphertext,
     unpack_bits,
 )
+from prekem.ikem import _check_ciphertext, _extract, _recon_seed, _recon_value
 from prekem.source import (SourceSpec, bsc_radius, bsc_source,
                            cond_neg_log_prob, from_json, miss_mass,
                            recon_set)
+from prekem.uhash import piece_count
 
 
 def exhaustive_correctness(params):
@@ -71,6 +74,31 @@ def toy_params(mode, n=4, t=2, ell=1, nu=2.5, p=0.25, q=0.5, **kw):
                     w=w, sigma=0.5, q_e=1, q_d=1)
     defaults.update(kw)
     return IkemParams(**defaults)
+
+
+def shaped(mode, source, t, ell, nu):
+    """Parameters of any shape, without derive_params_*'s bounds."""
+    n = source.n
+    w = n + ell if mode is Mode.BASELINE else n
+    r = piece_count(w, n - t) if mode is Mode.CCA else 0
+    return IkemParams(mode=mode, source=source, n=n, t=t, ell=ell, nu=nu,
+                      r=r, w=w, sigma=0.5, q_e=0, q_d=0)
+
+
+def recon_set_decap(params, y, c, public_seed=None):
+    """decap as it was before it walked member classes, hashing each of
+    recon_set's members packed one by one: (the key or None, how many
+    members explain v).  The oracle for decap."""
+    if len(y) != params.n:
+        raise MalformedError("y must have length n")
+    _check_ciphertext(params, c)
+    s = _recon_seed(params, c.s, public_seed)
+    members = recon_set(params.source, tuple(y), params.nu).members
+    found = [xp for xp in map(pack_bits, members)
+             if _recon_value(params, xp, c.sprime, s) == c.v]
+    if len(found) != 1:
+        return None, len(found)
+    return IkemKey(_extract(params, found[0], c.sprime), params.ell), 1
 
 
 class TestPacking:
@@ -242,6 +270,15 @@ class TestEncapDecap:
         with pytest.raises(MalformedError):
             decap(params, (0, 0, 0, 0), IkemCiphertext(0, 0, None))
 
+    @pytest.mark.parametrize("y", [(2, 0, 0, 0, 0), (0, -1, -1, 0, -1)])
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_decap_refuses_non_binary_y(self, mode, y):
+        params = toy_params(mode, n=5, nu=12.0)
+        pub = 0b10110 if mode is Mode.CEA else None
+        _, c = encap(params, (0, 1, 1, 0, 1), random.Random(5), pub)
+        with pytest.raises(MalformedError, match="binary symbols"):
+            decap(params, y, c, pub)
+
     def test_decap_cap_is_operational_error(self, monkeypatch):
         monkeypatch.setattr("prekem.source.RECON_CAP", 3)
         params = toy_params(Mode.CCA, nu=12.0)
@@ -255,6 +292,76 @@ class TestEncapDecap:
 NOISY24 = bsc_source(Fraction(1, 20), Fraction(1, 2), 24)
 NU_UNDER_R3 = math.fsum([-math.log2(1 / 20)] * 3
                         + [-math.log2(19 / 20)] * 21) - 5e-10
+
+
+def decap_inputs(params, rng, draws):
+    """(y, ciphertext, public seed) for each of draws seeded instances: the
+    honest ciphertext, the same with v's low bit flipped, and the honest
+    one under a random other y."""
+    for _ in range(draws):
+        inst = gen(params, rng)
+        pub = inst.public_seed
+        _, c = encap(params, inst.x, rng, pub)
+        other = tuple(rng.getrandbits(1) for _ in range(params.n))
+        yield inst.y, c, pub
+        yield inst.y, IkemCiphertext(c.v ^ 1, c.sprime, c.s), pub
+        yield other, c, pub
+
+
+# SHA-256 over every seeded decap result of decap_digest, recorded with
+# the decap that enumerated recon_set's members
+DECAP_DIGEST = \
+    "0fc4bdf19cf1a579aa5baf545da99cd54f320c25edd347fb880521b0f938e0f7"
+
+
+def decap_digest():
+    """Seeded decaps of decap_inputs on kem-noisy's channel (t = 12, and
+    t = 3 for ties), games-desk's toy sources at n = 4..6 and the README's
+    authenticated n = 1080 profile, in every mode where the shape allows;
+    each result is fed to a SHA-256 as the key bits or "-" for a reject."""
+    toy = [bsc_source(Fraction(1, 4), Fraction(1, 4), n) for n in (4, 5, 6)]
+    cases = [(shaped(m, NOISY24, t, 4, 12.0), 16) for m in Mode
+             for t in (12, 3)]
+    cases += [(shaped(m, src, 2, 1, nu), 2 ** src.n) for m in Mode
+              for src in toy for nu in (1.0, 1.7, 4.5)]
+    cases.append((derive_params_cca(
+        bsc_source(Fraction(0), Fraction(1, 2), 1080), eps=0.01,
+        sigma=2 ** -20, delta=2 ** -10, q_e=0, q_d=1, nu=0.0, t=527,
+        ell=512), 6))
+    h = hashlib.sha256()
+    rng = random.Random(0x5EED)
+    for params, draws in cases:
+        for y, c, pub in decap_inputs(params, rng, draws):
+            got = decap(params, y, c, pub)
+            h.update(b"-;" if got is None else b"%x;" % got.bits)
+    return h.hexdigest()
+
+
+class TestDecapAgainstReconSet:
+    """decap's class walk against recon_set_decap, and the seeded pin."""
+
+    def test_seeded_results_unchanged(self):
+        assert decap_digest() == DECAP_DIGEST
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_matches_the_recon_set_decap(self, mode):
+        asym = SourceSpec(2, 2, 1, 6, (Fraction(1, 2), Fraction(1, 8),
+                                       Fraction(1, 16), Fraction(5, 16)))
+        cases = [shaped(mode, NOISY24, t, 4, nu) for t in (12, 3)
+                 for nu in (12.0, NU_UNDER_R3)]
+        cases += [shaped(mode, bsc_source(Fraction(1, 4), Fraction(1, 4), n),
+                         t, 1, nu)
+                  for n in (4, 5, 6) for t in (1, 2) for nu in (1.7, 4.5)]
+        cases += [shaped(mode, asym, t, 1, nu)
+                  for t in (1, 3) for nu in (2.0, 4.3, 7.0)]
+        rng = random.Random(int(mode))
+        outcomes = {"accept": 0, "none": 0, "tie": 0}
+        for params in cases:
+            for y, c, pub in decap_inputs(params, rng, 8):
+                want, found = recon_set_decap(params, y, c, pub)
+                assert decap(params, y, c, pub) == want
+                outcomes[("none", "accept", "tie")[min(found, 2)]] += 1
+        assert min(outcomes.values()) > 10, outcomes
 
 
 class TestCheckEnumerable:
@@ -275,6 +382,32 @@ class TestCheckEnumerable:
         inst = gen(params, random.Random(8))
         key, c = encap(params, inst.x, random.Random(9), inst.public_seed)
         decap(params, inst.y, c, inst.public_seed)  # within cap: no raise
+
+    def test_decap_counts_classes_before_building_members(self, monkeypatch):
+        import prekem.source as source
+        params = derive_params_cea(NOISY24, 0.25, 0, 14, nu=12.0)
+        inst = gen(params, random.Random(8))
+        _, c = encap(params, inst.x, random.Random(9), inst.public_seed)
+        monkeypatch.setattr(source, "RECON_CAP", 301)
+        check_enumerable(params)
+        decap(params, inst.y, c, inst.public_seed)
+        # over the cap, building any member would fail
+        monkeypatch.setattr(source, "_flip_masks", None)
+        monkeypatch.setattr(source, "RECON_CAP", 300)
+        with pytest.raises(InfeasibleError,
+                           match="301 strings exceeds cap 300"):
+            check_enumerable(params)
+        with pytest.raises(InfeasibleError,
+                           match="^reconciliation set exceeds cap 300 at nu=12.0$"):
+            decap(params, inst.y, c, inst.public_seed)
+        monkeypatch.setattr(source, "RECON_CAP", 1 << 20)
+        src = bsc_source(Fraction(1, 1000), Fraction(1, 2), 1080)
+        params = derive_params_cca(src, 0.01, 2.0 ** -20, 2.0 ** -10, 0, 0,
+                                   nu=40.0, t=527)
+        inst = gen(params, random.Random(10))
+        _, c = encap(params, inst.x, random.Random(11))
+        with pytest.raises(InfeasibleError, match="exceeds cap 1048576"):
+            decap(params, inst.y, c)  # 209952901 strings, counted only
 
     def test_cca_over_default_cap(self):
         src = bsc_source(Fraction(1, 1000), Fraction(1, 2), 1080)

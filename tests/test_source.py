@@ -31,6 +31,7 @@ from prekem.source import (
     guessing_log2_mass,
     guessing_mass,
     max_recon_size,
+    recon_ints,
     recon_set,
     sample,
     shannon_cond_entropy,
@@ -453,8 +454,175 @@ class TestReconSetDifferential:
         assert got == brute_recon(spec, y, nu)
 
 
+def pack(x):
+    """x as an int, first symbol most significant."""
+    return int("".join(map(str, x)), 2)
+
+
+def assert_same_set(spec, y, nu):
+    """recon_ints gives recon_set's members, packed, with no repeats; or
+    both refuse the set with the same InfeasibleError."""
+    try:
+        want = sorted(pack(m) for m in recon_set(spec, y, nu).members)
+    except InfeasibleError as refused:
+        with pytest.raises(InfeasibleError) as got:
+            recon_ints(spec, pack(y), nu)
+        assert str(got.value) == str(refused)
+        return None
+    got = recon_ints(spec, pack(y), nu)
+    assert sorted(got) == want
+    return len(got)
+
+
+def distance_costs(p, n):
+    """The distinct finite fsum costs of a distance-d string from y,
+    d = 0, 1, 2, in ascending order."""
+    c0 = -math.log2(1 - p)
+    c1 = -math.log2(p) if p else math.inf
+    costs = {math.fsum([c1] * d + [c0] * (n - d)) for d in range(min(n, 2) + 1)}
+    return sorted(c for c in costs if c < math.inf)
+
+
+class TestReconIntsDifferential:
+    """recon_ints against recon_set's members, packed.  They share the
+    membership rule, the correctly rounded exact sum of the per-symbol
+    costs, so the sets are equal wherever recon_set's walk reaches every
+    member.  The walk prunes on a running float sum with 1e-9 of slack;
+    only at n far past these could its drift prune a member the exact
+    rule keeps, and there the class rule of recon_ints is the documented
+    one."""
+
+    @pytest.mark.parametrize("n", [1, 5, 16, 17, 24, 64])
+    @pytest.mark.parametrize("p", [0, Fraction(1, 20), Fraction(1, 4),
+                                   Fraction(1, 2)])
+    def test_bsc(self, p, n, monkeypatch):
+        # a cap this low lets both sides refuse 2^64 strings quickly
+        monkeypatch.setattr("prekem.source.RECON_CAP", 5000)
+        spec = bsc_source(p, 0.5, n)
+        rng = random.Random(n)
+        ys = [tuple(rng.getrandbits(1) for _ in range(n))
+              for _ in range(2)] + [(0,) * n, (1,) * n]
+        for c in distance_costs(float(p), n):
+            # NU_UNDER_R3's shape: 5e-10 either side of a member's cost
+            for nu in (0.0, -1.0, c, c - 5e-10, c + 5e-10):
+                for y in ys:
+                    if p == Fraction(1, 2) and n > 16 and n - 1e-9 < nu < n:
+                        # every string costs exactly n, so recon_set's walk
+                        # would score all 2^n of them through its 1e-9
+                        # slack and keep none
+                        assert recon_ints(spec, pack(y), nu) == []
+                    else:
+                        assert_same_set(spec, y, nu)
+
+    def test_wide_field(self):
+        rng = random.Random(3)
+        y = tuple(rng.getrandbits(1) for _ in range(1080))
+        assert assert_same_set(bsc_source(0, 0.5, 1080), y, 0.0) == 1
+        spec = bsc_source(0.001, 0.5, 200)
+        c1 = distance_costs(0.001, 200)[1]
+        assert assert_same_set(spec, y[:200], c1) == 201
+
+    @pytest.mark.parametrize("n", [20, 24])
+    @pytest.mark.parametrize("weights", [(0.55, 0.05, 0.1, 0.3),
+                                         (0.45, 0.0, 0.05, 0.5)])
+    def test_float_tables_past_the_exact_ceiling(self, weights, n):
+        spec = SourceSpec(2, 2, 1, n, weights)
+        assert not spec.exact
+        rng = random.Random(n)
+        for _ in range(4):
+            y = tuple(rng.getrandbits(1) for _ in range(n))
+            for flips in range(3):
+                x = list(y)
+                for i in rng.sample(range(n), flips):
+                    x[i] ^= 1
+                at = cond_neg_log_prob(spec, tuple(x), y)
+                if at < math.inf:
+                    for nu in (at, at - 5e-10, at + 5e-10):
+                        assert_same_set(spec, y, nu)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_binary_tables(self, data):
+        # integer weights 0..3 give asymmetric tables, equal costs (ties)
+        # and impossible symbols, as Fractions or as floats
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=4,
+                                     max_size=4).filter(any))
+        n = data.draw(st.integers(1, 10))
+        exact = data.draw(st.booleans())
+        total = sum(weights)
+        spec = SourceSpec(2, 2, 1, n, tuple(
+            Fraction(w, total) if exact else w / total for w in weights))
+        pair = st.tuples(*[st.integers(0, 1)] * n)
+        y = data.draw(pair)
+        at = cond_neg_log_prob(spec, data.draw(pair), y)
+        nu = data.draw(st.sampled_from([at, at - 5e-10, at + 5e-10])
+                       | st.floats(-1.0, 3.0 * n))
+        assert_same_set(spec, y, nu)
+
+    def test_every_y_of_an_asymmetric_table(self):
+        spec = SourceSpec(2, 2, 1, 6, (Fraction(1, 2), Fraction(1, 8),
+                                       Fraction(1, 16), Fraction(5, 16)))
+        costs = sorted({cond_neg_log_prob(spec, x, y)
+                        for x in bits(2, 6) for y in bits(2, 6)})
+        for nu in costs[:12]:
+            sizes = {assert_same_set(spec, y, nu) for y in bits(2, 6)}
+            assert len(sizes) > 1  # |R(y)| moves with y's count of zeros
+
+    def test_empty_and_refused_sets(self, monkeypatch):
+        assert recon_ints(toy(4), 0b0110, -1.0) == []
+        assert recon_ints(toy(4), 0b0110, 0.0) == []
+        monkeypatch.setattr("prekem.source.RECON_CAP", 15)
+        with pytest.raises(InfeasibleError,
+                           match="^reconciliation set exceeds cap 15 at nu=12.0$"):
+            recon_ints(toy(4), 0b0110, 12.0)
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(MalformedError):
+            recon_ints(from_json(ASYM), 0, 1.0)
+        for yp in (-1, 1 << 4):
+            with pytest.raises(MalformedError):
+                recon_ints(toy(4), yp, 1.0)
+
+
+class TestReconClasses:
+    """recon_ints finds the member classes once per (nu, zero count of y),
+    keeps them on the spec and checks their total against the cap before
+    it builds a member."""
+
+    def test_classes_found_once_per_nu_and_zero_count(self, monkeypatch):
+        import prekem.source as source
+        walks = []
+        walk = source._member_classes
+        monkeypatch.setattr(source, "_member_classes",
+                            lambda spec, nu, zeros: walks.append(
+                                (nu, tuple(zeros))) or walk(spec, nu, zeros))
+        spec = toy(6)
+        for yp in (0b000111, 0b101010, 0b111000, 0b000001, 0b100000):
+            recon_ints(spec, yp, 6.0)
+        recon_ints(spec, 0b000111, 4.0)
+        assert walks == [(6.0, (3,)), (6.0, (5,)), (4.0, (3,))]
+        assert set(spec.recon_classes) == {(6.0, 3), (6.0, 5), (4.0, 3)}
+        assert spec.recon_classes[(6.0, 3)] == (
+            22, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)])
+
+    def test_cap_checked_before_members_are_built(self, monkeypatch):
+        import prekem.source as source
+        spec = bsc_source(Fraction(1, 20), Fraction(1, 2), 24)
+        nu = distance_costs(1 / 20, 24)[2]
+        recon_ints(spec, 0xABCDEF, nu)  # the 301-string ball, kept
+        monkeypatch.setattr(source, "_flip_masks", None)  # building fails
+        monkeypatch.setattr(source, "RECON_CAP", 300)
+        with pytest.raises(InfeasibleError,
+                           match="reconciliation set exceeds cap 300 at nu="):
+            recon_ints(spec, 0xABCDEF, nu)
+        monkeypatch.setattr(source, "RECON_CAP", 1 << 20)
+        wide = bsc_source(0.001, 0.5, 1080)
+        with pytest.raises(InfeasibleError):  # counted, never built
+            recon_ints(wide, 5, 1e4)
+
+
 TABLES = ("marg_y", "joint_xy", "joint_xz", "joint_yz", "cost", "cumulative",
-          "scaled", "cond_cells")
+          "scaled", "cond_cells", "recon_classes")
 
 
 class TestSpecTables:
