@@ -17,8 +17,8 @@ seeded from OS entropy.
 
 Each command imports only the layers it runs: hybrid, combiner and games
 load inside their handlers, because every command is a fresh process whose
-start-up is mostly imports, and numpy (through games) is needed only by
-game.
+start-up is mostly imports.  No command loads numpy: only the exact
+analyzer games.exact_distance imports it, and game runs none.
 """
 
 from __future__ import annotations

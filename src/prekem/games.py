@@ -36,9 +36,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .combiner import CompPrfKey, ItPrfKey, prf_comp, prf_it
+from .combiner import (SUPPORTED_WIDTHS, CompPrfKey, ItPrfKey, prf_comp,
+                       prf_it)
 from .dem import (
     DemCiphertext,
     DemKey,
@@ -57,8 +56,7 @@ from .ikem import (
     IkemParams,
     Mode,
     _extract,
-    _recon_seed,
-    _recon_value,
+    _recon_hash,
     decap,
     distance_bound,
     encap,
@@ -351,16 +349,21 @@ def _pkem_trial(params: IkemParams, config: GameConfig, rng):
     return inst, oracle, view
 
 
-def _explains(params: IkemParams, xp: int, transcript, pub) -> bool:
-    """Packed x explains every (key, ciphertext) of the transcript; a None
-    key leaves the ciphertext's hash value alone to check."""
-    for k, c in transcript:
-        if _recon_value(params, xp, c.sprime,
-                        _recon_seed(params, c.s, pub)) != c.v:
-            return False
-        if k is not None and _extract(params, xp, c.sprime) != k.bits:
-            return False
-    return True
+def _explains(params: IkemParams, transcript, pub) -> Callable[[int], bool]:
+    """Packed x -> whether it explains every (key, ciphertext) of the
+    transcript; a None key leaves the ciphertext's hash value alone to
+    check.  Each entry's reconciliation hash is built once."""
+    checks = [(k, c, _recon_hash(params, c.sprime, c.s, pub))
+              for k, c in transcript]
+
+    def explains(xp: int) -> bool:
+        for k, c, h in checks:
+            if h(xp) != c.v:
+                return False
+            if k is not None and _extract(params, xp, c.sprime) != k.bits:
+                return False
+        return True
+    return explains
 
 
 def _honest_redraw(params: IkemParams, xp: int, avoid, rng, pub):
@@ -477,10 +480,9 @@ class BayesPkind:
     def phase2(self, params, view, transcript, c_star, k_b, oracle, rng):
         pairs = self._pairs(params.source, view.z)
         pub = view.public_seed
-        seen = transcript + [(None, c_star)]
+        explains = _explains(params, transcript + [(None, c_star)], pub)
         chal_key = {xp: _extract(params, xp, c_star.sprime)
-                    for xp in {p[0] for p in pairs}
-                    if _explains(params, xp, seen, pub)}
+                    for xp in {p[0] for p in pairs} if explains(xp)}
         keep = [p for p in pairs if p[0] in chal_key]
         if self.probe and oracle.decaps_left > 0 and keep:
             keep = self._probe(params, keep, c_star, pub, oracle, rng)
@@ -620,8 +622,8 @@ def brute_force_forger(params: IkemParams, z, rng,
         raise MalformedError("a query transcript needs both key and ciphertext")
     pairs = _enumerate_pairs(spec, z)
     if key is not None:
-        good = {xp for xp in {p[0] for p in pairs}
-                if _explains(params, xp, [(key, ciphertext)], public_seed)}
+        explains = _explains(params, [(key, ciphertext)], public_seed)
+        good = {xp for xp in {p[0] for p in pairs} if explains(xp)}
         pairs = [p for p in pairs if p[0] in good]
         if not pairs:
             raise MalformedError("transcript inconsistent with the source")
@@ -693,6 +695,7 @@ def exact_distance(params: IkemParams, q_e: int) -> Fraction:
         raise InfeasibleError("view enumeration exceeds the work ceiling")
     if 2 * out * denom ** n * NQ >= 1 << 52:
         raise InfeasibleError("scaled masses overflow exact float accounting")
+    import numpy as np  # loaded here, so only an exact analysis pays for it
 
     # W[x, z]: scaled mass, the n-fold Kronecker product of the per-symbol
     # table, first symbol the most significant index digit on both axes
@@ -705,10 +708,10 @@ def exact_distance(params: IkemParams, q_e: int) -> Fraction:
     code = np.repeat(np.array([[_extract(params, x, sp) for x in range(X)]
                                for sp in range(1 << params.w)]),
                      1 << s_bits, axis=0)
-    seeds = ([(0, g) for g in range(G)] if shared
-             else [divmod(sigma, 1 << s_bits) for sigma in range(NQ)])
-    V = np.array([[_recon_value(params, x, sp, s) for x in range(X)]
-                  for sp, s in seeds])
+    hashes = ([_recon_hash(params, 0, None, g) for g in range(G)] if shared
+              else [_recon_hash(params, *divmod(sigma, 1 << s_bits), None)
+                    for sigma in range(NQ)])
+    V = np.array([[h(x) for x in range(X)] for h in hashes])
     base, code = ((V, code) if shared
                   else (V[:1] * 0, code + (V << params.ell)))
 
@@ -913,6 +916,11 @@ class PrfFamily:
 
 def it_prf_family(key_bits: int, q_d: int, out_bits: int) -> PrfFamily:
     """Polynomial-evaluation family keyed by a (q_d+2)-way key split."""
+    # checked before any key is drawn, which a huge key_bits would overflow
+    if q_d < 0 or key_bits // (q_d + 2) not in SUPPORTED_WIDTHS:
+        raise MalformedError(f"a {key_bits}-bit key does not split into "
+                             f"{q_d + 2} coefficients of a supported field")
+
     def sample(rng):
         return ItPrfKey.from_kem_key(IkemKey(rng.getrandbits(key_bits),
                                              key_bits), q_d)

@@ -18,8 +18,6 @@ products, with no reduction step; the tables are built per call and never
 cached.  FieldCtx.lanes_by(k, lanes) multiplies many elements by k at once:
 they sit in 2m-bit lanes of one int, whose clmul by k is reduced in every
 lane together by shifts and masks.
-
-Serialization is big-endian, ceil(m/8) bytes, zero-padded at the top.
 """
 
 from __future__ import annotations
@@ -372,21 +370,6 @@ class FieldCtx:
             raise ZeroDivisionError("0 has no inverse")
         # a^(2^m - 2) by square-and-multiply.
         return self.pow(a, (1 << self.m) - 2)
-
-    # -- serialization -------------------------------------------------------
-
-    @property
-    def byte_len(self) -> int:
-        return (self.m + 7) // 8
-
-    def to_bytes(self, a: int) -> bytes:
-        return self.check(a).to_bytes(self.byte_len, "big")
-
-    def from_bytes(self, data: bytes) -> int:
-        if len(data) != self.byte_len:
-            raise ValueError(f"expected {self.byte_len} bytes, got {len(data)}")
-        v = int.from_bytes(data, "big")
-        return self.check(v)
 
 
 @functools.lru_cache(maxsize=None)

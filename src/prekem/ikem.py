@@ -17,12 +17,14 @@ which seeds are fresh and how wide they are (ell is the key length):
   BASELINE  comparison mode: as CEA but with per-encapsulation fresh seeds
             and strongly universal (multiply-add) families for both hashes.
 
-Encapsulation hashes Alice's packed x; decapsulation builds the
-reconciliation set of Bob's y as packed ints from its member classes
-(source.recon_ints) and accepts iff exactly one member explains the hash
-value v.  None is the rejection value; a set larger than source.RECON_CAP
-raises InfeasibleError before any member is built (an operational failure,
-never a protocol answer).
+Each ciphertext hashes under one map x -> v that _recon_hash builds from
+its mode's seed (the published seed in CEA, the wire's s otherwise, and
+in CCA the split of s' too).  Encapsulation applies it to Alice's packed
+x; decapsulation runs it over Bob's reconciliation set, packed ints from
+its member classes (source.recon_ints), and accepts iff exactly one
+member hashes to v.  None is the rejection value; a set larger than
+source.RECON_CAP raises InfeasibleError before any member is built (an
+operational failure, never a protocol answer).
 
 The derive_params_* engines turn a source plus security targets
 (sigma: key indistinguishability, eps: correctness, delta: forgery) into
@@ -39,7 +41,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from . import source as _source  # RECON_CAP is read when a check runs
 from .errors import InfeasibleError, MalformedError
@@ -274,24 +276,22 @@ def gen(params: IkemParams, rng) -> IkemInstance:
     return IkemInstance(trip.x, trip.y, trip.z, pub)
 
 
-def _recon_seed(params: IkemParams, s: Optional[int],
-                public_seed: Optional[int]) -> int:
-    """The seed v is computed under: the wire's s, or the published seed
-    where the mode carries none."""
-    if params.mode.s_bits(params.n, params.t):
-        return s
-    if public_seed is None:
-        raise MalformedError("shared-seed mode needs the public seed")
-    return public_seed
-
-
-def _recon_value(params: IkemParams, xp: int, sprime: int, s: int) -> int:
+def _recon_hash(params: IkemParams, sprime: int, s: Optional[int],
+                public_seed: Optional[int]) -> Callable[[int], int]:
+    """x -> v for a ciphertext with seeds (s', s): under the published seed
+    in shared-seed mode, whose wire carries none, else under s.  The seed
+    is checked, and in CCA s' split, once here rather than per hashed x."""
+    n, t = params.n, params.t
+    if params.mode is Mode.BASELINE:
+        return lambda xp: _su_hash(xp, s, n, t)
     if params.mode is Mode.CEA:
-        return h_cea(xp, ReconSeed(s, params.n, params.t))
-    if params.mode is Mode.CCA:
-        sv = split_seed(sprime, params.w, params.n - params.t)
-        return h_cca(xp, sv, ReconSeed(s, params.n, params.t))
-    return _su_hash(xp, s, params.n, params.t)
+        if public_seed is None:
+            raise MalformedError("shared-seed mode needs the public seed")
+        seed = ReconSeed(public_seed, n, t)
+        return lambda xp: h_cea(xp, seed)
+    sv = split_seed(sprime, params.w, n - t)
+    seed = ReconSeed(s, n, t)
+    return lambda xp: h_cca(xp, sv, seed)
 
 
 def _extract(params: IkemParams, xp: int, sprime: int) -> int:
@@ -313,7 +313,7 @@ def encap(params: IkemParams, x, rng,
     sprime = rng.getrandbits(params.w)
     s_bits = params.mode.s_bits(params.n, params.t)
     s = rng.getrandbits(s_bits) if s_bits else None
-    v = _recon_value(params, xp, sprime, _recon_seed(params, s, public_seed))
+    v = _recon_hash(params, sprime, s, public_seed)(xp)
     return (IkemKey(_extract(params, xp, sprime), params.ell),
             IkemCiphertext(v, sprime, s))
 
@@ -342,10 +342,10 @@ def decap(params: IkemParams, y, c: IkemCiphertext,
         raise MalformedError("y must have length n")
     yp = pack_bits(y)
     _check_ciphertext(params, c)
-    s = _recon_seed(params, c.s, public_seed)
+    h = _recon_hash(params, c.sprime, c.s, public_seed)
     match: Optional[int] = None
     for xp in recon_ints(params.source, yp, params.nu):
-        if _recon_value(params, xp, c.sprime, s) == c.v:
+        if h(xp) == c.v:
             if match is not None:
                 return None
             match = xp

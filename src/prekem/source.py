@@ -267,7 +267,7 @@ def from_json(doc: dict) -> SourceSpec:
     Accepted shapes:
       {"bsc": {"p": ..., "q": ..., "n": ...}}
       {"alphabet": [nx, ny, nz], "n": ..., "pxyz": [[x, y, z, prob], ...]}
-    Omitted (x, y, z) cells are zero.
+    Omitted (x, y, z) cells are zero; a cell given by two rows is refused.
     """
     if not isinstance(doc, dict):
         raise MalformedError("source document must be a JSON object")
@@ -290,6 +290,7 @@ def from_json(doc: dict) -> SourceSpec:
     exact = max(nx, ny, nz) <= EXACT_ALPHABET_MAX and n <= EXACT_N_MAX
     zero = Fraction(0) if exact else 0.0
     table = [zero] * (nx * ny * nz)
+    first_row = {}
     for index, row in enumerate(rows):
         where = f"pxyz row {index}"
         if not isinstance(row, list) or len(row) != 4:
@@ -299,7 +300,12 @@ def from_json(doc: dict) -> SourceSpec:
         x, y, z = (read_field(cell, k, where, int) for k in "xyz")
         if not (0 <= x < nx and 0 <= y < ny and 0 <= z < nz):
             raise MalformedError(f"{where} {row!r} is outside the alphabet")
-        table[(x * ny + y) * nz + z] = _coerce(
+        cell_at = (x * ny + y) * nz + z
+        first = first_row.setdefault(cell_at, index)
+        if first != index:
+            raise MalformedError(f"pxyz rows {first} and {index} both give "
+                                 f"cell ({x}, {y}, {z})")
+        table[cell_at] = _coerce(
             read_field(cell, "prob", where, object), exact)
     return SourceSpec(nx, ny, nz, n, tuple(table))
 

@@ -151,6 +151,14 @@ class TestParams:
         _, dem = params_from_doc(json.loads(out.read_text()))
         assert dem == DemProfile(enc_len=8, mac_bits=8)
 
+    def test_repeated_pxyz_cell_exits_one(self, tmp_path, capsys):
+        source = {"alphabet": [2, 2, 2], "n": 3,
+                  "pxyz": [[0, 0, 0, 0.5], [0, 0, 0, 0.5], [1, 1, 1, 0.5]]}
+        config = self.config(tmp_path, source=source)
+        err = assert_format_error(capsys, "params", "--config", config,
+                                  "--mode", "cea")
+        assert "pxyz rows 0 and 1 both give cell (0, 0, 0)" in err, err
+
     def test_baseline_mode(self, tmp_path, capsys):
         config = self.config(tmp_path)
         assert run_cli("params", "--config", config, "--mode",
@@ -923,6 +931,19 @@ class TestGameEntryTypes:
         self.check(tmp_path, capsys, SWEPT_GAMES["pkind"], "target",
                    "1010", value)
 
+    @pytest.mark.parametrize("key_bits, q_d", [
+        (10 ** 12, 1), (2 ** 20, 0), (-2, 1), (0, 1), (9, -1), (9, -2)])
+    def test_prf_key_must_split_into_field_elements(self, tmp_path, capsys,
+                                                    key_bits, q_d):
+        # 10**12 bits used to overflow random.getrandbits, escaping main()
+        family = {**SWEPT_GAMES["pri"]["family"], "key_bits": key_bits,
+                  "q_d": q_d}
+        config = write_json(tmp_path / "game.json",
+                            {**SWEPT_GAMES["pri"], "family": family})
+        err = assert_format_error(capsys, "game", "--config", config,
+                                  "--seed", "2a")
+        assert "coefficients of a supported field" in err, err
+
 
 class TestSourceMessages:
     """A malformed source block exits 1 with one line that names the
@@ -1046,7 +1067,8 @@ class TestSubprocess:
 
     def test_commands_import_only_their_layers(self, tmp_path):
         # each command is a fresh process, so what it imports is start-up
-        # time: the key pipeline needs neither numpy (games) nor OpenSSL
+        # time: the key pipeline needs neither games nor OpenSSL, and only
+        # an exact analysis, which no command runs, loads numpy
         params = write_json(
             tmp_path / "params.json",
             params_to_doc(noiseless_params(n=14, t=4, ell=8, w=14),
@@ -1092,5 +1114,5 @@ class TestSubprocess:
             ["encap", 0, []],
             ["decap", 0, []],
             ["he-encrypt", 0, ["cryptography"]],
-            ["game", 0, ["numpy", "prekem.games", "cryptography"]],
+            ["game", 0, ["prekem.games", "cryptography"]],
         ]

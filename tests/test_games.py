@@ -55,7 +55,7 @@ from prekem.ikem import (
     IkemParams,
     Mode,
     _extract,
-    _recon_value,
+    _recon_hash,
     decap,
     encap,
     forgery_bound,
@@ -108,7 +108,7 @@ def view_distance_shared_seed(params, q_e):
                 continue
             xp = int("".join(map(str, xs)), 2)
             for g in range(2 ** n):
-                v = _recon_value(params, xp, 0, g)
+                v = _recon_hash(params, 0, None, g)(xp)
                 for sps in itertools.product(range(2 ** w), repeat=q_e):
                     ks = tuple(_extract(params, xp, sp) for sp in sps)
                     for sp_star in range(2 ** w):
@@ -136,10 +136,10 @@ def view_distance_fresh_seed(params, q_e):
                 continue
             xp = int("".join(map(str, xs)), 2)
             for qs in itertools.product(sigmas, repeat=q_e):
-                hist = tuple((sp, s, _recon_value(params, xp, sp, s),
+                hist = tuple((sp, s, _recon_hash(params, sp, s, None)(xp),
                               _extract(params, xp, sp)) for sp, s in qs)
                 for sp_star, s_star in sigmas:
-                    v_star = _recon_value(params, xp, sp_star, s_star)
+                    v_star = _recon_hash(params, sp_star, s_star, None)(xp)
                     k_star = _extract(params, xp, sp_star)
                     view = (zs, hist, sp_star, s_star, v_star)
                     d_real[view + (k_star,)] += wt * seedw
@@ -624,7 +624,7 @@ class TestBruteForceForger:
         win = Fraction(0)
         for xs in itertools.product(range(2), repeat=4):
             xp = int("".join(map(str, xs)), 2)
-            if (_recon_value(params, xp, c.sprime, c.s) != c.v
+            if (_recon_hash(params, c.sprime, c.s, None)(xp) != c.v
                     or _extract(params, xp, c.sprime) != key.bits):
                 continue
             for ys in itertools.product(range(2), repeat=4):

@@ -331,23 +331,6 @@ class TestContexts:
         assert f == field(m)
 
 
-class TestSerialization:
-    @pytest.mark.parametrize("m", [3, 8, 13, 61])
-    def test_round_trip(self, m):
-        f = field(m)
-        for a in (0, 1, (1 << m) - 1, 0b1010101 % (1 << m)):
-            data = f.to_bytes(a)
-            assert len(data) == (m + 7) // 8
-            assert f.from_bytes(data) == a
-
-    def test_big_endian(self):
-        assert field(16).to_bytes(0x0102) == b"\x01\x02"
-
-    def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            field(16).from_bytes(b"\x01")
-
-
 class TestPolyTable:
     def test_known_anchors(self):
         # published low-weight values: AES field, GCM field

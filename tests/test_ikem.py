@@ -42,11 +42,11 @@ from prekem.ikem import (
     serialize_ciphertext,
     unpack_bits,
 )
-from prekem.ikem import _check_ciphertext, _extract, _recon_seed, _recon_value
+from prekem.ikem import _check_ciphertext, _extract, _recon_hash, _su_hash
 from prekem.source import (SourceSpec, bsc_radius, bsc_source,
                            cond_neg_log_prob, from_json, miss_mass,
-                           recon_set)
-from prekem.uhash import piece_count
+                           recon_ints, recon_set)
+from prekem.uhash import ReconSeed, h_cca, h_cea, piece_count, split_seed
 
 
 def exhaustive_correctness(params):
@@ -92,10 +92,9 @@ def recon_set_decap(params, y, c, public_seed=None):
     if len(y) != params.n:
         raise MalformedError("y must have length n")
     _check_ciphertext(params, c)
-    s = _recon_seed(params, c.s, public_seed)
+    h = _recon_hash(params, c.sprime, c.s, public_seed)
     members = recon_set(params.source, tuple(y), params.nu).members
-    found = [xp for xp in map(pack_bits, members)
-             if _recon_value(params, xp, c.sprime, s) == c.v]
+    found = [xp for xp in map(pack_bits, members) if h(xp) == c.v]
     if len(found) != 1:
         return None, len(found)
     return IkemKey(_extract(params, found[0], c.sprime), params.ell), 1
@@ -362,6 +361,63 @@ class TestDecapAgainstReconSet:
                 assert decap(params, y, c, pub) == want
                 outcomes[("none", "accept", "tie")[min(found, 2)]] += 1
         assert min(outcomes.values()) > 10, outcomes
+
+
+class TestReconHash:
+    """_recon_hash against the uhash families on the seeds each mode
+    hashes under, and the seed built once per ciphertext."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("n, t, ell", [(4, 2, 1), (7, 3, 2), (24, 12, 4)])
+    def test_matches_the_family_on_its_seed(self, mode, n, t, ell):
+        params = shaped(mode, bsc_source(Fraction(1, 4), Fraction(1, 2), n),
+                        t, ell, 1.0)
+        s_bits = mode.s_bits(n, t)
+        rng = random.Random(n * 10 + int(mode))
+        seeds = [(0, 0, 0)] + [
+            (rng.getrandbits(params.w), rng.getrandbits(s_bits),
+             rng.getrandbits(n)) for _ in range(6)]
+        xs = [0, 1, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(10)]
+        for sprime, s, pub in seeds:
+            if mode is Mode.CEA:
+                # the wire's seeds play no part: only the published one
+                h = _recon_hash(params, sprime, None, pub)
+                want = [h_cea(x, ReconSeed(pub, n, t)) for x in xs]
+            elif mode is Mode.CCA:
+                h = _recon_hash(params, sprime, s, pub)
+                want = [h_cca(x, split_seed(sprime, params.w, n - t),
+                              ReconSeed(s, n, t)) for x in xs]
+            else:
+                h = _recon_hash(params, sprime, s, pub)
+                want = [_su_hash(x, s, n, t) for x in xs]
+            assert [h(x) for x in xs] == want
+
+    def test_shared_seed_mode_needs_the_public_seed(self):
+        params = toy_params(Mode.CEA)
+        x = (0, 1, 1, 0)
+        with pytest.raises(MalformedError,
+                           match="^shared-seed mode needs the public seed$"):
+            encap(params, x, random.Random(3))
+        _, c = encap(params, x, random.Random(3), 0b1001)
+        with pytest.raises(MalformedError,
+                           match="^shared-seed mode needs the public seed$"):
+            decap(params, x, c)
+
+    def test_one_seed_per_decap(self, monkeypatch):
+        params = shaped(Mode.CEA, NOISY24, 12, 4, 12.0)
+        inst = gen(params, random.Random(4))
+        _, c = encap(params, inst.x, random.Random(5), inst.public_seed)
+        assert len(recon_ints(NOISY24, pack_bits(inst.y), 12.0)) == 301
+        built = []
+
+        class CountedSeed(ReconSeed):
+            def __post_init__(self):
+                built.append(self.s)
+                super().__post_init__()
+
+        monkeypatch.setattr("prekem.ikem.ReconSeed", CountedSeed)
+        decap(params, inst.y, c, inst.public_seed)
+        assert built == [inst.public_seed]
 
 
 class TestCheckEnumerable:

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -163,7 +164,8 @@ class TestReconSet:
         nu = math.fsum([-math.log2(1 / 20)] * 3
                        + [-math.log2(19 / 20)] * 21) - 5e-10
         assert bsc_recon_size(p, 24, nu) == 301
-        y = tuple(random.Random(7).getrandbits(1) for _ in range(24))
+        rng = random.Random(7)
+        y = tuple(rng.getrandbits(1) for _ in range(24))
         monkeypatch.setattr("prekem.source.RECON_CAP", 301)
         assert len(recon_set(spec, y, nu).members) == 301
         monkeypatch.setattr("prekem.source.RECON_CAP", 300)
@@ -173,7 +175,8 @@ class TestReconSet:
 
     def test_large_n_noiseless(self):
         spec = bsc_source(0, 0.5, 1080)
-        y = tuple(random.Random(5).getrandbits(1) for _ in range(1080))
+        rng = random.Random(5)
+        y = tuple(rng.getrandbits(1) for _ in range(1080))
         assert recon_set(spec, y, 0).members == (y,)
 
     @settings(max_examples=60, deadline=None)
@@ -391,7 +394,8 @@ class TestReconSetDifferential:
         spec = bsc_source(p, 0.5, n)
         assert spec.exact == (n <= 16)
         for seed in range(3 if n < 17 else 1):
-            y = tuple(random.Random(seed).getrandbits(1) for _ in range(n))
+            rng = random.Random(seed)
+            y = tuple(rng.getrandbits(1) for _ in range(n))
             assert recon_set(spec, y, nu).members == brute_recon(spec, y, nu)
 
     @pytest.mark.parametrize("nu", [0.0, 2.0, 4.5, 7.0, 12.0, math.inf])
@@ -828,6 +832,18 @@ class TestJson:
     def test_malformed(self, doc):
         with pytest.raises(MalformedError):
             from_json(doc)
+
+    @pytest.mark.parametrize("rows, first, second, cell", [
+        ([[0, 0, 0, 0.5], [0, 0, 0, 0.5], [1, 1, 1, 0.5]], 0, 1, (0, 0, 0)),
+        ([[1, 1, 1, 1], [0, 1, 0, 0], ["1", 1.0, 1, 0]], 0, 2, (1, 1, 1)),
+    ])
+    def test_repeated_cell_names_both_rows(self, rows, first, second, cell):
+        # the last row used to overwrite the first, so the first example
+        # built a valid table from rows listing a mass of 3/2
+        want = (f"pxyz rows {first} and {second} both give cell "
+                f"({cell[0]}, {cell[1]}, {cell[2]})")
+        with pytest.raises(MalformedError, match=re.escape(want) + "$"):
+            from_json({"alphabet": [2, 2, 2], "n": 3, "pxyz": rows})
 
     @pytest.mark.parametrize("rows", [None, True, 3, 2.5, "x", {"a": 1}])
     def test_pxyz_must_be_a_list_of_rows(self, rows):
