@@ -65,7 +65,7 @@ from .ikem import (
     pack_bits,
     unpack_bits,
 )
-from .source import SourceSpec, recon_ints
+from .source import SourceSpec, recon_ints, require_binary
 from .uhash import PaddedSeedVector, ReconSeed, h_cca
 
 __all__ = [
@@ -261,8 +261,7 @@ def _enumerate_pairs(spec: SourceSpec, z: Tuple[int, ...]) -> List[Tuple[int, in
     """
     if len(z) != spec.n:
         raise MalformedError("z must have length n")
-    if spec.nx != 2 or spec.ny != 2:
-        raise MalformedError("pair enumeration needs binary x and y alphabets")
+    require_binary(spec, "pair enumeration")
     _, scaled = spec.scaled
     acc: List[Tuple[int, int, int]] = [(0, 0, 1)]
     for zi in z:

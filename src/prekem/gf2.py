@@ -365,12 +365,6 @@ class FieldCtx:
             e >>= 1
         return result
 
-    def inv(self, a: int) -> int:
-        if self.check(a) == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        # a^(2^m - 2) by square-and-multiply.
-        return self.pow(a, (1 << self.m) - 2)
-
 
 @functools.lru_cache(maxsize=None)
 def field(m: int) -> FieldCtx:

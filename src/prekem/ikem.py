@@ -56,9 +56,12 @@ from .source import (
     guessing_log2_mass,
     max_recon_size,
     miss_mass,
+    pack_bits,
     recon_ints,
+    require_binary,
     sample,
     shannon_cond_entropy,
+    unpack_bits,
 )
 from .uhash import (ExtractorSeed, ReconSeed, h_cca, h_cea, hprime,
                     piece_count, split_seed)
@@ -151,8 +154,8 @@ class IkemParams:
     delta: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.source.nx != 2 or self.source.ny != 2:
-            raise MalformedError("encapsulation needs binary x and y alphabets")
+        _checked_nu(self.source, self.nu, self.sigma, self.q_e, self.q_d,
+                    self.eps, self.delta)
         if self.n != self.source.n:
             raise MalformedError("n must equal the source repetition count")
         if self.n > MAX_WIDTH:  # GF(2^n) must be a field encap can build
@@ -162,8 +165,6 @@ class IkemParams:
             raise MalformedError("t must be positive")
         if not 1 <= self.ell <= self.n:
             raise MalformedError("ell must be in 1..n")
-        _checked_nu(self.source, self.nu, self.sigma, self.q_e, self.q_d,
-                    self.eps, self.delta)
         w = self.mode.seed_width(self.n, self.ell)
         if self.w != w:
             raise MalformedError(f"{self.mode.name} mode needs w = {w}")
@@ -181,9 +182,10 @@ class IkemParams:
 def _checked_nu(source: SourceSpec, nu: Optional[float], sigma: float,
                 q_e: int, q_d: int = 0, eps: Optional[float] = None,
                 delta: Optional[float] = None) -> float:
-    """nu, or when None the nu_for_correctness of eps, once sigma, eps,
-    delta and the query budgets are in range: derivations take their
-    logarithms."""
+    """nu, or when None the nu_for_correctness of eps, once the source has
+    binary x and y and sigma, eps, delta and the query budgets are in
+    range: derivations take their logarithms."""
+    require_binary(source, "encapsulation")
     for name, v in (("sigma", sigma), ("eps", eps), ("delta", delta)):
         if v is not None and not 0 < v <= 1:
             raise MalformedError(f"{name} must be in (0, 1]")
@@ -226,33 +228,6 @@ class IkemInstance:
     y: Tuple[int, ...]
     z: Tuple[int, ...]
     public_seed: Optional[int]
-
-
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def pack_bits(bits) -> int:
-    """First symbol becomes the most significant bit.
-
-    The symbols become one byte each and then the digits of a base-2
-    literal, so the work runs in C.  Anything but the ints 0 and 1 (2, -1,
-    256, 1.0, None) raises MalformedError.
-    """
-    try:
-        # a tuple or list goes straight to bytes(); anything else is listed
-        # first, so a multi-byte buffer is read per item, not per byte
-        raw = bytes(bits if isinstance(bits, (tuple, list)) else list(bits))
-    except (TypeError, ValueError):
-        raise MalformedError("packing needs binary symbols") from None
-    if raw.strip(b"\x00\x01"):
-        raise MalformedError("packing needs binary symbols")
-    return int(raw.translate(_BIT_DIGITS), 2) if raw else 0
-
-
-def unpack_bits(v: int, n: int) -> Tuple[int, ...]:
-    if not 0 <= v < (1 << n):
-        raise MalformedError("value does not fit in n bits")
-    return tuple((v >> (n - 1 - i)) & 1 for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +461,9 @@ def check_enumerable(params: IkemParams) -> None:
     The derivations stay analytic (the paper's instances have sets far
     beyond any cap); this is the check for an instance that will run.  For
     a satellite source every R(y) has bsc_recon_size members; for any other
-    table max_recon_size counts the largest R(y).  Either count is what
-    decap's source.recon_ints compares with source.RECON_CAP.
+    table max_recon_size counts the largest R(y) over the member classes of
+    source.recon_ints, the one R(y) walk, which decap and recon_set share.
+    Either count is what that walk compares with source.RECON_CAP.
     """
     p = _satellite_flip(params.source)
     size = (bsc_recon_size(p, params.n, params.nu) if p is not None

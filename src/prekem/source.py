@@ -12,6 +12,12 @@ Conventions:
   - log-probability costs are always doubles (math.fsum of per-symbol
     terms), so membership decisions are order-independent.
 
+The reconciliation set R(y) = {x : -log2 P(x|y) <= nu} is found one way,
+for binary x and y only: _member_classes walks the classes of members by
+how many of y's zeros and ones x flips to the dearer symbol.  recon_ints
+gives the members as packed ints, and recon_set is their ordered tuple
+view.
+
 The binary satellite scenario is the main concrete instance: X is a
 uniform bit, Y = X xor Ber(p), Z = X xor Ber(q).  q = 1/2 makes Eve's
 string independent.
@@ -24,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Tuple, Union
 
 from .errors import InfeasibleError, MalformedError
@@ -36,9 +42,8 @@ EXACT_ALPHABET_MAX = 4
 ALPHABET_MAX = 16
 EXACT_N_MAX = 16
 SUM_TOL = 2.0 ** -40
-# Most members a reconciliation set may have: recon_ints (decap's walk)
-# counts its member classes, and recon_set the members it keeps.  A larger
-# set raises InfeasibleError.
+# Most members a reconciliation set may have: recon_ints counts the members
+# of its classes before it builds any.  A larger set raises InfeasibleError.
 RECON_CAP = 1 << 20
 
 # Work ceiling for exhaustive guessing-mass enumeration: largest
@@ -170,11 +175,12 @@ class SampleTriple:
 
 @dataclass(frozen=True)
 class ReconSet:
-    """All x-strings whose conditional surprisal given y is at most nu bits.
+    """R(y) for binary x and y: every x-string whose conditional surprisal
+    given y is at most nu bits.
 
-    members is materialized, sorted by ascending cost (cond_neg_log_prob's
-    fsum of per-symbol costs) then lexicographically, so iteration order is
-    reproducible across runs and implementations.
+    members holds recon_ints's members as strings, sorted by ascending cost
+    (cond_neg_log_prob's fsum of per-symbol costs) then lexicographically,
+    so iteration order is reproducible across runs and implementations.
     """
 
     y: Tuple[int, ...]
@@ -329,67 +335,48 @@ def sample(spec: SourceSpec, rng) -> SampleTriple:
 # ---------------------------------------------------------------------------
 # surprisal and the reconciliation set
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def pack_bits(bits) -> int:
+    """First symbol becomes the most significant bit.
+
+    The symbols become one byte each and then the digits of a base-2
+    literal, so the work runs in C.  Anything but the ints 0 and 1 (2, -1,
+    256, 1.0, None) raises MalformedError.
+    """
+    try:
+        # a tuple or list goes straight to bytes(); anything else is listed
+        # first, so a multi-byte buffer is read per item, not per byte
+        raw = bytes(bits if isinstance(bits, (tuple, list)) else list(bits))
+    except (TypeError, ValueError):
+        raise MalformedError("packing needs binary symbols") from None
+    if raw.strip(b"\x00\x01"):
+        raise MalformedError("packing needs binary symbols")
+    return int(raw.translate(_BIT_DIGITS), 2) if raw else 0
+
+
+def unpack_bits(v: int, n: int) -> Tuple[int, ...]:
+    """pack_bits's inverse at length n, by the same route through a base-2
+    literal: the digits of v with a 1 set above them, less that 1."""
+    if not 0 <= v < (1 << n):
+        raise MalformedError("value does not fit in n bits")
+    return tuple(bin(v | 1 << n)[3:].encode().translate(_DIGIT_BITS))
+
+
+def require_binary(spec: SourceSpec, use: str) -> None:
+    """MalformedError unless x and y are bits, the only strings use takes."""
+    if spec.nx != 2 or spec.ny != 2:
+        raise MalformedError(f"{use} needs binary x and y alphabets")
+
+
 def cond_neg_log_prob(spec: SourceSpec, x: Tuple[int, ...], y: Tuple[int, ...]) -> float:
     """Sum of per-symbol -log2 P(x_i|y_i); inf when any factor is zero."""
     if len(x) != spec.n or len(y) != spec.n:
         raise MalformedError("strings must have length n")
     cost = spec.cost
     return math.fsum(cost[yi][xi] for xi, yi in zip(x, y))
-
-
-def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float) -> ReconSet:
-    """All x with cond_neg_log_prob(x, y) <= nu, cost-then-lex ordered.
-
-    Branch and bound over positions: a prefix is abandoned as soon as its
-    cost plus the cheapest possible completion exceeds nu.  Every surviving
-    internal node has at least one member below it, so the search does
-    O(n * |alphabet|) work per member.  Each string the walk reaches is
-    scored once, by the fsum rule of cond_neg_log_prob, kept when its score
-    is at most nu and ordered by (score, x).  More than RECON_CAP kept
-    members raises InfeasibleError, so the cap counts exactly what
-    bsc_recon_size does.
-    """
-    if len(y) != spec.n:
-        raise MalformedError("y must have length n")
-    n = spec.n
-    cap = RECON_CAP
-    rows = [spec.cost[yi] for yi in y]  # rows[i][x] = cost of x at position i
-    suffix = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + min(rows[i])
-    # tiny slack absorbs rounding drift of the running sum; membership is
-    # decided at each leaf by the fsum score
-    budget = nu + 1e-9
-    kept = []
-    prefix = [0] * n
-    # iterative depth-first walk (n can exceed the recursion limit):
-    # nxt[i] is the next symbol to try at position i, acc[i] the prefix cost
-    nxt = [0] * (n + 1)
-    acc = [0.0] * (n + 1)
-    i = 0 if suffix[0] <= budget else -1
-    while i >= 0:
-        if i == n:
-            score = math.fsum([r[xi] for r, xi in zip(rows, prefix)])
-            if score <= nu:
-                kept.append((score, tuple(prefix)))
-                if len(kept) > cap:
-                    raise InfeasibleError(
-                        f"reconciliation set exceeds cap {cap} at nu={nu}")
-            i -= 1
-            continue
-        sym = nxt[i]
-        if sym >= spec.nx:
-            nxt[i] = 0
-            i -= 1
-            continue
-        nxt[i] = sym + 1
-        c = acc[i] + rows[i][sym]
-        if c + suffix[i + 1] <= budget:
-            prefix[i] = sym
-            acc[i + 1] = c
-            i += 1
-    kept.sort()
-    return ReconSet(tuple(y), float(nu), tuple(x for _, x in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +445,12 @@ def bsc_recon_size(p, n: int, nu: float) -> int:
     return total
 
 
-def _member_classes(spec: SourceSpec, nu: float, zeros):
-    """Yield (a, i, j) for each class of reconciliation-set members, binary
-    x and y only: y has a zeros, for each a in zeros, and x takes the
-    dearer symbol at i of them and at j of the other n - a positions.
-    Classes come in zeros' order of a, then ascending i, then j.
-
-    A member's fsum score is the rounded exact sum of four count * cost
-    terms, here integers over a power-of-two denominator, and it rises with
-    i and j, so each scan stops at its first score above nu.
-    """
-    n = spec.n
-    # cheaper, then dearer, cost per y symbol; None where x is impossible
-    ratios = [c.as_integer_ratio() if c < math.inf else None
-              for row in spec.cost for c in sorted(row)]
+def _scorer(costs):
+    """counts -> the fsum score of a string with counts[k] symbols of cost
+    costs[k]: the rounded exact sum of the count * cost terms, here
+    integers over a power-of-two denominator; inf where a counted cost is
+    infinite."""
+    ratios = [c.as_integer_ratio() if c < math.inf else None for c in costs]
     den = max(r[1] for r in ratios if r)
     nums = [None if r is None else r[0] * (den // r[1]) for r in ratios]
 
@@ -479,7 +458,21 @@ def _member_classes(spec: SourceSpec, nu: float, zeros):
         if any(k and m is None for k, m in zip(counts, nums)):
             return math.inf
         return sum(k * m for k, m in zip(counts, nums) if k) / den
+    return score
 
+
+def _member_classes(spec: SourceSpec, nu: float, zeros):
+    """Yield (a, i, j) for each class of reconciliation-set members, binary
+    x and y only: y has a zeros, for each a in zeros, and x takes the
+    dearer symbol at i of them and at j of the other n - a positions.
+    Classes come in zeros' order of a, then ascending i, then j.
+
+    A member's score is _scorer's over the four (x, y) symbol counts, and
+    it rises with i and j, so each scan stops at its first score above nu.
+    """
+    n = spec.n
+    # cheaper, then dearer, cost per y symbol
+    score = _scorer([c for row in spec.cost for c in sorted(row)])
     for a in zeros:
         for i in range(a + 1):
             j = 0
@@ -531,16 +524,16 @@ def recon_ints(spec: SourceSpec, yp: int, nu: float) -> list:
     in no particular order; binary x and y only, and yp is y packed the
     same way.
 
-    Membership is _member_classes's exact fsum rule, the one recon_set
-    applies to each string it reaches.  Every member is the cheapest x for
-    y with the dearer symbol taken at i of y's zeros and at j of its ones,
-    over the classes (i, j) of y's count a of zeros.  The classes and
-    their total are found once per (nu, a) and kept on the spec; a total
-    above RECON_CAP raises InfeasibleError before any member is built.
+    This is the one walk of R(y): decap, recon_set, the forger,
+    max_recon_size and miss_mass all take its classes from _member_classes.
+    Every member is the cheapest x for y with the dearer symbol taken at i
+    of y's zeros and at j of its ones, over the classes (i, j) of y's count
+    a of zeros.  The classes and their total are found once per (nu, a) and
+    kept on the spec; a total above RECON_CAP raises InfeasibleError before
+    any member is built.
     """
     n = spec.n
-    if spec.nx != 2 or spec.ny != 2:
-        raise MalformedError("packed strings need binary x and y alphabets")
+    require_binary(spec, "reconciliation")
     if yp < 0 or yp >> n:
         raise MalformedError("y does not fit in n bits")
     a = n - yp.bit_count()
@@ -566,6 +559,31 @@ def recon_ints(spec: SourceSpec, yp: int, nu: float) -> list:
         for head in heads[i]:
             members += map((base ^ head).__xor__, tails[j])
     return members
+
+
+def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float) -> ReconSet:
+    """R(y) as strings: recon_ints's members, ordered by score, then
+    lexicographically; binary x and y only.
+
+    A member's score is its class's, _scorer's over how many of its
+    symbols are 1 at y's zeros and at y's ones, so it equals
+    cond_neg_log_prob's without an fsum per member.
+    """
+    if len(y) != spec.n:
+        raise MalformedError("y must have length n")
+    n, yp = spec.n, pack_bits(y)
+    a = n - yp.bit_count()
+    # (y, x) symbol order: the counts below are x = 0, 1 at y's zeros, then
+    # x = 0, 1 at its ones
+    score = cache(_scorer([c for row in spec.cost for c in row]))
+
+    def rank(xp):
+        i, j = (xp & ~yp).bit_count(), (xp & yp).bit_count()
+        return score((a - i, i, n - a - j, j)), xp
+
+    members = sorted(recon_ints(spec, yp, nu), key=rank)
+    return ReconSet(tuple(y), float(nu),
+                    tuple(unpack_bits(xp, n) for xp in members))
 
 
 def miss_mass(spec: SourceSpec, nu: float) -> Fraction:
@@ -682,17 +700,18 @@ def guessing_mass(spec: SourceSpec, nu: float) -> Tuple[Number, Number]:
     mass_y: guess Bob's string y and submit a member of R(y); per z this is
     max_y of the P(x'|z)-mass of R(y).  Both are averaged over z.
 
-    Satellite sources with p, q <= 1/2 use closed-form binomial sums at any
-    n; general tables are enumerated exhaustively (small n only).
+    Binary x and y only.  Satellite sources with p, q <= 1/2 use
+    closed-form binomial sums at any n; general tables are enumerated
+    exhaustively (small n only).
     """
+    require_binary(spec, "guessing-mass enumeration")
     if _bsc_closed_form(spec):
         return _bsc_masses(spec, nu, _binom_tail_leq)
     if max(spec.nx, spec.ny, spec.nz) ** spec.n > ENUM_STRINGS_MAX:
         raise InfeasibleError("source too large for exhaustive guessing-mass")
     one = Fraction(1) if spec.exact else 1.0
     pyz, pxz = spec.joint_yz, spec.joint_xz
-    ys = list(_all_strings(spec.ny, spec.n))
-    xs = list(_all_strings(spec.nx, spec.n))
+    xs = ys = list(_all_strings(2, spec.n))
     members = {y: frozenset(recon_set(spec, y, nu).members) for y in ys}
     mass_x = one * 0
     mass_y = one * 0

@@ -31,7 +31,6 @@ __all__ = [
     "PaddedSeedVector",
     "piece_count",
     "split_seed",
-    "join_seed",
     "hprime",
     "h_cea",
     "h_cca",
@@ -125,14 +124,6 @@ def split_seed(sprime: int, w: int, piece_width: int) -> PaddedSeedVector:
         (padded >> ((r - 1 - i) * piece_width)) & mask for i in range(r)
     )
     return PaddedSeedVector(pieces, piece_width, w)
-
-
-def join_seed(sv: PaddedSeedVector) -> int:
-    """Reassemble the original w-bit seed (drops the 1-padding)."""
-    padded = 0
-    for p in sv.pieces:
-        padded = (padded << sv.piece_width) | p
-    return padded >> (sv.r * sv.piece_width - sv.w)
 
 
 def hprime(x: int, seed: ExtractorSeed) -> int:

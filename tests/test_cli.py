@@ -1052,6 +1052,22 @@ class TestParamsVerdict:
         assert "fail<=" in out["table"][1]
         assert out["table"][0] < 0.1, out["table"][0]
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_non_binary_table_exits_one_at_any_n(self, tmp_path, capsys, n):
+        # at n = 8 the forgery bound's guessing-mass enumeration once ran
+        # first and answered "infeasible" (exit 2)
+        ternary_x = {"alphabet": [3, 2, 2], "n": n, "pxyz": [
+            [x, y, z, "1/12"] for x in range(3) for y in (0, 1)
+            for z in (0, 1)]}
+        path = write_json(tmp_path / "config.json", {
+            "source": ternary_x, "sigma": 0.25, "q_e": 0, "q_d": 1,
+            "eps": 0.01, "delta": 2.0 ** -10, "nu": 1.0, "t": 2})
+        assert run_cli("params", "--config", path, "--mode", "cca") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: encapsulation needs binary x and y alphabets\n"
+
 
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):

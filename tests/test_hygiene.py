@@ -5,15 +5,17 @@ Every name a prekem module imports must be read somewhere in that module
 __all__; `from __future__` imports are exempt.  Every module-level private
 function or class must be read somewhere in the package, so helpers that
 only tests use live in the tests.  Every __all__ entry must be bound in its
-module.
+module.  Every name bench/spans.py's tracer rebinds must exist.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 import prekem
+from prekem.gf2 import FieldCtx
 
 MODULES = sorted(Path(prekem.__file__).parent.glob("*.py"))
 
@@ -97,3 +99,28 @@ def test_exports_are_bound(path):
     unbound = [name for name in exported_names(TREES[path])
                if name not in bound]
     assert not unbound, unbound
+
+
+def traced_names():
+    """bench/spans.py's TRACED table, read from its source: layer -> the
+    names its tracer rebinds in prekem.<layer>."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "TRACED"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py binds no TRACED table")
+
+
+def test_traced_names_exist():
+    # the tracer looks each name up with no default, so a name dropped from
+    # the package breaks every traced benchmark run
+    missing = [f"prekem.{layer}.{name}"
+               for layer, names in traced_names().items()
+               for name in names
+               if not hasattr(importlib.import_module(f"prekem.{layer}"),
+                              name)]
+    missing += [f"FieldCtx.{name}" for name in ("mul", "pow")
+                if not hasattr(FieldCtx, name)]
+    assert not missing, missing

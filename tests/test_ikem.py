@@ -88,7 +88,9 @@ def shaped(mode, source, t, ell, nu):
 def recon_set_decap(params, y, c, public_seed=None):
     """decap as it was before it walked member classes, hashing each of
     recon_set's members packed one by one: (the key or None, how many
-    members explain v).  The oracle for decap."""
+    members explain v).  The oracle for decap's matching and ties;
+    test_source checks recon_set's members against the branch-and-bound
+    walk it once ran."""
     if len(y) != params.n:
         raise MalformedError("y must have length n")
     _check_ciphertext(params, c)
@@ -431,7 +433,7 @@ class TestCheckEnumerable:
         with pytest.raises(InfeasibleError,
                            match="301 strings exceeds cap 300"):
             check_enumerable(derive(NOISY24, 0.25, 0, 14, nu=12.0))
-        # nu sits just under the radius-3 cost, inside recon_set's slack
+        # nu sits 5e-10 under the radius-3 cost: the 301-string ball
         monkeypatch.setattr("prekem.source.RECON_CAP", 301)
         params = derive(NOISY24, 0.25, 0, 14, nu=NU_UNDER_R3)
         check_enumerable(params)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prekem.source as source
 from prekem.errors import InfeasibleError, MalformedError
 from prekem.source import (
     ReconSet,
@@ -113,14 +114,81 @@ class TestCondNegLogProb:
             cond_neg_log_prob(toy(4), (0, 0, 0), (0, 0, 0, 0))
 
 
+def walk_recon(spec, y, nu):
+    """R(y) by the branch-and-bound walk recon_set ran before it became the
+    ordered view of recon_ints's member classes; kept as its oracle at
+    sizes brute force cannot reach.  Any alphabet.
+
+    A prefix is abandoned as soon as its cost plus the cheapest possible
+    completion exceeds nu, with 1e-9 of slack for the running sum's drift.
+    Each string reached is scored once, by cond_neg_log_prob's fsum rule,
+    kept when its score is at most nu and ordered by (score, x).  More than
+    RECON_CAP kept members raises recon_ints's InfeasibleError."""
+    if len(y) != spec.n:
+        raise MalformedError("y must have length n")
+    n = spec.n
+    cap = source.RECON_CAP
+    rows = [spec.cost[yi] for yi in y]  # rows[i][x] = cost of x at position i
+    suffix = [0.0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + min(rows[i])
+    budget = nu + 1e-9
+    kept = []
+    prefix = [0] * n
+    # iterative depth-first walk (n can exceed the recursion limit):
+    # nxt[i] is the next symbol to try at position i, acc[i] the prefix cost
+    nxt = [0] * (n + 1)
+    acc = [0.0] * (n + 1)
+    i = 0 if suffix[0] <= budget else -1
+    while i >= 0:
+        if i == n:
+            score = math.fsum([r[xi] for r, xi in zip(rows, prefix)])
+            if score <= nu:
+                kept.append((score, tuple(prefix)))
+                if len(kept) > cap:
+                    raise InfeasibleError(
+                        f"reconciliation set exceeds cap {cap} at nu={nu}")
+            i -= 1
+            continue
+        sym = nxt[i]
+        if sym >= spec.nx:
+            nxt[i] = 0
+            i -= 1
+            continue
+        nxt[i] = sym + 1
+        c = acc[i] + rows[i][sym]
+        if c + suffix[i + 1] <= budget:
+            prefix[i] = sym
+            acc[i + 1] = c
+            i += 1
+    kept.sort()
+    return tuple(x for _, x in kept)
+
+
+def walked(spec, y, nu):
+    """recon_set(spec, y, nu).members, asserted equal to walk_recon's,
+    order included; when the walk refuses the set, recon_set must refuse
+    it with the same message, and the walk's error is raised."""
+    try:
+        want = walk_recon(spec, y, nu)
+    except InfeasibleError as refused:
+        with pytest.raises(InfeasibleError) as got:
+            recon_set(spec, y, nu)
+        assert str(got.value) == str(refused)
+        raise
+    got = recon_set(spec, y, nu)
+    assert (got.y, got.nu, got.members) == (tuple(y), float(nu), want)
+    return got.members
+
+
 class TestReconSet:
+    """recon_set on binary sources; every case also against walk_recon."""
+
     def test_toy_nu_25(self):
-        r = recon_set(toy(4), (0, 0, 0, 0), 2.5)
-        assert r.members == ((0, 0, 0, 0),)
+        assert walked(toy(4), (0, 0, 0, 0), 2.5) == ((0, 0, 0, 0),)
 
     def test_toy_nu_35_is_radius_one_ball(self):
-        r = recon_set(toy(4), (0, 0, 0, 0), 3.5)
-        assert r.members == (
+        assert walked(toy(4), (0, 0, 0, 0), 3.5) == (
             (0, 0, 0, 0),
             (0, 0, 0, 1),
             (0, 0, 1, 0),
@@ -137,23 +205,47 @@ class TestReconSet:
                 d = sum(a != b for a, b in zip(x, y))
                 if d * -math.log2(p) + (4 - d) * -math.log2(1 - p) <= nu:
                     want.add(x)
-            got = recon_set(spec, y, nu)
-            assert set(got.members) == want
-            costs = [cond_neg_log_prob(spec, x, y) for x in got.members]
+            got = walked(spec, y, nu)
+            assert set(got) == want
+            costs = [cond_neg_log_prob(spec, x, y) for x in got]
             assert costs == sorted(costs)
 
     def test_nu_zero_edges(self):
-        assert recon_set(toy(4), (0,) * 4, 0).members == ()
+        assert walked(toy(4), (0,) * 4, 0) == ()
         noiseless = bsc_source(0, 0.5, 4)
-        assert recon_set(noiseless, (1, 0, 1, 1), 0).members == ((1, 0, 1, 1),)
+        assert walked(noiseless, (1, 0, 1, 1), 0) == ((1, 0, 1, 1),)
 
     def test_cap_exceeded(self, monkeypatch):
         monkeypatch.setattr("prekem.source.RECON_CAP", 3)
-        with pytest.raises(InfeasibleError):
-            recon_set(toy(4), (0,) * 4, 3.5)
+        with pytest.raises(InfeasibleError,
+                           match="^reconciliation set exceeds cap 3 at nu=3.5$"):
+            walked(toy(4), (0,) * 4, 3.5)
 
     def test_negative_nu_empty(self):
-        assert recon_set(toy(4), (0,) * 4, -1).members == ()
+        assert walked(toy(4), (0,) * 4, -1) == ()
+
+    @pytest.mark.parametrize("y", [(-1, 0, 0, 0), (2, 0, 0, 0)])
+    def test_y_outside_the_alphabet(self, y):
+        # -1 was once read as the row for y = 1, and 2 raised IndexError
+        with pytest.raises(MalformedError):
+            recon_set(bsc_source(Fraction(1, 4), Fraction(1, 2), 4), y, 3.0)
+
+    def test_whole_space_answers_at_once(self):
+        # p = 1/2 prices every string at exactly n bits: at nu = n all 2^24
+        # strings are members, past the cap, and 5e-10 under n none is
+        rng = random.Random(24)
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleError,
+                           match="^reconciliation set exceeds cap 1048576 "
+                                 "at nu=24.0$"):
+            recon_set(bsc_source(0.5, 0.5, 24),
+                      tuple(rng.getrandbits(1) for _ in range(24)), 24.0)
+        assert time.perf_counter() - start < 0.1
+        start = time.perf_counter()
+        assert recon_set(bsc_source(0.5, 0.5, 18),
+                         tuple(rng.getrandbits(1) for _ in range(18)),
+                         18 - 5e-10).members == ()
+        assert time.perf_counter() - start < 0.1
 
     def test_cap_counts_members_not_slack(self, monkeypatch):
         # nu 5e-10 under the radius-3 cost: the walk's slack reaches the
@@ -167,17 +259,17 @@ class TestReconSet:
         rng = random.Random(7)
         y = tuple(rng.getrandbits(1) for _ in range(24))
         monkeypatch.setattr("prekem.source.RECON_CAP", 301)
-        assert len(recon_set(spec, y, nu).members) == 301
+        assert len(walked(spec, y, nu)) == 301
         monkeypatch.setattr("prekem.source.RECON_CAP", 300)
         with pytest.raises(InfeasibleError,
                            match="reconciliation set exceeds cap 300 at nu="):
-            recon_set(spec, y, nu)
+            walked(spec, y, nu)
 
     def test_large_n_noiseless(self):
         spec = bsc_source(0, 0.5, 1080)
         rng = random.Random(5)
         y = tuple(rng.getrandbits(1) for _ in range(1080))
-        assert recon_set(spec, y, 0).members == (y,)
+        assert walked(spec, y, 0) == (y,)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -189,7 +281,7 @@ class TestReconSet:
     def test_membership_iff_cost_within_budget(self, p, nu, n, data):
         spec = bsc_source(p, 0.5, n)
         y = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
-        got = set(recon_set(spec, y, nu).members)
+        got = set(walked(spec, y, nu))
         want = {x for x in bits(2, n) if cond_neg_log_prob(spec, x, y) <= nu}
         assert got == want
         assert len(got) <= 2 ** nu
@@ -323,6 +415,14 @@ class TestGuessingMass:
         with pytest.raises(InfeasibleError):
             guessing_mass(spec, 1.0)
 
+    @pytest.mark.parametrize("n", [4, 13])
+    def test_non_binary_table_refused(self, n):
+        # at n = 13 the 3^13 strings once raised InfeasibleError instead
+        spec = from_json({**ASYM, "n": n})
+        for mass in (guessing_mass, guessing_log2_mass):
+            with pytest.raises(MalformedError, match="binary x and y"):
+                mass(spec, 1.0)
+
     def test_closed_form_large_n_runs(self):
         mx, my = guessing_mass(bsc_source(0.02, 0.5, 1000), 340.0)
         assert 0 < mx < 1 and 0 < my < 1
@@ -366,23 +466,30 @@ class TestGuessingMass:
 def brute_recon(spec, y, nu):
     """R(y) by scoring every x-string, ordered by (cost, x).  Internal
     consistency oracle: cond_neg_log_prob is the membership rule recon_set
-    is specified by, so this checks the pruned walk and its single scoring
-    pass, not the cost table (TestCondNegLogProb checks that)."""
+    is specified by, so this checks the member-class walk and its class
+    scores, not the cost table (TestCondNegLogProb checks that)."""
     scored = sorted((cond_neg_log_prob(spec, x, y), x)
                     for x in bits(spec.nx, spec.n))
     return tuple(x for c, x in scored if c <= nu)
 
 
 # 3-ary x and y, binary z, uneven weights; P(x=2, y=0) and P(x=1, y=2)
-# vanish, so those per-symbol costs are infinite
+# vanish.  Reconciliation takes binary x and y only, so it refuses this.
 ASYM = {"alphabet": [3, 3, 2], "n": 4, "pxyz": [
     [0, 0, 0, "1/8"], [0, 0, 1, "1/16"], [0, 1, 0, "1/16"], [0, 2, 1, "1/8"],
     [1, 0, 1, "1/16"], [1, 1, 0, "3/16"], [1, 1, 1, "1/16"],
     [2, 1, 0, "1/16"], [2, 2, 0, "1/8"], [2, 2, 1, "1/8"]]}
 
+# binary x and y with uneven weights; P(x=1, y=0) vanishes, so x = 1
+# costs inf wherever y = 0
+BIN_ASYM = SourceSpec(2, 2, 2, 5, (
+    Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 16),
+    Fraction(0), Fraction(0), Fraction(3, 16), Fraction(5, 16)))
+
 
 class TestReconSetDifferential:
-    """recon_set against brute-force enumeration, order included."""
+    """recon_set against brute-force enumeration and walk_recon, order
+    included."""
 
     @pytest.mark.parametrize("p, n, nu", [
         (Fraction(1, 4), 6, 5.0),       # exact mode
@@ -396,29 +503,30 @@ class TestReconSetDifferential:
         for seed in range(3 if n < 17 else 1):
             rng = random.Random(seed)
             y = tuple(rng.getrandbits(1) for _ in range(n))
-            assert recon_set(spec, y, nu).members == brute_recon(spec, y, nu)
+            assert walked(spec, y, nu) == brute_recon(spec, y, nu)
 
     @pytest.mark.parametrize("nu", [0.0, 2.0, 4.5, 7.0, 12.0, math.inf])
     def test_asymmetric_ternary_table(self, nu):
+        # ternary y symbols, and binary ones of a ternary table, alike
         spec = from_json(ASYM)
         for y in bits(3, 4):
-            assert recon_set(spec, y, nu).members == brute_recon(spec, y, nu)
+            with pytest.raises(MalformedError):
+                recon_set(spec, y, nu)
 
     def test_members_exactly_at_nu(self):
-        spec = from_json(ASYM)
-        y = (0, 1, 2, 1)
-        for x in bits(3, 4):
-            nu = cond_neg_log_prob(spec, x, y)
+        y = (0, 1, 1, 0, 1)
+        for x in bits(2, 5):
+            nu = cond_neg_log_prob(BIN_ASYM, x, y)
             if nu == math.inf:
                 continue
-            got = recon_set(spec, y, nu).members
+            got = walked(BIN_ASYM, y, nu)
             assert x in got
-            assert got == brute_recon(spec, y, nu)
+            assert got == brute_recon(BIN_ASYM, y, nu)
 
     def test_equal_cost_ties_are_lexicographic(self):
         spec = toy(5)
         y = (1, 0, 1, 1, 0)
-        got = recon_set(spec, y, 6.0).members
+        got = walked(spec, y, 6.0)
         assert got == brute_recon(spec, y, 6.0)
         # y itself, then the five distance-1 strings (one cost), then the
         # ten distance-2 strings (another), each block in lexicographic order
@@ -427,35 +535,51 @@ class TestReconSetDifferential:
         assert list(got[6:]) == sorted(got[6:])
 
     def test_empty_set(self):
-        spec = from_json(ASYM)
-        # y = 2 at every position: cheapest x costs more than nu
-        assert recon_set(spec, (2,) * 4, 1.0).members == ()
-        assert brute_recon(spec, (2,) * 4, 1.0) == ()
+        # y = 1 at every position: the cheapest x, y itself, costs
+        # 5 * log2(5/4) > 1
+        assert walked(BIN_ASYM, (1,) * 5, 1.0) == ()
+        assert brute_recon(BIN_ASYM, (1,) * 5, 1.0) == ()
+        with pytest.raises(MalformedError):
+            recon_set(from_json(ASYM), (2,) * 4, 1.0)
 
     def test_cap_plus_one_raises(self, monkeypatch):
         spec = toy(6)
         y = (0,) * 6
         size = len(brute_recon(spec, y, 6.0))
         monkeypatch.setattr("prekem.source.RECON_CAP", size)
-        assert len(recon_set(spec, y, 6.0).members) == size
+        assert len(walked(spec, y, 6.0)) == size
         monkeypatch.setattr("prekem.source.RECON_CAP", size - 1)
         with pytest.raises(InfeasibleError):
-            recon_set(spec, y, 6.0)
+            walked(spec, y, 6.0)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_random_tables(self, data):
-        nx, ny = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        # integer weights 0..3 over binary x and y give asymmetric tables,
+        # equal costs (ties) and impossible symbols
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=4,
+                                     max_size=4).filter(any))
+        n = data.draw(st.integers(1, 4))
+        spec = SourceSpec(2, 2, 1, n, tuple(
+            Fraction(w, sum(weights)) for w in weights))
+        y = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
+        costs = sorted({cond_neg_log_prob(spec, x, y) for x in bits(2, n)})
+        nu = data.draw(st.sampled_from(costs) | st.floats(-1.0, 16.0))
+        assert walked(spec, y, nu) == brute_recon(spec, y, nu)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_non_binary_tables_refused(self, data):
+        nx, ny = data.draw(st.tuples(st.integers(1, 3), st.integers(1, 3))
+                           .filter(lambda sizes: sizes != (2, 2)))
         weights = data.draw(st.lists(st.integers(0, 3), min_size=nx * ny,
                                      max_size=nx * ny).filter(any))
         n = data.draw(st.integers(1, 4))
         spec = SourceSpec(nx, ny, 1, n, tuple(
             Fraction(w, sum(weights)) for w in weights))
         y = tuple(data.draw(st.integers(0, ny - 1)) for _ in range(n))
-        costs = sorted({cond_neg_log_prob(spec, x, y) for x in bits(nx, n)})
-        nu = data.draw(st.sampled_from(costs) | st.floats(-1.0, 16.0))
-        got = recon_set(spec, y, nu).members
-        assert got == brute_recon(spec, y, nu)
+        with pytest.raises(MalformedError):
+            recon_set(spec, y, data.draw(st.floats(-1.0, 16.0)))
 
 
 def pack(x):
@@ -464,17 +588,18 @@ def pack(x):
 
 
 def assert_same_set(spec, y, nu):
-    """recon_ints gives recon_set's members, packed, with no repeats; or
-    both refuse the set with the same InfeasibleError."""
+    """recon_ints gives walk_recon's members, packed, with no repeats, and
+    recon_set gives them in the walk's order; or all three refuse the set
+    with the same InfeasibleError."""
     try:
-        want = sorted(pack(m) for m in recon_set(spec, y, nu).members)
+        want = walked(spec, y, nu)
     except InfeasibleError as refused:
         with pytest.raises(InfeasibleError) as got:
             recon_ints(spec, pack(y), nu)
         assert str(got.value) == str(refused)
         return None
     got = recon_ints(spec, pack(y), nu)
-    assert sorted(got) == want
+    assert sorted(got) == sorted(map(pack, want))
     return len(got)
 
 
@@ -488,13 +613,12 @@ def distance_costs(p, n):
 
 
 class TestReconIntsDifferential:
-    """recon_ints against recon_set's members, packed.  They share the
-    membership rule, the correctly rounded exact sum of the per-symbol
-    costs, so the sets are equal wherever recon_set's walk reaches every
-    member.  The walk prunes on a running float sum with 1e-9 of slack;
-    only at n far past these could its drift prune a member the exact
-    rule keeps, and there the class rule of recon_ints is the documented
-    one."""
+    """recon_ints, and recon_set's order, against walk_recon.  They share
+    the membership rule, the correctly rounded exact sum of the per-symbol
+    costs, so the sets are equal wherever the walk reaches every member.
+    The walk prunes on a running float sum with 1e-9 of slack; only at n
+    far past these could its drift prune a member the exact rule keeps,
+    and there the class rule of recon_ints is the documented one."""
 
     @pytest.mark.parametrize("n", [1, 5, 16, 17, 24, 64])
     @pytest.mark.parametrize("p", [0, Fraction(1, 20), Fraction(1, 4),
@@ -511,10 +635,11 @@ class TestReconIntsDifferential:
             for nu in (0.0, -1.0, c, c - 5e-10, c + 5e-10):
                 for y in ys:
                     if p == Fraction(1, 2) and n > 16 and n - 1e-9 < nu < n:
-                        # every string costs exactly n, so recon_set's walk
-                        # would score all 2^n of them through its 1e-9
-                        # slack and keep none
+                        # every string costs exactly n, so the walk would
+                        # score all 2^n of them through its 1e-9 slack and
+                        # keep none
                         assert recon_ints(spec, pack(y), nu) == []
+                        assert recon_set(spec, y, nu).members == ()
                     else:
                         assert_same_set(spec, y, nu)
 
@@ -750,7 +875,7 @@ class TestBscRadius:
 
 
 class TestMaxReconSize:
-    """max_recon_size against the largest recon_set over every y."""
+    """max_recon_size against the largest walk_recon over every y."""
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -765,7 +890,7 @@ class TestMaxReconSize:
         # thresholds exactly at some string's score, or anywhere
         at = cond_neg_log_prob(spec, data.draw(pair), data.draw(pair))
         nu = data.draw(st.just(at) | st.floats(-1.0, 3.0 * n))
-        want = max(len(recon_set(spec, y, nu).members) for y in bits(2, n))
+        want = max(len(walk_recon(spec, y, nu)) for y in bits(2, n))
         assert max_recon_size(spec, nu) == want
 
     def test_symmetric_table_matches_the_ball(self, monkeypatch):

@@ -24,7 +24,6 @@ from prekem.uhash import (
     h_cca,
     h_cea,
     hprime,
-    join_seed,
     piece_count,
     split_seed,
     twise_poly,
@@ -143,6 +142,15 @@ class TestHcea:
     def test_split_views(self):
         seed = ReconSeed(0b1101, 4, 2)
         assert seed.s2 == 0b11 and seed.s1 == 0b01
+
+
+def join_seed(sv):
+    """The w-bit seed split_seed split: the pieces end to end, with the
+    1-padding shifted off."""
+    padded = 0
+    for p in sv.pieces:
+        padded = (padded << sv.piece_width) | p
+    return padded >> (sv.r * sv.piece_width - sv.w)
 
 
 class TestSeedSplitting:
