@@ -30,6 +30,7 @@ from __future__ import annotations
 import abc
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from cryptography.hazmat.primitives.ciphers import algorithms
@@ -201,6 +202,14 @@ class CompPrfKey:
             raise MalformedError("computational PRF key must be 256 bits")
         return cls(key.to_bytes())
 
+    @cached_property
+    def cmac(self) -> CMAC:
+        """CMAC(AES(raw)) with nothing absorbed, built on the first
+        evaluation; prf_comp copies it per block, so the key schedule runs
+        once per key.  Not a field: equality, hashing and repr see raw
+        only."""
+        return CMAC(algorithms.AES(self.raw))
+
 
 def ptx_field_width(nbytes: int) -> int:
     """Smallest supported GF(2^m) width fitting a length-prefixed input."""
@@ -234,7 +243,7 @@ def prf_comp(key: CompPrfKey, x: bytes, out_bits: int) -> int:
         raise MalformedError("output length must be positive")
     blocks = []
     for i in range(-(-out_bits // 128)):
-        mac = CMAC(algorithms.AES(key.raw))
+        mac = key.cmac.copy()
         mac.update(struct.pack(">I", i) + x)
         blocks.append(mac.finalize())
     stream = b"".join(blocks)

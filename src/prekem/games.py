@@ -107,6 +107,9 @@ PAIR_MAX = 1 << 13
 FLOP_MAX = 1 << 35
 SELECT_MAX = 1 << 18
 COUNT_N_MAX = 16
+# Most pairs and x weights one spec's posterior memo keeps (about 40 MiB of
+# pairs); a posterior past it is rebuilt on every call.
+POSTERIOR_MEMO_MAX = 1 << 18
 
 # Confidence of each arm's Hoeffding radius, and how many radii past its
 # bound an estimate must sit before a report says the bound is exceeded.
@@ -253,33 +256,63 @@ def _gen_conditioned(params: IkemParams, z: Tuple[int, ...], rng) -> IkemInstanc
     return IkemInstance(tuple(xs), tuple(ys), tuple(z), pub)
 
 
-def _enumerate_pairs(spec: SourceSpec, z: Tuple[int, ...]) -> List[Tuple[int, int, int]]:
-    """All (x, y) bit-packed pairs with their integer weights given z.
+def _posterior(spec: SourceSpec, z, joint: bool):
+    """Eve's posterior given z in integer weights, memoized on the spec:
+    every bit-packed (x, y, weight) pair when joint, else packed x -> the
+    sum of its pairs' weights, which is the product of its per-position
+    sums over y.
 
     Zero-weight branches are pruned as the product is extended position by
-    position, so the list length tracks the posterior support, not 4^n.
+    position, so the size tracks the posterior support, not 4^n.  Both
+    forms count the pair support at each prefix and refuse it above
+    PAIR_MAX.  The memo keeps at most POSTERIOR_MEMO_MAX pairs and weights.
     """
+    z = tuple(z)
+    memo = spec.posteriors
+    if (z, joint) in memo.entries:
+        return memo.entries[z, joint]
     if len(z) != spec.n:
         raise MalformedError("z must have length n")
     require_binary(spec, "pair enumeration")
     _, scaled = spec.scaled
-    acc: List[Tuple[int, int, int]] = [(0, 0, 1)]
+    acc: list = [(0, 0, 1)] if joint else [(0, 1)]
+    support = 1
     for zi in z:
         if not 0 <= zi < spec.nz:
             raise MalformedError("symbol outside the z alphabet")
-        nxt: List[Tuple[int, int, int]] = []
-        for xp, yp, wt in acc:
-            for x in (0, 1):
-                for y in (0, 1):
-                    w = scaled[(x * 2 + y) * spec.nz + zi]
-                    if w:
-                        nxt.append(((xp << 1) | x, (yp << 1) | y, wt * w))
-        if len(nxt) > PAIR_MAX:
+        cells = [(x, y, w) for x in (0, 1) for y in (0, 1)
+                 if (w := scaled[(x * 2 + y) * spec.nz + zi])]
+        support *= len(cells)
+        if support > PAIR_MAX:
             raise InfeasibleError("posterior support exceeds the pair ceiling")
-        acc = nxt
+        if joint:
+            acc = [((xp << 1) | x, (yp << 1) | y, wt * w)
+                   for xp, yp, wt in acc for x, y, w in cells]
+        else:
+            per_x = [0, 0]
+            for x, _, w in cells:
+                per_x[x] += w
+            acc = [((xp << 1) | x, wt * w)
+                   for xp, wt in acc for x, w in enumerate(per_x) if w]
     if not acc:
         raise MalformedError("target string has zero probability")
-    return acc
+    result = tuple(acc) if joint else dict(acc)
+    if memo.size + len(result) <= POSTERIOR_MEMO_MAX:
+        memo.entries[z, joint] = result
+        memo.size += len(result)
+    return result
+
+
+def _enumerate_pairs(spec: SourceSpec, z) -> Tuple[Tuple[int, int, int], ...]:
+    """All (x, y) bit-packed pairs with their integer weights given z."""
+    return _posterior(spec, z, True)
+
+
+def _x_weights(spec: SourceSpec, z) -> Dict[int, int]:
+    """Packed x -> its posterior weight given z, the sum of its pairs'
+    weights, without building the pairs.  The dict is the memo's own:
+    read it, never change it."""
+    return _posterior(spec, z, False)
 
 
 def _need_params(config: GameConfig) -> IkemParams:
@@ -458,17 +491,12 @@ class BayesPkind:
     on an honest encapsulation of the runner-up candidate and conditions
     on the answer.  The final decision compares the posterior mass of the
     observed key against the uniform benchmark in integer arithmetic.
+    Without a probe the posterior is taken over x alone; only the probe
+    needs the (x, y) pairs.
     """
 
     def __init__(self, probe: bool = False) -> None:
         self.probe = probe
-        self._pair_cache: Dict[Tuple[SourceSpec, Tuple[int, ...]], list] = {}
-
-    def _pairs(self, spec: SourceSpec, z: Tuple[int, ...]):
-        key = (spec, z)
-        if key not in self._pair_cache:
-            self._pair_cache[key] = _enumerate_pairs(spec, z)
-        return self._pair_cache[key]
 
     def phase1(self, params, view, oracle, rng):
         transcript = []
@@ -477,30 +505,35 @@ class BayesPkind:
         return transcript
 
     def phase2(self, params, view, transcript, c_star, k_b, oracle, rng):
-        pairs = self._pairs(params.source, view.z)
+        prior = _x_weights(params.source, view.z)
         pub = view.public_seed
         explains = _explains(params, transcript + [(None, c_star)], pub)
         chal_key = {xp: _extract(params, xp, c_star.sprime)
-                    for xp in {p[0] for p in pairs} if explains(xp)}
-        keep = [p for p in pairs if p[0] in chal_key]
-        if self.probe and oracle.decaps_left > 0 and keep:
-            keep = self._probe(params, keep, c_star, pub, oracle, rng)
-        mass = sum(wt for xp, _, wt in keep if chal_key[xp] == k_b.bits)
-        total = sum(wt for _, _, wt in keep)
-        return 0 if (mass << params.ell) > total else 1
+                    for xp in prior if explains(xp)}
+        weight = {xp: prior[xp] for xp in chal_key}
+        if self.probe and oracle.decaps_left > 0 and weight:
+            weight = self._probe(params, view.z, weight, c_star, pub, oracle,
+                                 rng)
+        mass = sum(wt for xp, wt in weight.items() if chal_key[xp] == k_b.bits)
+        return 0 if (mass << params.ell) > sum(weight.values()) else 1
 
-    def _probe(self, params, keep, c_star, pub, oracle, rng):
-        by_x: Dict[int, int] = {}
-        for xp, _, wt in keep:
-            by_x[xp] = by_x.get(xp, 0) + wt
-        ranked = sorted(by_x, key=lambda xp: (-by_x[xp], xp))
+    def _probe(self, params, z, weight, c_star, pub, oracle, rng):
+        """The x-weights of weight's pairs whose receiver answers an honest
+        encapsulation under the runner-up x as the oracle does."""
+        ranked = sorted(weight, key=lambda xp: (-weight[xp], xp))
         target = ranked[1] if len(ranked) > 1 else ranked[0]
         probe_c = _honest_redraw(params, target, c_star, rng, pub)
         if probe_c is None:
-            return keep
+            return weight
         answer = oracle.decap(probe_c)
+        keep = [p for p in _enumerate_pairs(params.source, z)
+                if p[0] in weight]
         verdict = _receiver_answers(params, {p[1] for p in keep}, probe_c, pub)
-        return [p for p in keep if verdict[p[1]] == answer]
+        kept: Dict[int, int] = {}
+        for xp, yp, wt in keep:
+            if verdict[yp] == answer:
+                kept[xp] = kept.get(xp, 0) + wt
+        return kept
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +591,13 @@ class FixedForger:
 
 
 class BruteForceKint:
-    """Runs the exhaustive forger on each trial's Eve view.
+    """Runs the exhaustive forger on each trial's Eve view under a
+    z-derived rng, so the chosen forgery does not depend on trial order.
 
-    Results are memoized per z under a z-derived rng, so the chosen
-    forgery for a given view does not depend on trial order.
+    Without the query, forgeries are memoized per z.  With use_query each
+    trial's forgery depends on its own query transcript, so the forger
+    runs every trial; only the posterior pairs, memoized per z on the
+    source, are reused.
     """
 
     def __init__(self, use_query: bool = False) -> None:

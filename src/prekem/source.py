@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from types import SimpleNamespace
 from typing import Optional, Tuple, Union
 
 from .errors import InfeasibleError, MalformedError
@@ -162,6 +163,13 @@ class SourceSpec:
         classes (i, j)) for the y with a zeros, whose R(y) is within the
         cap."""
         return {}
+
+    @cached_property
+    def posteriors(self) -> SimpleNamespace:
+        """The games' memo of Eve's posterior, filled as they run: entries
+        maps (z, joint) to the (x, y, weight) pairs given z when joint, else
+        packed x -> weight; size counts the pairs and weights kept."""
+        return SimpleNamespace(entries={}, size=0)
 
 
 @dataclass(frozen=True)

@@ -606,6 +606,28 @@ class TestGame:
         assert capsys.readouterr().out == first
 
 
+    @pytest.mark.parametrize("kind, adversary", [
+        ("pkind", "bayes"), ("pkind", "bayes-probe"), ("kint", "brute"),
+        ("kint", "brute-query")])
+    def test_posterior_ceiling_exits_two(self, tmp_path, capsys, kind,
+                                         adversary):
+        # the toy BSC(1/4, 1/4) has 4^n posterior pairs: 2^12 run, 2^14 not
+        for n, rc in ((6, 0), (7, 2)):
+            source = bsc_source(Fraction(1, 4), Fraction(1, 4), n)
+            params = IkemParams(mode=Mode.CCA, source=source, n=n, t=2,
+                                ell=1, nu=1.7, r=2, w=n, sigma=0.25, q_e=1,
+                                q_d=1)
+            config = write_json(tmp_path / "game.json", {
+                "game": kind, "atk": "cca", "adversary": adversary,
+                "q_e": 1, "q_d": 1, "params": params_to_doc(params)})
+            assert run_cli("game", "--config", config, "--seed", "2a",
+                           "--trials", 2) == rc
+            out, err = capsys.readouterr()
+            if rc:
+                assert (out, err) == ("", "infeasible: posterior support "
+                                          "exceeds the pair ceiling\n")
+
+
 def assert_format_error(capsys, *args) -> str:
     """The command exits 1 with a one-line message and no traceback; the
     message is returned."""

@@ -9,6 +9,8 @@ import random
 from collections import Counter
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import algorithms
+from cryptography.hazmat.primitives.cmac import CMAC
 
 from prekem import combiner
 from prekem.combiner import (
@@ -93,6 +95,34 @@ class TestComputationalPrf:
         outs = {prf_comp(self.KEY, i.to_bytes(4, "big"), 64)
                 for i in range(100000)}
         assert len(outs) == 100000
+
+    @pytest.mark.parametrize("out_bits", [1, 8, 128, 129, 256, 300])
+    def test_matches_a_fresh_cmac_per_block(self, out_bits):
+        def oracle(raw, x):
+            blocks = b""
+            for i in range(-(-out_bits // 128)):
+                mac = CMAC(algorithms.AES(raw))
+                mac.update(i.to_bytes(4, "big") + x)
+                blocks += mac.finalize()
+            stream = int.from_bytes(blocks, "big")
+            return stream >> (8 * len(blocks) - out_bits)
+
+        rng = random.Random(out_bits)
+        key = CompPrfKey(rng.randbytes(32))
+        for x in (b"", b"abc", rng.randbytes(40), rng.randbytes(40)):
+            assert prf_comp(key, x, out_bits) == oracle(key.raw, x)
+            assert prf_comp(key, x, out_bits) == oracle(key.raw, x)
+
+    def test_cmac_template_stays_out_of_identity(self):
+        key, twin = CompPrfKey(bytes(range(32))), CompPrfKey(bytes(range(32)))
+        before = (hash(key), repr(key))
+        assert "cmac" not in vars(key)  # an unevaluated key builds none
+        prf_comp(key, b"abc", 8)
+        assert key.cmac is key.cmac
+        assert (hash(key), repr(key)) == before
+        assert key == twin and hash(key) == hash(twin)
+        assert "cmac" not in vars(twin)
+        assert {key: 1}[twin] == 1
 
     def test_key_validation(self):
         with pytest.raises(MalformedError):

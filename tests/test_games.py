@@ -9,14 +9,20 @@ checked against those exact values at frozen seeds, within the reported
 confidence radius.
 """
 
+import hashlib
+import importlib.util
 import itertools
 import random
+import re
 import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prekem import games
 from prekem.dem import DemCiphertext, DemProfile, decrypt_otcca
@@ -36,6 +42,7 @@ from prekem.games import (
     _gen_conditioned,
     _split_hash,
     _trial_rng,
+    _x_weights,
     brute_force_forger,
     comp_prf_family,
     count_solutions_lemma6,
@@ -52,6 +59,7 @@ from prekem.games import (
 )
 from prekem.ikem import (
     IkemCiphertext,
+    IkemKey,
     IkemParams,
     Mode,
     _extract,
@@ -59,9 +67,10 @@ from prekem.ikem import (
     decap,
     encap,
     forgery_bound,
+    gen,
 )
-from prekem.source import bsc_source, from_json, guess_prob_given_z
-from prekem.uhash import twise_poly
+from prekem.source import SourceSpec, bsc_source, from_json, guess_prob_given_z
+from prekem.uhash import piece_count, twise_poly
 
 
 def toy_source(n):
@@ -334,6 +343,24 @@ class TestAdvantageReport:
                             ell=1, nu=1.0, r=0, w=4, sigma=0.5, q_e=q_e, q_d=0)
         assert exact_distance(params, q_e) == want
 
+    def test_games_desk_suite_is_pinned(self, monkeypatch):
+        # SHA-256 over the repr of every report of bench/games_desk.py's
+        # suite at workload seeds 1 and 4242, as the pair-based posterior
+        # gave them; a change to the suite or to trial seeding re-takes it
+        bench = Path(__file__).resolve().parent.parent / "bench"
+        monkeypatch.syspath_prepend(str(bench))  # games_desk imports common
+        spec = importlib.util.spec_from_file_location(
+            "games_desk", bench / "games_desk.py")
+        desk = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(desk)
+        digest = hashlib.sha256()
+        for seed in (1, 4242):
+            for (label, run), game_seed in zip(desk.SUITE,
+                                               desk.game_seeds(seed)):
+                digest.update(f"{seed} {label} {run(game_seed)!r}\n".encode())
+        assert digest.hexdigest() == (
+            "b8a37238aa09880f128a3bcf9bc1d384ce3235d751c1ca43db32fd13ecaf6ac0")
+
     def test_bound_serializes_as_number(self):
         rep = AdvantageReport("kint", "kint", 0.5, 0.1, 0.25, 50, 0.5, 0.0)
         assert '"bound": 0.25' in rep.to_json_line()
@@ -426,6 +453,232 @@ class TestPairEnumeration:
     def test_rejects_wrong_length(self):
         with pytest.raises(MalformedError):
             _enumerate_pairs(toy_source(3), (0, 1))
+
+    def test_memoized_per_z_on_the_spec(self):
+        spec = toy_source(3)
+        pairs = _enumerate_pairs(spec, [0, 1, 0])
+        weights = _x_weights(spec, (0, 1, 0))
+        assert _enumerate_pairs(spec, (0, 1, 0)) is pairs
+        assert _x_weights(spec, (0, 1, 0)) is weights
+        memo = spec.posteriors
+        assert set(memo.entries) == {((0, 1, 0), True), ((0, 1, 0), False)}
+        assert memo.size == len(pairs) + len(weights) == 64 + 8
+        assert toy_source(3).posteriors.entries == {}
+
+    def test_memo_keeps_to_its_budget(self, monkeypatch):
+        monkeypatch.setattr(games, "POSTERIOR_MEMO_MAX", 100)
+        spec = toy_source(3)
+        zs = [(0, 0, 0), (0, 1, 1), (1, 1, 1)]
+        for z in zs:
+            _enumerate_pairs(spec, z)  # 64 pairs each: only the first kept
+        assert list(spec.posteriors.entries) == [(zs[0], True)]
+        assert spec.posteriors.size == 64
+        for z in zs:
+            assert _enumerate_pairs(spec, z) == tuple(pair_oracle(spec, z))
+            assert _x_weights(spec, z) == x_sums(pair_oracle(spec, z))
+        assert spec.posteriors.size == 64 + 8 + 8 + 8
+
+    @pytest.mark.parametrize("spec, z", [
+        (toy_source(3), (0, 1, 0)),
+        (toy_source(6), (1, 1, 0, 1, 0, 0)),
+        (bsc_source(0, 0, 3), (1, 0, 1)),
+        (bsc_source(Fraction(1, 3), 0, 4), (0, 1, 1, 0)),
+        (from_json({"alphabet": [2, 2, 3], "n": 3, "pxyz": [
+            [0, 0, 0, "1/4"], [0, 1, 2, "1/8"], [1, 0, 0, "1/8"],
+            [1, 1, 1, "1/2"]]}), (0, 1, 2)),
+    ])
+    def test_match_the_pair_oracle(self, spec, z):
+        assert _enumerate_pairs(spec, z) == tuple(pair_oracle(spec, z))
+        assert _x_weights(spec, z) == x_sums(pair_oracle(spec, z))
+
+
+def pair_oracle(spec, z):
+    """Every (x, y, weight) pair given z, as the pair list was built before
+    the x-marginal posterior: position by position, zero weights pruned,
+    the ceiling checked at every prefix."""
+    if len(z) != spec.n:
+        raise MalformedError("z must have length n")
+    if spec.nx != 2 or spec.ny != 2:
+        raise MalformedError("pair enumeration needs binary x and y alphabets")
+    _, scaled = spec.scaled
+    acc = [(0, 0, 1)]
+    for zi in z:
+        if not 0 <= zi < spec.nz:
+            raise MalformedError("symbol outside the z alphabet")
+        nxt = []
+        for xp, yp, wt in acc:
+            for x in (0, 1):
+                for y in (0, 1):
+                    w = scaled[(x * 2 + y) * spec.nz + zi]
+                    if w:
+                        nxt.append(((xp << 1) | x, (yp << 1) | y, wt * w))
+        if len(nxt) > games.PAIR_MAX:
+            raise InfeasibleError("posterior support exceeds the pair ceiling")
+        acc = nxt
+    if not acc:
+        raise MalformedError("target string has zero probability")
+    return acc
+
+
+def x_sums(pairs):
+    out = {}
+    for xp, _, wt in pairs:
+        out[xp] = out.get(xp, 0) + wt
+    return out
+
+
+# a binary table whose z=0 column is empty, and a ternary one
+HOLLOW = from_json({"alphabet": [2, 2, 2], "n": 3, "pxyz": [
+    [0, 0, 1, "1/2"], [1, 1, 1, "1/2"]]})
+TERNARY = from_json({"alphabet": [3, 2, 2], "n": 2, "pxyz": [
+    [2, 1, 0, "1"]]})
+
+
+class TestPosteriorRefusals:
+    """The pair list and the x-weights refuse exactly what the pair
+    oracle refuses, with the same message, whichever fault comes first."""
+
+    @pytest.mark.parametrize("spec, z", [
+        (toy_source(3), (0, 1)),                   # wrong length
+        (toy_source(3), (0, 2, 0)),                # outside the z alphabet
+        (toy_source(3), (0, -1, 0)),
+        (HOLLOW, (1, 0, 1)),                       # zero probability
+        (HOLLOW, (0, 1, 2)),                       # zero, then a bad symbol
+        (TERNARY, (0, 0)),                         # non-binary x
+        (toy_source(7), (0,) * 7),                 # the pair ceiling
+        (toy_source(7), (0,) * 6 + (2,)),          # symbol, then ceiling
+        (toy_source(8), (0,) * 7 + (5,)),          # ceiling, then symbol
+        (toy_source(17), (0,) * 17),               # no exact table
+    ])
+    def test_same_refusal(self, spec, z):
+        with pytest.raises((MalformedError, InfeasibleError)) as want:
+            pair_oracle(spec, z)
+        message = f"^{re.escape(str(want.value))}$"
+        for build in (_enumerate_pairs, _x_weights):
+            with pytest.raises(want.type, match=message):
+                build(spec, z)
+        assert (spec.posteriors.entries, spec.posteriors.size) == ({}, 0)
+
+    def test_ceiling_admits_exactly_pair_max(self):
+        # y = x, so 2 nonzero cells per z symbol: 2^13 pairs pass
+        spec = bsc_source(0, Fraction(1, 4), 13)
+        z = (0, 1) * 6 + (1,)
+        assert len(pair_oracle(spec, z)) == games.PAIR_MAX
+        assert _x_weights(spec, z) == x_sums(pair_oracle(spec, z))
+        with pytest.raises(InfeasibleError, match="pair ceiling"):
+            _x_weights(replace(spec, n=14), z + (0,))
+
+
+class PairBayes(BayesPkind):
+    """BayesPkind's decision as it was made from the (x, y) pairs on every
+    trial, probe or not: the oracle for the x-marginal decision."""
+
+    def phase2(self, params, view, transcript, c_star, k_b, oracle, rng):
+        pairs = pair_oracle(params.source, view.z)
+        pub = view.public_seed
+        explains = games._explains(params, transcript + [(None, c_star)], pub)
+        chal_key = {xp: _extract(params, xp, c_star.sprime)
+                    for xp in {p[0] for p in pairs} if explains(xp)}
+        keep = [p for p in pairs if p[0] in chal_key]
+        if self.probe and oracle.decaps_left > 0 and keep:
+            keep = self._pair_probe(params, keep, c_star, pub, oracle, rng)
+        mass = sum(wt for xp, _, wt in keep if chal_key[xp] == k_b.bits)
+        total = sum(wt for _, _, wt in keep)
+        return 0 if (mass << params.ell) > total else 1
+
+    def _pair_probe(self, params, keep, c_star, pub, oracle, rng):
+        by_x = x_sums(keep)
+        ranked = sorted(by_x, key=lambda xp: (-by_x[xp], xp))
+        target = ranked[1] if len(ranked) > 1 else ranked[0]
+        probe_c = games._honest_redraw(params, target, c_star, rng, pub)
+        if probe_c is None:
+            return keep
+        answer = oracle.decap(probe_c)
+        verdict = games._receiver_answers(params, {p[1] for p in keep},
+                                          probe_c, pub)
+        return [p for p in keep if verdict[p[1]] == answer]
+
+
+def play_pkind(adversary, params, q_e, q_d, b, seed):
+    """One key-indistinguishability trial as run_pkind plays it, with both
+    oracles; returns the bit, the rng's next draw and the decapsulations
+    left, so two adversaries agree only if they also drew the same
+    randomness and made the same queries."""
+    rng = random.Random(seed)
+    inst = gen(params, rng)
+    oracle = games.PkemOracle(params, inst, "cca", q_e, q_d, rng)
+    view = games.EveView(inst.z, inst.public_seed)
+    transcript = adversary.phase1(params, view, oracle, rng)
+    k_star, c_star = encap(params, inst.x, rng, inst.public_seed)
+    k_b = k_star if b == 0 else IkemKey(rng.getrandbits(params.ell),
+                                        params.ell)
+    oracle.bar(c_star)
+    bit = adversary.phase2(params, view, transcript, c_star, k_b, oracle, rng)
+    return bit, rng.random(), oracle.decaps_left
+
+
+@st.composite
+def bayes_instances(draw):
+    """Small binary tables (asymmetric, zero cells allowed) under every
+    mode, with query budgets."""
+    nz = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.integers(0, 3), min_size=4 * nz,
+                          max_size=4 * nz).filter(any))
+    n = draw(st.integers(2, 4))
+    mode = draw(st.sampled_from(list(Mode)))
+    t = draw(st.integers(1, n // 2 if mode is Mode.CCA else n))
+    ell = draw(st.integers(1, 2))
+    w = mode.seed_width(n, ell)
+    spec = SourceSpec(2, 2, nz, n, tuple(Fraction(c, sum(cells))
+                                         for c in cells))
+    params = IkemParams(
+        mode=mode, source=spec, n=n, t=t, ell=ell,
+        nu=draw(st.sampled_from([0.5, 1.7, 4.0])),
+        r=piece_count(w, n - t) if mode is Mode.CCA else 0, w=w, sigma=0.5,
+        q_e=0, q_d=0)
+    return params, draw(st.integers(0, 2)), draw(st.integers(0, 1))
+
+
+class TestBayesDecisionDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(case=bayes_instances(), probe=st.booleans(),
+           seed=st.integers(0, 2 ** 32))
+    def test_bit_matches_the_pair_decision(self, case, probe, seed):
+        params, q_e, q_d = case
+        for b in (0, 1):
+            assert (play_pkind(BayesPkind(probe), params, q_e, q_d, b, seed)
+                    == play_pkind(PairBayes(probe), params, q_e, q_d, b,
+                                  seed))
+
+
+class TestPairCeilingParity:
+    """Every adversary that enumerates the posterior refuses the toy
+    BSC(1/4, 1/4) at n=7 (4^7 pairs) and runs at n=6 (4^6 = 2^12)."""
+
+    ADVERSARIES = {
+        "bayes": lambda p, s: run_pkind(GameConfig(
+            atk="cea", trials=1, seed=s, params=p), BayesPkind()),
+        "bayes-probe": lambda p, s: run_pkind(GameConfig(
+            atk="cca", trials=1, q_d=1, seed=s, params=p),
+            BayesPkind(probe=True)),
+        "forger": lambda p, s: brute_force_forger(p, (0, 1) * 3 + (1,) * (
+            p.n - 6), random.Random(s)),
+        "brute": lambda p, s: run_kint(GameConfig(
+            atk="kint", trials=1, q_e=1, q_d=1, seed=s, params=p),
+            BruteForceKint()),
+        "brute-query": lambda p, s: run_kint(GameConfig(
+            atk="kint", trials=1, q_e=1, q_d=1, seed=s, params=p),
+            BruteForceKint(use_query=True)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIES))
+    def test_refused_at_n7_run_at_n6(self, name):
+        run = self.ADVERSARIES[name]
+        with pytest.raises(InfeasibleError,
+                           match="^posterior support exceeds the pair "
+                                 "ceiling$"):
+            run(cca_params(n=7, q_d=1), 5)
+        run(cca_params(n=6, q_d=1), 5)
 
 
 def _gcd(a, b):

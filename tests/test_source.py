@@ -751,7 +751,7 @@ class TestReconClasses:
 
 
 TABLES = ("marg_y", "joint_xy", "joint_xz", "joint_yz", "cost", "cumulative",
-          "scaled", "cond_cells", "recon_classes")
+          "scaled", "cond_cells", "recon_classes", "posteriors")
 
 
 class TestSpecTables:
