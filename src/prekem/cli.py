@@ -18,7 +18,10 @@ seeded from OS entropy.
 Each command imports only the layers it runs: hybrid, combiner and games
 load inside their handlers, because every command is a fresh process whose
 start-up is mostly imports.  No command loads numpy: only the exact
-analyzer games.exact_distance imports it, and game runs none.
+analyzer games.exact_distance imports it, and game runs none.  No command
+loads inspect or ast: the value classes (prekem.value) compile no code at
+import.  Only the commands that encrypt or combine load OpenSSL
+(cryptography, and hashlib for a DEM key narrower than 256 bits).
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import abc
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
@@ -48,6 +47,7 @@ from .ikem import (
     serialize_ciphertext,
 )
 from .uhash import twise_poly
+from .value import Value, set_field
 
 __all__ = [
     "KemInterface",
@@ -157,20 +157,21 @@ def test_double_kem(bits: int, rng, broken: bool = False) -> ToyPkem:
 # ---------------------------------------------------------------------------
 # the two PRFs
 
-@dataclass(frozen=True)
-class ItPrfKey:
+class ItPrfKey(Value):
     """q_d+2 polynomial coefficients in GF(2^m), a_0 first."""
 
-    coeffs: Tuple[int, ...]
-    m: int
+    __slots__ = ("coeffs", "m")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) < 2:
+    def __init__(self, coeffs: Tuple[int, ...], m: int) -> None:
+        set_field(self, "_values", (coeffs, m))
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "m", m)
+        if len(coeffs) < 2:
             raise MalformedError("need at least two coefficients")
-        if self.m not in SUPPORTED_WIDTHS:
-            raise MalformedError(f"unsupported field width {self.m}")
-        for c in self.coeffs:
-            if not 0 <= c < (1 << self.m):
+        if m not in SUPPORTED_WIDTHS:
+            raise MalformedError(f"unsupported field width {m}")
+        for c in coeffs:
+            if not 0 <= c < (1 << m):
                 raise MalformedError("coefficient outside GF(2^m)")
 
     @classmethod
@@ -186,14 +187,15 @@ class ItPrfKey:
         return cls(coeffs, m)
 
 
-@dataclass(frozen=True)
-class CompPrfKey:
+class CompPrfKey(Value):
     """256-bit key for the computational PRF."""
 
-    raw: bytes
+    __slots__ = ("raw", "__dict__")
 
-    def __post_init__(self) -> None:
-        if len(self.raw) != 32:
+    def __init__(self, raw: bytes) -> None:
+        set_field(self, "_values", (raw,))
+        set_field(self, "raw", raw)
+        if len(raw) != 32:
             raise MalformedError("computational PRF key must be 256 bits")
 
     @classmethod
@@ -275,10 +277,13 @@ def combine_ptx(k1: Optional[IkemKey], k2: Optional[IkemKey],
 # ---------------------------------------------------------------------------
 # the combined KEM
 
-@dataclass(frozen=True)
-class CombinedCiphertext:
-    c1: bytes
-    c2: bytes
+class CombinedCiphertext(Value):
+    __slots__ = ("c1", "c2")
+
+    def __init__(self, c1: bytes, c2: bytes) -> None:
+        set_field(self, "_values", (c1, c2))
+        set_field(self, "c1", c1)
+        set_field(self, "c2", c2)
 
 
 class CombinedKem:

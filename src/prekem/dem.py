@@ -47,12 +47,11 @@ directly.
 from __future__ import annotations
 
 import functools
-import hashlib
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import KeyReuseError, MalformedError
 from .gf2 import FieldCtx, field
+from .value import Value, set_field
 
 __all__ = [
     "DemProfile",
@@ -77,23 +76,24 @@ LANE_BLOCKS = 48
 MAX_LANES = 256
 
 
-@dataclass(frozen=True)
-class DemProfile:
+class DemProfile(Value):
     """Widths of the two key parts; key lengths follow from these.
 
     enc_len bits feed the cipher, and otcca appends two mac_bits-wide MAC
     key parts: ot keys are enc_len bits, otcca keys enc_len + 2*mac_bits.
     """
 
-    enc_len: int = 256
-    mac_bits: int = 128
+    __slots__ = ("enc_len", "mac_bits")
 
-    def __post_init__(self) -> None:
-        if self.enc_len < 8 or self.enc_len % 8:
+    def __init__(self, enc_len: int = 256, mac_bits: int = 128) -> None:
+        set_field(self, "_values", (enc_len, mac_bits))
+        set_field(self, "enc_len", enc_len)
+        set_field(self, "mac_bits", mac_bits)
+        if enc_len < 8 or enc_len % 8:
             raise MalformedError("enc_len must be a positive multiple of 8")
-        if self.mac_bits < 8 or self.mac_bits % 8:
+        if mac_bits < 8 or mac_bits % 8:
             raise MalformedError("mac_bits must be a positive multiple of 8")
-        field(self.mac_bits)  # unsupported widths fail here, not mid-MAC
+        field(mac_bits)  # unsupported widths fail here, not mid-MAC
 
     @property
     def ot_key_bits(self) -> int:
@@ -138,12 +138,15 @@ class DemKey:
         self._used = True
 
 
-@dataclass(frozen=True)
-class DemCiphertext:
+class DemCiphertext(Value):
     """body is message-length; tag is present in otcca mode only."""
 
-    body: bytes
-    tag: Optional[int]
+    __slots__ = ("body", "tag")
+
+    def __init__(self, body: bytes, tag: Optional[int]) -> None:
+        set_field(self, "_values", (body, tag))
+        set_field(self, "body", body)
+        set_field(self, "tag", tag)
 
 
 @functools.cache
@@ -155,6 +158,13 @@ def _aes_ctr():
     return Cipher, algorithms.AES, modes.CTR
 
 
+@functools.cache
+def _sha256():
+    # hashlib loads OpenSSL too: loaded on the first narrow key, as above
+    from hashlib import sha256
+    return sha256
+
+
 def aes_ctr_keystream(key: bytes, data: bytes) -> bytes:
     """data XORed with the AES-256-CTR keystream from a zero counter block."""
     cipher, aes, ctr = _aes_ctr()
@@ -164,7 +174,7 @@ def aes_ctr_keystream(key: bytes, data: bytes) -> bytes:
 
 def _xor_stream(k_e: int, data: bytes, profile: DemProfile) -> bytes:
     raw = k_e.to_bytes(profile.enc_len // 8, "big")
-    key = raw if profile.enc_len == 256 else hashlib.sha256(raw).digest()
+    key = raw if profile.enc_len == 256 else _sha256()(raw).digest()
     return aes_ctr_keystream(key, data)
 
 

@@ -32,7 +32,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -67,6 +66,7 @@ from .ikem import (
 )
 from .source import SourceSpec, recon_ints, require_binary
 from .uhash import PaddedSeedVector, ReconSeed, h_cca
+from .value import Value, set_field
 
 __all__ = [
     "GameConfig",
@@ -120,8 +120,7 @@ BOUND_SLACK = 2.0
 # ---------------------------------------------------------------------------
 # configuration and reports
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(Value):
     """What to run: attack flavor, sample size, budgets, rng seed.
 
     params carries the encapsulation instance parameters (pkind and kint
@@ -133,28 +132,35 @@ class GameConfig:
     fixtures.
     """
 
-    atk: str
-    trials: int
-    q_e: int = 0
-    q_d: int = 0
-    seed: int = 0
-    params: Optional[IkemParams] = None
-    dem: Optional[DemProfile] = None
-    target: Optional[Tuple[int, ...]] = None
-    leak: bool = False
+    __slots__ = ("atk", "trials", "q_e", "q_d", "seed", "params", "dem",
+                 "target", "leak")
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
+    def __init__(self, atk: str, trials: int, q_e: int = 0, q_d: int = 0,
+                 seed: int = 0, params: Optional[IkemParams] = None,
+                 dem: Optional[DemProfile] = None,
+                 target: Optional[Tuple[int, ...]] = None,
+                 leak: bool = False) -> None:
+        set_field(self, "_values", (atk, trials, q_e, q_d, seed, params, dem,
+                                    target, leak))
+        set_field(self, "atk", atk)
+        set_field(self, "trials", trials)
+        set_field(self, "q_e", q_e)
+        set_field(self, "q_d", q_d)
+        set_field(self, "seed", seed)
+        set_field(self, "params", params)
+        set_field(self, "dem", dem)
+        set_field(self, "target", target)
+        set_field(self, "leak", leak)
+        if trials < 1:
             raise MalformedError("trials must be positive")
-        if self.q_e < 0 or self.q_d < 0:
+        if q_e < 0 or q_d < 0:
             raise MalformedError("query budgets must be non-negative")
-        if self.target is not None and self.params is not None:
-            if len(self.target) != self.params.n:
+        if target is not None and params is not None:
+            if len(target) != params.n:
                 raise MalformedError("target string must have length n")
 
 
-@dataclass(frozen=True)
-class AdvantageReport:
+class AdvantageReport(Value):
     """Two-arm estimate with its confidence radius and the declared bound.
 
     estimate is |p0 - p1|; halfwidth applies to each arm separately.
@@ -162,14 +168,22 @@ class AdvantageReport:
     form covers the configuration.
     """
 
-    game: str
-    atk: str
-    estimate: float
-    halfwidth: float
-    bound: Optional[float]
-    n_trials: int
-    p0: float
-    p1: float
+    __slots__ = ("game", "atk", "estimate", "halfwidth", "bound", "n_trials",
+                 "p0", "p1")
+
+    def __init__(self, game: str, atk: str, estimate: float,
+                 halfwidth: float, bound: Optional[float], n_trials: int,
+                 p0: float, p1: float) -> None:
+        set_field(self, "_values", (game, atk, estimate, halfwidth, bound,
+                                    n_trials, p0, p1))
+        set_field(self, "game", game)
+        set_field(self, "atk", atk)
+        set_field(self, "estimate", estimate)
+        set_field(self, "halfwidth", halfwidth)
+        set_field(self, "bound", bound)
+        set_field(self, "n_trials", n_trials)
+        set_field(self, "p0", p0)
+        set_field(self, "p1", p1)
 
     def to_json_line(self) -> str:
         return json.dumps({
@@ -189,13 +203,17 @@ class AdvantageReport:
         return self.estimate > self.bound + BOUND_SLACK * self.halfwidth
 
 
-@dataclass(frozen=True)
-class EveView:
+class EveView(Value):
     """What the adversary legitimately sees at the start of a trial."""
 
-    z: Tuple[int, ...]
-    public_seed: Optional[int]
-    x: Optional[Tuple[int, ...]] = None
+    __slots__ = ("z", "public_seed", "x")
+
+    def __init__(self, z: Tuple[int, ...], public_seed: Optional[int],
+                 x: Optional[Tuple[int, ...]] = None) -> None:
+        set_field(self, "_values", (z, public_seed, x))
+        set_field(self, "z", z)
+        set_field(self, "public_seed", public_seed)
+        set_field(self, "x", x)
 
 
 def hoeffding_halfwidth(trials: int) -> float:
@@ -419,15 +437,15 @@ def _receiver_answers(params: IkemParams, ys, c: IkemCiphertext, pub):
 
 def _pkind_bound(params: IkemParams, config: GameConfig) -> Optional[float]:
     if config.atk == "ot":
-        return distance_bound(replace(params, q_e=0))
+        return distance_bound(params.replace(q_e=0))
     if config.atk == "cea":
-        return distance_bound(replace(params, q_e=config.q_e))
+        return distance_bound(params.replace(q_e=config.q_e))
     if params.mode is Mode.CCA:
         # chosen-ciphertext advantage via the composition route: twice the
         # per-query forgery bound plus the passive-query distance
-        forged = forgery_bound(replace(params, q_d=config.q_d))
+        forged = forgery_bound(params.replace(q_d=config.q_d))
         return min(1.0, 2.0 * config.q_d * forged
-                   + distance_bound(replace(params, q_e=config.q_e)))
+                   + distance_bound(params.replace(q_e=config.q_e)))
     return None
 
 
@@ -620,8 +638,7 @@ class BruteForceKint:
         return self._cache[view.z]
 
 
-@dataclass(frozen=True)
-class ForgeryResult:
+class ForgeryResult(Value):
     """Chosen forgery plus its exact acceptance probability.
 
     score_x / score_y are the two guessing strategies' figures of merit
@@ -630,12 +647,20 @@ class ForgeryResult:
     posterior, decided by running the actual decapsulation.
     """
 
-    ciphertext: IkemCiphertext
-    p_success: Fraction
-    score_x: Fraction
-    score_y: Fraction
-    strategy: str
-    x_forged: Tuple[int, ...]
+    __slots__ = ("ciphertext", "p_success", "score_x", "score_y", "strategy",
+                 "x_forged")
+
+    def __init__(self, ciphertext: IkemCiphertext, p_success: Fraction,
+                 score_x: Fraction, score_y: Fraction, strategy: str,
+                 x_forged: Tuple[int, ...]) -> None:
+        set_field(self, "_values", (ciphertext, p_success, score_x, score_y,
+                                    strategy, x_forged))
+        set_field(self, "ciphertext", ciphertext)
+        set_field(self, "p_success", p_success)
+        set_field(self, "score_x", score_x)
+        set_field(self, "score_y", score_y)
+        set_field(self, "strategy", strategy)
+        set_field(self, "x_forged", x_forged)
 
 
 def brute_force_forger(params: IkemParams, z, rng,
@@ -939,14 +964,19 @@ def identity_dem_decrypt(key: DemKey, c: DemCiphertext) -> Optional[bytes]:
 # ---------------------------------------------------------------------------
 # PRF real-vs-random
 
-@dataclass(frozen=True)
-class PrfFamily:
+class PrfFamily(Value):
     """A keyed function family plus how to draw its key."""
 
-    name: str
-    out_bits: int
-    sample_key: Callable[[Any], Any]
-    evaluate: Callable[[Any, bytes], int]
+    __slots__ = ("name", "out_bits", "sample_key", "evaluate")
+
+    def __init__(self, name: str, out_bits: int,
+                 sample_key: Callable[[Any], Any],
+                 evaluate: Callable[[Any, bytes], int]) -> None:
+        set_field(self, "_values", (name, out_bits, sample_key, evaluate))
+        set_field(self, "name", name)
+        set_field(self, "out_bits", out_bits)
+        set_field(self, "sample_key", sample_key)
+        set_field(self, "evaluate", evaluate)
 
 
 def it_prf_family(key_bits: int, q_d: int, out_bits: int) -> PrfFamily:

@@ -23,7 +23,8 @@ lane together by shifts and masks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+
+from .value import Value, set_field
 
 # Lowest-weight irreducible polynomial of degree m, encoded with bit m set.
 # Generated by minimal-weight/minimal-value search with a Rabin
@@ -245,19 +246,24 @@ def _middle_terms(m: int, count: int, lo: int = 1):
             yield (1 << p) | rest
 
 
-@dataclass(frozen=True)
-class FieldCtx:
-    """Immutable GF(2^m) context; its poly is find_irreducible(m)."""
+class FieldCtx(Value):
+    """Immutable GF(2^m) context; its poly is find_irreducible(m).
 
-    m: int
+    m is the one field; poly and the reduction data derived from it live
+    in the instance __dict__.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "poly", find_irreducible(self.m))
+    __slots__ = ("m", "__dict__")
+
+    def __init__(self, m: int) -> None:
+        set_field(self, "_values", (m,))
+        set_field(self, "m", m)
+        set_field(self, "poly", find_irreducible(m))
         # Precompute the sparse reduction tail x^m = poly - x^m.
-        object.__setattr__(self, "_mask", (1 << self.m) - 1)
-        tail = self.poly ^ (1 << self.m)
+        set_field(self, "_mask", (1 << m) - 1)
+        tail = self.poly ^ (1 << m)
         terms = tuple(i for i in range(tail.bit_length()) if (tail >> i) & 1)
-        object.__setattr__(self, "_tail_terms", terms)
+        set_field(self, "_tail_terms", terms)
 
     # -- int-level arithmetic ------------------------------------------------
 

@@ -18,7 +18,6 @@ the serialized KEM ciphertext and c2 = body || tag.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .dem import (
@@ -42,6 +41,7 @@ from .ikem import (
     parse_ciphertext_for,
     serialize_ciphertext,
 )
+from .value import Value, set_field
 
 __all__ = [
     "HybridScheme",
@@ -58,30 +58,38 @@ ENVELOPE_VERSION = 1
 _ENV_HEADER = struct.Struct(">4sBI")
 
 
-@dataclass(frozen=True)
-class HybridScheme:
-    """A compatible (iKEM, DEM) pair; incompatible pairs never construct."""
+class HybridScheme(Value):
+    """A compatible (iKEM, DEM) pair; incompatible pairs never construct.
 
-    kem: IkemParams
-    dem: DemProfile
-    otcca: bool = field(init=False)
+    otcca, whether the KEM mode calls for the authenticated DEM, is a field
+    computed from kem.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "otcca", self.kem.mode is Mode.CCA)
-        need = self.dem.otcca_key_bits if self.otcca else self.dem.ot_key_bits
-        if self.kem.ell != need:
+    __slots__ = ("kem", "dem", "otcca")
+
+    def __init__(self, kem: IkemParams, dem: DemProfile) -> None:
+        otcca = kem.mode is Mode.CCA
+        set_field(self, "_values", (kem, dem, otcca))
+        set_field(self, "kem", kem)
+        set_field(self, "dem", dem)
+        set_field(self, "otcca", otcca)
+        need = dem.otcca_key_bits if otcca else dem.ot_key_bits
+        if kem.ell != need:
             raise MalformedError(
-                f"KEM key length {self.kem.ell} != DEM key length {need}")
+                f"KEM key length {kem.ell} != DEM key length {need}")
 
     @classmethod
     def for_params(cls, kem: IkemParams, dem: DemProfile) -> "HybridScheme":
         return cls(kem, dem)
 
 
-@dataclass(frozen=True)
-class HybridCiphertext:
-    c1: IkemCiphertext
-    c2: DemCiphertext
+class HybridCiphertext(Value):
+    __slots__ = ("c1", "c2")
+
+    def __init__(self, c1: IkemCiphertext, c2: DemCiphertext) -> None:
+        set_field(self, "_values", (c1, c2))
+        set_field(self, "c1", c1)
+        set_field(self, "c2", c2)
 
 
 def he_encrypt(scheme: HybridScheme, x, m: bytes, rng,

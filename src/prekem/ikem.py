@@ -39,7 +39,6 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
@@ -65,6 +64,7 @@ from .source import (
 )
 from .uhash import (ExtractorSeed, ReconSeed, h_cca, h_cea, hprime,
                     piece_count, split_seed)
+from .value import Value, set_field
 
 __all__ = [
     "Mode",
@@ -130,8 +130,7 @@ class Mode(enum.IntEnum):
         return n
 
 
-@dataclass(frozen=True)
-class IkemParams:
+class IkemParams(Value):
     """Everything a deployed instance needs, plus its security targets.
 
     sigma bounds key distinguishability, eps decapsulation failure, delta
@@ -139,43 +138,49 @@ class IkemParams:
     stated for.  nu is the reconciliation threshold in bits.
     """
 
-    mode: Mode
-    source: SourceSpec
-    n: int
-    t: int
-    ell: int
-    nu: float
-    r: int
-    w: int
-    sigma: float
-    q_e: int
-    q_d: int
-    eps: Optional[float] = None
-    delta: Optional[float] = None
+    __slots__ = ("mode", "source", "n", "t", "ell", "nu", "r", "w", "sigma",
+                 "q_e", "q_d", "eps", "delta")
 
-    def __post_init__(self) -> None:
-        _checked_nu(self.source, self.nu, self.sigma, self.q_e, self.q_d,
-                    self.eps, self.delta)
-        if self.n != self.source.n:
+    def __init__(self, mode: Mode, source: SourceSpec, n: int, t: int,
+                 ell: int, nu: float, r: int, w: int, sigma: float, q_e: int,
+                 q_d: int, eps: Optional[float] = None,
+                 delta: Optional[float] = None) -> None:
+        set_field(self, "_values", (mode, source, n, t, ell, nu, r, w, sigma,
+                                    q_e, q_d, eps, delta))
+        set_field(self, "mode", mode)
+        set_field(self, "source", source)
+        set_field(self, "n", n)
+        set_field(self, "t", t)
+        set_field(self, "ell", ell)
+        set_field(self, "nu", nu)
+        set_field(self, "r", r)
+        set_field(self, "w", w)
+        set_field(self, "sigma", sigma)
+        set_field(self, "q_e", q_e)
+        set_field(self, "q_d", q_d)
+        set_field(self, "eps", eps)
+        set_field(self, "delta", delta)
+        _checked_nu(source, nu, sigma, q_e, q_d, eps, delta)
+        if n != source.n:
             raise MalformedError("n must equal the source repetition count")
-        if self.n > MAX_WIDTH:  # GF(2^n) must be a field encap can build
-            raise InfeasibleError(f"n = {self.n} exceeds the widest "
+        if n > MAX_WIDTH:  # GF(2^n) must be a field encap can build
+            raise InfeasibleError(f"n = {n} exceeds the widest "
                                   f"supported field ({MAX_WIDTH} bits)")
-        if not 1 <= self.t:
+        if not 1 <= t:
             raise MalformedError("t must be positive")
-        if not 1 <= self.ell <= self.n:
+        if not 1 <= ell <= n:
             raise MalformedError("ell must be in 1..n")
-        w = self.mode.seed_width(self.n, self.ell)
-        if self.w != w:
-            raise MalformedError(f"{self.mode.name} mode needs w = {w}")
-        if self.mode is Mode.CCA:
-            if 2 * self.t > self.n:
+        need = mode.seed_width(n, ell)
+        if w != need:
+            raise MalformedError(f"{mode.name} mode needs w = {need}")
+        if mode is Mode.CCA:
+            if 2 * t > n:
                 raise MalformedError("authenticated mode needs t <= n/2")
-            if self.r != piece_count(self.w, self.n - self.t):
+            if r != piece_count(w, n - t):
                 raise MalformedError("piece count inconsistent with w")
-        elif self.r != 0:
-            raise MalformedError(f"{self.mode.name} mode needs r = 0")
-        elif self.t > self.n:
+        elif r != 0:
+            raise MalformedError(f"{mode.name} mode needs r = 0")
+        elif t > n:
             raise MalformedError("t must be at most n")
 
 
@@ -198,36 +203,44 @@ def _checked_nu(source: SourceSpec, nu: Optional[float], sigma: float,
     return nu
 
 
-@dataclass(frozen=True)
-class IkemKey:
-    bits: int
-    ell: int
+class IkemKey(Value):
+    __slots__ = ("bits", "ell")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << self.ell):
+    def __init__(self, bits: int, ell: int) -> None:
+        set_field(self, "_values", (bits, ell))
+        set_field(self, "bits", bits)
+        set_field(self, "ell", ell)
+        if not 0 <= bits < (1 << ell):
             raise MalformedError("key outside its declared length")
 
     def to_bytes(self) -> bytes:
         return self.bits.to_bytes((self.ell + 7) // 8, "big")
 
 
-@dataclass(frozen=True)
-class IkemCiphertext:
+class IkemCiphertext(Value):
     """Hash value plus seeds; s is None in CEA mode (published out of band)."""
 
-    v: int
-    sprime: int
-    s: Optional[int]
+    __slots__ = ("v", "sprime", "s")
+
+    def __init__(self, v: int, sprime: int, s: Optional[int]) -> None:
+        set_field(self, "_values", (v, sprime, s))
+        set_field(self, "v", v)
+        set_field(self, "sprime", sprime)
+        set_field(self, "s", s)
 
 
-@dataclass(frozen=True)
-class IkemInstance:
+class IkemInstance(Value):
     """Private strings from setup plus the CEA-mode public seed."""
 
-    x: Tuple[int, ...]
-    y: Tuple[int, ...]
-    z: Tuple[int, ...]
-    public_seed: Optional[int]
+    __slots__ = ("x", "y", "z", "public_seed")
+
+    def __init__(self, x: Tuple[int, ...], y: Tuple[int, ...],
+                 z: Tuple[int, ...], public_seed: Optional[int]) -> None:
+        set_field(self, "_values", (x, y, z, public_seed))
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "z", z)
+        set_field(self, "public_seed", public_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,13 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from types import SimpleNamespace
 from typing import Optional, Tuple, Union
 
 from .errors import InfeasibleError, MalformedError
+from .value import Value, set_field
 
 Number = Union[Fraction, float]
 
@@ -52,8 +52,7 @@ RECON_CAP = 1 << 20
 ENUM_STRINGS_MAX = 1 << 12
 
 
-@dataclass(frozen=True)
-class SourceSpec:
+class SourceSpec(Value):
     """An i.i.d. product source: per-symbol joint table plus repetition count.
 
     table is flat in lexicographic (x, y, z) order: index (x*ny + y)*nz + z.
@@ -61,21 +60,25 @@ class SourceSpec:
     closed-form large-n evaluation; None for general tables.
     """
 
-    nx: int
-    ny: int
-    nz: int
-    n: int
-    table: Tuple[Number, ...]
-    bsc: Optional[Tuple[Number, Number]] = None
+    __slots__ = ("nx", "ny", "nz", "n", "table", "bsc", "__dict__")
 
-    def __post_init__(self) -> None:
-        if min(self.nx, self.ny, self.nz) < 1 or self.n < 1:
+    def __init__(self, nx: int, ny: int, nz: int, n: int,
+                 table: Tuple[Number, ...],
+                 bsc: Optional[Tuple[Number, Number]] = None) -> None:
+        set_field(self, "_values", (nx, ny, nz, n, table, bsc))
+        set_field(self, "nx", nx)
+        set_field(self, "ny", ny)
+        set_field(self, "nz", nz)
+        set_field(self, "n", n)
+        set_field(self, "table", table)
+        set_field(self, "bsc", bsc)
+        if min(nx, ny, nz) < 1 or n < 1:
             raise MalformedError("alphabet sizes and n must be positive")
-        if len(self.table) != self.nx * self.ny * self.nz:
+        if len(table) != nx * ny * nz:
             raise MalformedError("table length does not match alphabet sizes")
-        if any(p < 0 for p in self.table):
+        if any(p < 0 for p in table):
             raise MalformedError("negative probability")
-        total = sum(self.table)
+        total = sum(table)
         if self.exact:
             if total != 1:
                 raise MalformedError(f"probabilities sum to {total}, not 1")
@@ -89,10 +92,10 @@ class SourceSpec:
     def p(self, x: int, y: int, z: int) -> Number:
         return self.table[(x * self.ny + y) * self.nz + z]
 
-    # Derived per-symbol tables, each computed on first use and kept on the
-    # instance.  They are not fields, so equality, hashing, repr and the JSON
-    # form see only the table they derive from, and dataclasses.replace
-    # starts a fresh instance with none of them.
+    # Derived per-symbol tables, each computed on first use and kept in the
+    # instance __dict__.  They are not fields, so equality, hashing, repr and
+    # the JSON form see only the table they derive from, and replace starts
+    # a fresh instance with none of them.
 
     @cached_property
     def marg_y(self) -> Tuple[Number, ...]:
@@ -172,17 +175,20 @@ class SourceSpec:
         return SimpleNamespace(entries={}, size=0)
 
 
-@dataclass(frozen=True)
-class SampleTriple:
+class SampleTriple(Value):
     """One draw from the n-fold source: Alice's, Bob's and Eve's strings."""
 
-    x: Tuple[int, ...]
-    y: Tuple[int, ...]
-    z: Tuple[int, ...]
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: Tuple[int, ...], y: Tuple[int, ...],
+                 z: Tuple[int, ...]) -> None:
+        set_field(self, "_values", (x, y, z))
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "z", z)
 
 
-@dataclass(frozen=True)
-class ReconSet:
+class ReconSet(Value):
     """R(y) for binary x and y: every x-string whose conditional surprisal
     given y is at most nu bits.
 
@@ -191,9 +197,14 @@ class ReconSet:
     so iteration order is reproducible across runs and implementations.
     """
 
-    y: Tuple[int, ...]
-    nu: float
-    members: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("y", "nu", "members")
+
+    def __init__(self, y: Tuple[int, ...], nu: float,
+                 members: Tuple[Tuple[int, ...], ...]) -> None:
+        set_field(self, "_values", (y, nu, members))
+        set_field(self, "y", y)
+        set_field(self, "nu", nu)
+        set_field(self, "members", members)
 
 
 def integer(value) -> int:

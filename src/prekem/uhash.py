@@ -19,11 +19,11 @@ legal members of every family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import MalformedError
 from .gf2 import block, field
+from .value import Value, set_field
 
 __all__ = [
     "ExtractorSeed",
@@ -38,37 +38,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExtractorSeed:
+class ExtractorSeed(Value):
     """Key-extractor seed: a field element plus the output length."""
 
-    sprime: int
-    width: int
-    ell: int
+    __slots__ = ("sprime", "width", "ell")
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or not 0 <= self.sprime < (1 << self.width):
+    def __init__(self, sprime: int, width: int, ell: int) -> None:
+        set_field(self, "_values", (sprime, width, ell))
+        set_field(self, "sprime", sprime)
+        set_field(self, "width", width)
+        set_field(self, "ell", ell)
+        if width < 1 or not 0 <= sprime < (1 << width):
             raise MalformedError("seed outside its field")
-        if not 1 <= self.ell <= self.width:
+        if not 1 <= ell <= width:
             raise MalformedError("output length must be in 1..width")
 
 
-@dataclass(frozen=True)
-class ReconSeed:
+class ReconSeed(Value):
     """Reconciliation-hash seed: n bits with output length t.
 
     The one-shot family uses s whole over GF(2^n); the split family views
     the same bits as s2 || s1 with s2 the top n-t bits and s1 the bottom t.
     """
 
-    s: int
-    n: int
-    t: int
+    __slots__ = ("s", "n", "t")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or not 0 <= self.s < (1 << self.n):
+    def __init__(self, s: int, n: int, t: int) -> None:
+        set_field(self, "_values", (s, n, t))
+        set_field(self, "s", s)
+        set_field(self, "n", n)
+        set_field(self, "t", t)
+        if n < 1 or not 0 <= s < (1 << n):
             raise MalformedError("seed outside its field")
-        if not 1 <= self.t <= self.n:
+        if not 1 <= t <= n:
             raise MalformedError("output length must be in 1..n")
 
     @property
@@ -80,25 +82,27 @@ class ReconSeed:
         return self.s & ((1 << self.t) - 1)
 
 
-@dataclass(frozen=True)
-class PaddedSeedVector:
+class PaddedSeedVector(Value):
     """A w-bit seed split MSB-first into r pieces of piece_width bits.
 
     r is even and minimal with w <= r*piece_width; the final pieces are
     filled out with appended 1 bits.
     """
 
-    pieces: Tuple[int, ...]
-    piece_width: int
-    w: int
+    __slots__ = ("pieces", "piece_width", "w")
 
-    def __post_init__(self) -> None:
-        r = len(self.pieces)
+    def __init__(self, pieces: Tuple[int, ...], piece_width: int,
+                 w: int) -> None:
+        set_field(self, "_values", (pieces, piece_width, w))
+        set_field(self, "pieces", pieces)
+        set_field(self, "piece_width", piece_width)
+        set_field(self, "w", w)
+        r = len(pieces)
         if r < 2 or r % 2:
             raise MalformedError("piece count must be even and at least 2")
-        if not (r - 2) * self.piece_width < self.w <= r * self.piece_width:
+        if not (r - 2) * piece_width < w <= r * piece_width:
             raise MalformedError("piece count inconsistent with seed width")
-        if any(not 0 <= p < (1 << self.piece_width) for p in self.pieces):
+        if any(not 0 <= p < (1 << piece_width) for p in pieces):
             raise MalformedError("piece outside its field")
 
     @property

@@ -1105,8 +1105,9 @@ class TestSubprocess:
 
     def test_commands_import_only_their_layers(self, tmp_path):
         # each command is a fresh process, so what it imports is start-up
-        # time: the key pipeline needs neither games nor OpenSSL, and only
-        # an exact analysis, which no command runs, loads numpy
+        # time: the key pipeline needs neither games nor OpenSSL (hashlib
+        # loads it too), only an exact analysis, which no command runs,
+        # loads numpy, and no command loads dataclasses or inspect
         params = write_json(
             tmp_path / "params.json",
             params_to_doc(noiseless_params(n=14, t=4, ell=8, w=14),
@@ -1135,8 +1136,9 @@ class TestSubprocess:
             "from prekem.cli import main\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    code = main(argv)\n"
-            "    heavy = [m for m in ('numpy', 'prekem.games',\n"
-            "                         'cryptography') if m in sys.modules]\n"
+            "    heavy = [m for m in ('numpy', 'prekem.games', 'cryptography',\n"
+            "                         'hashlib', 'dataclasses', 'inspect')\n"
+            "             if m in sys.modules]\n"
             "    print(json.dumps([argv[0], code, heavy]), file=sys.stderr)\n")
         src = str(Path(prekem.__file__).resolve().parents[1])
         path = [src, os.environ.get("PYTHONPATH")]
@@ -1151,6 +1153,6 @@ class TestSubprocess:
             ["sample", 0, []],
             ["encap", 0, []],
             ["decap", 0, []],
-            ["he-encrypt", 0, ["cryptography"]],
-            ["game", 0, ["prekem.games", "cryptography"]],
+            ["he-encrypt", 0, ["cryptography", "hashlib"]],
+            ["game", 0, ["prekem.games", "cryptography", "hashlib"]],
         ]

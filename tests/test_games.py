@@ -16,7 +16,6 @@ import random
 import re
 import tracemalloc
 from collections import defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -369,7 +368,10 @@ class TestAdvantageReport:
         # the slack is two half-widths: 0.25 + 2 * 0.1 = 0.45
         rep = AdvantageReport("kint", "kint", 0.5, 0.1, 0.25, 50, 0.5, 0.0)
         assert rep.exceeds_bound()
-        assert not replace(rep, estimate=0.44).exceeds_bound()
+        lower = rep.replace(estimate=0.44)
+        assert lower == AdvantageReport("kint", "kint", 0.44, 0.1, 0.25, 50,
+                                        0.5, 0.0)
+        assert not lower.exceeds_bound()
         free = AdvantageReport("pkind", "cca", 0.9, 0.1, None, 50, 0.9, 0.0)
         assert not free.exceeds_bound()
 
@@ -566,7 +568,8 @@ class TestPosteriorRefusals:
         assert len(pair_oracle(spec, z)) == games.PAIR_MAX
         assert _x_weights(spec, z) == x_sums(pair_oracle(spec, z))
         with pytest.raises(InfeasibleError, match="pair ceiling"):
-            _x_weights(replace(spec, n=14), z + (0,))
+            _x_weights(spec.replace(n=14), z + (0,))
+        assert spec.replace(n=14) == bsc_source(0, Fraction(1, 4), 14)
 
 
 class PairBayes(BayesPkind):

@@ -5,7 +5,9 @@ Every name a prekem module imports must be read somewhere in that module
 __all__; `from __future__` imports are exempt.  Every module-level private
 function or class must be read somewhere in the package, so helpers that
 only tests use live in the tests.  Every __all__ entry must be bound in its
-module.  Every name bench/spans.py's tracer rebinds must exist.
+module.  Every name bench/spans.py's tracer rebinds must exist.  No module
+imports dataclasses: its decorator compiles methods from source text at
+every import, and loading it pulls in inspect.
 """
 
 import ast
@@ -29,6 +31,16 @@ def imported_names(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name, node.lineno
+
+
+def imported_modules(tree):
+    """(absolute module name, line) for every import statement."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module, node.lineno
 
 
 def exported_names(tree):
@@ -81,6 +93,14 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line} {name}"
               for name, line in imported_names(tree) if name not in used]
     assert not unused, unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    found = [f"{path.name}:{line}"
+             for module, line in imported_modules(TREES[path])
+             if module.split(".")[0] == "dataclasses"]
+    assert not found, found
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

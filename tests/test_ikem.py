@@ -5,7 +5,6 @@ hash formulas before the package existed; formula examples are recomputed
 test-locally.  Round trips and tamper sweeps run the real protocol.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -160,7 +159,8 @@ class TestPackBitsAgainstLoop:
 class TestGen:
     def test_point_mass_source(self):
         src = from_json({"alphabet": [2, 2, 2], "n": 4, "pxyz": [[0, 0, 0, 1]]})
-        params = dataclasses.replace(toy_params(Mode.CEA), source=src, nu=0.0)
+        params = toy_params(Mode.CEA).replace(source=src, nu=0.0)
+        assert params == toy_params(Mode.CEA, source=src, nu=0.0)
         inst = gen(params, random.Random(3))
         assert inst.x == inst.y == (0, 0, 0, 0)
         k, c = encap(params, inst.x, random.Random(4), inst.public_seed)
@@ -413,9 +413,9 @@ class TestReconHash:
         built = []
 
         class CountedSeed(ReconSeed):
-            def __post_init__(self):
-                built.append(self.s)
-                super().__post_init__()
+            def __init__(self, s, n, t):
+                built.append(s)
+                super().__init__(s, n, t)
 
         monkeypatch.setattr("prekem.ikem.ReconSeed", CountedSeed)
         decap(params, inst.y, c, inst.public_seed)
@@ -482,8 +482,9 @@ class TestCheckEnumerable:
         monkeypatch.setattr("prekem.source.RECON_CAP", 1)
         src = from_json({"alphabet": [2, 2, 2], "n": 4,
                          "pxyz": [[0, 0, 0, "1/2"], [1, 1, 1, "1/2"]]})
-        check_enumerable(dataclasses.replace(
-            toy_params(Mode.CEA), source=src, nu=100.0))
+        params = toy_params(Mode.CEA).replace(source=src, nu=100.0)
+        assert params == toy_params(Mode.CEA, source=src, nu=100.0)
+        check_enumerable(params)
 
 
 class TestDeriveCea:
@@ -846,7 +847,8 @@ class TestWire:
         bad = [0, 1] if s_bits == 0 else [None, 1 << s_bits, -1]
         for s in bad:
             with pytest.raises(MalformedError):
-                serialize_ciphertext(params, dataclasses.replace(c, s=s))
+                serialize_ciphertext(params, c.replace(s=s))
+            assert c.replace(s=s) == IkemCiphertext(c.v, c.sprime, s)
 
     def test_parse_for_params_checks_header(self):
         cea = toy_params(Mode.CEA, n=8, t=2)

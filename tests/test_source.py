@@ -6,7 +6,6 @@ never used as its own oracle except for explicitly-marked internal
 consistency checks.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -773,23 +772,24 @@ class TestSpecTables:
         spec = toy(4)
         y4 = (0, 1, 0, 1)
         recon_set(spec, y4, 3.5)
-        longer = dataclasses.replace(spec, n=6)
+        longer = spec.replace(n=6)
+        assert longer == toy(6)
         assert not set(TABLES) & set(vars(longer))
         y6 = (0, 1, 0, 1, 1, 1)
         assert recon_set(longer, y6, 3.5).members == brute_recon(longer, y6, 3.5)
         with pytest.raises(MalformedError):
             recon_set(longer, y4, 3.5)
-        noisier = dataclasses.replace(spec, table=bsc_source(0.1, 0.5, 4).table,
-                                      bsc=None)
+        noisier = spec.replace(table=bsc_source(0.1, 0.5, 4).table, bsc=None)
+        assert noisier == SourceSpec(2, 2, 2, 4, bsc_source(0.1, 0.5, 4).table)
         assert noisier.cost != spec.cost
         assert noisier.cost[0][1] == pytest.approx(-math.log2(0.1))
 
     def test_identity_unchanged_by_tables(self):
         spec, twin = toy(4), toy(4)
-        before = (hash(spec), repr(spec), dataclasses.asdict(spec))
+        before = (hash(spec), repr(spec))
         for name in TABLES:
             getattr(spec, name)
-        assert (hash(spec), repr(spec), dataclasses.asdict(spec)) == before
+        assert (hash(spec), repr(spec)) == before
         assert spec == twin and hash(spec) == hash(twin)
         assert {spec: 1}[twin] == 1
 
