@@ -47,7 +47,7 @@ from .ikem import (
     serialize_ciphertext,
 )
 from .uhash import twise_poly
-from .value import Value, set_field
+from .value import Value, set_fields
 
 __all__ = [
     "KemInterface",
@@ -163,9 +163,7 @@ class ItPrfKey(Value):
     __slots__ = ("coeffs", "m")
 
     def __init__(self, coeffs: Tuple[int, ...], m: int) -> None:
-        set_field(self, "_values", (coeffs, m))
-        set_field(self, "coeffs", coeffs)
-        set_field(self, "m", m)
+        set_fields(self, coeffs, m)
         if len(coeffs) < 2:
             raise MalformedError("need at least two coefficients")
         if m not in SUPPORTED_WIDTHS:
@@ -193,8 +191,7 @@ class CompPrfKey(Value):
     __slots__ = ("raw", "__dict__")
 
     def __init__(self, raw: bytes) -> None:
-        set_field(self, "_values", (raw,))
-        set_field(self, "raw", raw)
+        set_fields(self, raw)
         if len(raw) != 32:
             raise MalformedError("computational PRF key must be 256 bits")
 
@@ -281,9 +278,7 @@ class CombinedCiphertext(Value):
     __slots__ = ("c1", "c2")
 
     def __init__(self, c1: bytes, c2: bytes) -> None:
-        set_field(self, "_values", (c1, c2))
-        set_field(self, "c1", c1)
-        set_field(self, "c2", c2)
+        set_fields(self, c1, c2)
 
 
 class CombinedKem:

@@ -51,7 +51,7 @@ from typing import Optional
 
 from .errors import KeyReuseError, MalformedError
 from .gf2 import FieldCtx, field
-from .value import Value, set_field
+from .value import Value, set_fields
 
 __all__ = [
     "DemProfile",
@@ -86,9 +86,7 @@ class DemProfile(Value):
     __slots__ = ("enc_len", "mac_bits")
 
     def __init__(self, enc_len: int = 256, mac_bits: int = 128) -> None:
-        set_field(self, "_values", (enc_len, mac_bits))
-        set_field(self, "enc_len", enc_len)
-        set_field(self, "mac_bits", mac_bits)
+        set_fields(self, enc_len, mac_bits)
         if enc_len < 8 or enc_len % 8:
             raise MalformedError("enc_len must be a positive multiple of 8")
         if mac_bits < 8 or mac_bits % 8:
@@ -144,9 +142,7 @@ class DemCiphertext(Value):
     __slots__ = ("body", "tag")
 
     def __init__(self, body: bytes, tag: Optional[int]) -> None:
-        set_field(self, "_values", (body, tag))
-        set_field(self, "body", body)
-        set_field(self, "tag", tag)
+        set_fields(self, body, tag)
 
 
 @functools.cache

@@ -54,7 +54,7 @@ from .ikem import (
     IkemKey,
     IkemParams,
     Mode,
-    _extract,
+    _extractor,
     _recon_hash,
     decap,
     distance_bound,
@@ -66,7 +66,7 @@ from .ikem import (
 )
 from .source import SourceSpec, recon_ints, require_binary
 from .uhash import PaddedSeedVector, ReconSeed, h_cca
-from .value import Value, set_field
+from .value import Value, set_fields
 
 __all__ = [
     "GameConfig",
@@ -140,17 +140,8 @@ class GameConfig(Value):
                  dem: Optional[DemProfile] = None,
                  target: Optional[Tuple[int, ...]] = None,
                  leak: bool = False) -> None:
-        set_field(self, "_values", (atk, trials, q_e, q_d, seed, params, dem,
-                                    target, leak))
-        set_field(self, "atk", atk)
-        set_field(self, "trials", trials)
-        set_field(self, "q_e", q_e)
-        set_field(self, "q_d", q_d)
-        set_field(self, "seed", seed)
-        set_field(self, "params", params)
-        set_field(self, "dem", dem)
-        set_field(self, "target", target)
-        set_field(self, "leak", leak)
+        set_fields(self, atk, trials, q_e, q_d, seed, params, dem, target,
+                   leak)
         if trials < 1:
             raise MalformedError("trials must be positive")
         if q_e < 0 or q_d < 0:
@@ -174,16 +165,8 @@ class AdvantageReport(Value):
     def __init__(self, game: str, atk: str, estimate: float,
                  halfwidth: float, bound: Optional[float], n_trials: int,
                  p0: float, p1: float) -> None:
-        set_field(self, "_values", (game, atk, estimate, halfwidth, bound,
-                                    n_trials, p0, p1))
-        set_field(self, "game", game)
-        set_field(self, "atk", atk)
-        set_field(self, "estimate", estimate)
-        set_field(self, "halfwidth", halfwidth)
-        set_field(self, "bound", bound)
-        set_field(self, "n_trials", n_trials)
-        set_field(self, "p0", p0)
-        set_field(self, "p1", p1)
+        set_fields(self, game, atk, estimate, halfwidth, bound, n_trials, p0,
+                   p1)
 
     def to_json_line(self) -> str:
         return json.dumps({
@@ -210,10 +193,7 @@ class EveView(Value):
 
     def __init__(self, z: Tuple[int, ...], public_seed: Optional[int],
                  x: Optional[Tuple[int, ...]] = None) -> None:
-        set_field(self, "_values", (z, public_seed, x))
-        set_field(self, "z", z)
-        set_field(self, "public_seed", public_seed)
-        set_field(self, "x", x)
+        set_fields(self, z, public_seed, x)
 
 
 def hoeffding_halfwidth(trials: int) -> float:
@@ -402,15 +382,16 @@ def _pkem_trial(params: IkemParams, config: GameConfig, rng):
 def _explains(params: IkemParams, transcript, pub) -> Callable[[int], bool]:
     """Packed x -> whether it explains every (key, ciphertext) of the
     transcript; a None key leaves the ciphertext's hash value alone to
-    check.  Each entry's reconciliation hash is built once."""
-    checks = [(k, c, _recon_hash(params, c.sprime, c.s, pub))
+    check.  Each entry's hash and extractor are built once."""
+    checks = [(k, c, _recon_hash(params, c.sprime, c.s, pub),
+               None if k is None else _extractor(params, c.sprime))
               for k, c in transcript]
 
     def explains(xp: int) -> bool:
-        for k, c, h in checks:
+        for k, c, h, extract in checks:
             if h(xp) != c.v:
                 return False
-            if k is not None and _extract(params, xp, c.sprime) != k.bits:
+            if k is not None and extract(xp) != k.bits:
                 return False
         return True
     return explains
@@ -497,7 +478,7 @@ class CheatingPkind:
 
     def phase2(self, params, view, st, c_star, k_b, oracle, rng):
         xp = pack_bits(view.x)
-        return 0 if _extract(params, xp, c_star.sprime) == k_b.bits else 1
+        return 0 if _extractor(params, c_star.sprime)(xp) == k_b.bits else 1
 
 
 class BayesPkind:
@@ -526,8 +507,8 @@ class BayesPkind:
         prior = _x_weights(params.source, view.z)
         pub = view.public_seed
         explains = _explains(params, transcript + [(None, c_star)], pub)
-        chal_key = {xp: _extract(params, xp, c_star.sprime)
-                    for xp in prior if explains(xp)}
+        extract = _extractor(params, c_star.sprime)
+        chal_key = {xp: extract(xp) for xp in prior if explains(xp)}
         weight = {xp: prior[xp] for xp in chal_key}
         if self.probe and oracle.decaps_left > 0 and weight:
             weight = self._probe(params, view.z, weight, c_star, pub, oracle,
@@ -653,14 +634,8 @@ class ForgeryResult(Value):
     def __init__(self, ciphertext: IkemCiphertext, p_success: Fraction,
                  score_x: Fraction, score_y: Fraction, strategy: str,
                  x_forged: Tuple[int, ...]) -> None:
-        set_field(self, "_values", (ciphertext, p_success, score_x, score_y,
-                                    strategy, x_forged))
-        set_field(self, "ciphertext", ciphertext)
-        set_field(self, "p_success", p_success)
-        set_field(self, "score_x", score_x)
-        set_field(self, "score_y", score_y)
-        set_field(self, "strategy", strategy)
-        set_field(self, "x_forged", x_forged)
+        set_fields(self, ciphertext, p_success, score_x, score_y, strategy,
+                   x_forged)
 
 
 def brute_force_forger(params: IkemParams, z, rng,
@@ -765,8 +740,8 @@ def exact_distance(params: IkemParams, q_e: int) -> Fraction:
     for _ in range(n):
         W = np.kron(W, sym)
     # code[sigma][x]: the shown value; base[g][x]: the cell before queries
-    code = np.repeat(np.array([[_extract(params, x, sp) for x in range(X)]
-                               for sp in range(1 << params.w)]),
+    extractors = [_extractor(params, sp) for sp in range(1 << params.w)]
+    code = np.repeat(np.array([[e(x) for x in range(X)] for e in extractors]),
                      1 << s_bits, axis=0)
     hashes = ([_recon_hash(params, 0, None, g) for g in range(G)] if shared
               else [_recon_hash(params, *divmod(sigma, 1 << s_bits), None)
@@ -972,11 +947,7 @@ class PrfFamily(Value):
     def __init__(self, name: str, out_bits: int,
                  sample_key: Callable[[Any], Any],
                  evaluate: Callable[[Any, bytes], int]) -> None:
-        set_field(self, "_values", (name, out_bits, sample_key, evaluate))
-        set_field(self, "name", name)
-        set_field(self, "out_bits", out_bits)
-        set_field(self, "sample_key", sample_key)
-        set_field(self, "evaluate", evaluate)
+        set_fields(self, name, out_bits, sample_key, evaluate)
 
 
 def it_prf_family(key_bits: int, q_d: int, out_bits: int) -> PrfFamily:

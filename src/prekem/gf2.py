@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 
-from .value import Value, set_field
+from .value import Value, set_field, set_fields
 
 # Lowest-weight irreducible polynomial of degree m, encoded with bit m set.
 # Generated by minimal-weight/minimal-value search with a Rabin
@@ -256,8 +256,7 @@ class FieldCtx(Value):
     __slots__ = ("m", "__dict__")
 
     def __init__(self, m: int) -> None:
-        set_field(self, "_values", (m,))
-        set_field(self, "m", m)
+        set_fields(self, m)
         set_field(self, "poly", find_irreducible(m))
         # Precompute the sparse reduction tail x^m = poly - x^m.
         set_field(self, "_mask", (1 << m) - 1)

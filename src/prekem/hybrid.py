@@ -41,7 +41,7 @@ from .ikem import (
     parse_ciphertext_for,
     serialize_ciphertext,
 )
-from .value import Value, set_field
+from .value import Value, set_fields
 
 __all__ = [
     "HybridScheme",
@@ -69,10 +69,7 @@ class HybridScheme(Value):
 
     def __init__(self, kem: IkemParams, dem: DemProfile) -> None:
         otcca = kem.mode is Mode.CCA
-        set_field(self, "_values", (kem, dem, otcca))
-        set_field(self, "kem", kem)
-        set_field(self, "dem", dem)
-        set_field(self, "otcca", otcca)
+        set_fields(self, kem, dem, otcca)
         need = dem.otcca_key_bits if otcca else dem.ot_key_bits
         if kem.ell != need:
             raise MalformedError(
@@ -87,9 +84,7 @@ class HybridCiphertext(Value):
     __slots__ = ("c1", "c2")
 
     def __init__(self, c1: IkemCiphertext, c2: DemCiphertext) -> None:
-        set_field(self, "_values", (c1, c2))
-        set_field(self, "c1", c1)
-        set_field(self, "c2", c2)
+        set_fields(self, c1, c2)
 
 
 def he_encrypt(scheme: HybridScheme, x, m: bytes, rng,

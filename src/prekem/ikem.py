@@ -19,12 +19,13 @@ which seeds are fresh and how wide they are (ell is the key length):
 
 Each ciphertext hashes under one map x -> v that _recon_hash builds from
 its mode's seed (the published seed in CEA, the wire's s otherwise, and
-in CCA the split of s' too).  Encapsulation applies it to Alice's packed
-x; decapsulation runs it over Bob's reconciliation set, packed ints from
-its member classes (source.recon_ints), and accepts iff exactly one
-member hashes to v.  None is the rejection value; a set larger than
-source.RECON_CAP raises InfeasibleError before any member is built (an
-operational failure, never a protocol answer).
+in CCA the split of s' too), and extracts keys under one map x -> bits
+that _extractor builds from s'.  Encapsulation applies both to Alice's
+packed x; decapsulation runs the hash over Bob's reconciliation set,
+packed ints from its member classes (source.recon_ints), and accepts iff
+exactly one member hashes to v.  None is the rejection value; a set
+larger than source.RECON_CAP raises InfeasibleError before any member is
+built (an operational failure, never a protocol answer).
 
 The derive_params_* engines turn a source plus security targets
 (sigma: key indistinguishability, eps: correctness, delta: forgery) into
@@ -64,7 +65,7 @@ from .source import (
 )
 from .uhash import (ExtractorSeed, ReconSeed, h_cca, h_cea, hprime,
                     piece_count, split_seed)
-from .value import Value, set_field
+from .value import Value, set_fields
 
 __all__ = [
     "Mode",
@@ -145,21 +146,8 @@ class IkemParams(Value):
                  ell: int, nu: float, r: int, w: int, sigma: float, q_e: int,
                  q_d: int, eps: Optional[float] = None,
                  delta: Optional[float] = None) -> None:
-        set_field(self, "_values", (mode, source, n, t, ell, nu, r, w, sigma,
-                                    q_e, q_d, eps, delta))
-        set_field(self, "mode", mode)
-        set_field(self, "source", source)
-        set_field(self, "n", n)
-        set_field(self, "t", t)
-        set_field(self, "ell", ell)
-        set_field(self, "nu", nu)
-        set_field(self, "r", r)
-        set_field(self, "w", w)
-        set_field(self, "sigma", sigma)
-        set_field(self, "q_e", q_e)
-        set_field(self, "q_d", q_d)
-        set_field(self, "eps", eps)
-        set_field(self, "delta", delta)
+        set_fields(self, mode, source, n, t, ell, nu, r, w, sigma, q_e, q_d,
+                   eps, delta)
         _checked_nu(source, nu, sigma, q_e, q_d, eps, delta)
         if n != source.n:
             raise MalformedError("n must equal the source repetition count")
@@ -207,9 +195,7 @@ class IkemKey(Value):
     __slots__ = ("bits", "ell")
 
     def __init__(self, bits: int, ell: int) -> None:
-        set_field(self, "_values", (bits, ell))
-        set_field(self, "bits", bits)
-        set_field(self, "ell", ell)
+        set_fields(self, bits, ell)
         if not 0 <= bits < (1 << ell):
             raise MalformedError("key outside its declared length")
 
@@ -223,10 +209,7 @@ class IkemCiphertext(Value):
     __slots__ = ("v", "sprime", "s")
 
     def __init__(self, v: int, sprime: int, s: Optional[int]) -> None:
-        set_field(self, "_values", (v, sprime, s))
-        set_field(self, "v", v)
-        set_field(self, "sprime", sprime)
-        set_field(self, "s", s)
+        set_fields(self, v, sprime, s)
 
 
 class IkemInstance(Value):
@@ -236,11 +219,7 @@ class IkemInstance(Value):
 
     def __init__(self, x: Tuple[int, ...], y: Tuple[int, ...],
                  z: Tuple[int, ...], public_seed: Optional[int]) -> None:
-        set_field(self, "_values", (x, y, z, public_seed))
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "z", z)
-        set_field(self, "public_seed", public_seed)
+        set_fields(self, x, y, z, public_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +261,13 @@ def _recon_hash(params: IkemParams, sprime: int, s: Optional[int],
     return lambda xp: h_cca(xp, sv, seed)
 
 
-def _extract(params: IkemParams, xp: int, sprime: int) -> int:
+def _extractor(params: IkemParams, sprime: int) -> Callable[[int], int]:
+    """x -> key bits under seed s', built and checked once, not per x."""
+    n, ell = params.n, params.ell
     if params.mode is Mode.BASELINE:
-        return _su_hash(xp, sprime, params.n, params.ell)
-    return hprime(xp, ExtractorSeed(sprime, params.w, params.ell))
+        return lambda xp: _su_hash(xp, sprime, n, ell)
+    seed = ExtractorSeed(sprime, params.w, ell)
+    return lambda xp: hprime(xp, seed)
 
 
 def encap(params: IkemParams, x, rng,
@@ -302,7 +284,7 @@ def encap(params: IkemParams, x, rng,
     s_bits = params.mode.s_bits(params.n, params.t)
     s = rng.getrandbits(s_bits) if s_bits else None
     v = _recon_hash(params, sprime, s, public_seed)(xp)
-    return (IkemKey(_extract(params, xp, sprime), params.ell),
+    return (IkemKey(_extractor(params, sprime)(xp), params.ell),
             IkemCiphertext(v, sprime, s))
 
 
@@ -339,7 +321,7 @@ def decap(params: IkemParams, y, c: IkemCiphertext,
             match = xp
     if match is None:
         return None
-    return IkemKey(_extract(params, match, c.sprime), params.ell)
+    return IkemKey(_extractor(params, c.sprime)(match), params.ell)
 
 
 # ---------------------------------------------------------------------------

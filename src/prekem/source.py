@@ -34,7 +34,7 @@ from types import SimpleNamespace
 from typing import Optional, Tuple, Union
 
 from .errors import InfeasibleError, MalformedError
-from .value import Value, set_field
+from .value import Value, set_fields
 
 Number = Union[Fraction, float]
 
@@ -65,13 +65,7 @@ class SourceSpec(Value):
     def __init__(self, nx: int, ny: int, nz: int, n: int,
                  table: Tuple[Number, ...],
                  bsc: Optional[Tuple[Number, Number]] = None) -> None:
-        set_field(self, "_values", (nx, ny, nz, n, table, bsc))
-        set_field(self, "nx", nx)
-        set_field(self, "ny", ny)
-        set_field(self, "nz", nz)
-        set_field(self, "n", n)
-        set_field(self, "table", table)
-        set_field(self, "bsc", bsc)
+        set_fields(self, nx, ny, nz, n, table, bsc)
         if min(nx, ny, nz) < 1 or n < 1:
             raise MalformedError("alphabet sizes and n must be positive")
         if len(table) != nx * ny * nz:
@@ -182,10 +176,7 @@ class SampleTriple(Value):
 
     def __init__(self, x: Tuple[int, ...], y: Tuple[int, ...],
                  z: Tuple[int, ...]) -> None:
-        set_field(self, "_values", (x, y, z))
-        set_field(self, "x", x)
-        set_field(self, "y", y)
-        set_field(self, "z", z)
+        set_fields(self, x, y, z)
 
 
 class ReconSet(Value):
@@ -201,10 +192,7 @@ class ReconSet(Value):
 
     def __init__(self, y: Tuple[int, ...], nu: float,
                  members: Tuple[Tuple[int, ...], ...]) -> None:
-        set_field(self, "_values", (y, nu, members))
-        set_field(self, "y", y)
-        set_field(self, "nu", nu)
-        set_field(self, "members", members)
+        set_fields(self, y, nu, members)
 
 
 def integer(value) -> int:

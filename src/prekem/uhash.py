@@ -23,7 +23,7 @@ from typing import Sequence, Tuple
 
 from .errors import MalformedError
 from .gf2 import block, field
-from .value import Value, set_field
+from .value import Value, set_fields
 
 __all__ = [
     "ExtractorSeed",
@@ -44,10 +44,7 @@ class ExtractorSeed(Value):
     __slots__ = ("sprime", "width", "ell")
 
     def __init__(self, sprime: int, width: int, ell: int) -> None:
-        set_field(self, "_values", (sprime, width, ell))
-        set_field(self, "sprime", sprime)
-        set_field(self, "width", width)
-        set_field(self, "ell", ell)
+        set_fields(self, sprime, width, ell)
         if width < 1 or not 0 <= sprime < (1 << width):
             raise MalformedError("seed outside its field")
         if not 1 <= ell <= width:
@@ -64,10 +61,7 @@ class ReconSeed(Value):
     __slots__ = ("s", "n", "t")
 
     def __init__(self, s: int, n: int, t: int) -> None:
-        set_field(self, "_values", (s, n, t))
-        set_field(self, "s", s)
-        set_field(self, "n", n)
-        set_field(self, "t", t)
+        set_fields(self, s, n, t)
         if n < 1 or not 0 <= s < (1 << n):
             raise MalformedError("seed outside its field")
         if not 1 <= t <= n:
@@ -93,10 +87,7 @@ class PaddedSeedVector(Value):
 
     def __init__(self, pieces: Tuple[int, ...], piece_width: int,
                  w: int) -> None:
-        set_field(self, "_values", (pieces, piece_width, w))
-        set_field(self, "pieces", pieces)
-        set_field(self, "piece_width", piece_width)
-        set_field(self, "w", w)
+        set_fields(self, pieces, piece_width, w)
         r = len(pieces)
         if r < 2 or r % 2:
             raise MalformedError("piece count must be even and at least 2")

@@ -1,16 +1,16 @@
 """Immutable value classes that generate no code at import.
 
 A subclass names its fields, in order, in __slots__, adding "__dict__"
-when it also keeps state that is not a field (a cached_property, say).  Its
-__init__ sets _values, the tuple of all its fields, and then each field
-with set_field, and checks its arguments.  Instances compare equal when of
-the same class with equal fields, hash and print by their fields, refuse
-assignment and deletion, and replace(**changes) rebuilds one through
-__init__ from its parameters, so its checks run again.  Keeping _values
-makes == and hash read one tuple in place of every field.
+when it also keeps state that is not a field (a cached_property, say).
+Its __init__ stores every field with one set_fields(self, ...) call, in
+__slots__ order, and then checks its arguments; nothing else stores one.
+Instances compare equal when of the same class with equal fields, hash and
+print by their fields, refuse assignment and deletion, and
+replace(**changes) rebuilds one through __init__, so its checks run again.
+set_fields also keeps _values, the tuple that == and hash read.
 """
 
-# object.__setattr__: sets a field past the frozen __setattr__ below
+# object.__setattr__: sets an attribute past the frozen __setattr__ below
 set_field = object.__setattr__
 
 
@@ -19,6 +19,8 @@ class Value:
 
     def __init_subclass__(cls):
         cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        # each slot's own setter, which stores without set_field's name lookup
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -47,3 +49,13 @@ class Value:
         kept = {name: getattr(self, name) for name in params
                 if name not in changes}
         return type(self)(**kept, **changes)
+
+
+_set_values = Value._values.__set__
+
+
+def set_fields(obj, *values):
+    """Store values as obj's fields, in its _fields order, and as _values."""
+    _set_values(obj, values)
+    for setter, value in zip(obj._setters, values):
+        setter(obj, value)

@@ -61,7 +61,7 @@ from prekem.ikem import (
     IkemKey,
     IkemParams,
     Mode,
-    _extract,
+    _extractor,
     _recon_hash,
     decap,
     encap,
@@ -69,7 +69,7 @@ from prekem.ikem import (
     gen,
 )
 from prekem.source import SourceSpec, bsc_source, from_json, guess_prob_given_z
-from prekem.uhash import piece_count, twise_poly
+from prekem.uhash import ExtractorSeed, piece_count, twise_poly
 
 
 def toy_source(n):
@@ -118,9 +118,9 @@ def view_distance_shared_seed(params, q_e):
             for g in range(2 ** n):
                 v = _recon_hash(params, 0, None, g)(xp)
                 for sps in itertools.product(range(2 ** w), repeat=q_e):
-                    ks = tuple(_extract(params, xp, sp) for sp in sps)
+                    ks = tuple(_extractor(params, sp)(xp) for sp in sps)
                     for sp_star in range(2 ** w):
-                        k_star = _extract(params, xp, sp_star)
+                        k_star = _extractor(params, sp_star)(xp)
                         view = (zs, g, sps, ks, v, sp_star)
                         d_real[view + (k_star,)] += wt * seedw
                         for kc in range(2 ** ell):
@@ -145,10 +145,10 @@ def view_distance_fresh_seed(params, q_e):
             xp = int("".join(map(str, xs)), 2)
             for qs in itertools.product(sigmas, repeat=q_e):
                 hist = tuple((sp, s, _recon_hash(params, sp, s, None)(xp),
-                              _extract(params, xp, sp)) for sp, s in qs)
+                              _extractor(params, sp)(xp)) for sp, s in qs)
                 for sp_star, s_star in sigmas:
                     v_star = _recon_hash(params, sp_star, s_star, None)(xp)
-                    k_star = _extract(params, xp, sp_star)
+                    k_star = _extractor(params, sp_star)(xp)
                     view = (zs, hist, sp_star, s_star, v_star)
                     d_real[view + (k_star,)] += wt * seedw
                     for kc in range(2 ** ell):
@@ -580,7 +580,7 @@ class PairBayes(BayesPkind):
         pairs = pair_oracle(params.source, view.z)
         pub = view.public_seed
         explains = games._explains(params, transcript + [(None, c_star)], pub)
-        chal_key = {xp: _extract(params, xp, c_star.sprime)
+        chal_key = {xp: _extractor(params, c_star.sprime)(xp)
                     for xp in {p[0] for p in pairs} if explains(xp)}
         keep = [p for p in pairs if p[0] in chal_key]
         if self.probe and oracle.decaps_left > 0 and keep:
@@ -766,6 +766,32 @@ class TestRunPkind:
                          params=cea_params())
         assert run_pkind(cfg, BayesPkind()) == run_pkind(cfg, BayesPkind())
 
+    def test_bayes_builds_one_extractor_seed_per_ciphertext(self,
+                                                            monkeypatch):
+        params = cea_params(n=6)
+        rng = random.Random(4)
+        inst = gen(params, rng)
+        oracle = games.PkemOracle(params, inst, "cea", 1, 0, rng)
+        view = games.EveView(inst.z, inst.public_seed)
+        adversary = BayesPkind()
+        transcript = adversary.phase1(params, view, oracle, rng)
+        k_star, c_star = encap(params, inst.x, rng, inst.public_seed)
+        explains = games._explains(params, transcript + [(None, c_star)],
+                                   inst.public_seed)
+        # more candidates than ciphertexts: a seed per candidate would show
+        assert sum(map(explains, _x_weights(params.source, inst.z))) > 2
+        built = []
+
+        class CountedSeed(ExtractorSeed):
+            def __init__(self, sprime, width, ell):
+                built.append(sprime)
+                super().__init__(sprime, width, ell)
+
+        monkeypatch.setattr("prekem.ikem.ExtractorSeed", CountedSeed)
+        adversary.phase2(params, view, transcript, c_star, k_star, oracle,
+                         rng)
+        assert built == [transcript[0][1].sprime, c_star.sprime]
+
     def test_rejects_unknown_attack(self):
         with pytest.raises(MalformedError):
             run_pkind(GameConfig(atk="kint", trials=1, params=cea_params()),
@@ -881,7 +907,7 @@ class TestBruteForceForger:
         for xs in itertools.product(range(2), repeat=4):
             xp = int("".join(map(str, xs)), 2)
             if (_recon_hash(params, c.sprime, c.s, None)(xp) != c.v
-                    or _extract(params, xp, c.sprime) != key.bits):
+                    or _extractor(params, c.sprime)(xp) != key.bits):
                 continue
             for ys in itertools.product(range(2), repeat=4):
                 wt = Fraction(1)

@@ -7,7 +7,8 @@ function or class must be read somewhere in the package, so helpers that
 only tests use live in the tests.  Every __all__ entry must be bound in its
 module.  Every name bench/spans.py's tracer rebinds must exist.  No module
 imports dataclasses: its decorator compiles methods from source text at
-every import, and loading it pulls in inspect.
+every import, and loading it pulls in inspect.  Outside value.py, a value
+class stores its fields only through one set_fields call in its __init__.
 """
 
 import ast
@@ -43,13 +44,18 @@ def imported_modules(tree):
             yield node.module, node.lineno
 
 
-def exported_names(tree):
-    for node in tree.body:
+def literal(body, name, default):
+    """The literal a statement of body assigns to name, else default."""
+    for node in body:
         if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__"
+                and any(getattr(t, "id", None) == name
                         for t in node.targets)):
             return ast.literal_eval(node.value)
-    return []
+    return default
+
+
+def exported_names(tree):
+    return literal(tree.body, "__all__", [])
 
 
 def used_names(tree):
@@ -103,6 +109,53 @@ def test_no_dataclasses(path):
     assert not found, found
 
 
+def field_stores(tree):
+    """(line, name) for each store of _values, and each set_field call in a
+    class that names one of its __slots__."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "_values"
+                and isinstance(node.ctx, ast.Store)):
+            yield node.lineno, "_values"
+    classes = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    for scope, names in [(tree, {"_values"})] + [
+            (c, set(literal(c.body, "__slots__", ()))) for c in classes]:
+        for node in ast.walk(scope):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("set_field",
+                                                   "object.__setattr__")
+                    and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in names):
+                yield node.lineno, node.args[1].value
+
+
+def set_fields_calls(tree):
+    """(line, class, count) for the __init__ of each Value subclass: how
+    many set_fields calls it makes."""
+    for cls in ast.walk(tree):
+        if (isinstance(cls, ast.ClassDef)
+                and any(getattr(b, "id", None) == "Value" for b in cls.bases)):
+            for init in cls.body:
+                if (isinstance(init, ast.FunctionDef)
+                        and init.name == "__init__"):
+                    yield init.lineno, cls.name, sum(
+                        isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "set_fields"
+                        for node in ast.walk(init))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "value.py"],
+                         ids=lambda p: p.name)
+def test_fields_stored_only_by_set_fields(path):
+    tree = TREES[path]
+    found = [f"{path.name}:{line} {name}"
+             for line, name in field_stores(tree)]
+    found += [f"{path.name}:{line} {name} calls set_fields {count} times"
+              for line, name, count in set_fields_calls(tree) if count != 1]
+    assert not found, found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_private_definitions_are_read(path):
     read = set().union(*(read_names(tree) for tree in TREES.values()))
@@ -125,12 +178,11 @@ def traced_names():
     """bench/spans.py's TRACED table, read from its source: layer -> the
     names its tracer rebinds in prekem.<layer>."""
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    for node in ast.parse(path.read_text(), filename=str(path)).body:
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "TRACED"
-                        for t in node.targets)):
-            return ast.literal_eval(node.value)
-    raise AssertionError("bench/spans.py binds no TRACED table")
+    table = literal(ast.parse(path.read_text(), filename=str(path)).body,
+                    "TRACED", None)
+    if table is None:
+        raise AssertionError("bench/spans.py binds no TRACED table")
+    return table
 
 
 def test_traced_names_exist():

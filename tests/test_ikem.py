@@ -41,7 +41,7 @@ from prekem.ikem import (
     serialize_ciphertext,
     unpack_bits,
 )
-from prekem.ikem import _check_ciphertext, _extract, _recon_hash, _su_hash
+from prekem.ikem import _check_ciphertext, _extractor, _recon_hash, _su_hash
 from prekem.source import (SourceSpec, bsc_radius, bsc_source,
                            cond_neg_log_prob, from_json, miss_mass,
                            recon_ints, recon_set)
@@ -98,7 +98,7 @@ def recon_set_decap(params, y, c, public_seed=None):
     found = [xp for xp in map(pack_bits, members) if h(xp) == c.v]
     if len(found) != 1:
         return None, len(found)
-    return IkemKey(_extract(params, found[0], c.sprime), params.ell), 1
+    return IkemKey(_extractor(params, c.sprime)(found[0]), params.ell), 1
 
 
 class TestPacking:

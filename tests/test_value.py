@@ -5,6 +5,7 @@ each test runs over all of them.  The reprs pinned literally are the ones
 the classes printed before they moved onto the shared base.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,18 @@ EXAMPLES = {
     games.PrfFamily: ("prf-it", 8, len, max),
 }
 CLASSES = list(EXAMPLES)
+# arguments for the classes whose examples pass one object to two fields,
+# where a swap of those two would not show
+DISTINCT = {
+    source.SourceSpec: (1, 2, 3, 4, (Fraction(1, 6),) * 6,
+                        (Fraction(1, 4), Fraction(1, 2))),
+    ikem.IkemParams: (ikem.Mode.BASELINE, NOISY8, 8, 2, 4, 2.5, 0, 12, 0.5,
+                      1, 5, 0.25, 0.125),
+    ikem.IkemInstance: ((0, 1), (1, 0), (1, 1), 9),
+    dem.DemProfile: (16, 8),
+    games.GameConfig: ("cea", 10, 1, 2, 3, KEM8, dem.DemProfile(8, 8),
+                       (0,) * 8, True),
+}
 
 
 def build(cls):
@@ -96,6 +109,19 @@ class TestValueClass:
     def test_replace_nothing_is_an_equal_copy(self, cls):
         a = build(cls)
         assert a.replace() == a and a.replace() is not a
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_fields_read_back_their_arguments(cls):
+    bound = inspect.signature(cls).bind(*DISTINCT.get(cls, EXAMPLES[cls]))
+    bound.apply_defaults()
+    given = {name: value for name, value in bound.arguments.items()
+             if name in cls._fields}
+    # one object per field, so that a swapped argument reads back wrong
+    assert len({id(value) for value in given.values()}) == len(given)
+    obj = cls(*bound.args)
+    for name, value in given.items():
+        assert getattr(obj, name) is value, name
 
 
 def test_replace_runs_the_checks_again():
