@@ -55,6 +55,7 @@ __all__ = [
     "ToyPkem",
     "test_double_kem",
     "ItPrfKey",
+    "it_key_width",
     "CompPrfKey",
     "prf_it",
     "prf_comp",
@@ -157,6 +158,16 @@ def test_double_kem(bits: int, rng, broken: bool = False) -> ToyPkem:
 # ---------------------------------------------------------------------------
 # the two PRFs
 
+def it_key_width(key_bits: int, q_d: int) -> int:
+    """The coefficient width m of a key_bits-bit key split into q_d+2
+    coefficients; the split must be exact and m a supported width."""
+    count = q_d + 2
+    if q_d < 0 or key_bits % count or key_bits // count not in SUPPORTED_WIDTHS:
+        raise MalformedError(f"a {key_bits}-bit key does not split into "
+                             f"{count} coefficients of a supported field")
+    return key_bits // count
+
+
 class ItPrfKey(Value):
     """q_d+2 polynomial coefficients in GF(2^m), a_0 first."""
 
@@ -174,11 +185,7 @@ class ItPrfKey(Value):
 
     @classmethod
     def from_kem_key(cls, key: IkemKey, q_d: int) -> "ItPrfKey":
-        count = q_d + 2
-        if q_d < 0 or key.ell % count:
-            raise MalformedError(
-                f"key length {key.ell} does not split into {count} pieces")
-        m = key.ell // count
+        count, m = q_d + 2, it_key_width(key.ell, q_d)
         mask = (1 << m) - 1
         coeffs = tuple((key.bits >> (m * (count - 1 - i))) & mask
                        for i in range(count))
@@ -301,12 +308,7 @@ class CombinedKem:
             if out_bits != first.key_bits:
                 raise MalformedError("xor core cannot change the key length")
         else:
-            count = q_d + 2
-            if q_d < 0 or first.key_bits % count:
-                raise MalformedError(
-                    f"first key length {first.key_bits} does not split "
-                    f"into {count} coefficients")
-            m = first.key_bits // count
+            m = it_key_width(first.key_bits, q_d)
             if out_bits is None:
                 out_bits = m
             if not 1 <= out_bits <= m:

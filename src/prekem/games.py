@@ -35,7 +35,7 @@ import random
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .combiner import (SUPPORTED_WIDTHS, CompPrfKey, ItPrfKey, prf_comp,
+from .combiner import (CompPrfKey, ItPrfKey, it_key_width, prf_comp,
                        prf_it)
 from .dem import (
     DemCiphertext,
@@ -773,28 +773,24 @@ def exact_distance(params: IkemParams, q_e: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # solution counting for the split polynomial hash
 
-def _split_hash(n: int, t: int, pieces: Tuple[int, ...], s2: int, s1: int,
-                x: int) -> int:
-    sv = PaddedSeedVector(tuple(pieces), n - t, len(pieces) * (n - t))
-    return h_cca(x, sv, ReconSeed((s2 << t) | s1, n, t))
-
-
-def _check_seed_tuple(n: int, t: int, seed) -> Tuple[Tuple[int, ...], int, int]:
+def _check_seed_tuple(n: int, t: int,
+                      seed) -> Tuple[PaddedSeedVector, ReconSeed]:
+    """The split hash's seed for a (pieces, s2, s1) tuple, as h_cca takes
+    it.  The pieces' count and range are PaddedSeedVector's to check; s2
+    and s1 are checked here, since an s1 too wide spills into s2's bits
+    where ReconSeed cannot see it."""
     try:
         pieces, s2, s1 = seed
         pieces = tuple(int(p) for p in pieces)
         s2, s1 = int(s2), int(s1)
     except (TypeError, ValueError) as e:
         raise MalformedError(f"seed tuple must be (pieces, s2, s1): {e!r}") from None
-    r = len(pieces)
-    if r < 2 or r % 2:
-        raise MalformedError("piece count must be even and at least 2")
-    big, small = 1 << (n - t), 1 << t
-    if any(not 0 <= p < big for p in pieces) or not 0 <= s2 < big:
-        raise MalformedError("seed piece outside GF(2^(n-t))")
-    if not 0 <= s1 < small:
+    sv = PaddedSeedVector(pieces, n - t, len(pieces) * (n - t))
+    if not 0 <= s2 < 1 << (n - t):
+        raise MalformedError("s2 outside GF(2^(n-t))")
+    if not 0 <= s1 < 1 << t:
         raise MalformedError("s1 outside GF(2^t)")
-    return pieces, s2, s1
+    return sv, ReconSeed((s2 << t) | s1, n, t)
 
 
 def count_solutions_lemma6(n: int, t: int, seed, seed_f, v: int, v_f: int,
@@ -815,7 +811,7 @@ def count_solutions_lemma6(n: int, t: int, seed, seed_f, v: int, v_f: int,
         raise InfeasibleError("exhaustive counting capped at n <= 16")
     a = _check_seed_tuple(n, t, seed)
     b = _check_seed_tuple(n, t, seed_f)
-    if len(a[0]) != len(b[0]):
+    if a[0].r != b[0].r:
         raise MalformedError("seed tuples must share the piece count")
     if not (0 <= v < (1 << t) and 0 <= v_f < (1 << t)):
         raise MalformedError("targets outside GF(2^t)")
@@ -833,8 +829,7 @@ def count_solutions_lemma6(n: int, t: int, seed, seed_f, v: int, v_f: int,
                 "part 'ii' needs the forged tuple to differ from the original")
     count = 0
     for x in range(1 << n):
-        if (_split_hash(n, t, *a, x ^ e) == v
-                and _split_hash(n, t, *b, x) == v_f):
+        if h_cca(x ^ e, *a) == v and h_cca(x, *b) == v_f:
             count += 1
     return count
 
@@ -953,9 +948,7 @@ class PrfFamily(Value):
 def it_prf_family(key_bits: int, q_d: int, out_bits: int) -> PrfFamily:
     """Polynomial-evaluation family keyed by a (q_d+2)-way key split."""
     # checked before any key is drawn, which a huge key_bits would overflow
-    if q_d < 0 or key_bits // (q_d + 2) not in SUPPORTED_WIDTHS:
-        raise MalformedError(f"a {key_bits}-bit key does not split into "
-                             f"{q_d + 2} coefficients of a supported field")
+    it_key_width(key_bits, q_d)
 
     def sample(rng):
         return ItPrfKey.from_kem_key(IkemKey(rng.getrandbits(key_bits),

@@ -25,7 +25,7 @@ from prekem.games import (
     BruteForceKint,
     FixedForger,
     GameConfig,
-    _split_hash,
+    _check_seed_tuple,
     brute_force_forger,
     count_solutions_lemma6,
     exact_distance,
@@ -53,13 +53,17 @@ from prekem.ikem import (
     gen,
 )
 from prekem.source import bsc_radius, bsc_source, from_json, guess_prob_given_z
-from prekem.uhash import twise_poly
+from prekem.uhash import h_cca, twise_poly
 
 HALF = Fraction(1, 2)
 
 ASYM_DOC = {"alphabet": [2, 2, 2], "pxyz": [
     [0, 0, 0, "3/8"], [0, 1, 1, "1/8"], [1, 1, 0, "1/4"],
     [1, 0, 1, "1/8"], [1, 1, 1, "1/8"]]}
+
+
+def _split_hash(n, t, pieces, s2, s1, x):
+    return h_cca(x, *_check_seed_tuple(n, t, (pieces, s2, s1)))
 
 
 def _report(tag, ok, detail):

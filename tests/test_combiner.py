@@ -340,6 +340,15 @@ class TestCombinedPtx:
                         make_double(128, random.Random(4)),
                         core="ptx", q_d=0)
 
+    def test_ptx_key_split_needs_a_supported_width(self):
+        # 210 bits split exactly into q_d + 2 = 3 coefficients of 70 bits,
+        # but GF(2^70) is no supported field: refused here, not at enc
+        with pytest.raises(MalformedError,
+                           match="coefficients of a supported field"):
+            CombinedKem(make_double(210, random.Random(5)),
+                        make_double(256, random.Random(6)),
+                        core="ptx", q_d=1)
+
 
 class TestWire:
     def test_round_trip(self):

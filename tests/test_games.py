@@ -37,9 +37,9 @@ from prekem.games import (
     RandomCiphertextForger,
     RandomGuessPkind,
     RandomGuessPri,
+    _check_seed_tuple,
     _enumerate_pairs,
     _gen_conditioned,
-    _split_hash,
     _trial_rng,
     _x_weights,
     brute_force_forger,
@@ -69,7 +69,7 @@ from prekem.ikem import (
     gen,
 )
 from prekem.source import SourceSpec, bsc_source, from_json, guess_prob_given_z
-from prekem.uhash import ExtractorSeed, piece_count, twise_poly
+from prekem.uhash import ExtractorSeed, h_cca, piece_count, twise_poly
 
 
 def toy_source(n):
@@ -168,6 +168,10 @@ def clmul(a, b, width, poly):
         if a >> width:
             a ^= poly
     return acc
+
+
+def _split_hash(n, t, pieces, s2, s1, x):
+    return h_cca(x, *_check_seed_tuple(n, t, (pieces, s2, s1)))
 
 
 def schoolbook_split_hash(n, t, pieces, s2, s1, x, poly_big, poly_small):
@@ -1134,6 +1138,14 @@ class TestCountSolutions:
             count_solutions_lemma6(4, 2, ((1, 2, 3), 1, 1), ((2, 1, 0), 0, 1),
                                    0, 1, "i")
 
+    @pytest.mark.parametrize("seed", [((4, 2), 1, 1), ((1, 2), 4, 1),
+                                      ((1, 2), 1, 4), ((1, 2), -1, 1)])
+    def test_seed_part_outside_its_field_rejected(self, seed):
+        # n = 4, t = 2: pieces and s2 in GF(2^2), s1 in GF(2^2); an s1 of 4
+        # would spill into s2's bits of the packed seed
+        with pytest.raises(MalformedError):
+            count_solutions_lemma6(4, 2, seed, ((2, 1), 0, 3), 0, 1, "i")
+
     def test_unknown_part_rejected(self):
         with pytest.raises(MalformedError):
             count_solutions_lemma6(4, 2, ((1, 2), 1, 1), ((2, 1), 1, 1),
@@ -1255,6 +1267,13 @@ class TestRunPri:
         cfg = GameConfig(atk="ot", trials=1, q_e=1)
         with pytest.raises(MalformedError):
             run_pri(cfg, it_prf_family(80, 0, 13), RandomGuessPri())
+
+    def test_key_split_must_be_exact(self):
+        # 121 // 3 = 40 is a supported width, but 121 bits do not split
+        # into 3 coefficients: refused before any trial draws a key
+        with pytest.raises(MalformedError,
+                           match="coefficients of a supported field"):
+            it_prf_family(121, 1, 8)
 
 
 class TestExactPriAdvantage:

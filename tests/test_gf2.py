@@ -6,15 +6,21 @@ result is cross-checked against a second route.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prekem import gf2
 from prekem.gf2 import (
     EXTRA_POLYS,
     POLY_TABLE,
     FieldCtx,
-    _irreducible_rabin,
+    _irreducible,
+    _middle_terms,
+    _mod_sparse,
+    _poly_gcd,
+    _sqr,
     block,
     clmul,
     field,
@@ -406,11 +412,17 @@ class TestPolyTable:
                 if _trial_irreducible(cand):
                     assert bin(cand).count("1") > weight, (m, bin(cand))
 
-    def test_rabin_matches_trial_division(self):
+    def test_irreducible_matches_trial_division(self):
         # every polynomial of degree 1..12, constant term or not
         mismatches = [f for f in range(2, 1 << 13)
-                      if _irreducible_rabin(f) != _trial_irreducible(f)]
+                      if _irreducible(f) != _trial_irreducible(f)]
         assert mismatches == []
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_no_trinomial_irreducible_at_multiples_of_8(self, m):
+        # Swan's theorem, which lets the search skip trinomials at these m
+        assert not any(_trial_irreducible((1 << m) | (1 << k) | 1)
+                       for k in range(1, m))
 
     def test_search_for_gap_width(self):
         # a width outside the table: search result must be irreducible per an
@@ -424,6 +436,75 @@ class TestPolyTable:
         assert gf_irreducible_p(coeffs, 2, ZZ)
         ctx = field(66)
         assert ctx.mul(3, inverse(ctx, 3)) == 1
+
+
+def _rabin_irreducible(f: int) -> bool:
+    """Rabin's test, as the search used before Ben-Or's: x^(2^m) == x mod f,
+    and gcd(x^(2^(m/p)) - x, f) = 1 for every prime p | m."""
+    m = f.bit_length() - 1
+    if m < 1:
+        return False
+    if m == 1:
+        return True
+    if not (f & 1):
+        return False
+    mask = (1 << m) - 1
+    tail = f ^ (1 << m)
+    terms = tuple(i for i in range(tail.bit_length()) if (tail >> i) & 1)
+    primes, rest, d = set(), m, 2
+    while d * d <= rest:
+        while rest % d == 0:
+            primes.add(d)
+            rest //= d
+        d += 1
+    if rest > 1:
+        primes.add(rest)
+    r, k = 2, 0
+    for cp in sorted(m // p for p in primes):
+        while k < cp:
+            r = _mod_sparse(_sqr(r), m, terms, mask)
+            k += 1
+        if _poly_gcd(f, r ^ 2) != 1:
+            return False
+    while k < m:
+        r = _mod_sparse(_sqr(r), m, terms, mask)
+        k += 1
+    return r == 2
+
+
+def _rabin_search(m: int) -> int:
+    """The lowest-weight, then lowest-value, irreducible of degree m by
+    Rabin's test, trying every weight (no skip of trinomials)."""
+    for extra in range(1, m, 2):
+        for v in _middle_terms(m, extra):
+            if _rabin_irreducible((1 << m) | v | 1):
+                return (1 << m) | v | 1
+
+
+class TestSearch:
+    """find_irreducible with the built-in tables bypassed, so every width
+    runs the Ben-Or search."""
+
+    @pytest.fixture(autouse=True)
+    def no_tables(self, monkeypatch):
+        monkeypatch.setattr(gf2, "POLY_TABLE", {})
+        monkeypatch.setattr(gf2, "EXTRA_POLYS", {})
+
+    def test_matches_rabin_oracle(self):
+        mismatches = [m for m in range(2, 97)
+                      if find_irreducible(m) != _rabin_search(m)]
+        assert mismatches == []
+
+    def test_reproduces_the_tables(self):
+        want = {m: f for m, f in POLY_TABLE.items() if m >= 2}
+        want.update((m, EXTRA_POLYS[m]) for m in (527, 553))
+        assert {m: find_irreducible(m) for m in want} == want
+
+    def test_width_1000_within_seconds(self):
+        start = time.perf_counter()
+        f = find_irreducible(1000)
+        assert time.perf_counter() - start < 5.0
+        assert f.bit_length() == 1001 and _irreducible(f)
 
 
 def _trial_irreducible(f: int) -> bool:
