@@ -65,7 +65,6 @@ __all__ = [
     "CombinedCiphertext",
     "serialize_combined",
     "parse_combined",
-    "ptx_field_width",
 ]
 
 COMBINED_MAGIC = b"CMB1"
@@ -215,15 +214,6 @@ class CompPrfKey(Value):
         once per key.  Not a field: equality, hashing and repr see raw
         only."""
         return CMAC(algorithms.AES(self.raw))
-
-
-def ptx_field_width(nbytes: int) -> int:
-    """Smallest supported GF(2^m) width fitting a length-prefixed input."""
-    need = 8 * (nbytes + 4)
-    for m in SUPPORTED_WIDTHS:
-        if m >= need:
-            return m
-    raise MalformedError(f"no supported field width for {nbytes} input bytes")
 
 
 def _encode_input(x: bytes, m: int) -> int:

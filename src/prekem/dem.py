@@ -119,17 +119,6 @@ class DemKey:
         self.length = length
         self._used = False
 
-    @classmethod
-    def from_bytes(cls, raw: bytes, length: Optional[int] = None) -> "DemKey":
-        if length is None:
-            length = 8 * len(raw)
-        if len(raw) != (length + 7) // 8:
-            raise MalformedError("key byte count inconsistent with length")
-        return cls(int.from_bytes(raw, "big"), length)
-
-    def to_bytes(self) -> bytes:
-        return self.bits.to_bytes((self.length + 7) // 8, "big")
-
     def consume(self) -> None:
         if self._used:
             raise KeyReuseError("one-time key already used for encryption")

@@ -15,8 +15,8 @@ Conventions:
 The reconciliation set R(y) = {x : -log2 P(x|y) <= nu} is found one way,
 for binary x and y only: _member_classes walks the classes of members by
 how many of y's zeros and ones x flips to the dearer symbol.  recon_ints
-gives the members as packed ints, and recon_set is their ordered tuple
-view.
+gives the members as packed ints, which decap, guessing_mass and the
+games' forger read; recon_set is their ordered tuple view.
 
 The binary satellite scenario is the main concrete instance: X is a
 uniform bit, Y = X xor Ber(p), Z = X xor Ber(q).  q = 1/2 makes Eve's
@@ -156,9 +156,9 @@ class SourceSpec(Value):
 
     @cached_property
     def recon_classes(self) -> dict:
-        """recon_ints's memo, filled as it runs: (nu, a) -> (|R(y)|, member
-        classes (i, j)) for the y with a zeros, whose R(y) is within the
-        cap."""
+        """The class count's memo, which recon_ints and max_recon_size share:
+        (nu, a) -> (|R(y)|, member classes (i, j)) for the y with a zeros,
+        kept only when R(y) is within the cap."""
         return {}
 
     @cached_property
@@ -490,29 +490,35 @@ def _member_classes(spec: SourceSpec, nu: float, zeros):
                 break
 
 
+def _recon_count(spec: SourceSpec, nu: float, a: int):
+    """(|R(y)|, [(i, j), ...]) for the y with a zeros: the member classes
+    and their total, counted until the total passes RECON_CAP.  A total
+    within the cap is kept on the spec; one past it is partial and is
+    counted again on the next call, as the cap may have changed."""
+    memo = spec.recon_classes
+    entry = memo.get((nu, a))
+    if entry is None or entry[0] > RECON_CAP:
+        size, classes = 0, []
+        for _, i, j in _member_classes(spec, nu, (a,)):
+            size += math.comb(a, i) * math.comb(spec.n - a, j)
+            classes.append((i, j))
+            if size > RECON_CAP:
+                return size, classes
+        entry = memo[nu, a] = size, classes
+    return entry
+
+
 def max_recon_size(spec: SourceSpec, nu: float) -> int:
-    """max over y of |R(y)| for binary x and y, counted until it passes
-    RECON_CAP, the count decap's recon_ints compares with the cap.  |R(y)|
-    depends only on y's count a of zeros."""
-    sizes = [0] * (spec.n + 1)
-    for a, i, j in _member_classes(spec, nu, range(spec.n + 1)):
-        sizes[a] += math.comb(a, i) * math.comb(spec.n - a, j)
-        if sizes[a] > RECON_CAP:
-            return sizes[a]
-    return max(sizes)
-
-
-def _classes_within_cap(spec: SourceSpec, nu: float, a: int):
-    """(|R(y)|, [(i, j), ...]) for the y with a zeros; InfeasibleError as
-    soon as the count passes RECON_CAP."""
-    size, classes = 0, []
-    for _, i, j in _member_classes(spec, nu, (a,)):
-        size += math.comb(a, i) * math.comb(spec.n - a, j)
+    """max over y of |R(y)| for binary x and y, the count decap's recon_ints
+    compares with RECON_CAP; the partial count of the first y whose set
+    passes the cap.  |R(y)| depends only on y's count a of zeros."""
+    largest = 0
+    for a in range(spec.n + 1):
+        size = _recon_count(spec, nu, a)[0]
         if size > RECON_CAP:
-            raise InfeasibleError(
-                f"reconciliation set exceeds cap {RECON_CAP} at nu={nu}")
-        classes.append((i, j))
-    return size, classes
+            return size
+        largest = max(largest, size)
+    return largest
 
 
 def _flip_masks(v: int, most: int):
@@ -531,24 +537,24 @@ def recon_ints(spec: SourceSpec, yp: int, nu: float) -> list:
     in no particular order; binary x and y only, and yp is y packed the
     same way.
 
-    This is the one walk of R(y): decap, recon_set, the forger,
-    max_recon_size and miss_mass all take its classes from _member_classes.
-    Every member is the cheapest x for y with the dearer symbol taken at i
-    of y's zeros and at j of its ones, over the classes (i, j) of y's count
-    a of zeros.  The classes and their total are found once per (nu, a) and
-    kept on the spec; a total above RECON_CAP raises InfeasibleError before
+    This is the one walk of R(y): decap, recon_set, guessing_mass and the
+    forger take its members, max_recon_size its count of classes, and
+    miss_mass walks the same classes in _member_classes.  Every member is
+    the cheapest x for y with the dearer symbol taken at i of y's zeros and
+    at j of its ones, over the classes (i, j) of y's count a of zeros.  The
+    classes and their total are found once per (nu, a) and kept on the
+    spec, the count max_recon_size reads, so params and decap refuse at
+    the same size; a total above RECON_CAP raises InfeasibleError before
     any member is built.
     """
     n = spec.n
     require_binary(spec, "reconciliation")
     if yp < 0 or yp >> n:
         raise MalformedError("y does not fit in n bits")
-    a = n - yp.bit_count()
-    memo = spec.recon_classes
-    entry = memo.get((nu, a))
-    if entry is None or entry[0] > RECON_CAP:
-        entry = memo[nu, a] = _classes_within_cap(spec, nu, a)
-    classes = entry[1]
+    size, classes = _recon_count(spec, nu, n - yp.bit_count())
+    if size > RECON_CAP:
+        raise InfeasibleError(
+            f"reconciliation set exceeds cap {RECON_CAP} at nu={nu}")
     if not classes:
         return []
     # the cheaper x for each y symbol; on a tie the classes take every
@@ -686,17 +692,14 @@ def _bsc_masses(spec: SourceSpec, nu: float, tail) -> Tuple:
     return tail(spec.n, d, yz_flip), tail(spec.n, d, q)
 
 
-def _all_strings(k: int, n: int):
-    return itertools.product(range(k), repeat=n)
-
-
-def _string_prob(pair_table, a: Tuple[int, ...], b: Tuple[int, ...], one):
-    p = one
-    for ai, bi in zip(a, b):
-        p = p * pair_table[ai][bi]
-        if p == 0:
-            break
-    return p
+def _z_weights(pair_table, z: Tuple[int, ...], one) -> list:
+    """P(s, z) for every binary string s, indexed by s packed; each product
+    is taken left to right from one."""
+    weights = [one]
+    for zi in z:
+        w0, w1 = pair_table[0][zi], pair_table[1][zi]
+        weights = [w for v in weights for w in (v * w0, v * w1)]
+    return weights
 
 
 def guessing_mass(spec: SourceSpec, nu: float) -> Tuple[Number, Number]:
@@ -709,30 +712,42 @@ def guessing_mass(spec: SourceSpec, nu: float) -> Tuple[Number, Number]:
 
     Binary x and y only.  Satellite sources with p, q <= 1/2 use
     closed-form binomial sums at any n; general tables are enumerated
-    exhaustively (small n only).
+    exhaustively (small n only), from recon_ints's members of every R(y).
+    Only sorted z are visited, each weighted by its count of orderings:
+    permuting the positions of x, y and z together maps each R(y) onto
+    R(y permuted) and keeps every product weight, so every ordering of a
+    z has the same two maxima.
     """
     require_binary(spec, "guessing-mass enumeration")
     if _bsc_closed_form(spec):
         return _bsc_masses(spec, nu, _binom_tail_leq)
-    if max(spec.nx, spec.ny, spec.nz) ** spec.n > ENUM_STRINGS_MAX:
+    n, nz = spec.n, spec.nz
+    if max(spec.nx, spec.ny, nz) ** n > ENUM_STRINGS_MAX:
         raise InfeasibleError("source too large for exhaustive guessing-mass")
-    one = Fraction(1) if spec.exact else 1.0
-    pyz, pxz = spec.joint_yz, spec.joint_xz
-    xs = ys = list(_all_strings(2, spec.n))
-    members = {y: frozenset(recon_set(spec, y, nu).members) for y in ys}
-    mass_x = one * 0
-    mass_y = one * 0
-    for z in _all_strings(spec.nz, spec.n):
-        py_z = {y: _string_prob(pyz, y, z, one) for y in ys}
-        px_z = {x: _string_prob(pxz, x, z, one) for x in xs}
-        best_x = max(
-            (sum(py_z[y] for y in ys if x in members[y]) for x in xs),
-            default=one * 0)
-        best_y = max(
-            (sum(px_z[x] for x in members[y]) for y in ys), default=one * 0)
-        mass_x += best_x
-        mass_y += best_y
-    return mass_x, mass_y
+    pairs = spec.joint_yz, spec.joint_xz
+    if spec.exact:  # weights over one denominator, as ints: far faster
+        scale = math.lcm(*(p.denominator for t in pairs for r in t for p in r))
+        pairs = [[[int(p * scale) for p in r] for r in t] for t in pairs]
+        one, unit = 1, Fraction(1, scale ** n)
+    else:
+        one = unit = 1.0
+    members = [recon_ints(spec, yp, nu) for yp in range(1 << n)]
+    mass_x = mass_y = one * 0
+    for z in itertools.combinations_with_replacement(range(nz), n):
+        py_z, px_z = (_z_weights(t, z, one) for t in pairs)
+        hits = [one * 0] * (1 << n)  # per x, P(y', z) over R(y') holding x
+        best_y = one * 0
+        for yp, xs in enumerate(members):
+            if py_z[yp]:
+                for xp in xs:
+                    hits[xp] += py_z[yp]
+            best_y = max(best_y, sum(map(px_z.__getitem__, xs)))
+        orderings = math.factorial(n)
+        for symbol in range(nz):
+            orderings //= math.factorial(z.count(symbol))
+        mass_x += orderings * max(hits)
+        mass_y += orderings * best_y
+    return mass_x * unit, mass_y * unit
 
 
 def guessing_log2_mass(spec: SourceSpec, nu: float) -> float:

@@ -25,7 +25,6 @@ from prekem.combiner import (
     parse_combined,
     prf_comp,
     prf_it,
-    ptx_field_width,
     serialize_combined,
 )
 from prekem.combiner import test_double_kem as make_double
@@ -168,14 +167,6 @@ class TestItPrf:
         prf_it(key, b"\x00", 8)
         with pytest.raises(MalformedError):
             prf_it(key, b"\x00\x01", 8)
-
-    def test_field_width_selection(self):
-        assert ptx_field_width(0) == 32
-        assert ptx_field_width(1) == 40
-        assert ptx_field_width(28) == 256
-        assert ptx_field_width(32) == 527
-        with pytest.raises(MalformedError):
-            ptx_field_width(300)
 
 
 class TestPtxCore:

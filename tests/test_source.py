@@ -7,6 +7,7 @@ consistency checks.
 """
 
 import itertools
+import json
 import math
 import random
 import re
@@ -460,6 +461,81 @@ class TestGuessingMass:
         spec = bsc_source(0.25, 0.0, 2000)
         assert max(guessing_mass(spec, 2500.0)) <= 1
         assert guessing_log2_mass(spec, 2500.0) <= 0
+
+
+def scan_masses(spec, nu):
+    """The guessing masses by scanning every (x, y) string pair for every
+    z, each z-string probability a product taken left to right: the
+    oracle for guessing_mass's general-table branch.  Membership is
+    recon_set's, so the oracle shares the library's membership rule."""
+    one = Fraction(1) if spec.exact else 1.0
+
+    def prob(pair, a, b):
+        pr = one
+        for ai, bi in zip(a, b):
+            pr = pr * pair[ai][bi]
+        return pr
+
+    strings = list(bits(2, spec.n))
+    members = {y: frozenset(recon_set(spec, y, nu).members) for y in strings}
+    mass_x = mass_y = one * 0
+    for z in bits(spec.nz, spec.n):
+        py_z = {y: prob(spec.joint_yz, y, z) for y in strings}
+        px_z = {x: prob(spec.joint_xz, x, z) for x in strings}
+        mass_x += max(sum(py_z[y] for y in strings if x in members[y])
+                      for x in strings)
+        mass_y += max(sum(px_z[x] for x in members[y]) for y in strings)
+    return mass_x, mass_y
+
+
+class TestGuessingMassScan:
+    """guessing_mass's general-table branch, which visits sorted z only,
+    against scan_masses over every z."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_exact_tables(self, data):
+        # zero cells and tied costs come with weights 0..3
+        nz = data.draw(st.integers(1, 3))
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=4 * nz,
+                                     max_size=4 * nz).filter(any))
+        n = data.draw(st.integers(1, 5))
+        spec = SourceSpec(2, 2, nz, n, tuple(
+            Fraction(w, sum(weights)) for w in weights))
+        pair = st.tuples(*[st.integers(0, 1)] * n)
+        # thresholds exactly at some string's score, or anywhere
+        at = cond_neg_log_prob(spec, data.draw(pair), data.draw(pair))
+        nu = data.draw(st.just(at) | st.floats(-1.0, 3.0 * n))
+        masses = guessing_mass(spec, nu)
+        assert all(isinstance(m, Fraction) for m in masses)
+        assert masses == scan_masses(spec, nu)
+
+    def test_float_table(self):
+        # five z symbols put the table in float mode, where the sums run in
+        # another order than the scan's
+        rng = random.Random(5)
+        weights = [rng.random() for _ in range(20)]
+        spec = SourceSpec(2, 2, 5, 4, tuple(w / sum(weights) for w in weights))
+        assert not spec.exact
+        for nu in (0.5, 2.0, cond_neg_log_prob(spec, (0, 1, 1, 0),
+                                               (1, 1, 0, 0))):
+            for got, want in zip(guessing_mass(spec, nu),
+                                 scan_masses(spec, nu)):
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_params_cca_on_a_general_table_at_n10(self, tmp_path):
+        # every z-string once took 388 s here: 2^10 z by 4^10 string pairs
+        from prekem.cli import main
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "source": {"alphabet": [2, 2, 2], "n": 10, "pxyz": [
+                [x, y, z, "19/80" if x == y else "1/80"]
+                for x in (0, 1) for y in (0, 1) for z in (0, 1)]},
+            "sigma": 0.25, "eps": 0.5, "delta": 0.25, "q_d": 1, "t": 5}))
+        start = time.perf_counter()
+        assert main(["params", "--config", str(config),
+                     "--mode", "cca"]) in (0, 2)
+        assert time.perf_counter() - start < 10
 
 
 def brute_recon(spec, y, nu):
