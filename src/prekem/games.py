@@ -28,6 +28,7 @@ so any scheduling of trials produces identical tallies.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
@@ -54,6 +55,7 @@ from .ikem import (
     IkemKey,
     IkemParams,
     Mode,
+    _check_ciphertext,
     _extractor,
     _recon_hash,
     decap,
@@ -65,7 +67,8 @@ from .ikem import (
     unpack_bits,
 )
 from .source import SourceSpec, recon_ints, require_binary
-from .uhash import PaddedSeedVector, ReconSeed, h_cca
+from .uhash import (PaddedSeedVector, ReconSeed, h_cca_split, split_preimage,
+                    split_table)
 from .value import Value, set_fields
 
 __all__ = [
@@ -379,19 +382,32 @@ def _pkem_trial(params: IkemParams, config: GameConfig, rng):
     return inst, oracle, view
 
 
+def _hashes(params: IkemParams, c: IkemCiphertext, pub) -> Callable[[int], int]:
+    """Packed x -> c's hash value of x, read from the hash's split pair at t
+    with F memoized per top x2 and G per bottom x1: each half is evaluated
+    at most once per distinct argument, so a sparse set of x never pays
+    for all 2^n."""
+    top, bottom = map(functools.cache, _recon_hash(params, c.sprime, c.s,
+                                                   pub, split=True))
+    t, mask = params.t, (1 << params.t) - 1
+    return lambda xp: top(xp >> t) ^ bottom(xp & mask)
+
+
 def _explains(params: IkemParams, transcript, pub) -> Callable[[int], bool]:
     """Packed x -> whether it explains every (key, ciphertext) of the
     transcript; a None key leaves the ciphertext's hash value alone to
-    check.  Each entry's hash and extractor are built once."""
-    checks = [(k, c, _recon_hash(params, c.sprime, c.s, pub),
-               None if k is None else _extractor(params, c.sprime))
-              for k, c in transcript]
+    check.  Each entry's memoized halves and extractor are built once, and
+    every hash value is checked before any key, the dearer check."""
+    hashes = [(c.v, _hashes(params, c, pub)) for _, c in transcript]
+    keys = [(k.bits, _extractor(params, c.sprime))
+            for k, c in transcript if k is not None]
 
     def explains(xp: int) -> bool:
-        for k, c, h, extract in checks:
-            if h(xp) != c.v:
+        for v, h in hashes:
+            if h(xp) != v:
                 return False
-            if k is not None and extract(xp) != k.bits:
+        for bits, extract in keys:
+            if extract(xp) != bits:
                 return False
         return True
     return explains
@@ -409,8 +425,20 @@ def _honest_redraw(params: IkemParams, xp: int, avoid, rng, pub):
 
 
 def _receiver_answers(params: IkemParams, ys, c: IkemCiphertext, pub):
-    """Packed y -> what a receiver holding y decapsulates c to."""
-    return {yp: decap(params, unpack_bits(yp, params.n), c, pub) for yp in ys}
+    """Packed y -> what a receiver holding y decapsulates c to, by decap's
+    rules: the key iff exactly one member of R(y) lies in S(c) = {x : h(x)
+    = c.v}, else None; an R(y) past source.RECON_CAP raises
+    InfeasibleError.  c is checked and its halves built once for every y."""
+    _check_ciphertext(params, c)
+    hashes = _hashes(params, c, pub)
+    extract = _extractor(params, c.sprime)
+    answers: Dict[int, Optional[IkemKey]] = {}
+    for yp in ys:
+        hits = [xp for xp in recon_ints(params.source, yp, params.nu)
+                if hashes(xp) == c.v]
+        answers[yp] = (IkemKey(extract(hits[0]), params.ell)
+                       if len(hits) == 1 else None)
+    return answers
 
 
 # ---------------------------------------------------------------------------
@@ -739,14 +767,17 @@ def exact_distance(params: IkemParams, q_e: int) -> Fraction:
                    dtype=float)
     for _ in range(n):
         W = np.kron(W, sym)
-    # code[sigma][x]: the shown value; base[g][x]: the cell before queries
-    extractors = [_extractor(params, sp) for sp in range(1 << params.w)]
-    code = np.repeat(np.array([[e(x) for x in range(X)] for e in extractors]),
+    # code[sigma][x]: the shown value; base[g][x]: the cell before queries;
+    # each row tabulated from its hash's split pair at t
+    code = np.repeat(np.array([split_table(_extractor(params, sp, split=True),
+                                           n, t)
+                               for sp in range(1 << params.w)]),
                      1 << s_bits, axis=0)
-    hashes = ([_recon_hash(params, 0, None, g) for g in range(G)] if shared
-              else [_recon_hash(params, *divmod(sigma, 1 << s_bits), None)
-                    for sigma in range(NQ)])
-    V = np.array([[h(x) for x in range(X)] for h in hashes])
+    pairs = ([_recon_hash(params, 0, None, g, split=True) for g in range(G)]
+             if shared
+             else [_recon_hash(params, *divmod(sigma, 1 << s_bits), None,
+                               split=True) for sigma in range(NQ)])
+    V = np.array([split_table(pair, n, t) for pair in pairs])
     base, code = ((V, code) if shared
                   else (V[:1] * 0, code + (V << params.ell)))
 
@@ -775,9 +806,9 @@ def exact_distance(params: IkemParams, q_e: int) -> Fraction:
 
 def _check_seed_tuple(n: int, t: int,
                       seed) -> Tuple[PaddedSeedVector, ReconSeed]:
-    """The split hash's seed for a (pieces, s2, s1) tuple, as h_cca takes
-    it.  The pieces' count and range are PaddedSeedVector's to check; s2
-    and s1 are checked here, since an s1 too wide spills into s2's bits
+    """The split hash's seed for a (pieces, s2, s1) tuple, as h_cca_split
+    takes it.  The pieces' count and range are PaddedSeedVector's to check;
+    s2 and s1 are checked here, since an s1 too wide spills into s2's bits
     where ReconSeed cannot see it."""
     try:
         pieces, s2, s1 = seed
@@ -827,11 +858,10 @@ def count_solutions_lemma6(n: int, t: int, seed, seed_f, v: int, v_f: int,
         if (v, a) == (v_f, b):
             raise MalformedError(
                 "part 'ii' needs the forged tuple to differ from the original")
-    count = 0
-    for x in range(1 << n):
-        if h_cca(x ^ e, *a) == v and h_cca(x, *b) == v_f:
-            count += 1
-    return count
+    # x counts iff x xor e is in S_a(v) and x is in S_b(v_f)
+    shifted = {x ^ e for x in split_preimage(h_cca_split(*a), n, t, v)}
+    return len(shifted.intersection(split_preimage(h_cca_split(*b), n, t,
+                                                   v_f)))
 
 
 # ---------------------------------------------------------------------------

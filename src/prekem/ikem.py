@@ -27,6 +27,12 @@ exactly one member hashes to v.  None is the rejection value; a set
 larger than source.RECON_CAP raises InfeasibleError before any member is
 built (an operational failure, never a protocol answer).
 
+With split=True the same two builders, and so the same seed handling per
+mode, return the map's split pair (F, G) at t from uhash instead, with
+h(x) = F(x >> t) xor G(x mod 2^t).  The games are its users: they read
+each ciphertext's hash from memoized halves, answer every receiver y from
+one pair, and tabulate the pairs for exact_distance.
+
 The derive_params_* engines turn a source plus security targets
 (sigma: key indistinguishability, eps: correctness, delta: forgery) into
 maximal key lengths; length bounds are also exposed directly as floats.
@@ -45,7 +51,7 @@ from typing import Callable, Optional, Tuple
 
 from . import source as _source  # RECON_CAP is read when a check runs
 from .errors import InfeasibleError, MalformedError
-from .gf2 import MAX_WIDTH, block, field
+from .gf2 import MAX_WIDTH
 from .source import (
     SourceSpec,
     _binom_tail_leq,
@@ -63,8 +69,9 @@ from .source import (
     shannon_cond_entropy,
     unpack_bits,
 )
-from .uhash import (ExtractorSeed, ReconSeed, h_cca, h_cea, hprime,
-                    piece_count, split_seed)
+from .uhash import (ExtractorSeed, ReconSeed, SplitPair, h_cca, h_cca_split,
+                    h_cea, h_cea_split, hprime, hprime_split, mul_add,
+                    mul_add_split, piece_count, split_seed)
 from .value import Value, set_fields
 
 __all__ = [
@@ -225,17 +232,6 @@ class IkemInstance(Value):
 # ---------------------------------------------------------------------------
 # the protocol
 
-def _su_hash(x: int, seed: int, n: int, out_bits: int) -> int:
-    """Strongly universal multiply-add family: top bits of a*x, xor b.
-
-    seed packs (a, b) as a || b with a an n-bit field element and b an
-    out_bits-bit mask.
-    """
-    a = seed >> out_bits
-    b = seed & ((1 << out_bits) - 1)
-    return block(field(n).mul(a, x), n, 1, out_bits) ^ b
-
-
 def gen(params: IkemParams, rng) -> IkemInstance:
     """Sample private strings; CEA mode also fixes the shared public seed."""
     trip = sample(params.source, rng)
@@ -244,30 +240,38 @@ def gen(params: IkemParams, rng) -> IkemInstance:
 
 
 def _recon_hash(params: IkemParams, sprime: int, s: Optional[int],
-                public_seed: Optional[int]) -> Callable[[int], int]:
+                public_seed: Optional[int],
+                split: bool = False) -> Callable[[int], int] | SplitPair:
     """x -> v for a ciphertext with seeds (s', s): under the published seed
     in shared-seed mode, whose wire carries none, else under s.  The seed
-    is checked, and in CCA s' split, once here rather than per hashed x."""
+    is checked, and in CCA s' split, once here rather than per hashed x.
+    With split, the hash's split pair (F, G) at t in place of x -> v."""
     n, t = params.n, params.t
     if params.mode is Mode.BASELINE:
-        return lambda xp: _su_hash(xp, s, n, t)
+        if split:
+            return mul_add_split(s, n, t, t)
+        return lambda xp: mul_add(xp, s, n, t)
     if params.mode is Mode.CEA:
         if public_seed is None:
             raise MalformedError("shared-seed mode needs the public seed")
         seed = ReconSeed(public_seed, n, t)
-        return lambda xp: h_cea(xp, seed)
+        return h_cea_split(seed, t) if split else lambda xp: h_cea(xp, seed)
     sv = split_seed(sprime, params.w, n - t)
     seed = ReconSeed(s, n, t)
-    return lambda xp: h_cca(xp, sv, seed)
+    return h_cca_split(sv, seed) if split else lambda xp: h_cca(xp, sv, seed)
 
 
-def _extractor(params: IkemParams, sprime: int) -> Callable[[int], int]:
-    """x -> key bits under seed s', built and checked once, not per x."""
-    n, ell = params.n, params.ell
+def _extractor(params: IkemParams, sprime: int,
+               split: bool = False) -> Callable[[int], int] | SplitPair:
+    """x -> key bits under seed s', built and checked once, not per x;
+    with split, its split pair (F, G) at t."""
+    n, t, ell = params.n, params.t, params.ell
     if params.mode is Mode.BASELINE:
-        return lambda xp: _su_hash(xp, sprime, n, ell)
+        if split:
+            return mul_add_split(sprime, n, ell, t)
+        return lambda xp: mul_add(xp, sprime, n, ell)
     seed = ExtractorSeed(sprime, params.w, ell)
-    return lambda xp: hprime(xp, seed)
+    return hprime_split(seed, t) if split else lambda xp: hprime(xp, seed)
 
 
 def encap(params: IkemParams, x, rng,

@@ -5,6 +5,8 @@ Three families cover all keying needs:
   - hprime / h_cea: multiply-then-truncate over a binary field.  The seed
     is a field element; the output is the top slice of seed*input.  The
     collision probability over a uniform seed is at most 2^-out_bits.
+    mul_add xors a second seed part onto that slice, for the comparison
+    mode's strongly universal hashes.
   - h_cca: a two-part polynomial family over GF(2^(n-t)) x GF(2^t) whose
     algebraic structure additionally limits how many inputs can explain
     two hash values under two different seeds (the property the
@@ -15,11 +17,20 @@ Three families cover all keying needs:
 Field elements travel as plain ints; bit slices are MSB-first (bit 1 is
 the most significant of the declared width).  Degenerate zero seeds are
 legal members of every family.
+
+Each family but twise_poly also comes as a split pair (F, G) at a split
+point k: for x = x2 || x1 with x1 the low k bits, h(x) = F(x2) xor G(x1).
+The multiply families are GF(2)-linear in x (mul_add up to its xor of
+b), so they split at any k; in h_cca the bracket reads only x2 and the
+rest only x1, so it splits at t.  A pair is built once per seed, with
+the seed checks its family makes.  split_table tabulates h over all 2^n
+inputs from 2^(n-k) values of F and 2^k of G, and split_preimage inverts
+h through G's inverse.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import MalformedError
 from .gf2 import block, field
@@ -31,9 +42,17 @@ __all__ = [
     "PaddedSeedVector",
     "piece_count",
     "split_seed",
+    "SplitPair",
     "hprime",
     "h_cea",
     "h_cca",
+    "mul_add",
+    "hprime_split",
+    "h_cea_split",
+    "h_cca_split",
+    "mul_add_split",
+    "split_table",
+    "split_preimage",
     "twise_poly",
 ]
 
@@ -140,25 +159,103 @@ def h_cca(x: int, sv: PaddedSeedVector, seed: ReconSeed) -> int:
     x1^3 xor s1*x1, with the bracket over GF(2^(n-t)) and the rest over
     GF(2^t).  Requires t <= n/2.
     """
+    top, bottom = h_cca_split(sv, seed)
+    if not 0 <= x < (1 << seed.n):
+        raise MalformedError("input outside GF(2^n)")
+    return top(x >> seed.t) ^ bottom(x & ((1 << seed.t) - 1))
+
+
+def mul_add(x: int, seed: int, n: int, out_bits: int) -> int:
+    """Strongly universal multiply-add family: top bits of a*x, xor b.
+
+    seed packs (a, b) as a || b with a an n-bit field element and b an
+    out_bits-bit mask.
+    """
+    a = seed >> out_bits
+    b = seed & ((1 << out_bits) - 1)
+    return block(field(n).mul(a, x), n, 1, out_bits) ^ b
+
+
+# ---------------------------------------------------------------------------
+# split pairs: h(x) = F(x >> k) xor G(x & (2^k - 1))
+
+SplitPair = Tuple[Callable[[int], int], Callable[[int], int]]
+
+
+def _product_split(s: int, width: int, out_bits: int, k: int,
+                   b: int = 0) -> SplitPair:
+    """The pair at k of x -> (top out_bits bits of s*x over GF(2^width))
+    xor b.  s*x = (s*X^k)*x2 + s*x1, so F multiplies by s*X^k and adds b,
+    and G multiplies by s."""
+    if not 0 <= k <= width:
+        raise MalformedError(f"split point {k} outside 0..{width}")
+    ctx = field(width)
+    mul, drop = ctx.mul, width - out_bits
+    ctx.check(s)
+    high = mul(s, 1 << k) if k < width else 0  # x2 is 0 when k = width
+    return (lambda x2: (mul(high, x2) >> drop) ^ b,
+            lambda x1: mul(s, x1) >> drop)
+
+
+def hprime_split(seed: ExtractorSeed, k: int) -> SplitPair:
+    """hprime's pair at split point k."""
+    return _product_split(seed.sprime, seed.width, seed.ell, k)
+
+
+def h_cea_split(seed: ReconSeed, k: int) -> SplitPair:
+    """h_cea's pair at split point k."""
+    return _product_split(seed.s, seed.n, seed.t, k)
+
+
+def mul_add_split(seed: int, n: int, out_bits: int, k: int) -> SplitPair:
+    """mul_add's pair at split point k; F carries the xor of b."""
+    return _product_split(seed >> out_bits, n, out_bits, k,
+                          seed & ((1 << out_bits) - 1))
+
+
+def h_cca_split(sv: PaddedSeedVector, seed: ReconSeed) -> SplitPair:
+    """h_cca's pair at split point t: F is the bracket over GF(2^(n-t)),
+    G is x1^3 xor s1*x1 over GF(2^t)."""
     n, t = seed.n, seed.t
     if 2 * t > n:
         raise MalformedError("split family needs t <= n/2")
     if sv.piece_width != n - t:
         raise MalformedError(
             f"piece width {sv.piece_width} != n - t = {n - t}")
-    if not 0 <= x < (1 << n):
-        raise MalformedError("input outside GF(2^n)")
-    big = field(n - t)
-    small = field(t)
-    x2 = x >> t
-    x1 = x & ((1 << t) - 1)
-    # Horner: acc ends at x2^(r+1) + sum_i sv_i * x2^(i-1)
-    acc = x2
-    for piece in reversed(sv.pieces):
-        acc = big.mul(acc, x2) ^ piece
-    acc = big.mul(big.mul(acc, x2) ^ seed.s2, x2)
-    bracket = block(acc, n - t, 1, t)
-    return bracket ^ small.mul(x1, small.mul(x1, x1) ^ seed.s1)
+    big, small = field(n - t).mul, field(t).mul
+    pieces, s2, s1, drop = sv.pieces[::-1], seed.s2, seed.s1, n - 2 * t
+
+    def top(x2: int) -> int:
+        # Horner: acc ends at x2^(r+1) + sum_i sv_i * x2^(i-1)
+        acc = x2
+        for piece in pieces:
+            acc = big(acc, x2) ^ piece
+        return big(big(acc, x2) ^ s2, x2) >> drop
+
+    def bottom(x1: int) -> int:
+        return small(x1, small(x1, x1) ^ s1)
+    return top, bottom
+
+
+def split_table(pair: SplitPair, n: int, k: int) -> List[int]:
+    """h(x) for every n-bit x in ascending order: the outer xor of F over
+    the 2^(n-k) tops and G over the 2^k bottoms."""
+    top, bottom = pair
+    lows = [bottom(x1) for x1 in range(1 << k)]
+    return [high ^ low for high in map(top, range(1 << (n - k)))
+            for low in lows]
+
+
+def split_preimage(pair: SplitPair, n: int, k: int, v: int) -> List[int]:
+    """S(v) = {x : h(x) = v} over n-bit x, ascending: G is inverted once
+    over the 2^k bottoms, then each top x2 reads off the x1 with
+    G(x1) = v xor F(x2)."""
+    top, bottom = pair
+    inverse: dict = {}
+    for x1 in range(1 << k):
+        inverse.setdefault(bottom(x1), []).append(x1)
+    return [(x2 << k) | x1 for x2 in range(1 << (n - k))
+            for x1 in inverse.get(v ^ top(x2), ())]
 
 
 def twise_poly(key: Sequence[int], x: int, m: int, out_bits: int) -> int:

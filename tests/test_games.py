@@ -14,6 +14,7 @@ import importlib.util
 import itertools
 import random
 import re
+import time
 import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
@@ -67,8 +68,10 @@ from prekem.ikem import (
     encap,
     forgery_bound,
     gen,
+    unpack_bits,
 )
-from prekem.source import SourceSpec, bsc_source, from_json, guess_prob_given_z
+from prekem.source import (SourceSpec, bsc_source, from_json,
+                           guess_prob_given_z, recon_ints)
 from prekem.uhash import ExtractorSeed, h_cca, piece_count, twise_poly
 
 
@@ -870,6 +873,116 @@ class TestRunKint:
         assert rep.bound == forgery_bound(params)
         assert rep.estimate <= rep.bound + rep.halfwidth
         assert not rep.exceeds_bound()
+
+
+def per_y_answers(params, ys, c, pub):
+    """What each receiver y decapsulates c to, one full decap per y: the
+    oracle for games._receiver_answers."""
+    return {yp: decap(params, unpack_bits(yp, params.n), c, pub)
+            for yp in ys}
+
+
+def mode_params(mode, nu, n=6, t=2, ell=1):
+    w = n + ell if mode is Mode.BASELINE else n
+    return IkemParams(mode=mode, source=toy_source(n), n=n, t=t, ell=ell,
+                      nu=nu, r=piece_count(w, n - t) if mode is Mode.CCA
+                      else 0, w=w, sigma=0.5, q_e=0, q_d=0)
+
+
+def random_ciphertext(params, rng):
+    s_bits = params.mode.s_bits(params.n, params.t)
+    return IkemCiphertext(rng.getrandbits(params.t),
+                          rng.getrandbits(params.w),
+                          rng.getrandbits(s_bits) if s_bits else None)
+
+
+class TestReceiverAnswers:
+    """games._receiver_answers, one solution set per ciphertext, against a
+    decap per receiver y.  At n=6, nu=4.1 every R(y) is y's Hamming ball of
+    radius 1, 7 members against 2^t = 4 hash values, so ties are common."""
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.name)
+    def test_matches_per_y_decap(self, mode):
+        params = mode_params(mode, 4.1)
+        rng = random.Random(40 + mode)
+        ys = range(1 << params.n)
+        ties = keys = 0
+        for _ in range(25):
+            c = random_ciphertext(params, rng)
+            pub = rng.getrandbits(params.n) if mode is Mode.CEA else None
+            got = games._receiver_answers(params, ys, c, pub)
+            assert got == per_y_answers(params, ys, c, pub)
+            h = _recon_hash(params, c.sprime, c.s, pub)
+            ties += sum(
+                sum(h(xp) == c.v for xp in recon_ints(params.source, yp,
+                                                      params.nu)) > 1
+                for yp in ys)
+            keys += sum(k is not None for k in got.values())
+        assert ties > 0 and keys > 0
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.name)
+    def test_empty_reconciliation_sets(self, mode):
+        # nu below every y's cheapest explanation: R(y) is empty throughout
+        params = mode_params(mode, 1.0)
+        rng = random.Random(50 + mode)
+        ys = range(1 << params.n)
+        assert not any(recon_ints(params.source, yp, params.nu) for yp in ys)
+        c = random_ciphertext(params, rng)
+        pub = rng.getrandbits(params.n) if mode is Mode.CEA else None
+        got = games._receiver_answers(params, ys, c, pub)
+        assert got == per_y_answers(params, ys, c, pub)
+        assert set(got.values()) == {None}
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.name)
+    def test_set_past_the_cap_raises_as_decap(self, mode, monkeypatch):
+        params = mode_params(mode, 4.1)
+        rng = random.Random(60 + mode)
+        c = random_ciphertext(params, rng)
+        pub = rng.getrandbits(params.n) if mode is Mode.CEA else None
+        monkeypatch.setattr("prekem.source.RECON_CAP", 6)
+        with pytest.raises(InfeasibleError) as want:
+            per_y_answers(params, [5], c, pub)
+        with pytest.raises(InfeasibleError) as got:
+            games._receiver_answers(params, [5], c, pub)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.name)
+    def test_malformed_ciphertext_raises_as_decap(self, mode):
+        params = mode_params(mode, 4.1)
+        n, t, w = params.n, params.t, params.w
+        s_bits = mode.s_bits(n, t)
+        good = IkemCiphertext(1, 2, 3 if s_bits else None)
+        pub = 7 if mode is Mode.CEA else None
+        bad = [(good.replace(v=1 << t), pub),
+               (good.replace(sprime=1 << w), pub),
+               (good.replace(s=None if s_bits else 0), pub)]
+        if mode is Mode.CEA:
+            bad.append((good, None))
+        for c, p in bad:
+            with pytest.raises(MalformedError) as want:
+                per_y_answers(params, [0, 9], c, p)
+            with pytest.raises(MalformedError) as got:
+                games._receiver_answers(params, [0, 9], c, p)
+            assert str(got.value) == str(want.value)
+
+
+class TestSparsePosterior:
+    def test_one_candidate_costs_no_full_table(self):
+        # a noiseless source at n=16 leaves Eve one candidate x; hashing a
+        # ciphertext over all 2^16 inputs would take seconds here, where
+        # the memoized halves evaluate a top and a bottom per candidate
+        n, t = 16, 8
+        params = IkemParams(mode=Mode.CCA, source=bsc_source(0, 0, n), n=n,
+                            t=t, ell=1, nu=1.0, r=piece_count(n, n - t),
+                            w=n, sigma=0.5, q_e=0, q_d=1)
+        z = gen(params, random.Random(5)).z
+        assert len(_x_weights(params.source, z)) == 1
+        start = time.perf_counter()
+        run_pkind(GameConfig(atk="cca", trials=50, q_d=1, seed=3,
+                             params=params), BayesPkind(probe=True))
+        res = brute_force_forger(params, z, random.Random(6))
+        assert time.perf_counter() - start < 0.5
+        assert res.p_success == 1
 
 
 class TestBruteForceForger:

@@ -9,6 +9,7 @@ module.  Every name bench/spans.py's tracer rebinds must exist.  No module
 imports dataclasses: its decorator compiles methods from source text at
 every import, and loading it pulls in inspect.  Outside value.py, a value
 class stores its fields only through one set_fields call in its __init__.
+games.py neither imports nor reads a hash family (h_cca, h_cea, hprime).
 """
 
 import ast
@@ -196,3 +197,16 @@ def test_traced_names_exist():
     missing += [f"FieldCtx.{name}" for name in ("mul", "pow")
                 if not hasattr(FieldCtx, name)]
     assert not missing, missing
+
+
+def test_games_hash_only_through_split_pairs_or_ikem():
+    # each game hashes a ciphertext through its split pair or through
+    # ikem's per-x closures, never by calling a hash family per x itself
+    path = next(p for p in MODULES if p.name == "games.py")
+    tree = TREES[path]
+    families = {"h_cca", "h_cea", "hprime"}
+    found = [f"games.py:{line} imports {name}"
+             for name, line in imported_names(tree) if name in families]
+    found += [f"games.py reads {name}"
+              for name in sorted(read_names(tree) & families)]
+    assert not found, found

@@ -41,11 +41,12 @@ from prekem.ikem import (
     serialize_ciphertext,
     unpack_bits,
 )
-from prekem.ikem import _check_ciphertext, _extractor, _recon_hash, _su_hash
+from prekem.ikem import _check_ciphertext, _extractor, _recon_hash
 from prekem.source import (SourceSpec, bsc_radius, bsc_source,
                            cond_neg_log_prob, from_json, miss_mass,
                            recon_ints, recon_set)
-from prekem.uhash import ReconSeed, h_cca, h_cea, piece_count, split_seed
+from prekem.uhash import (ReconSeed, h_cca, h_cea, mul_add, piece_count,
+                          split_seed)
 
 
 def exhaustive_correctness(params):
@@ -391,7 +392,7 @@ class TestReconHash:
                               ReconSeed(s, n, t)) for x in xs]
             else:
                 h = _recon_hash(params, sprime, s, pub)
-                want = [_su_hash(x, s, n, t) for x in xs]
+                want = [mul_add(x, s, n, t) for x in xs]
             assert [h(x) for x in xs] == want
 
     def test_shared_seed_mode_needs_the_public_seed(self):

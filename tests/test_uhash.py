@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,17 @@ from prekem.uhash import (
     PaddedSeedVector,
     ReconSeed,
     h_cca,
+    h_cca_split,
     h_cea,
+    h_cea_split,
     hprime,
+    hprime_split,
+    mul_add,
+    mul_add_split,
     piece_count,
+    split_preimage,
     split_seed,
+    split_table,
     twise_poly,
 )
 
@@ -406,3 +414,108 @@ class TestExtractionDistance:
         residual = -3 * math.log2(0.75)
         bound = 0.5 * math.sqrt(2.0 ** (1 - residual))
         assert float(got) <= bound
+
+
+def split_cases(n, rng):
+    """(name, x -> h(x), k -> split pair, split points) for each family at
+    width n with random seeds: the linear families at a sweep of k, h_cca
+    at its own split point t for t = 1 and t = n/2."""
+    out = rng.randint(1, n)
+    es = ExtractorSeed(rng.getrandbits(n), n, out)
+    rs = ReconSeed(rng.getrandbits(n), n, out)
+    ma = rng.getrandbits(n + out)
+    ks = sorted({0, 1, n // 2, n - 1, n, rng.randint(0, n)})
+    yield ("hprime", lambda x: hprime(x, es),
+           lambda k: hprime_split(es, k), ks)
+    yield ("h_cea", lambda x: h_cea(x, rs),
+           lambda k: h_cea_split(rs, k), ks)
+    yield ("mul_add", lambda x: mul_add(x, ma, n, out),
+           lambda k: mul_add_split(ma, n, out, k), ks)
+    for t in sorted({1, n // 2}):
+        sv = split_seed(rng.getrandbits(n), n, n - t)
+        seed = ReconSeed(rng.getrandbits(n), n, t)
+        yield (f"h_cca t={t}", lambda x, sv=sv, seed=seed: h_cca(x, sv, seed),
+               lambda k, sv=sv, seed=seed: h_cca_split(sv, seed), [t])
+
+
+class TestSplitPairs:
+    """Each family's split pair against its per-x hash: the halves at the
+    split point, the tabulation over all 2^n inputs and the inverse."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 24, 64])
+    def test_halves_recombine(self, n):
+        rng = random.Random(0x5A17 + n)
+        for _ in range(6):
+            for name, h, build, ks in split_cases(n, rng):
+                xs = ([*range(1 << n)] if n <= 8 else
+                      [0, (1 << n) - 1] + [rng.getrandbits(n)
+                                           for _ in range(40)])
+                for k in ks:
+                    top, bottom = build(k)
+                    got = [top(x >> k) ^ bottom(x & ((1 << k) - 1))
+                           for x in xs]
+                    assert got == [h(x) for x in xs], (name, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_table_and_preimage_match_per_x_hashing(self, n):
+        rng = random.Random(0x7AB + n)
+        for _ in range(4):
+            for name, h, build, ks in split_cases(n, rng):
+                want = [h(x) for x in range(1 << n)]
+                for k in ks:
+                    pair = build(k)
+                    assert split_table(pair, n, k) == want, (name, k)
+                    values = sorted(set(want))
+                    for v in rng.sample(values, min(4, len(values))) + [
+                            max(want) + 1]:
+                        assert split_preimage(pair, n, k, v) == [
+                            x for x, hx in enumerate(want) if hx == v], \
+                            (name, k, v)
+
+    def test_preimage_at_n24(self):
+        # too wide to enumerate: every returned x hashes to v, and a random
+        # x lies in the preimage of its own value
+        n, t = 24, 12
+        rng = random.Random(0x24)
+        for _ in range(2):
+            sv = split_seed(rng.getrandbits(n), n, n - t)
+            seed = ReconSeed(rng.getrandbits(n), n, t)
+            x0 = rng.getrandbits(n)
+            v = h_cca(x0, sv, seed)
+            got = split_preimage(h_cca_split(sv, seed), n, t, v)
+            assert x0 in got
+            assert all(h_cca(x, sv, seed) == v for x in got)
+
+    def test_seed_outside_its_field_is_refused_alike(self):
+        # stand-in seeds skip the seed classes' own checks, so the family
+        # and the pair each meet the out-of-field element themselves
+        n, out = 5, 3
+        cases = [
+            (lambda: hprime(1, SimpleNamespace(sprime=1 << n, width=n,
+                                               ell=out)),
+             lambda: hprime_split(SimpleNamespace(sprime=1 << n, width=n,
+                                                  ell=out), 2)),
+            (lambda: h_cea(1, SimpleNamespace(s=1 << n, n=n, t=out)),
+             lambda: h_cea_split(SimpleNamespace(s=1 << n, n=n, t=out), 2)),
+            (lambda: mul_add(1, 1 << (n + out), n, out),
+             lambda: mul_add_split(1 << (n + out), n, out, 2)),
+            (lambda: h_cca(0, split_seed(0, 4, 3), ReconSeed(0, 4, 2)),
+             lambda: h_cca_split(split_seed(0, 4, 3), ReconSeed(0, 4, 2))),
+            (lambda: h_cca(0, split_seed(0, 4, 1), ReconSeed(0, 4, 3)),
+             lambda: h_cca_split(split_seed(0, 4, 1), ReconSeed(0, 4, 3))),
+        ]
+        for family, pair in cases:
+            with pytest.raises((ValueError, MalformedError)) as want:
+                family()
+            with pytest.raises(want.type) as got:
+                pair()
+            assert str(got.value) == str(want.value)
+        for seed in (ExtractorSeed, ReconSeed):
+            with pytest.raises(MalformedError, match="outside its field"):
+                seed(1 << n, n, out)
+
+    def test_split_point_outside_the_field_is_refused(self):
+        seed = ReconSeed(3, 4, 2)
+        for k in (-1, 5):
+            with pytest.raises(MalformedError, match="split point"):
+                h_cea_split(seed, k)
