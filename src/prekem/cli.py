@@ -9,6 +9,14 @@ Exit codes: 0 success, 1 usage or format error, 2 infeasible parameters,
 3 decapsulation/decryption rejection, 4 a game estimate exceeded its
 declared bound beyond the confidence slack.
 
+he-encrypt and he-decrypt stream from file to file through hybrid's stream
+forms, so memory does not grow with the file.  A regular --out (or a new
+one) is written through a temporary file beside it that replaces it only
+on success: a rejection, a format error or a crash leaves no --out, and
+--out may name --in.  An --out that is not a regular file (a terminal, a
+pipe, /dev/stdout) is written through directly, as before, so a failure
+part-way leaves there what was written.
+
 Instance materials live in separate JSON files, one per role, so the
 sender, receiver and observer strings can be delivered to different
 machines.  Every command that draws randomness takes --seed (hex); runs
@@ -71,6 +79,46 @@ def _read_file(path: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as e:
         raise MalformedError(f"cannot read {path}: {e}") from None
+
+
+def _open_input(path: str):
+    try:
+        return open(path, "rb")
+    except OSError as e:
+        raise MalformedError(f"cannot read {path}: {e}") from None
+
+
+def _write_chunks(path: str, chunks) -> int:
+    """Write the chunks to path; returns the bytes written.
+
+    A regular file, or a new one, is written as a temporary file beside
+    it (beside the file a symlink names) and moved onto it only once every
+    chunk is written, so whatever stops the writing part-way leaves path
+    as it was.  Anything else already there (a terminal, a pipe,
+    /dev/stdout) cannot be replaced and is written through directly, so a
+    failure part-way leaves what was written.
+    Errors opening or replacing name path, as a direct write's would."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as out:
+            return sum(map(out.write, chunks))
+    real = os.path.realpath(path)
+    part = f"{real}.{os.urandom(6).hex()}.part"
+    try:
+        out = open(part, "xb")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
+    try:
+        with out:
+            size = sum(map(out.write, chunks))
+    except BaseException:
+        os.unlink(part)
+        raise
+    try:
+        os.replace(part, real)
+    except OSError as e:
+        os.unlink(part)
+        raise OSError(e.errno, e.strerror, path) from None
+    return size
 
 
 def _read_json(path: str) -> dict:
@@ -379,42 +427,36 @@ def cmd_decap(args) -> int:
 # hybrid encryption
 
 def cmd_he_encrypt(args) -> int:
-    from .hybrid import HybridScheme, he_encrypt, serialize_envelope
+    from .hybrid import HybridScheme, he_encrypt_stream
 
     params, dem = _load_params(args.config)
     scheme = HybridScheme.for_params(params, dem)
     x = _read_material(args.x, "x", params.n, params.source.nx)
     public = _public_for(args, params)
     rng = _rng_for(args)
-    env = he_encrypt(scheme, x, _read_file(args.infile), rng, public)
-    blob = serialize_envelope(scheme, env)
-    Path(args.out).write_bytes(blob)
-    print(f"envelope   {args.out} ({len(blob)} bytes)")
+    with _open_input(args.infile) as src:
+        size = _write_chunks(args.out, he_encrypt_stream(scheme, x, src, rng,
+                                                         public))
+    print(f"envelope   {args.out} ({size} bytes)")
     return EXIT_OK
 
 
 def cmd_he_decrypt(args) -> int:
-    from .hybrid import (HybridScheme, he_decrypt, parse_envelope,
-                         split_envelope)
+    from .hybrid import HybridScheme, he_decrypt_stream
 
     params, dem = _load_params(args.config)
     scheme = HybridScheme.for_params(params, dem)
     y = _read_material(args.y, "y", params.n, params.source.ny)
     public = _public_for(args, params)
-    data = _read_file(args.infile)
-    # a damaged outer frame is a format error; damage inside the payloads
-    # is the decapsulator's rejection
-    split_envelope(data)
-    try:
-        env = parse_envelope(scheme, data)
-        message = he_decrypt(scheme, y, env, public)
-    except MalformedError:
-        message = None
-    if message is None:
-        print("rejected: envelope did not authenticate", file=sys.stderr)
-        return EXIT_REJECT
-    Path(args.out).write_bytes(message)
-    print(f"message    {args.out} ({len(message)} bytes)")
+    with _open_input(args.infile) as src:
+        # a damaged outer frame is a format error; damage inside the
+        # payloads is the decapsulator's rejection
+        message = he_decrypt_stream(scheme, y, src, public)
+        if message is None:
+            print("rejected: envelope did not authenticate", file=sys.stderr)
+            return EXIT_REJECT
+        size = _write_chunks(args.out, message)
+    print(f"message    {args.out} ({size} bytes)")
     return EXIT_OK
 
 

@@ -396,9 +396,17 @@ def _hashes(params: IkemParams, c: IkemCiphertext, pub) -> Callable[[int], int]:
 def _explains(params: IkemParams, transcript, pub) -> Callable[[int], bool]:
     """Packed x -> whether it explains every (key, ciphertext) of the
     transcript; a None key leaves the ciphertext's hash value alone to
-    check.  Each entry's memoized halves and extractor are built once, and
-    every hash value is checked before any key, the dearer check."""
-    hashes = [(c.v, _hashes(params, c, pub)) for _, c in transcript]
+    check.  Each hashing seed's memoized halves are built once, shared by
+    every entry under it (in CEA, all of them: each hashes under the
+    published seed), each key's extractor once, and every hash value is
+    checked before any key, the dearer check."""
+    pairs: Dict[object, Callable[[int], int]] = {}
+    hashes = []
+    for _, c in transcript:
+        seeds = None if params.mode is Mode.CEA else (c.sprime, c.s)
+        if seeds not in pairs:
+            pairs[seeds] = _hashes(params, c, pub)
+        hashes.append((c.v, pairs[seeds]))
     keys = [(k.bits, _extractor(params, c.sprime))
             for k, c in transcript if k is not None]
 
@@ -424,18 +432,22 @@ def _honest_redraw(params: IkemParams, xp: int, avoid, rng, pub):
     return None
 
 
-def _receiver_answers(params: IkemParams, ys, c: IkemCiphertext, pub):
+def _receiver_answers(params: IkemParams, ys, c: IkemCiphertext, pub,
+                      members: Optional[Dict[int, frozenset]] = None):
     """Packed y -> what a receiver holding y decapsulates c to, by decap's
     rules: the key iff exactly one member of R(y) lies in S(c) = {x : h(x)
-    = c.v}, else None; an R(y) past source.RECON_CAP raises
-    InfeasibleError.  c is checked and its halves built once for every y."""
+    = c.v}, else None.  R(y) comes from members, y -> its packed members,
+    where the caller has walked it; else it is walked here, and one past
+    source.RECON_CAP raises InfeasibleError.  c is checked and its halves
+    built once for every y."""
     _check_ciphertext(params, c)
     hashes = _hashes(params, c, pub)
     extract = _extractor(params, c.sprime)
     answers: Dict[int, Optional[IkemKey]] = {}
     for yp in ys:
-        hits = [xp for xp in recon_ints(params.source, yp, params.nu)
-                if hashes(xp) == c.v]
+        r_y = (recon_ints(params.source, yp, params.nu) if members is None
+               else members[yp])
+        hits = [xp for xp in r_y if hashes(xp) == c.v]
         answers[yp] = (IkemKey(extract(hits[0]), params.ell)
                        if len(hits) == 1 else None)
     return answers
@@ -716,7 +728,8 @@ def brute_force_forger(params: IkemParams, z, rng,
     forged = _honest_redraw(params, x_f, ciphertext, rng, public_seed)
     if forged is None:
         raise InfeasibleError("could not draw a forgery distinct from the query")
-    answers = _receiver_answers(params, members, forged, public_seed)
+    answers = _receiver_answers(params, members, forged, public_seed,
+                                members)
     won = sum(wt for _, yp, wt in pairs if answers[yp] is not None)
     return ForgeryResult(forged, Fraction(won, total),
                          Fraction(score_x[x_star], total),

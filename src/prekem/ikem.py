@@ -97,6 +97,7 @@ __all__ = [
     "distance_bound",
     "forgery_bound",
     "serialize_ciphertext",
+    "ciphertext_size",
     "parse_ciphertext",
     "parse_ciphertext_for",
 ]
@@ -551,6 +552,16 @@ def serialize_ciphertext(params: IkemParams, c: IkemCiphertext) -> bytes:
     return out
 
 
+def _wire_size(mode: Mode, n: int, t: int, w: int) -> int:
+    return (_HEADER.size + (t + 7) // 8 + (w + 7) // 8
+            + (mode.s_bits(n, t) + 7) // 8)
+
+
+def ciphertext_size(params: IkemParams) -> int:
+    """The length of every serialized ciphertext under params."""
+    return _wire_size(params.mode, params.n, params.t, params.w)
+
+
 def parse_ciphertext(data: bytes) -> Tuple[Mode, int, int, int, IkemCiphertext]:
     """Strict parse: magic, version, mode, exact length, zero padding bits."""
     if len(data) < _HEADER.size:
@@ -566,16 +577,16 @@ def parse_ciphertext(data: bytes) -> Tuple[Mode, int, int, int, IkemCiphertext]:
         raise MalformedError(f"unknown mode {mode_code}") from None
     if n < 1 or t < 1 or w < 1:
         raise MalformedError("degenerate header widths")
-    s_bits = mode.s_bits(n, t)
-    vlen, plen, slen = (t + 7) // 8, (w + 7) // 8, (s_bits + 7) // 8
-    if len(data) != _HEADER.size + vlen + plen + slen:
+    if len(data) != _wire_size(mode, n, t, w):
         raise MalformedError("ciphertext length mismatch")
+    s_bits = mode.s_bits(n, t)
+    vlen, plen = (t + 7) // 8, (w + 7) // 8
     pos = _HEADER.size
     v = int.from_bytes(data[pos:pos + vlen], "big")
     pos += vlen
     sprime = int.from_bytes(data[pos:pos + plen], "big")
     pos += plen
-    s = int.from_bytes(data[pos:], "big") if slen else None
+    s = int.from_bytes(data[pos:], "big") if s_bits else None
     if (v >= (1 << t) or sprime >= (1 << w)
             or s is not None and s >= (1 << s_bits)):
         raise MalformedError("nonzero padding bits")

@@ -6,19 +6,25 @@ point works outside the test harness.  File-based round trips go through
 tmp_path, and deterministic behaviour is pinned with --seed.
 """
 
+import hashlib
+import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import prekem
+from prekem import cli
 from prekem.cli import main, params_from_doc, params_to_doc
 from prekem.combiner import parse_combined
 from prekem.dem import DemProfile
@@ -400,6 +406,7 @@ class TestHybrid:
                      mat / "y.json", "--in", env,
                      "--out", tmp_path / "out.bin")
         assert rc == 3
+        assert not (tmp_path / "out.bin").exists()
 
     def test_unknown_envelope_version_is_format_error(self, tmp_path, setup,
                                                       capsys):
@@ -444,6 +451,288 @@ class TestHybrid:
                        mat / "y.json", "--public", mat / "public.json",
                        "--in", env, "--out", out) == 0
         assert out.read_bytes() == message.read_bytes()
+
+
+def shared_seed_params_file(tmp_path, name="cea.json"):
+    # the shared-seed mode drives the plain DEM (ot)
+    params = noiseless_params(n=14, t=4, ell=8, w=14)
+    doc = params_to_doc(params, DemProfile(enc_len=8, mac_bits=8))
+    return write_json(tmp_path / name, doc)
+
+
+def wide_mac_params_file(tmp_path, name="wide.json"):
+    # authenticated mode with the default 128-bit MAC, whose length term
+    # admits any file
+    params = noiseless_params(n=300, t=45, ell=264, mode=Mode.CCA,
+                              r=2, w=300, q_d=1)
+    doc = params_to_doc(params, DemProfile(enc_len=8, mac_bits=128))
+    return write_json(tmp_path / name, doc)
+
+
+def piped(data):
+    """A path naming the read end of a pipe that a thread fills with data
+    and then closes, and that thread."""
+    r, w = os.pipe()
+
+    def fill():
+        with open(w, "wb") as sink:
+            sink.write(data)
+
+    thread = threading.Thread(target=fill)
+    thread.start()
+    return r, thread
+
+
+class FlipsOnRereading(io.BytesIO):
+    """An envelope in memory whose byte at `at` reads back with its low bit
+    flipped every time after the first: a file that changes between two
+    reads."""
+
+    def __init__(self, data, at):
+        super().__init__(data)
+        self.at, self.reads = at, 0
+
+    def read(self, size=-1):
+        pos = self.tell()
+        chunk = super().read(size)
+        if pos <= self.at < pos + len(chunk):
+            self.reads += 1
+            if self.reads > 1:
+                i = self.at - pos
+                chunk = chunk[:i] + bytes([chunk[i] ^ 1]) + chunk[i + 1:]
+        return chunk
+
+
+def drained(path):
+    """A thread that reads the FIFO at path to its end, and the list it
+    leaves the bytes in."""
+    got = []
+
+    def drain():
+        with open(path, "rb") as source:
+            got.append(source.read())
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    return thread, got
+
+
+class TestHybridFiles:
+    """he-encrypt and he-decrypt stream from file to file: what they leave
+    behind, where they read from, and what they hold in memory."""
+
+    @staticmethod
+    def make_scheme(tmp_path, kind):
+        """(parameter file, materials, --public arguments) for a shared-seed
+        (ot) or an authenticated (otcca) scheme."""
+        if kind == "ot":
+            params = shared_seed_params_file(tmp_path)
+            mat = sampled_materials(tmp_path, params)
+            return params, mat, ("--public", mat / "public.json")
+        params = wide_mac_params_file(tmp_path)
+        return params, sampled_materials(tmp_path, params), ()
+
+    @pytest.fixture(params=["ot", "otcca"])
+    def scheme(self, request, tmp_path):
+        return self.make_scheme(tmp_path, request.param)
+
+    @staticmethod
+    def encrypt(scheme, src, out, seed="5e"):
+        params, mat, pub = scheme
+        return run_cli("he-encrypt", "--config", params, "--x",
+                       mat / "x.json", *pub, "--seed", seed, "--in", src,
+                       "--out", out)
+
+    @staticmethod
+    def decrypt(scheme, src, out):
+        params, mat, pub = scheme
+        return run_cli("he-decrypt", "--config", params, "--y",
+                       mat / "y.json", *pub, "--in", src, "--out", out)
+
+    def test_out_may_name_in(self, tmp_path, scheme):
+        path = tmp_path / "file.bin"
+        message = random.Random(3).randbytes(70000)
+        path.write_bytes(message)
+        before = sorted(tmp_path.iterdir())
+        assert self.encrypt(scheme, path, path) == 0
+        envelope = path.read_bytes()
+        assert len(envelope) > len(message)
+        assert self.decrypt(scheme, path, path) == 0
+        assert path.read_bytes() == message
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_message_past_the_length_term_leaves_no_out(self, tmp_path,
+                                                         capsys):
+        params = envelope_params_file(tmp_path)  # 16-bit MAC
+        mat = sampled_materials(tmp_path, params)
+        message = tmp_path / "message.bin"
+        message.write_bytes(bytes(1 << 16))
+        out = tmp_path / "env.bin"
+        capsys.readouterr()
+        assert run_cli("he-encrypt", "--config", params, "--x",
+                       mat / "x.json", "--seed", "1", "--in", message,
+                       "--out", out) == 1
+        assert capsys.readouterr().err == \
+            "error: message too long for the MAC length term\n"
+        assert not out.exists()
+        assert not list(tmp_path.glob("env.bin*"))
+
+    def test_out_in_a_missing_directory_is_named(self, tmp_path, scheme,
+                                                  capsys):
+        # the error names --out, not the temporary file beside it
+        message = tmp_path / "message.bin"
+        message.write_bytes(b"abc")
+        out = tmp_path / "missing" / "env.bin"
+        capsys.readouterr()
+        assert self.encrypt(scheme, message, out) == 1
+        assert capsys.readouterr().err == \
+            f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_body_changed_between_reads_leaves_no_out(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # otcca verifies the tag on a first read of the body and decrypts a
+        # second: a second read that differs is caught, and nothing of it
+        # reaches --out
+        scheme = self.make_scheme(tmp_path, "otcca")
+        message = tmp_path / "message.bin"
+        message.write_bytes(random.Random(6).randbytes(200000))
+        env, out = tmp_path / "env.bin", tmp_path / "out.bin"
+        assert self.encrypt(scheme, message, env) == 0
+        envelope = env.read_bytes()
+        for at in (len(envelope) - 16 - 1, len(envelope) - 100000):
+            src = FlipsOnRereading(envelope, at)
+            monkeypatch.setattr(cli, "_open_input", lambda path: src)
+            capsys.readouterr()
+            assert self.decrypt(scheme, env, out) == 1
+            assert capsys.readouterr().err == \
+                "error: envelope changed while it was read\n"
+            assert src.reads == 2
+            assert not out.exists()
+            assert not list(tmp_path.glob("out.bin*"))
+
+    def test_symlinked_out_is_written_through(self, tmp_path, scheme):
+        # the file the link names gets the output; the link stays a link
+        message = tmp_path / "message.bin"
+        message.write_bytes(random.Random(7).randbytes(5000))
+        assert self.encrypt(scheme, message, tmp_path / "plain.env") == 0
+        target, link = tmp_path / "target.bin", tmp_path / "link.bin"
+        target.write_bytes(b"earlier")
+        link.symlink_to(target)
+        before = sorted(tmp_path.iterdir())
+        assert self.encrypt(scheme, message, link) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == (tmp_path / "plain.env").read_bytes()
+        assert self.decrypt(scheme, link, link) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == message.read_bytes()
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_fifo_out_is_written_directly(self, tmp_path, scheme):
+        message = tmp_path / "message.bin"
+        message.write_bytes(random.Random(8).randbytes(150000))
+        env = tmp_path / "file.env"
+        assert self.encrypt(scheme, message, env) == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for command, src, want in ((self.encrypt, message, env),
+                                   (self.decrypt, env, message)):
+            thread, got = drained(fifo)
+            try:
+                assert command(scheme, src, fifo) == 0
+            finally:
+                if thread.is_alive() and not got:
+                    # nothing opened the FIFO for writing: let the reader go
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert got == [want.read_bytes()]
+        assert not list(tmp_path.glob("fifo.*"))
+
+    def test_pipe_input(self, tmp_path, scheme, capsys):
+        message = random.Random(4).randbytes(3000)
+        (tmp_path / "message.bin").write_bytes(message)
+        assert self.encrypt(scheme, tmp_path / "message.bin",
+                            tmp_path / "file.env") == 0
+        envelope = (tmp_path / "file.env").read_bytes()
+        r, thread = piped(message)
+        try:
+            assert self.encrypt(scheme, f"/dev/fd/{r}",
+                                tmp_path / "pipe.env") == 0
+        finally:
+            os.close(r)
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert (tmp_path / "pipe.env").read_bytes() == envelope
+
+        out = tmp_path / "opened.bin"
+        capsys.readouterr()
+        r, thread = piped(envelope)
+        try:
+            code = self.decrypt(scheme, f"/dev/fd/{r}", out)
+        finally:
+            os.close(r)
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        if scheme[2]:  # ot: one pass
+            assert code == 0
+            assert out.read_bytes() == message
+        else:  # otcca reads its input twice
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+
+    # message sizes around the stream forms' 64 KiB reads and the MAC's
+    # lane edges for 16-byte blocks (LANE_BLOCKS, MAX_LANES and 2*MAX_LANES
+    # blocks); the digest was recorded with the whole-file CLI that
+    # preceded the stream forms
+    DIGEST_SIZES = (0, 1, 767, 768, 769, 4095, 4096, 4097, 8191, 8192, 8193,
+                    65535, 65536, 65537, 131071, 131072, 131073)
+    DIGEST = "a1c948f9d79826cf55755598d8cd3bb74047fb3cb4439bcb6782c693c0a54897"
+
+    def test_seed_pins_envelopes_at_stream_edges(self, tmp_path):
+        h = hashlib.sha256()
+        for kind in ("ot", "otcca"):
+            root = tmp_path / kind
+            root.mkdir()
+            scheme = self.make_scheme(root, kind)
+            message, env, out = (root / name for name in ("m", "env", "out"))
+            for size in self.DIGEST_SIZES:
+                data = random.Random(size).randbytes(size)
+                message.write_bytes(data)
+                assert self.encrypt(scheme, message, env,
+                                    seed=format(size + 1, "x")) == 0
+                blob = env.read_bytes()
+                h.update(len(blob).to_bytes(4, "big") + blob)
+                assert self.decrypt(scheme, env, out) == 0
+                assert out.read_bytes() == data
+        assert h.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("kind,size", [("ot", 32 << 20),
+                                           ("otcca", 8 << 20)])
+    def test_memory_is_bounded(self, tmp_path, kind, size):
+        # the commands hold a few 64 KiB reads, not the file
+        scheme = self.make_scheme(tmp_path, kind)
+        message = tmp_path / "message.bin"
+        with open(message, "wb") as sink:
+            block = random.Random(size).randbytes(1 << 20)
+            for _ in range(size >> 20):
+                sink.write(block)
+        env, out = tmp_path / "env.bin", tmp_path / "out.bin"
+        peaks = []
+        for command in (lambda: self.encrypt(scheme, message, env),
+                        lambda: self.decrypt(scheme, env, out)):
+            tracemalloc.start()
+            try:
+                assert command() == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 << 20, peaks
+        assert env.stat().st_size > size
+        with open(message, "rb") as want, open(out, "rb") as got:
+            while chunk := want.read(1 << 20):
+                assert got.read(1 << 20) == chunk
 
 
 class TestCombine:

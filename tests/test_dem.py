@@ -20,6 +20,7 @@ from prekem.dem import (
     DemCiphertext,
     DemKey,
     DemProfile,
+    DemStream,
     aes_ctr_keystream,
     decrypt_ot,
     decrypt_otcca,
@@ -153,7 +154,7 @@ class TestKeystreamCipher:
 
     def test_keystream_hook_flows_through(self, monkeypatch):
         monkeypatch.setattr(dem, "aes_ctr_keystream",
-                            lambda k, d: bytes(b ^ 0xF0 for b in d))
+                            lambda k, d, start=0: bytes(b ^ 0xF0 for b in d))
         c = encrypt_ot(ot_key(), b"\x00\x01")
         assert c.body == b"\xf0\xf1"
 
@@ -166,7 +167,7 @@ class TestKeystreamCipher:
             bodies = []
             for ks in range(256):
                 monkeypatch.setattr(dem, "aes_ctr_keystream",
-                                    lambda k, d: bytes([d[0] ^ ks]))
+                                    lambda k, d, start=0: bytes([d[0] ^ ks]))
                 c = encrypt_ot(ot_key(), m)
                 bodies.append(c.body)
                 assert c.body == bytes([m[0] ^ ks])
@@ -348,6 +349,101 @@ class TestAuthenticated:
         k = DemKey(random.Random(4).getrandbits(TOY.otcca_key_bits),
                    TOY.otcca_key_bits)
         assert decrypt_otcca(k, DemCiphertext(b"\x00" * (1 << 16), 0), TOY) is None
+
+
+# full block counts at the chunked MAC's edges: the short rule's, the
+# buffer's (one step), and the second step's
+CHUNKED_BLOCKS = (dem.LANE_BLOCKS - 1, dem.LANE_BLOCKS, dem.LANE_BLOCKS + 1,
+                  dem.MAX_LANES - 1, dem.MAX_LANES, dem.MAX_LANES + 1,
+                  2 * dem.MAX_LANES - 1, 2 * dem.MAX_LANES,
+                  2 * dem.MAX_LANES + 1)
+
+
+def split(data, lengths):
+    """data cut into pieces of the given lengths, then the rest."""
+    pieces, i = [], 0
+    for n in lengths:
+        pieces.append(data[i:i + n])
+        i += n
+    return pieces + [data[i:]]
+
+
+class TestChunkedPath:
+    """DemStream fed a body in arbitrary pieces against the bytes API, which
+    feeds it whole, and against the Horner oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mac_bits=st.sampled_from([8, 16, 64, 72, 128, 256]),
+           blocks=st.sampled_from(CHUNKED_BLOCKS), extra=st.integers(0, 31),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_any_split_matches_bytes_api(self, mac_bits, blocks, extra, seed,
+                                         data):
+        profile = DemProfile(mac_bits=mac_bits)
+        bb = mac_bits // 8
+        size = min(blocks * bb + extra % bb, (1 << mac_bits) - 1)
+        # empty pieces, 1-byte pieces, cuts inside a block and across steps
+        lengths = data.draw(st.lists(
+            st.sampled_from([0, 1, 2, bb - 1, bb, bb + 1])
+            | st.integers(0, size), max_size=24))
+        rng = random.Random(seed)
+        m = rng.randbytes(size)
+        bits = rng.getrandbits(profile.otcca_key_bits)
+        want = encrypt_otcca(DemKey(bits, profile.otcca_key_bits), m, profile)
+        k1, k2 = key_parts(DemKey(bits, profile.otcca_key_bits), mac_bits)
+        assert want.tag == horner_tag(k1, k2, want.body, mac_bits)
+
+        sender = DemStream(DemKey(bits, profile.otcca_key_bits), profile,
+                           otcca=True, encrypt=True)
+        body = b"".join(sender.seal(p) for p in split(m, lengths))
+        assert (body, sender.tag()) == (want.body, want.tag)
+
+        receiver = DemStream(DemKey(bits, profile.otcca_key_bits), profile,
+                             otcca=True)
+        for piece in split(body, lengths):
+            receiver.absorb(piece)
+        assert receiver.verify(want.tag)
+        assert not receiver.verify(want.tag ^ 1)
+        assert b"".join(map(receiver.crypt, split(body, lengths))) == m
+
+        ot_bits = bits >> 2 * mac_bits
+        ot = DemStream(DemKey(ot_bits, profile.ot_key_bits), profile,
+                       otcca=False, encrypt=True)
+        assert b"".join(ot.seal(p) for p in split(m, lengths)) == want.body
+        assert ot.tag() is None
+
+    def test_sealing_consumes_and_caps(self):
+        # one rule for both APIs: the length check comes first, and the
+        # first seal or tag consumes the key
+        k = DemKey(random.Random(4).getrandbits(TOY.otcca_key_bits),
+                   TOY.otcca_key_bits)
+        with pytest.raises(MalformedError, match="too long"):
+            encrypt_otcca(k, bytes(1 << 16), TOY)
+        with pytest.raises(MalformedError, match="too long"):
+            DemStream(k, TOY, otcca=True, encrypt=True).seal(bytes(1 << 16))
+        stream = DemStream(k, TOY, otcca=True, encrypt=True)
+        other = DemStream(k, TOY, otcca=True, encrypt=True)
+        stream.seal(bytes(1 << 15))
+        with pytest.raises(KeyReuseError):
+            other.seal(b"")
+        with pytest.raises(MalformedError, match="too long"):
+            stream.seal(bytes(1 << 15))
+        with pytest.raises(KeyReuseError):
+            encrypt_otcca(k, b"", TOY)
+        empty = DemKey(k.bits, k.length)
+        assert DemStream(empty, TOY, otcca=True, encrypt=True).tag() == \
+            encrypt_otcca(DemKey(k.bits, k.length), b"", TOY).tag
+        with pytest.raises(KeyReuseError):
+            encrypt_otcca(empty, b"", TOY)
+        receiver = DemStream(DemKey(k.bits, k.length), TOY, otcca=True)
+        receiver.absorb(bytes(1 << 16))
+        assert not receiver.verify(0)
+
+    def test_keystream_continues_inside_a_block(self):
+        m = random.Random(9).randbytes(100)
+        whole = aes_ctr_keystream(FOX_KEY, m)
+        for cut in (1, 15, 16, 17, 33):
+            assert (aes_ctr_keystream(FOX_KEY, m[:cut])
+                    + aes_ctr_keystream(FOX_KEY, m[cut:], cut)) == whole
 
 
 class TestCollisionStructure:

@@ -10,6 +10,8 @@ imports dataclasses: its decorator compiles methods from source text at
 every import, and loading it pulls in inspect.  Outside value.py, a value
 class stores its fields only through one set_fields call in its __init__.
 games.py neither imports nor reads a hash family (h_cca, h_cea, hprime).
+The CLI's file encryption commands read and write their files only by
+streaming, never whole.
 """
 
 import ast
@@ -209,4 +211,19 @@ def test_games_hash_only_through_split_pairs_or_ikem():
              for name, line in imported_names(tree) if name in families]
     found += [f"games.py reads {name}"
               for name in sorted(read_names(tree) & families)]
+    assert not found, found
+
+
+def test_file_commands_stream():
+    # he-encrypt and he-decrypt hold a few chunks, never a whole file
+    path = next(p for p in MODULES if p.name == "cli.py")
+    whole = {"_read_file", "read_bytes", "write_bytes"}
+    found = [f"cli.py:{node.lineno} {func.name} calls {name}"
+             for func in TREES[path].body
+             if isinstance(func, ast.FunctionDef)
+             and func.name in ("cmd_he_encrypt", "cmd_he_decrypt")
+             for node in ast.walk(func) if isinstance(node, ast.Call)
+             for name in [getattr(node.func, "id", None)
+                          or getattr(node.func, "attr", None)]
+             if name in whole]
     assert not found, found
