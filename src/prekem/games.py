@@ -4,7 +4,9 @@ Monte-Carlo runners estimate distinguishing advantages and forgery rates
 for the encapsulation, DEM and PRF layers; exact analyzers compute the
 same quantities by enumeration at desk scale, so every estimate can be
 checked against an independent reference and against the closed-form
-bounds of the parameter engine.
+bounds of the parameter engine.  Both hash a ciphertext and answer a
+receiver y as decap does, through ikem's one memoized reader of its split
+pair and ikem's one rule: accept iff exactly one member of R(y) hashes to v.
 
 Estimation protocol: two independent arms, one per challenge bit, each
 running config.trials trials on its own derived rng stream.  The report
@@ -28,7 +30,6 @@ so any scheduling of trials produces identical tallies.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import json
 import math
@@ -55,8 +56,9 @@ from .ikem import (
     IkemKey,
     IkemParams,
     Mode,
-    _check_ciphertext,
     _extractor,
+    _hashes,
+    _receiver,
     _recon_hash,
     decap,
     distance_bound,
@@ -382,31 +384,18 @@ def _pkem_trial(params: IkemParams, config: GameConfig, rng):
     return inst, oracle, view
 
 
-def _hashes(params: IkemParams, c: IkemCiphertext, pub) -> Callable[[int], int]:
-    """Packed x -> c's hash value of x, read from the hash's split pair at t
-    with F memoized per top x2 and G per bottom x1: each half is evaluated
-    at most once per distinct argument, so a sparse set of x never pays
-    for all 2^n."""
-    top, bottom = map(functools.cache, _recon_hash(params, c.sprime, c.s,
-                                                   pub, split=True))
-    t, mask = params.t, (1 << params.t) - 1
-    return lambda xp: top(xp >> t) ^ bottom(xp & mask)
-
-
 def _explains(params: IkemParams, transcript, pub) -> Callable[[int], bool]:
     """Packed x -> whether it explains every (key, ciphertext) of the
-    transcript; a None key leaves the ciphertext's hash value alone to
-    check.  Each hashing seed's memoized halves are built once, shared by
-    every entry under it (in CEA, all of them: each hashes under the
-    published seed), each key's extractor once, and every hash value is
-    checked before any key, the dearer check."""
-    pairs: Dict[object, Callable[[int], int]] = {}
+    transcript, a None key leaving the hash value alone to check.  One
+    reader serves each hashing seed (in CEA, the published seed of every
+    entry), one extractor each key, and hash values are checked first."""
+    readers: Dict[object, Callable[[int], int]] = {}
     hashes = []
     for _, c in transcript:
         seeds = None if params.mode is Mode.CEA else (c.sprime, c.s)
-        if seeds not in pairs:
-            pairs[seeds] = _hashes(params, c, pub)
-        hashes.append((c.v, pairs[seeds]))
+        if seeds not in readers:
+            readers[seeds] = _hashes(params, c.sprime, c.s, pub)
+        hashes.append((c.v, readers[seeds]))
     keys = [(k.bits, _extractor(params, c.sprime))
             for k, c in transcript if k is not None]
 
@@ -430,27 +419,6 @@ def _honest_redraw(params: IkemParams, xp: int, avoid, rng, pub):
         if c != avoid:
             return c
     return None
-
-
-def _receiver_answers(params: IkemParams, ys, c: IkemCiphertext, pub,
-                      members: Optional[Dict[int, frozenset]] = None):
-    """Packed y -> what a receiver holding y decapsulates c to, by decap's
-    rules: the key iff exactly one member of R(y) lies in S(c) = {x : h(x)
-    = c.v}, else None.  R(y) comes from members, y -> its packed members,
-    where the caller has walked it; else it is walked here, and one past
-    source.RECON_CAP raises InfeasibleError.  c is checked and its halves
-    built once for every y."""
-    _check_ciphertext(params, c)
-    hashes = _hashes(params, c, pub)
-    extract = _extractor(params, c.sprime)
-    answers: Dict[int, Optional[IkemKey]] = {}
-    for yp in ys:
-        r_y = (recon_ints(params.source, yp, params.nu) if members is None
-               else members[yp])
-        hits = [xp for xp in r_y if hashes(xp) == c.v]
-        answers[yp] = (IkemKey(extract(hits[0]), params.ell)
-                       if len(hits) == 1 else None)
-    return answers
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +535,9 @@ class BayesPkind:
         answer = oracle.decap(probe_c)
         keep = [p for p in _enumerate_pairs(params.source, z)
                 if p[0] in weight]
-        verdict = _receiver_answers(params, {p[1] for p in keep}, probe_c, pub)
+        receive = _receiver(params, probe_c, pub)
+        verdict = {yp: receive(recon_ints(params.source, yp, params.nu))
+                   for yp in {p[1] for p in keep}}
         kept: Dict[int, int] = {}
         for xp, yp, wt in keep:
             if verdict[yp] == answer:
@@ -703,9 +673,8 @@ def brute_force_forger(params: IkemParams, z, rng,
         if not pairs:
             raise MalformedError("transcript inconsistent with the source")
     total = sum(wt for _, _, wt in pairs)
-    members: Dict[int, frozenset] = {}
-    for yp in {p[1] for p in pairs}:
-        members[yp] = frozenset(recon_ints(spec, yp, params.nu))
+    members = {yp: frozenset(recon_ints(spec, yp, params.nu))
+               for yp in {p[1] for p in pairs}}
     score_x: Dict[int, int] = {xp: 0 for xp in {p[0] for p in pairs}}
     score_y: Dict[int, int] = {yp: 0 for yp in members}
     pair_wt: Dict[Tuple[int, int], int] = {}
@@ -728,9 +697,9 @@ def brute_force_forger(params: IkemParams, z, rng,
     forged = _honest_redraw(params, x_f, ciphertext, rng, public_seed)
     if forged is None:
         raise InfeasibleError("could not draw a forgery distinct from the query")
-    answers = _receiver_answers(params, members, forged, public_seed,
-                                members)
-    won = sum(wt for _, yp, wt in pairs if answers[yp] is not None)
+    receive = _receiver(params, forged, public_seed)
+    accepted = {yp for yp, r_y in members.items() if receive(r_y) is not None}
+    won = sum(wt for _, yp, wt in pairs if yp in accepted)
     return ForgeryResult(forged, Fraction(won, total),
                          Fraction(score_x[x_star], total),
                          Fraction(score_y[y_star], total),
@@ -781,16 +750,13 @@ def exact_distance(params: IkemParams, q_e: int) -> Fraction:
     for _ in range(n):
         W = np.kron(W, sym)
     # code[sigma][x]: the shown value; base[g][x]: the cell before queries;
-    # each row tabulated from its hash's split pair at t
-    code = np.repeat(np.array([split_table(_extractor(params, sp, split=True),
-                                           n, t)
+    # key rows map the extractor, hash rows tabulate split pairs at t
+    code = np.repeat(np.array([list(map(_extractor(params, sp), range(X)))
                                for sp in range(1 << params.w)]),
                      1 << s_bits, axis=0)
-    pairs = ([_recon_hash(params, 0, None, g, split=True) for g in range(G)]
-             if shared
-             else [_recon_hash(params, *divmod(sigma, 1 << s_bits), None,
-                               split=True) for sigma in range(NQ)])
-    V = np.array([split_table(pair, n, t) for pair in pairs])
+    seeds = ([(0, None, g) for g in range(G)] if shared
+             else [(*divmod(sigma, 1 << s_bits), None) for sigma in range(NQ)])
+    V = np.array([split_table(_recon_hash(params, *a), n, t) for a in seeds])
     base, code = ((V, code) if shared
                   else (V[:1] * 0, code + (V << params.ell)))
 

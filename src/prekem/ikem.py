@@ -17,21 +17,17 @@ which seeds are fresh and how wide they are (ell is the key length):
   BASELINE  comparison mode: as CEA but with per-encapsulation fresh seeds
             and strongly universal (multiply-add) families for both hashes.
 
-Each ciphertext hashes under one map x -> v that _recon_hash builds from
-its mode's seed (the published seed in CEA, the wire's s otherwise, and
-in CCA the split of s' too), and extracts keys under one map x -> bits
-that _extractor builds from s'.  Encapsulation applies both to Alice's
-packed x; decapsulation runs the hash over Bob's reconciliation set,
-packed ints from its member classes (source.recon_ints), and accepts iff
-exactly one member hashes to v.  None is the rejection value; a set
-larger than source.RECON_CAP raises InfeasibleError before any member is
-built (an operational failure, never a protocol answer).
-
-With split=True the same two builders, and so the same seed handling per
-mode, return the map's split pair (F, G) at t from uhash instead, with
-h(x) = F(x >> t) xor G(x mod 2^t).  The games are its users: they read
-each ciphertext's hash from memoized halves, answer every receiver y from
-one pair, and tabulate the pairs for exact_distance.
+A ciphertext's reconciliation hash is the split pair (F, G) at t that
+_recon_hash builds from its mode's seed (the published seed in CEA, the
+wire's s otherwise, in CCA with s' split too); the one reader, _hashes,
+forms h(x) = F(x >> t) xor G(x mod 2^t) from memoized halves.  Keys come
+from the one-product map x -> bits of _extractor.  Encapsulation applies
+both to Alice's packed x.  The receiver's rule, _receiver, accepts iff
+exactly one member of R(y), packed ints from its member classes
+(source.recon_ints), hashes to v: decap applies it to Bob's y, the games
+to every y of a posterior.  None is the rejection value; a set larger
+than source.RECON_CAP raises InfeasibleError before any member is built
+(an operational failure, never a protocol answer).
 
 The derive_params_* engines turn a source plus security targets
 (sigma: key indistinguishability, eps: correctness, delta: forgery) into
@@ -47,7 +43,7 @@ import enum
 import math
 import struct
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 from . import source as _source  # RECON_CAP is read when a check runs
 from .errors import InfeasibleError, MalformedError
@@ -57,8 +53,8 @@ from .source import (
     _binom_tail_leq,
     _log2_binom_tail_gt,
     avg_min_entropy_given_z,
-    bsc_radius,
-    bsc_recon_size,
+    ball_size,
+    bsc_radii,
     guessing_log2_mass,
     max_recon_size,
     miss_mass,
@@ -69,9 +65,9 @@ from .source import (
     shannon_cond_entropy,
     unpack_bits,
 )
-from .uhash import (ExtractorSeed, ReconSeed, SplitPair, h_cca, h_cca_split,
-                    h_cea, h_cea_split, hprime, hprime_split, mul_add,
-                    mul_add_split, piece_count, split_seed)
+from .uhash import (ExtractorSeed, ReconSeed, SplitPair, h_cca_split,
+                    h_cea_split, hprime_split, mul_add_split, piece_count,
+                    split_seed, whole)
 from .value import Value, set_fields
 
 __all__ = [
@@ -241,38 +237,48 @@ def gen(params: IkemParams, rng) -> IkemInstance:
 
 
 def _recon_hash(params: IkemParams, sprime: int, s: Optional[int],
-                public_seed: Optional[int],
-                split: bool = False) -> Callable[[int], int] | SplitPair:
-    """x -> v for a ciphertext with seeds (s', s): under the published seed
-    in shared-seed mode, whose wire carries none, else under s.  The seed
-    is checked, and in CCA s' split, once here rather than per hashed x.
-    With split, the hash's split pair (F, G) at t in place of x -> v."""
+                public_seed: Optional[int]) -> SplitPair:
+    """The split pair (F, G) at t of the hash of a ciphertext with seeds
+    (s', s): under the published seed in shared-seed mode, whose wire
+    carries none, else under s.  The seed is checked, and in CCA s' split,
+    once here rather than per hashed x."""
     n, t = params.n, params.t
     if params.mode is Mode.BASELINE:
-        if split:
-            return mul_add_split(s, n, t, t)
-        return lambda xp: mul_add(xp, s, n, t)
+        return mul_add_split(s, n, t, t)
     if params.mode is Mode.CEA:
         if public_seed is None:
             raise MalformedError("shared-seed mode needs the public seed")
-        seed = ReconSeed(public_seed, n, t)
-        return h_cea_split(seed, t) if split else lambda xp: h_cea(xp, seed)
-    sv = split_seed(sprime, params.w, n - t)
-    seed = ReconSeed(s, n, t)
-    return h_cca_split(sv, seed) if split else lambda xp: h_cca(xp, sv, seed)
+        return h_cea_split(ReconSeed(public_seed, n, t), t)
+    return h_cca_split(split_seed(sprime, params.w, n - t), ReconSeed(s, n, t))
 
 
-def _extractor(params: IkemParams, sprime: int,
-               split: bool = False) -> Callable[[int], int] | SplitPair:
-    """x -> key bits under seed s', built and checked once, not per x;
-    with split, its split pair (F, G) at t."""
-    n, t, ell = params.n, params.t, params.ell
+class _Memo(dict):
+    """f's value at each argument, computed on its first read."""
+
+    def __init__(self, f: Callable[[int], int]) -> None:
+        self.f = f
+
+    def __missing__(self, x: int) -> int:
+        value = self[x] = self.f(x)
+        return value
+
+
+def _hashes(params: IkemParams, sprime: int, s: Optional[int],
+            public_seed: Optional[int]) -> Callable[[int], int]:
+    """Packed x -> its hash value under seeds (s', s), from _recon_hash's
+    pair with each half memoized: a sparse set of x never pays for 2^n."""
+    top, bottom = map(_Memo, _recon_hash(params, sprime, s, public_seed))
+    t, mask = params.t, (1 << params.t) - 1
+    return lambda xp: top[xp >> t] ^ bottom[xp & mask]
+
+
+def _extractor(params: IkemParams, sprime: int) -> Callable[[int], int]:
+    """x -> key bits under seed s', built and checked once: its pair at
+    the full width, one product per x."""
+    n, ell = params.n, params.ell
     if params.mode is Mode.BASELINE:
-        if split:
-            return mul_add_split(sprime, n, ell, t)
-        return lambda xp: mul_add(xp, sprime, n, ell)
-    seed = ExtractorSeed(sprime, params.w, ell)
-    return hprime_split(seed, t) if split else lambda xp: hprime(xp, seed)
+        return whole(mul_add_split(sprime, n, ell, n))
+    return whole(hprime_split(ExtractorSeed(sprime, params.w, ell), params.w))
 
 
 def encap(params: IkemParams, x, rng,
@@ -288,7 +294,7 @@ def encap(params: IkemParams, x, rng,
     sprime = rng.getrandbits(params.w)
     s_bits = params.mode.s_bits(params.n, params.t)
     s = rng.getrandbits(s_bits) if s_bits else None
-    v = _recon_hash(params, sprime, s, public_seed)(xp)
+    v = _hashes(params, sprime, s, public_seed)(xp)
     return (IkemKey(_extractor(params, sprime)(xp), params.ell),
             IkemCiphertext(v, sprime, s))
 
@@ -305,6 +311,20 @@ def _check_ciphertext(params: IkemParams, c: IkemCiphertext) -> None:
         raise MalformedError("reconciliation seed missing or too wide")
 
 
+def _receiver(params: IkemParams, c: IkemCiphertext,
+              public_seed: Optional[int]) -> Callable:
+    """R(y), packed -> its receiver's answer to c: the key iff exactly one
+    member hashes to v, else None.  c is checked and its maps built once."""
+    _check_ciphertext(params, c)
+    h = _hashes(params, c.sprime, c.s, public_seed)
+    extract, v, ell = _extractor(params, c.sprime), c.v, params.ell
+
+    def answer(members: Iterable[int]) -> Optional[IkemKey]:
+        hits = [xp for xp in members if h(xp) == v]
+        return IkemKey(extract(hits[0]), ell) if len(hits) == 1 else None
+    return answer
+
+
 def decap(params: IkemParams, y, c: IkemCiphertext,
           public_seed: Optional[int] = None) -> Optional[IkemKey]:
     """Return the key iff exactly one reconciliation candidate explains v.
@@ -316,17 +336,8 @@ def decap(params: IkemParams, y, c: IkemCiphertext,
     if len(y) != params.n:
         raise MalformedError("y must have length n")
     yp = pack_bits(y)
-    _check_ciphertext(params, c)
-    h = _recon_hash(params, c.sprime, c.s, public_seed)
-    match: Optional[int] = None
-    for xp in recon_ints(params.source, yp, params.nu):
-        if h(xp) == c.v:
-            if match is not None:
-                return None
-            match = xp
-    if match is None:
-        return None
-    return IkemKey(_extractor(params, c.sprime)(match), params.ell)
+    return _receiver(params, c, public_seed)(
+        recon_ints(params.source, yp, params.nu))
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +471,15 @@ def check_enumerable(params: IkemParams) -> None:
 
     The derivations stay analytic (the paper's instances have sets far
     beyond any cap); this is the check for an instance that will run.  For
-    a satellite source every R(y) has bsc_recon_size members; for any other
-    table max_recon_size counts the largest R(y) over the member classes of
-    source.recon_ints, the one R(y) walk, which decap and recon_set share.
+    a satellite source no R(y) outgrows the ball of bsc_radii's outer
+    radius; for any other table max_recon_size counts the largest R(y)
+    over the member classes of source.recon_ints, the one R(y) walk.
     Either count is what that walk compares with source.RECON_CAP.
     """
-    p = _satellite_flip(params.source)
-    size = (bsc_recon_size(p, params.n, params.nu) if p is not None
-            else max_recon_size(params.source, params.nu))
+    src = params.source
+    size = (ball_size(params.n, bsc_radii(src, params.nu)[1])
+            if _satellite_flip(src) is not None
+            else max_recon_size(src, params.nu))
     cap = _source.RECON_CAP
     if size > cap:
         raise InfeasibleError(f"reconciliation set of {size} strings "
@@ -480,20 +492,20 @@ def correctness_bound(params: IkemParams) -> float:
     Failure is covered by two events: the true x falls outside the
     reconciliation set, or some other member collides with it under the
     t-bit hash (at most |R| * 2^-t).  Satellite sources use the closed
-    form; other tables sum their miss mass over the count classes of
-    source.miss_mass, kept to the small n the tests check exhaustively.
+    form at decap's radii (bsc_radii); other tables sum their miss mass
+    over the count classes of source.miss_mass, kept to small n.
     """
     src = params.source
     p = _satellite_flip(src)
     if p is not None:
-        d = bsc_radius(p, params.n, params.nu)
+        d, outer = bsc_radii(src, params.nu)
         if d < 0:
             return 1.0
         if isinstance(p, Fraction):
             miss = float(1 - _binom_tail_leq(params.n, d, p))
         else:  # C(n, j) * p^j would pass the float range at large n
             miss = 2.0 ** _log2_binom_tail_gt(params.n, d, p)
-        ball = bsc_recon_size(p, params.n, params.nu)
+        ball = ball_size(params.n, outer)
         collision = ball / 2 ** params.t if ball < 2 ** params.t else 1.0
         return min(1.0, miss + collision)
     if src.n > 12:

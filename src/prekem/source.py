@@ -419,18 +419,19 @@ def avg_min_entropy_given_z(spec: SourceSpec) -> float:
 # guessing masses: the two seed-forging strategies' success probabilities
 
 def bsc_radius(p, n: int, nu: float) -> int:
-    """Largest d with cost of a distance-d string <= nu; -1 if none.
-
-    For flip probability p <= 1/2 the reconciliation set of y is exactly the
-    Hamming ball of this radius around y.  Costs are fsum'd doubles, the
-    same rule recon_set membership uses; a correctly rounded sum of
-    c1 >= c0 terms cannot fall as d grows, so the radius is bisected.
-    """
+    """Largest d with a distance-d string's cost <= nu, -1 if none, at p's
+    own costs as doubles (p <= 1/2); decap's radius is bsc_radii's."""
     p = float(p)
     if not 0 <= p <= 0.5:
         raise MalformedError("closed forms need flip probability <= 1/2")
-    c0 = -math.log2(1.0 - p)
-    c1 = -math.log2(p) if p > 0 else math.inf
+    return _ball_radius(-math.log2(1.0 - p),
+                        -math.log2(p) if p > 0 else math.inf, n, nu)
+
+
+def _ball_radius(c0: float, c1: float, n: int, nu: float) -> int:
+    """Largest d with fsum(d costs c1, n - d costs c0) <= nu, -1 if none:
+    recon_ints's membership rule.  A correctly rounded sum of c1 >= c0
+    terms cannot fall as d grows, so the radius is bisected."""
     lo, hi = -1, n  # cost(lo) <= nu, or lo = -1; the answer is in lo..hi
     while lo < hi:
         d = (lo + hi + 1) // 2
@@ -441,15 +442,28 @@ def bsc_radius(p, n: int, nu: float) -> int:
     return lo
 
 
-def bsc_recon_size(p, n: int, nu: float) -> int:
-    """|R(y)| at every y for flip probability p <= 1/2: the Hamming ball of
-    bsc_radius; 0 when even y itself costs more than nu.  This is the count
-    decap's recon_ints compares with RECON_CAP."""
+def bsc_radii(spec: SourceSpec, nu: float) -> Tuple[int, int]:
+    """(inner, outer): at decap's costs, spec.cost, every R(y) of a
+    satellite source with p <= 1/2 holds y's ball of radius inner and lies
+    in the one of radius outer.  A float table's rows may differ in the
+    last bit (inner takes the dearer costs); an exact table's agree."""
+    (kept0, flip0), (flip1, kept1) = spec.cost
+    return (_ball_radius(max(kept0, kept1), max(flip0, flip1), spec.n, nu),
+            _ball_radius(min(kept0, kept1), min(flip0, flip1), spec.n, nu))
+
+
+def ball_size(n: int, d: int) -> int:
+    """The n-bit strings within Hamming distance d of one; 0 for d < 0."""
     total, term = 0, 1
-    for d in range(bsc_radius(p, n, nu) + 1):
+    for j in range(d + 1):
         total += term
-        term = term * (n - d) // (d + 1)  # C(n, d + 1)
+        term = term * (n - j) // (j + 1)  # C(n, j + 1)
     return total
+
+
+def bsc_recon_size(p, n: int, nu: float) -> int:
+    """|R(y)| for flip probability p <= 1/2 at its own costs: ball_size."""
+    return ball_size(n, bsc_radius(p, n, nu))
 
 
 def _scorer(costs):
@@ -682,9 +696,9 @@ def _bsc_closed_form(spec: SourceSpec) -> bool:
 
 
 def _bsc_masses(spec: SourceSpec, nu: float, tail) -> Tuple:
-    """(mass_x, mass_y) as tail(n, d, flip) of the two flip rates."""
+    """(mass_x, mass_y) as tail(n, outer radius, flip) of both flip rates."""
     p, q = spec.bsc
-    d = bsc_radius(p, spec.n, nu)
+    d = bsc_radii(spec, nu)[1]
     # Both maxima are met by centering the radius-d ball on z: given z, Y
     # flips per symbol with probability p*q' convolution and X with q, both
     # <= 1/2 here, so the ball at the mode carries the most mass.

@@ -18,14 +18,16 @@ Field elements travel as plain ints; bit slices are MSB-first (bit 1 is
 the most significant of the declared width).  Degenerate zero seeds are
 legal members of every family.
 
-Each family but twise_poly also comes as a split pair (F, G) at a split
-point k: for x = x2 || x1 with x1 the low k bits, h(x) = F(x2) xor G(x1).
-The multiply families are GF(2)-linear in x (mul_add up to its xor of
-b), so they split at any k; in h_cca the bracket reads only x2 and the
-rest only x1, so it splits at t.  A pair is built once per seed, with
-the seed checks its family makes.  split_table tabulates h over all 2^n
-inputs from 2^(n-k) values of F and 2^k of G, and split_preimage inverts
-h through G's inverse.
+Each family but twise_poly is a split pair (F, G) at a split point k:
+for x = x2 || x1 with x1 the low k bits, h(x) = F(x2) xor G(x1), the one
+form the KEM and the games hash through.  The multiply families are
+GF(2)-linear in x (mul_add up to its xor of b), so they split at any k,
+with "top bits of s*x" written once, in _product_split; h_cca's bracket
+reads only x2 and the rest only x1, so it splits at t.  A pair is built
+once per seed, with its family's checks; the per-x functions compose it,
+and whole makes a multiply pair at k = width one product per x.
+split_table tabulates h from 2^(n-k) values of F and 2^k of G, and
+split_preimage inverts h through G's inverse.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "h_cea_split",
     "h_cca_split",
     "mul_add_split",
+    "whole",
     "split_table",
     "split_preimage",
     "twise_poly",
@@ -142,14 +145,12 @@ def split_seed(sprime: int, w: int, piece_width: int) -> PaddedSeedVector:
 
 def hprime(x: int, seed: ExtractorSeed) -> int:
     """Multiply-then-truncate extractor: top ell bits of sprime*x."""
-    ctx = field(seed.width)
-    return block(ctx.mul(seed.sprime, x), seed.width, 1, seed.ell)
+    return whole(hprime_split(seed, seed.width))(x)
 
 
 def h_cea(x: int, seed: ReconSeed) -> int:
     """Reconciliation hash for the shared-seed mode: top t bits of s*x."""
-    ctx = field(seed.n)
-    return block(ctx.mul(seed.s, x), seed.n, 1, seed.t)
+    return whole(h_cea_split(seed, seed.n))(x)
 
 
 def h_cca(x: int, sv: PaddedSeedVector, seed: ReconSeed) -> int:
@@ -171,9 +172,7 @@ def mul_add(x: int, seed: int, n: int, out_bits: int) -> int:
     seed packs (a, b) as a || b with a an n-bit field element and b an
     out_bits-bit mask.
     """
-    a = seed >> out_bits
-    b = seed & ((1 << out_bits) - 1)
-    return block(field(n).mul(a, x), n, 1, out_bits) ^ b
+    return whole(mul_add_split(seed, n, out_bits, n))(x)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +194,14 @@ def _product_split(s: int, width: int, out_bits: int, k: int,
     high = mul(s, 1 << k) if k < width else 0  # x2 is 0 when k = width
     return (lambda x2: (mul(high, x2) >> drop) ^ b,
             lambda x1: mul(s, x1) >> drop)
+
+
+def whole(pair: SplitPair) -> Callable[[int], int]:
+    """x -> h(x) from a multiply pair at k = width, where x2 = 0: F(0) is
+    read once, and each x costs G's one product, which checks x."""
+    top, bottom = pair
+    b = top(0)
+    return lambda x: bottom(x) ^ b
 
 
 def hprime_split(seed: ExtractorSeed, k: int) -> SplitPair:

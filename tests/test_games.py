@@ -63,7 +63,7 @@ from prekem.ikem import (
     IkemParams,
     Mode,
     _extractor,
-    _recon_hash,
+    _receiver,
     decap,
     encap,
     forgery_bound,
@@ -72,7 +72,8 @@ from prekem.ikem import (
 )
 from prekem.source import (SourceSpec, bsc_source, from_json,
                            guess_prob_given_z, recon_ints)
-from prekem.uhash import ExtractorSeed, h_cca, piece_count, twise_poly
+from prekem.uhash import (ExtractorSeed, ReconSeed, h_cca, h_cea, hprime,
+                          mul_add, piece_count, split_seed, twise_poly)
 
 
 def toy_source(n):
@@ -92,6 +93,26 @@ def cca_params(n=4, t=2, ell=1, nu=1.7, q_d=1, source=None, w=None):
 
 # ---------------------------------------------------------------------------
 # independent oracles
+
+def family_hash(params, sprime, s, pub):
+    """x -> v through uhash's per-x family on the seed each mode hashes
+    under (the published seed in CEA, the wire's s otherwise, with s'
+    split in CCA), read off the mode table, not through ikem's builders."""
+    n, t = params.n, params.t
+    if params.mode is Mode.BASELINE:
+        return lambda x: mul_add(x, s, n, t)
+    if params.mode is Mode.CEA:
+        return lambda x: h_cea(x, ReconSeed(pub, n, t))
+    sv = split_seed(sprime, params.w, n - t)
+    return lambda x: h_cca(x, sv, ReconSeed(s, n, t))
+
+
+def family_key(params, sprime):
+    """x -> key bits through uhash's per-x extractor family on s'."""
+    if params.mode is Mode.BASELINE:
+        return lambda x: mul_add(x, sprime, params.n, params.ell)
+    return lambda x: hprime(x, ExtractorSeed(sprime, params.w, params.ell))
+
 
 def _pxz(spec, xs, zs):
     wt = Fraction(1)
@@ -119,11 +140,11 @@ def view_distance_shared_seed(params, q_e):
                 continue
             xp = int("".join(map(str, xs)), 2)
             for g in range(2 ** n):
-                v = _recon_hash(params, 0, None, g)(xp)
+                v = family_hash(params, 0, None, g)(xp)
                 for sps in itertools.product(range(2 ** w), repeat=q_e):
-                    ks = tuple(_extractor(params, sp)(xp) for sp in sps)
+                    ks = tuple(family_key(params, sp)(xp) for sp in sps)
                     for sp_star in range(2 ** w):
-                        k_star = _extractor(params, sp_star)(xp)
+                        k_star = family_key(params, sp_star)(xp)
                         view = (zs, g, sps, ks, v, sp_star)
                         d_real[view + (k_star,)] += wt * seedw
                         for kc in range(2 ** ell):
@@ -147,11 +168,11 @@ def view_distance_fresh_seed(params, q_e):
                 continue
             xp = int("".join(map(str, xs)), 2)
             for qs in itertools.product(sigmas, repeat=q_e):
-                hist = tuple((sp, s, _recon_hash(params, sp, s, None)(xp),
-                              _extractor(params, sp)(xp)) for sp, s in qs)
+                hist = tuple((sp, s, family_hash(params, sp, s, None)(xp),
+                              family_key(params, sp)(xp)) for sp, s in qs)
                 for sp_star, s_star in sigmas:
-                    v_star = _recon_hash(params, sp_star, s_star, None)(xp)
-                    k_star = _extractor(params, sp_star)(xp)
+                    v_star = family_hash(params, sp_star, s_star, None)(xp)
+                    k_star = family_key(params, sp_star)(xp)
                     view = (zs, hist, sp_star, s_star, v_star)
                     d_real[view + (k_star,)] += wt * seedw
                     for kc in range(2 ** ell):
@@ -604,8 +625,7 @@ class PairBayes(BayesPkind):
         if probe_c is None:
             return keep
         answer = oracle.decap(probe_c)
-        verdict = games._receiver_answers(params, {p[1] for p in keep},
-                                          probe_c, pub)
+        verdict = per_y_answers(params, {p[1] for p in keep}, probe_c, pub)
         return [p for p in keep if verdict[p[1]] == answer]
 
 
@@ -876,9 +896,25 @@ class TestRunKint:
 
 
 def per_y_answers(params, ys, c, pub):
-    """What each receiver y decapsulates c to, one full decap per y: the
-    oracle for games._receiver_answers."""
-    return {yp: decap(params, unpack_bits(yp, params.n), c, pub)
+    """What each receiver y decapsulates c to, by the exactly-one-member
+    rule over R(y) with every member hashed and keyed per x through the
+    uhash families: the oracle for ikem's receiver rule."""
+    h = family_hash(params, c.sprime, c.s, pub)
+    extract = family_key(params, c.sprime)
+    answers = {}
+    for yp in ys:
+        hits = [xp for xp in recon_ints(params.source, yp, params.nu)
+                if h(xp) == c.v]
+        answers[yp] = (IkemKey(extract(hits[0]), params.ell)
+                       if len(hits) == 1 else None)
+    return answers
+
+
+def receiver_answers(params, ys, c, pub):
+    """ikem's receiver rule for c applied to each y's R(y), as the games'
+    probe and forger apply it."""
+    receive = _receiver(params, c, pub)
+    return {yp: receive(recon_ints(params.source, yp, params.nu))
             for yp in ys}
 
 
@@ -897,9 +933,10 @@ def random_ciphertext(params, rng):
 
 
 class TestReceiverAnswers:
-    """games._receiver_answers, one solution set per ciphertext, against a
-    decap per receiver y.  At n=6, nu=4.1 every R(y) is y's Hamming ball of
-    radius 1, 7 members against 2^t = 4 hash values, so ties are common."""
+    """ikem's receiver rule, one checked ciphertext and memoized hash for
+    every y, against the per-x oracle and against decap.  At n=6, nu=4.1
+    every R(y) is y's Hamming ball of radius 1, 7 members against 2^t = 4
+    hash values, so ties are common."""
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.name)
     def test_matches_per_y_decap(self, mode):
@@ -910,9 +947,11 @@ class TestReceiverAnswers:
         for _ in range(25):
             c = random_ciphertext(params, rng)
             pub = rng.getrandbits(params.n) if mode is Mode.CEA else None
-            got = games._receiver_answers(params, ys, c, pub)
+            got = receiver_answers(params, ys, c, pub)
             assert got == per_y_answers(params, ys, c, pub)
-            h = _recon_hash(params, c.sprime, c.s, pub)
+            assert got == {yp: decap(params, unpack_bits(yp, params.n), c,
+                                     pub) for yp in ys}
+            h = family_hash(params, c.sprime, c.s, pub)
             ties += sum(
                 sum(h(xp) == c.v for xp in recon_ints(params.source, yp,
                                                       params.nu)) > 1
@@ -929,7 +968,7 @@ class TestReceiverAnswers:
         assert not any(recon_ints(params.source, yp, params.nu) for yp in ys)
         c = random_ciphertext(params, rng)
         pub = rng.getrandbits(params.n) if mode is Mode.CEA else None
-        got = games._receiver_answers(params, ys, c, pub)
+        got = receiver_answers(params, ys, c, pub)
         assert got == per_y_answers(params, ys, c, pub)
         assert set(got.values()) == {None}
 
@@ -941,9 +980,9 @@ class TestReceiverAnswers:
         pub = rng.getrandbits(params.n) if mode is Mode.CEA else None
         monkeypatch.setattr("prekem.source.RECON_CAP", 6)
         with pytest.raises(InfeasibleError) as want:
-            per_y_answers(params, [5], c, pub)
+            decap(params, unpack_bits(5, params.n), c, pub)
         with pytest.raises(InfeasibleError) as got:
-            games._receiver_answers(params, [5], c, pub)
+            receiver_answers(params, [5], c, pub)
         assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.name)
@@ -960,9 +999,9 @@ class TestReceiverAnswers:
             bad.append((good, None))
         for c, p in bad:
             with pytest.raises(MalformedError) as want:
-                per_y_answers(params, [0, 9], c, p)
+                decap(params, unpack_bits(9, n), c, p)
             with pytest.raises(MalformedError) as got:
-                games._receiver_answers(params, [0, 9], c, p)
+                receiver_answers(params, [0, 9], c, p)
             assert str(got.value) == str(want.value)
 
 
@@ -1023,8 +1062,8 @@ class TestBruteForceForger:
         win = Fraction(0)
         for xs in itertools.product(range(2), repeat=4):
             xp = int("".join(map(str, xs)), 2)
-            if (_recon_hash(params, c.sprime, c.s, None)(xp) != c.v
-                    or _extractor(params, c.sprime)(xp) != key.bits):
+            if (family_hash(params, c.sprime, c.s, None)(xp) != c.v
+                    or family_key(params, c.sprime)(xp) != key.bits):
                 continue
             for ys in itertools.product(range(2), repeat=4):
                 wt = Fraction(1)

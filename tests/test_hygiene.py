@@ -9,7 +9,8 @@ module.  Every name bench/spans.py's tracer rebinds must exist.  No module
 imports dataclasses: its decorator compiles methods from source text at
 every import, and loading it pulls in inspect.  Outside value.py, a value
 class stores its fields only through one set_fields call in its __init__.
-games.py neither imports nor reads a hash family (h_cca, h_cea, hprime).
+No module but uhash imports or reads a per-x hash family (h_cca, h_cea,
+hprime, mul_add): the others hash through the split pairs.
 The CLI's file encryption commands read and write their files only by
 streaming, never whole.
 """
@@ -201,16 +202,19 @@ def test_traced_names_exist():
     assert not missing, missing
 
 
-def test_games_hash_only_through_split_pairs_or_ikem():
-    # each game hashes a ciphertext through its split pair or through
-    # ikem's per-x closures, never by calling a hash family per x itself
-    path = next(p for p in MODULES if p.name == "games.py")
-    tree = TREES[path]
-    families = {"h_cca", "h_cea", "hprime"}
-    found = [f"games.py:{line} imports {name}"
-             for name, line in imported_names(tree) if name in families]
-    found += [f"games.py reads {name}"
-              for name in sorted(read_names(tree) & families)]
+def test_only_uhash_hashes_per_x():
+    # every other module hashes a ciphertext through its split pair, never
+    # by calling a hash family per x
+    families = {"h_cca", "h_cea", "hprime", "mul_add"}
+    found = []
+    for path in MODULES:
+        if path.name == "uhash.py":
+            continue
+        tree = TREES[path]
+        found += [f"{path.name}:{line} imports {name}"
+                  for name, line in imported_names(tree) if name in families]
+        found += [f"{path.name} reads {name}"
+                  for name in sorted(read_names(tree) & families)]
     assert not found, found
 
 

@@ -41,12 +41,12 @@ from prekem.ikem import (
     serialize_ciphertext,
     unpack_bits,
 )
-from prekem.ikem import _check_ciphertext, _extractor, _recon_hash
-from prekem.source import (SourceSpec, bsc_radius, bsc_source,
-                           cond_neg_log_prob, from_json, miss_mass,
-                           recon_ints, recon_set)
-from prekem.uhash import (ReconSeed, h_cca, h_cea, mul_add, piece_count,
-                          split_seed)
+from prekem.ikem import _check_ciphertext, _extractor, _hashes, _recon_hash
+from prekem.source import (SourceSpec, bsc_radii, bsc_radius, bsc_source,
+                           cond_neg_log_prob, from_json, guessing_mass,
+                           max_recon_size, miss_mass, recon_ints, recon_set)
+from prekem.uhash import (ExtractorSeed, ReconSeed, h_cca, h_cea, hprime,
+                          mul_add, piece_count, split_seed)
 
 
 def exhaustive_correctness(params):
@@ -85,21 +85,38 @@ def shaped(mode, source, t, ell, nu):
                       r=r, w=w, sigma=0.5, q_e=0, q_d=0)
 
 
+def family_maps(params, sprime, s, public_seed):
+    """(x -> v, x -> key bits) through uhash's per-x families on the seeds
+    each mode hashes under (the published seed in CEA, the wire's s
+    otherwise, with s' split in CCA), read off the mode table, not
+    through ikem's builders."""
+    n, t, ell, w = params.n, params.t, params.ell, params.w
+    if params.mode is Mode.BASELINE:
+        return (lambda x: mul_add(x, s, n, t),
+                lambda x: mul_add(x, sprime, n, ell))
+    extract = ExtractorSeed(sprime, w, ell)
+    if params.mode is Mode.CEA:
+        seed = ReconSeed(public_seed, n, t)
+        return (lambda x: h_cea(x, seed), lambda x: hprime(x, extract))
+    sv, seed = split_seed(sprime, w, n - t), ReconSeed(s, n, t)
+    return (lambda x: h_cca(x, sv, seed), lambda x: hprime(x, extract))
+
+
 def recon_set_decap(params, y, c, public_seed=None):
     """decap as it was before it walked member classes, hashing each of
-    recon_set's members packed one by one: (the key or None, how many
-    members explain v).  The oracle for decap's matching and ties;
-    test_source checks recon_set's members against the branch-and-bound
-    walk it once ran."""
+    recon_set's members packed one by one through the uhash families:
+    (the key or None, how many members explain v).  The oracle for
+    decap's matching and ties; test_source checks recon_set's members
+    against the branch-and-bound walk it once ran."""
     if len(y) != params.n:
         raise MalformedError("y must have length n")
     _check_ciphertext(params, c)
-    h = _recon_hash(params, c.sprime, c.s, public_seed)
+    h, extract = family_maps(params, c.sprime, c.s, public_seed)
     members = recon_set(params.source, tuple(y), params.nu).members
     found = [xp for xp in map(pack_bits, members) if h(xp) == c.v]
     if len(found) != 1:
         return None, len(found)
-    return IkemKey(_extractor(params, c.sprime)(found[0]), params.ell), 1
+    return IkemKey(extract(found[0]), params.ell), 1
 
 
 class TestPacking:
@@ -365,10 +382,48 @@ class TestDecapAgainstReconSet:
                 outcomes[("none", "accept", "tie")[min(found, 2)]] += 1
         assert min(outcomes.values()) > 10, outcomes
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_sweep_against_the_recon_set_decap(self, mode):
+        # asymmetric binary tables, t over its whole range, and a y at
+        # every zero count, each against the honest ciphertexts of a
+        # member of R(y) and of a random x, with v as sent and tampered
+        outcomes = {"accept": 0, "none": 0, "tie": 0}
+
+        @settings(max_examples=60, deadline=None)
+        @given(data=st.data())
+        def sweep(data):
+            n = data.draw(st.integers(2 if mode is Mode.CCA else 1, 7))
+            t = data.draw(st.integers(1, n // 2 if mode is Mode.CCA else n))
+            weights = data.draw(st.lists(st.integers(0, 9), min_size=8,
+                                         max_size=8).filter(any))
+            spec = SourceSpec(2, 2, 2, n, tuple(
+                Fraction(w, sum(weights)) for w in weights))
+            pair = st.tuples(*[st.integers(0, 1)] * n)
+            at = cond_neg_log_prob(spec, data.draw(pair), data.draw(pair))
+            nu = data.draw(st.just(at) | st.floats(-1.0, 3.0 * n))
+            params = shaped(mode, spec, t, 1, nu)
+            rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+            pub = rng.getrandbits(n) if mode is Mode.CEA else None
+            for a in range(n + 1):
+                y = [0] * a + [1] * (n - a)
+                rng.shuffle(y)
+                members = recon_ints(spec, pack_bits(y), nu)
+                xs = [rng.choice(members)] if members else []
+                for xp in xs + [rng.getrandbits(n)]:
+                    _, c = encap(params, unpack_bits(xp, n), rng, pub)
+                    for sent in (c, c.replace(v=c.v ^ 1)):
+                        want, found = recon_set_decap(params, y, sent, pub)
+                        assert decap(params, y, sent, pub) == want
+                        outcomes[("none", "accept", "tie")[min(found, 2)]] += 1
+
+        sweep()
+        assert min(outcomes.values()) > 10, outcomes
+
 
 class TestReconHash:
-    """_recon_hash against the uhash families on the seeds each mode
-    hashes under, and the seed built once per ciphertext."""
+    """_recon_hash's pair, the memoized reader and the extractor against
+    the uhash families on the seeds each mode hashes under, and the seed
+    built once per ciphertext."""
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("n, t, ell", [(4, 2, 1), (7, 3, 2), (24, 12, 4)])
@@ -382,18 +437,18 @@ class TestReconHash:
              rng.getrandbits(n)) for _ in range(6)]
         xs = [0, 1, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(10)]
         for sprime, s, pub in seeds:
-            if mode is Mode.CEA:
-                # the wire's seeds play no part: only the published one
-                h = _recon_hash(params, sprime, None, pub)
-                want = [h_cea(x, ReconSeed(pub, n, t)) for x in xs]
-            elif mode is Mode.CCA:
-                h = _recon_hash(params, sprime, s, pub)
-                want = [h_cca(x, split_seed(sprime, params.w, n - t),
-                              ReconSeed(s, n, t)) for x in xs]
-            else:
-                h = _recon_hash(params, sprime, s, pub)
-                want = [mul_add(x, s, n, t) for x in xs]
-            assert [h(x) for x in xs] == want
+            # in CEA the wire's seeds play no part: only the published one
+            wire_s = None if mode is Mode.CEA else s
+            h, extract = family_maps(params, sprime, wire_s, pub)
+            want = [h(x) for x in xs]
+            top, bottom = _recon_hash(params, sprime, wire_s, pub)
+            assert [top(x >> t) ^ bottom(x & ((1 << t) - 1))
+                    for x in xs] == want
+            # twice over, the second time from the memoized halves
+            reader = _hashes(params, sprime, wire_s, pub)
+            assert [reader(x) for x in xs + xs] == want + want
+            assert list(map(_extractor(params, sprime), xs)) == \
+                list(map(extract, xs))
 
     def test_shared_seed_mode_needs_the_public_seed(self):
         params = toy_params(Mode.CEA)
@@ -770,6 +825,53 @@ class TestAnalyticBounds:
                             ell=1024, nu=0.0, r=2, w=2048, sigma=0.5, q_e=0,
                             q_d=1)
         assert forgery_bound(params) == 1.0
+
+
+class TestSatelliteRadiusIsDecaps:
+    """The satellite closed forms take decap's costs, spec.cost.  For an
+    exact p these are -log2 of the rounded 1 - p and p, which can sit one
+    ulp from -log2(1.0 - float(p)); at a threshold on a radius's cost the
+    two give different radii (p = 1/3: 0.5849625007211563 against
+    ...561)."""
+
+    def test_ball_is_decaps_set(self, monkeypatch):
+        # nu is the radius-2 cost at p's own doubles: decap's R(y) is the
+        # radius-1 ball, 9 strings, not 37
+        src = bsc_source(Fraction(1, 3), Fraction(1, 2), 8)
+        nu = 6.679700005769249
+        assert max_recon_size(src, nu) == 9
+        assert {len(recon_ints(src, yp, nu)) for yp in range(256)} == {9}
+        monkeypatch.setattr("prekem.source.RECON_CAP", 9)
+        check_enumerable(shaped(Mode.CEA, src, 4, 1, nu))
+        tabled = SourceSpec(2, 2, 2, 8, src.table)  # no closed form
+        assert guessing_mass(src, nu) == guessing_mass(tabled, nu)
+
+    def test_correctness_bound_covers_decaps_miss(self):
+        src = bsc_source(Fraction(1, 3), Fraction(1, 2), 12)
+        nu = 9.019550008653873
+        params = shaped(Mode.CEA, src, 12, 1, nu)
+        miss = miss_mass(src, nu)
+        assert float(miss) == pytest.approx(0.946049, abs=1e-6)
+        assert correctness_bound(params) == pytest.approx(
+            float(miss + Fraction(13, 2 ** 12)), rel=1e-12, abs=0)
+
+    def test_every_boundary_is_covered(self):
+        # thresholds at each radius cost at p's own doubles, for p = a/b
+        # with b < 20; radii at those doubles left 54 of them uncovered
+        for b in range(2, 20):
+            for a in range(1, b // 2 + 1):
+                p = Fraction(a, b)
+                src = bsc_source(p, Fraction(1, 2), 12)
+                c0, c1 = -math.log2(1.0 - a / b), -math.log2(a / b)
+                for d in range(5):
+                    nu = math.fsum([c1] * d + [c0] * (12 - d))
+                    params = shaped(Mode.CEA, src, 12, 1, nu)
+                    assert correctness_bound(params) >= \
+                        float(miss_mass(src, nu)), (p, d)
+                    inner, outer = bsc_radii(src, nu)
+                    assert inner == outer
+                    assert max_recon_size(src, nu) == sum(
+                        math.comb(12, j) for j in range(outer + 1)), (p, d)
 
 
 class TestWire:
