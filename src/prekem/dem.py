@@ -36,14 +36,14 @@ length and k2 terms follow by Horner on the field's mul.
 The MAC is fed the body in chunks of any size (DemStream), and the length
 term, which comes last, needs no length in advance.  The first MAX_LANES
 blocks are buffered.  A body that ends below LANE_BLOCKS blocks keeps plain
-Horner on k1's nibble tables (FieldCtx.mul_by): there, at any width, the
-lanes' set-up (a closure per power of k1, the buffer, the masks) costs more
-than it saves, as for the games' 16-byte tags at mac_bits 8.  Otherwise L
-is the largest power of two up to the blocks, capped at MAX_LANES, and the
-lanes step L-wide from the first block as its chunks arrive.  The last
-r < L blocks take a partial step: the lanes move up r places, the top r
-wrapping round to the bottom times k1^L (which multiplies the whole sum by
-k1^r), and the r blocks fill the bottom lanes; the lanes then fold.
+Horner, by k1's nibble tables (FieldCtx.mul_by) once it multiplies often
+enough to pay for them, as the games' 16-byte tags at mac_bits 8 do, and by
+the field's mul below that.  Otherwise L is the largest power of two up to
+the blocks, capped at MAX_LANES, and the lanes step L-wide from the first
+block as its chunks arrive.  The last r < L blocks take a partial step: the
+lanes move up r places, the top r wrapping round to the bottom times k1^L
+(which multiplies the whole sum by k1^r), and the r blocks fill the bottom
+lanes; the lanes then fold.
 
 DemStream runs the keystream and the MAC over one key's body in chunks,
 for files too large to hold; the bytes API (encrypt_ot, ...,
@@ -268,13 +268,18 @@ def _mac_tag(k1: int, k2: int, body, bits: int,
     blocks = len(body) // bb
     if length is None:
         length = len(body)
-    if lanes is None and blocks < LANE_BLOCKS:
-        times_k1 = ctx.mul_by(k1)
+    horner = lanes is None and blocks < LANE_BLOCKS
+    # Horner's multiplies by k1: blocks, ragged block, length, k2.  k1's
+    # tables pay from 2*muls^2 >= 3*bits on; on a 2-vCPU x86 VM they cost
+    # 3.4, 7.1, 11, 14.5, 18.7 multiplies at mac_bits 8, 32, 64, 128, 256
+    muls = (blocks if horner else 0) + (len(body) % bb > 0) + 2
+    times_k1 = (ctx.mul_by(k1) if 2 * muls * muls >= 3 * bits
+                else functools.partial(ctx.mul, k1))
+    if horner:
         acc = 0
         for i in range(0, blocks * bb, bb):
             acc = times_k1(acc) ^ int.from_bytes(body[i:i + bb], "big")
     else:
-        times_k1 = functools.partial(ctx.mul, k1)
         if lanes is None:
             width = min(MAX_LANES, 1 << (blocks.bit_length() - 1))
             lanes = _Lanes(ctx, k1, width, bb)

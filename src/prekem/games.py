@@ -8,11 +8,11 @@ bounds of the parameter engine.  Both hash a ciphertext and answer a
 receiver y as decap does, through ikem's one memoized reader of its split
 pair and ikem's one rule: accept iff exactly one member of R(y) hashes to v.
 
-Estimation protocol: two independent arms, one per challenge bit, each
-running config.trials trials on its own derived rng stream.  The report
-carries |p0 - p1| and the per-arm 99% Hoeffding half-width
-sqrt(ln(2/0.01) / (2N)); an estimate within the half-width of zero is
-statistically indistinguishable from a zero-advantage adversary.
+Estimation protocol: two independent arms, one per challenge bit (kint has
+one), each running config.trials trials in order on one rng stream seeded
+by (seed, arm).  The report carries |p0 - p1| and the per-arm 99% Hoeffding
+half-width sqrt(ln(2/0.01) / (2N)); an estimate within the half-width of
+zero is statistically indistinguishable from a zero-advantage adversary.
 
 Oracles enforce the game rules by raising GameRuleError: query budgets,
 the bar on handing the challenge ciphertext to a decapsulation or
@@ -22,9 +22,8 @@ not a lost trial.
 
 Exact analyzers clear the source table's common denominator and work on
 integer-scaled probabilities throughout, so their results are Fractions
-with no float rounding anywhere in the accounting.  Trials are
-independent, with per-trial rng streams derived from (seed, arm, index),
-so any scheduling of trials produces identical tallies.
+with no float rounding anywhere in the accounting.  Seed, trial count and
+trial order fix a game's tallies, byte for byte on every run and platform.
 """
 
 from __future__ import annotations
@@ -208,15 +207,11 @@ def hoeffding_halfwidth(trials: int) -> float:
     return math.sqrt(math.log(2.0 / (1.0 - CONFIDENCE)) / (2.0 * trials))
 
 
-def _trial_rng(seed: int, arm: str, index: int) -> random.Random:
-    # string seeding hashes the label, so streams are independent of trial
-    # scheduling and stable across platforms
-    return random.Random(f"{seed}:{arm}:{index}")
-
-
-def _trial_rngs(config: GameConfig, arm: str):
-    """The rng of each of config.trials trials on one arm."""
-    return (_trial_rng(config.seed, arm, i) for i in range(config.trials))
+def _arm_trials(config: GameConfig, arm: str):
+    """One arm's one rng, once per trial; string seeding hashes the label,
+    so the stream is stable across platforms."""
+    return itertools.repeat(random.Random(f"{config.seed}:{arm}"),
+                            config.trials)
 
 
 def _two_arm_report(config: GameConfig, game: str, arm: str,
@@ -228,7 +223,7 @@ def _two_arm_report(config: GameConfig, game: str, arm: str,
     rates = []
     for b in (0, 1):
         ones = 0
-        for rng in _trial_rngs(config, f"{arm}{b}"):
+        for rng in _arm_trials(config, f"{arm}{b}"):
             guess = trial(b, rng)
             if guess not in (0, 1):
                 raise GameRuleError("distinguisher must output a bit")
@@ -562,7 +557,7 @@ def run_kint(config: GameConfig, adversary) -> AdvantageReport:
         raise MalformedError(
             "the integrity game is analyzed at exactly one encapsulation query")
     wins = 0
-    for rng in _trial_rngs(config, "kint"):
+    for rng in _arm_trials(config, "kint"):
         inst, oracle, view = _pkem_trial(params, config, rng)
         forged = adversary.forge(params, view, oracle, rng)
         if not isinstance(forged, IkemCiphertext):

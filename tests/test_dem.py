@@ -7,6 +7,7 @@ schoolbook field arithmetic.
 """
 
 import hashlib
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -31,7 +32,7 @@ from prekem.dem import (
     serialize_dem,
 )
 from prekem.errors import KeyReuseError, MalformedError
-from prekem.gf2 import field
+from prekem.gf2 import FieldCtx, field
 
 # frozen reduction polynomials for the MAC checks: the reduced width, and
 # the default profile's x^128 + x^7 + x^2 + x + 1
@@ -289,6 +290,44 @@ class TestAuthenticated:
         k2 = rng.getrandbits(mac_bits)
         assert dem._mac_tag(k1, k2, body, mac_bits) == \
             horner_tag(k1, k2, body, mac_bits)
+
+    @pytest.fixture
+    def tables_built(self, monkeypatch):
+        """The k of every FieldCtx.mul_by table built."""
+        built = []
+        mul_by = FieldCtx.mul_by
+        monkeypatch.setattr(FieldCtx, "mul_by", lambda ctx, k: built.append(k)
+                            or mul_by(ctx, k))
+        return built
+
+    @pytest.mark.parametrize("mac_bits", [8, 128, 256])
+    def test_mac_matches_horner_at_the_table_break_even(self, mac_bits,
+                                                        tables_built):
+        # a tag builds k1's nibble tables once its Horner multiplies (one per
+        # block, a ragged one included, and two more) reach the least m with
+        # 2*m^2 >= 3*mac_bits; each block count is taken full and with a
+        # one-byte last block
+        bb = mac_bits // 8
+        edge = math.isqrt(3 * mac_bits // 2 - 1) + 1 - 2  # in blocks
+        rng = random.Random(mac_bits)
+        for blocks in (edge - 1, edge, edge + 1):
+            for size in (blocks * bb, (blocks - 1) * bb + 1):
+                for k1 in (0, 1, (1 << mac_bits) - 1,
+                           rng.getrandbits(mac_bits)):
+                    body = rng.randbytes(size)
+                    k2 = rng.getrandbits(mac_bits)
+                    tables_built.clear()
+                    assert dem._mac_tag(k1, k2, body, mac_bits) == \
+                        horner_tag(k1, k2, body, mac_bits), (size, k1)
+                    assert tables_built == ([k1] if blocks >= edge else []), \
+                        size
+
+    def test_games_tags_take_the_tables(self, tables_built):
+        # the dem-ind game's 16-byte bodies at mac_bits 8
+        profile = DemProfile(enc_len=8, mac_bits=8)
+        k = DemKey(0xABCDEF, profile.otcca_key_bits)
+        encrypt_otcca(k, bytes(16), profile)
+        assert tables_built == [key_parts(k, 8)[0]]
 
     def test_serialized_otcca_digest(self):
         # seeded otcca ciphertexts at every MAC width and regime edge, and

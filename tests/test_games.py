@@ -41,7 +41,6 @@ from prekem.games import (
     _check_seed_tuple,
     _enumerate_pairs,
     _gen_conditioned,
-    _trial_rng,
     _x_weights,
     brute_force_forger,
     comp_prf_family,
@@ -316,21 +315,21 @@ class TestAdvantageReport:
     # moves any tally shows here
     @pytest.mark.parametrize("game, want", [
         ("pkind-cca", '{"game": "pkind", "atk": "cca", '
-         '"estimate": 0.42500000000000004, "halfwidth": 0.25734989232919925, '
+         '"estimate": 0.275, "halfwidth": 0.25734989232919925, '
          '"bound": 1.0, "n_trials": 40}'),
         ("pkind-cea", '{"game": "pkind", "atk": "cea", '
-         '"estimate": 0.22499999999999998, "halfwidth": 0.25734989232919925, '
+         '"estimate": 0.0, "halfwidth": 0.25734989232919925, '
          '"bound": 0.8437500000000001, "n_trials": 40}'),
-        ("kint", '{"game": "kint", "atk": "kint", "estimate": 0.55, '
+        ("kint", '{"game": "kint", "atk": "kint", "estimate": 0.375, '
          '"halfwidth": 0.25734989232919925, "bound": 1.0, "n_trials": 40}'),
         ("dem-ind", '{"game": "dem-ind", "atk": "otcca", '
-         '"estimate": 0.034999999999999976, "halfwidth": 0.11509037065006823, '
+         '"estimate": 0.025000000000000022, "halfwidth": 0.11509037065006823, '
          '"bound": 0.06640625, "n_trials": 200}'),
         ("pri-it", '{"game": "pri", "atk": "pri", '
-         '"estimate": 0.015000000000000013, "halfwidth": 0.11509037065006823, '
+         '"estimate": 0.030000000000000027, "halfwidth": 0.11509037065006823, '
          '"bound": 0.0, "n_trials": 200}'),
         ("pri-comp", '{"game": "pri", "atk": "pri", '
-         '"estimate": 0.030000000000000027, "halfwidth": 0.11509037065006823, '
+         '"estimate": 0.09500000000000003, "halfwidth": 0.11509037065006823, '
          '"bound": null, "n_trials": 200}'),
     ])
     def test_seeded_reports_are_pinned(self, game, want):
@@ -386,7 +385,7 @@ class TestAdvantageReport:
                                                desk.game_seeds(seed)):
                 digest.update(f"{seed} {label} {run(game_seed)!r}\n".encode())
         assert digest.hexdigest() == (
-            "b8a37238aa09880f128a3bcf9bc1d384ce3235d751c1ca43db32fd13ecaf6ac0")
+            "a1750fd41a580510d04144cbb42ce7f14f935159c7a33eddbf5dcc079ca2d9a5")
 
     def test_bound_serializes_as_number(self):
         rep = AdvantageReport("kint", "kint", 0.5, 0.1, 0.25, 50, 0.5, 0.0)
@@ -404,16 +403,69 @@ class TestAdvantageReport:
         assert not free.exceeds_bound()
 
 
-class TestTrialStreams:
-    def test_same_label_same_stream(self):
-        a = _trial_rng(7, "arm", 3).random()
-        b = _trial_rng(7, "arm", 3).random()
-        assert a == b
+class RecordingPri:
+    """Notes each trial's rng and one draw from it, then guesses 0."""
 
-    def test_labels_separate_streams(self):
-        draws = {_trial_rng(7, arm, i).random()
-                 for arm in ("a", "b") for i in range(50)}
-        assert len(draws) == 100
+    def __init__(self):
+        self.rngs, self.draws = [], []
+
+    def distinguish(self, family, oracle, rng):
+        self.rngs.append(rng)
+        self.draws.append(rng.getrandbits(64))
+        return 0
+
+
+def stream_games(trials):
+    """One cheap run of each game runner at the given trial count."""
+    return {
+        "pkind": lambda: run_pkind(GameConfig(
+            atk="ot", trials=trials, seed=7, params=cea_params()),
+            RandomGuessPkind()),
+        "dem-ind": lambda: run_dem_ind(GameConfig(
+            atk="otcca", trials=trials, q_d=1, seed=7,
+            dem=DemProfile(enc_len=8, mac_bits=8)),
+            ContrastDemDistinguisher()),
+        "pri": lambda: run_pri(GameConfig(
+            atk="pri", trials=trials, q_e=1, seed=7), comp_prf_family(8),
+            RandomGuessPri()),
+        "kint": lambda: run_kint(GameConfig(
+            atk="kint", trials=trials, q_e=1, q_d=1, seed=7,
+            params=cca_params()), RandomCiphertextForger()),
+    }
+
+
+class TestTrialStreams:
+    @pytest.mark.parametrize("game", ["pkind", "dem-ind", "pri", "kint"])
+    def test_same_config_same_report(self, game):
+        run = stream_games(60)[game]
+        assert run() == run()
+
+    def test_each_arm_draws_from_one_stream(self):
+        adversary = RecordingPri()
+        run_pri(GameConfig(atk="pri", trials=50, q_e=1, seed=7),
+                comp_prf_family(8), adversary)
+        arm0, arm1 = adversary.rngs[:50], adversary.rngs[50:]
+        assert all(r is arm0[0] for r in arm0)
+        assert all(r is arm1[0] for r in arm1)
+        assert arm0[0] is not arm1[0]
+        # the arms' labels (pri0, pri1) seed different streams
+        assert len(set(adversary.draws)) == 100
+
+    @pytest.mark.parametrize("trials", [1, 500])
+    @pytest.mark.parametrize("game, streams", [
+        ("pkind", 2), ("dem-ind", 2), ("pri", 2), ("kint", 1)])
+    def test_one_rng_per_arm_at_any_trial_count(self, monkeypatch, game,
+                                                streams, trials):
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(games.random, "Random", CountingRandom)
+        stream_games(trials)[game]()
+        assert len(built) == streams
 
 
 class TestGameConfigValidation:
