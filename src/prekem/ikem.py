@@ -42,7 +42,6 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Tuple
 
 from . import source as _source  # RECON_CAP is read when a check runs
@@ -50,14 +49,10 @@ from .errors import InfeasibleError, MalformedError
 from .gf2 import MAX_WIDTH
 from .source import (
     SourceSpec,
-    _binom_tail_leq,
-    _log2_binom_tail_gt,
     avg_min_entropy_given_z,
-    ball_size,
-    bsc_radii,
     guessing_log2_mass,
     max_recon_size,
-    miss_mass,
+    miss_probability,
     pack_bits,
     recon_ints,
     require_binary,
@@ -458,28 +453,15 @@ def derive_params_baseline(source: SourceSpec, sigma: float, q_e: int, t: int, *
 # ---------------------------------------------------------------------------
 # analytic guarantees for a parameter set
 
-def _satellite_flip(src: SourceSpec):
-    """The flip probability of a satellite source with p <= 1/2, where
-    R(y) is a Hamming ball of closed-form radius; None otherwise."""
-    if src.bsc is not None and float(src.bsc[0]) <= 0.5:
-        return src.bsc[0]
-    return None
-
-
 def check_enumerable(params: IkemParams) -> None:
     """Raise InfeasibleError when decap would refuse to enumerate R(y).
 
     The derivations stay analytic (the paper's instances have sets far
-    beyond any cap); this is the check for an instance that will run.  For
-    a satellite source no R(y) outgrows the ball of bsc_radii's outer
-    radius; for any other table max_recon_size counts the largest R(y)
-    over the member classes of source.recon_ints, the one R(y) walk.
-    Either count is what that walk compares with source.RECON_CAP.
+    beyond any cap); this is the check for an instance that will run.
+    source.max_recon_size gives the largest R(y), the count decap's walk,
+    source.recon_ints, compares with source.RECON_CAP.
     """
-    src = params.source
-    size = (ball_size(params.n, bsc_radii(src, params.nu)[1])
-            if _satellite_flip(src) is not None
-            else max_recon_size(src, params.nu))
+    size = max_recon_size(params.source, params.nu)
     cap = _source.RECON_CAP
     if size > cap:
         raise InfeasibleError(f"reconciliation set of {size} strings "
@@ -490,29 +472,16 @@ def correctness_bound(params: IkemParams) -> float:
     """Upper bound on the decapsulation failure probability.
 
     Failure is covered by two events: the true x falls outside the
-    reconciliation set, or some other member collides with it under the
-    t-bit hash (at most |R| * 2^-t).  Satellite sources use the closed
-    form at decap's radii (bsc_radii); other tables sum their miss mass
-    over the count classes of source.miss_mass, kept to small n.
+    reconciliation set (source.miss_probability, a closed form for
+    satellite sources and kept to small n for other tables), or some other
+    member collides with it under the t-bit hash (at most |R| * 2^-t, with
+    |R| from source.max_recon_size).
     """
-    src = params.source
-    p = _satellite_flip(src)
-    if p is not None:
-        d, outer = bsc_radii(src, params.nu)
-        if d < 0:
-            return 1.0
-        if isinstance(p, Fraction):
-            miss = float(1 - _binom_tail_leq(params.n, d, p))
-        else:  # C(n, j) * p^j would pass the float range at large n
-            miss = 2.0 ** _log2_binom_tail_gt(params.n, d, p)
-        ball = ball_size(params.n, outer)
-        collision = ball / 2 ** params.t if ball < 2 ** params.t else 1.0
-        return min(1.0, miss + collision)
-    if src.n > 12:
-        raise InfeasibleError("correctness bound limited to n <= 12 "
-                              "for general tables")
-    return min(1.0, float(miss_mass(src, params.nu))
-               + max_recon_size(src, params.nu) * 2.0 ** -params.t)
+    src, nu = params.source, params.nu
+    miss = miss_probability(src, nu)
+    size = max_recon_size(src, nu)
+    collision = size / 2 ** params.t if size < 2 ** params.t else 1.0
+    return min(1.0, miss + collision)
 
 
 def distance_bound(params: IkemParams) -> float:

@@ -9,6 +9,8 @@ Conventions:
   - symbol strings are tuples of ints, one symbol per position;
   - probabilities are Fractions in exact mode (every alphabet <= 4 and
     n <= 16) and doubles otherwise, with a 2^-40 validation tolerance;
+    a float table's marginals are math.fsum's correctly rounded sums of
+    its cells, so they do not depend on the order the cells are added in;
   - log-probability costs are always doubles (math.fsum of per-symbol
     terms), so membership decisions are order-independent.
 
@@ -20,7 +22,10 @@ games' forger read; recon_set is their ordered tuple view.
 
 The binary satellite scenario is the main concrete instance: X is a
 uniform bit, Y = X xor Ber(p), Z = X xor Ber(q).  q = 1/2 makes Eve's
-string independent.
+string independent.  With p <= 1/2 its two cost rows mirror each other,
+so every R(y) is y's Hamming ball of one radius, bsc_radius; the closed
+forms at any n (max_recon_size's ball, miss_probability and the
+guessing masses) read that radius, and live here alone.
 """
 
 from __future__ import annotations
@@ -91,24 +96,30 @@ class SourceSpec(Value):
     # the JSON form see only the table they derive from, and replace starts
     # a fresh instance with none of them.
 
+    def _sum(self, cells) -> Number:
+        """The cells' total: exact for an exact table, else fsum's correctly
+        rounded sum, the same whatever order the cells come in."""
+        return sum(cells) if self.exact else math.fsum(cells)
+
     @cached_property
     def marg_y(self) -> Tuple[Number, ...]:
-        return tuple(sum(self.p(x, y, z) for x in range(self.nx)
-                         for z in range(self.nz)) for y in range(self.ny))
+        return tuple(self._sum(self.p(x, y, z) for x in range(self.nx)
+                               for z in range(self.nz))
+                     for y in range(self.ny))
 
     @cached_property
     def joint_xy(self) -> Tuple[Tuple[Number, ...], ...]:
-        return tuple(tuple(sum(self.p(x, y, z) for z in range(self.nz))
+        return tuple(tuple(self._sum(self.p(x, y, z) for z in range(self.nz))
                            for y in range(self.ny)) for x in range(self.nx))
 
     @cached_property
     def joint_xz(self) -> Tuple[Tuple[Number, ...], ...]:
-        return tuple(tuple(sum(self.p(x, y, z) for y in range(self.ny))
+        return tuple(tuple(self._sum(self.p(x, y, z) for y in range(self.ny))
                            for z in range(self.nz)) for x in range(self.nx))
 
     @cached_property
     def joint_yz(self) -> Tuple[Tuple[Number, ...], ...]:
-        return tuple(tuple(sum(self.p(x, y, z) for x in range(self.nx))
+        return tuple(tuple(self._sum(self.p(x, y, z) for x in range(self.nx))
                            for z in range(self.nz)) for y in range(self.ny))
 
     @cached_property
@@ -184,8 +195,9 @@ class ReconSet(Value):
     given y is at most nu bits.
 
     members holds recon_ints's members as strings, sorted by ascending cost
-    (cond_neg_log_prob's fsum of per-symbol costs) then lexicographically,
-    so iteration order is reproducible across runs and implementations.
+    (the fsum of the per-symbol costs spec.cost[y_i][x_i]) then
+    lexicographically, so iteration order is reproducible across runs and
+    implementations.
     """
 
     __slots__ = ("y", "nu", "members")
@@ -378,14 +390,6 @@ def require_binary(spec: SourceSpec, use: str) -> None:
         raise MalformedError(f"{use} needs binary x and y alphabets")
 
 
-def cond_neg_log_prob(spec: SourceSpec, x: Tuple[int, ...], y: Tuple[int, ...]) -> float:
-    """Sum of per-symbol -log2 P(x_i|y_i); inf when any factor is zero."""
-    if len(x) != spec.n or len(y) != spec.n:
-        raise MalformedError("strings must have length n")
-    cost = spec.cost
-    return math.fsum(cost[yi][xi] for xi, yi in zip(x, y))
-
-
 # ---------------------------------------------------------------------------
 # entropy quantities
 
@@ -418,40 +422,6 @@ def avg_min_entropy_given_z(spec: SourceSpec) -> float:
 # ---------------------------------------------------------------------------
 # guessing masses: the two seed-forging strategies' success probabilities
 
-def bsc_radius(p, n: int, nu: float) -> int:
-    """Largest d with a distance-d string's cost <= nu, -1 if none, at p's
-    own costs as doubles (p <= 1/2); decap's radius is bsc_radii's."""
-    p = float(p)
-    if not 0 <= p <= 0.5:
-        raise MalformedError("closed forms need flip probability <= 1/2")
-    return _ball_radius(-math.log2(1.0 - p),
-                        -math.log2(p) if p > 0 else math.inf, n, nu)
-
-
-def _ball_radius(c0: float, c1: float, n: int, nu: float) -> int:
-    """Largest d with fsum(d costs c1, n - d costs c0) <= nu, -1 if none:
-    recon_ints's membership rule.  A correctly rounded sum of c1 >= c0
-    terms cannot fall as d grows, so the radius is bisected."""
-    lo, hi = -1, n  # cost(lo) <= nu, or lo = -1; the answer is in lo..hi
-    while lo < hi:
-        d = (lo + hi + 1) // 2
-        if math.fsum([c1] * d + [c0] * (n - d)) <= nu:
-            lo = d
-        else:
-            hi = d - 1
-    return lo
-
-
-def bsc_radii(spec: SourceSpec, nu: float) -> Tuple[int, int]:
-    """(inner, outer): at decap's costs, spec.cost, every R(y) of a
-    satellite source with p <= 1/2 holds y's ball of radius inner and lies
-    in the one of radius outer.  A float table's rows may differ in the
-    last bit (inner takes the dearer costs); an exact table's agree."""
-    (kept0, flip0), (flip1, kept1) = spec.cost
-    return (_ball_radius(max(kept0, kept1), max(flip0, flip1), spec.n, nu),
-            _ball_radius(min(kept0, kept1), min(flip0, flip1), spec.n, nu))
-
-
 def ball_size(n: int, d: int) -> int:
     """The n-bit strings within Hamming distance d of one; 0 for d < 0."""
     total, term = 0, 1
@@ -459,11 +429,6 @@ def ball_size(n: int, d: int) -> int:
         total += term
         term = term * (n - j) // (j + 1)  # C(n, j + 1)
     return total
-
-
-def bsc_recon_size(p, n: int, nu: float) -> int:
-    """|R(y)| for flip probability p <= 1/2 at its own costs: ball_size."""
-    return ball_size(n, bsc_radius(p, n, nu))
 
 
 def _scorer(costs):
@@ -480,6 +445,26 @@ def _scorer(costs):
             return math.inf
         return sum(k * m for k, m in zip(counts, nums) if k) / den
     return score
+
+
+def bsc_radius(spec: SourceSpec, nu: float) -> Optional[int]:
+    """The radius of every R(y) of a satellite source with p <= 1/2, None
+    for any other table: the largest d whose distance-d strings score at
+    most nu at decap's costs, spec.cost, by _scorer as the class walk
+    scores them; -1 when R(y) is empty.  The two cost rows mirror each
+    other, so R(y) is y's Hamming ball of this radius, and a score that
+    cannot fall as d grows is bisected."""
+    if spec.bsc is None or float(spec.bsc[0]) > 0.5:
+        return None
+    score = _scorer(spec.cost[0])  # (kept, flipped) cost at a y symbol 0
+    lo, hi = -1, spec.n  # score(lo) <= nu, or lo = -1; the answer is in lo..hi
+    while lo < hi:
+        d = (lo + hi + 1) // 2
+        if score((spec.n - d, d)) <= nu:
+            lo = d
+        else:
+            hi = d - 1
+    return lo
 
 
 def _member_classes(spec: SourceSpec, nu: float, zeros):
@@ -524,8 +509,12 @@ def _recon_count(spec: SourceSpec, nu: float, a: int):
 
 def max_recon_size(spec: SourceSpec, nu: float) -> int:
     """max over y of |R(y)| for binary x and y, the count decap's recon_ints
-    compares with RECON_CAP; the partial count of the first y whose set
-    passes the cap.  |R(y)| depends only on y's count a of zeros."""
+    compares with RECON_CAP: a satellite source's ball at bsc_radius, else
+    the partial count of the first y whose set passes the cap.  |R(y)|
+    depends only on y's count a of zeros."""
+    d = bsc_radius(spec, nu)
+    if d is not None:
+        return ball_size(spec.n, d)
     largest = 0
     for a in range(spec.n + 1):
         size = _recon_count(spec, nu, a)[0]
@@ -593,8 +582,8 @@ def recon_set(spec: SourceSpec, y: Tuple[int, ...], nu: float) -> ReconSet:
     lexicographically; binary x and y only.
 
     A member's score is its class's, _scorer's over how many of its
-    symbols are 1 at y's zeros and at y's ones, so it equals
-    cond_neg_log_prob's without an fsum per member.
+    symbols are 1 at y's zeros and at y's ones, so it equals the fsum of
+    its per-symbol costs without an fsum per member.
     """
     if len(y) != spec.n:
         raise MalformedError("y must have length n")
@@ -682,23 +671,40 @@ def _log2_binom_tail_leq(n: int, d: int, flip: Number) -> float:
 
 
 def _log2_binom_tail_gt(n: int, d: int, flip: float) -> float:
-    """log2 P[Binomial(n, flip) > d] for a float flip below 1 and d >= 0,
-    in the log domain; summing the upper tail itself keeps a tiny tail
-    from cancelling against 1."""
+    """log2 P[Binomial(n, flip) > d] for a float flip below 1, in the log
+    domain; summing the upper tail itself keeps a tiny tail from
+    cancelling against 1."""
+    if d < 0:
+        return 0.0
     if flip == 0 or d >= n:
         return -math.inf
     return _log2_binom_sum(n, range(d + 1, n + 1), flip)
 
 
-def _bsc_closed_form(spec: SourceSpec) -> bool:
-    return (spec.bsc is not None and float(spec.bsc[0]) <= 0.5
-            and float(spec.bsc[1]) <= 0.5)
+def miss_probability(spec: SourceSpec, nu: float) -> float:
+    """P[x not in R(y)], decap's miss rate at nu, as a float: for a
+    satellite source the binomial tail past bsc_radius, at any n; for any
+    other binary table float(miss_mass), kept to small n."""
+    d = bsc_radius(spec, nu)
+    if d is None:
+        if spec.n > 12:
+            raise InfeasibleError("miss probability limited to n <= 12 "
+                                  "for general tables")
+        return float(miss_mass(spec, nu))
+    p = spec.bsc[0]
+    if isinstance(p, Fraction):
+        return float(1 - _binom_tail_leq(spec.n, d, p))
+    # C(n, j) * p^j would pass the float range at large n
+    return 2.0 ** _log2_binom_tail_gt(spec.n, d, p)
 
 
-def _bsc_masses(spec: SourceSpec, nu: float, tail) -> Tuple:
-    """(mass_x, mass_y) as tail(n, outer radius, flip) of both flip rates."""
+def _bsc_masses(spec: SourceSpec, nu: float, tail) -> Optional[Tuple]:
+    """(mass_x, mass_y) as tail(n, bsc_radius, flip) of both flip rates for
+    a satellite source with p, q <= 1/2; None for any other table."""
+    d = bsc_radius(spec, nu)
+    if d is None or float(spec.bsc[1]) > 0.5:
+        return None
     p, q = spec.bsc
-    d = bsc_radii(spec, nu)[1]
     # Both maxima are met by centering the radius-d ball on z: given z, Y
     # flips per symbol with probability p*q' convolution and X with q, both
     # <= 1/2 here, so the ball at the mode carries the most mass.
@@ -733,8 +739,9 @@ def guessing_mass(spec: SourceSpec, nu: float) -> Tuple[Number, Number]:
     z has the same two maxima.
     """
     require_binary(spec, "guessing-mass enumeration")
-    if _bsc_closed_form(spec):
-        return _bsc_masses(spec, nu, _binom_tail_leq)
+    masses = _bsc_masses(spec, nu, _binom_tail_leq)
+    if masses:
+        return masses
     n, nz = spec.n, spec.nz
     if max(spec.nx, spec.ny, nz) ** n > ENUM_STRINGS_MAX:
         raise InfeasibleError("source too large for exhaustive guessing-mass")
@@ -771,6 +778,5 @@ def guessing_log2_mass(spec: SourceSpec, nu: float) -> float:
     in the log domain, so at large n a mass such as 2^-1080 keeps its value
     instead of underflowing to zero.
     """
-    if _bsc_closed_form(spec):
-        return max(_bsc_masses(spec, nu, _log2_binom_tail_leq))
-    return _log2(max(guessing_mass(spec, nu)))
+    masses = _bsc_masses(spec, nu, _log2_binom_tail_leq)
+    return max(masses) if masses else _log2(max(guessing_mass(spec, nu)))

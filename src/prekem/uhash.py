@@ -5,8 +5,9 @@ Three families cover all keying needs:
   - hprime / h_cea: multiply-then-truncate over a binary field.  The seed
     is a field element; the output is the top slice of seed*input.  The
     collision probability over a uniform seed is at most 2^-out_bits.
-    mul_add xors a second seed part onto that slice, for the comparison
-    mode's strongly universal hashes.
+    The multiply-add family, which exists only as its split pair
+    mul_add_split, xors a second seed part onto that slice, for the
+    comparison mode's strongly universal hashes.
   - h_cca: a two-part polynomial family over GF(2^(n-t)) x GF(2^t) whose
     algebraic structure additionally limits how many inputs can explain
     two hash values under two different seeds (the property the
@@ -21,11 +22,12 @@ legal members of every family.
 Each family but twise_poly is a split pair (F, G) at a split point k:
 for x = x2 || x1 with x1 the low k bits, h(x) = F(x2) xor G(x1), the one
 form the KEM and the games hash through.  The multiply families are
-GF(2)-linear in x (mul_add up to its xor of b), so they split at any k,
+GF(2)-linear in x (multiply-add up to its xor of b), so they split at any k,
 with "top bits of s*x" written once, in _product_split; h_cca's bracket
 reads only x2 and the rest only x1, so it splits at t.  A pair is built
-once per seed, with its family's checks; the per-x functions compose it,
-and whole makes a multiply pair at k = width one product per x.
+once per seed, with its family's checks; the per-x functions hprime,
+h_cea and h_cca compose it, and whole makes a multiply pair at k = width
+one product per x.
 split_table tabulates h from 2^(n-k) values of F and 2^k of G, and
 split_preimage inverts h through G's inverse.
 """
@@ -48,7 +50,6 @@ __all__ = [
     "hprime",
     "h_cea",
     "h_cca",
-    "mul_add",
     "hprime_split",
     "h_cea_split",
     "h_cca_split",
@@ -166,15 +167,6 @@ def h_cca(x: int, sv: PaddedSeedVector, seed: ReconSeed) -> int:
     return top(x >> seed.t) ^ bottom(x & ((1 << seed.t) - 1))
 
 
-def mul_add(x: int, seed: int, n: int, out_bits: int) -> int:
-    """Strongly universal multiply-add family: top bits of a*x, xor b.
-
-    seed packs (a, b) as a || b with a an n-bit field element and b an
-    out_bits-bit mask.
-    """
-    return whole(mul_add_split(seed, n, out_bits, n))(x)
-
-
 # ---------------------------------------------------------------------------
 # split pairs: h(x) = F(x >> k) xor G(x & (2^k - 1))
 
@@ -215,7 +207,10 @@ def h_cea_split(seed: ReconSeed, k: int) -> SplitPair:
 
 
 def mul_add_split(seed: int, n: int, out_bits: int, k: int) -> SplitPair:
-    """mul_add's pair at split point k; F carries the xor of b."""
+    """The strongly universal multiply-add family's pair at split point k:
+    h(x) = (top out_bits bits of a*x) xor b, where seed packs (a, b) as
+    a || b with a an n-bit field element and b an out_bits-bit mask.  F
+    carries the xor of b."""
     return _product_split(seed >> out_bits, n, out_bits, k,
                           seed & ((1 << out_bits) - 1))
 

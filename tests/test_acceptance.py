@@ -52,8 +52,10 @@ from prekem.ikem import (
     forgery_bound,
     gen,
 )
-from prekem.source import bsc_radius, bsc_source, from_json, guess_prob_given_z
+from prekem.source import bsc_source, from_json, guess_prob_given_z
 from prekem.uhash import h_cca, twise_poly
+
+from oracles import bsc_radius
 
 HALF = Fraction(1, 2)
 

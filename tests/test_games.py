@@ -72,7 +72,9 @@ from prekem.ikem import (
 from prekem.source import (SourceSpec, bsc_source, from_json,
                            guess_prob_given_z, recon_ints)
 from prekem.uhash import (ExtractorSeed, ReconSeed, h_cca, h_cea, hprime,
-                          mul_add, piece_count, split_seed, twise_poly)
+                          piece_count, split_seed, twise_poly)
+
+from oracles import mul_add
 
 
 def toy_source(n):

@@ -5,7 +5,9 @@ Every name a prekem module imports must be read somewhere in that module
 __all__; `from __future__` imports are exempt.  Every module-level private
 function or class must be read somewhere in the package, so helpers that
 only tests use live in the tests.  Every __all__ entry must be bound in its
-module.  Every name bench/spans.py's tracer rebinds must exist.  No module
+module, and every public module-level function or class must be read
+somewhere in the package, exported through __all__, or hooked by the
+tracer.  Every name bench/spans.py's tracer rebinds must exist.  No module
 imports dataclasses: its decorator compiles methods from source text at
 every import, and loading it pulls in inspect.  Outside value.py, a value
 class stores its fields only through one set_fields call in its __init__.
@@ -200,6 +202,22 @@ def test_traced_names_exist():
     missing += [f"FieldCtx.{name}" for name in ("mul", "pow")
                 if not hasattr(FieldCtx, name)]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_definitions_are_read_or_exported(path):
+    # a public function or class no prekem module reads is API only when
+    # its module exports it or the tracer hooks it; else it is a test
+    # helper, and lives in the tests
+    read = set().union(*(read_names(tree) for tree in TREES.values()))
+    kept = set(exported_names(TREES[path])).union(
+        traced_names().get(path.stem, ()))
+    unread = [f"{path.name}:{node.lineno} {node.name}"
+              for node in TREES[path].body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in read | kept]
+    assert not unread, unread
 
 
 def test_only_uhash_hashes_per_x():

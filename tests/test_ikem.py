@@ -42,11 +42,12 @@ from prekem.ikem import (
     unpack_bits,
 )
 from prekem.ikem import _check_ciphertext, _extractor, _hashes, _recon_hash
-from prekem.source import (SourceSpec, bsc_radii, bsc_radius, bsc_source,
-                           cond_neg_log_prob, from_json, guessing_mass,
+from prekem.source import (SourceSpec, bsc_source, from_json, guessing_mass,
                            max_recon_size, miss_mass, recon_ints, recon_set)
 from prekem.uhash import (ExtractorSeed, ReconSeed, h_cca, h_cea, hprime,
-                          mul_add, piece_count, split_seed)
+                          piece_count, split_seed)
+
+from oracles import bsc_radius, cond_neg_log_prob, mul_add
 
 
 def exhaustive_correctness(params):
@@ -857,21 +858,24 @@ class TestSatelliteRadiusIsDecaps:
 
     def test_every_boundary_is_covered(self):
         # thresholds at each radius cost at p's own doubles, for p = a/b
-        # with b < 20; radii at those doubles left 54 of them uncovered
+        # with b < 20, exact at n = 12 and a float at n = 20 (radii 0..2,
+        # as miss_mass's Fractions of doubles are slow); radii at those
+        # doubles left 54 of the exact ones uncovered
+        import prekem.source as source
         for b in range(2, 20):
             for a in range(1, b // 2 + 1):
-                p = Fraction(a, b)
-                src = bsc_source(p, Fraction(1, 2), 12)
-                c0, c1 = -math.log2(1.0 - a / b), -math.log2(a / b)
-                for d in range(5):
-                    nu = math.fsum([c1] * d + [c0] * (12 - d))
-                    params = shaped(Mode.CEA, src, 12, 1, nu)
-                    assert correctness_bound(params) >= \
-                        float(miss_mass(src, nu)), (p, d)
-                    inner, outer = bsc_radii(src, nu)
-                    assert inner == outer
-                    assert max_recon_size(src, nu) == sum(
-                        math.comb(12, j) for j in range(outer + 1)), (p, d)
+                for n, p, radii in ((12, Fraction(a, b), 5), (20, a / b, 3)):
+                    src = bsc_source(p, Fraction(1, 2), n)
+                    c0, c1 = -math.log2(1.0 - a / b), -math.log2(a / b)
+                    for d in range(radii):
+                        nu = math.fsum([c1] * d + [c0] * (n - d))
+                        params = shaped(Mode.CEA, src, n, 1, nu)
+                        assert correctness_bound(params) >= \
+                            float(miss_mass(src, nu)), (p, d)
+                        radius = source.bsc_radius(src, nu)
+                        assert max_recon_size(src, nu) == sum(
+                            math.comb(n, j)
+                            for j in range(radius + 1)), (p, d)
 
 
 class TestWire:

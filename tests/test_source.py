@@ -24,10 +24,8 @@ from prekem.source import (
     ReconSet,
     SourceSpec,
     avg_min_entropy_given_z,
-    bsc_radius,
-    bsc_recon_size,
+    ball_size,
     bsc_source,
-    cond_neg_log_prob,
     from_json,
     guess_prob_given_z,
     guessing_log2_mass,
@@ -38,6 +36,8 @@ from prekem.source import (
     sample,
     shannon_cond_entropy,
 )
+
+from oracles import bsc_radius, bsc_recon_size, cond_neg_log_prob
 
 # TOY source: X uniform bit, Y = X xor Ber(1/4), Z independent uniform.
 TOY_P = 0.25
@@ -980,7 +980,70 @@ class TestMaxReconSize:
     def test_stops_past_the_cap(self, monkeypatch):
         assert max_recon_size(toy(8), 1e9) == 256
         monkeypatch.setattr("prekem.source.RECON_CAP", 10)
-        assert 10 < max_recon_size(toy(8), 1e9) < 256
+        general = SourceSpec(2, 2, 2, 8, toy(8).table)  # no closed form
+        assert 10 < max_recon_size(general, 1e9) < 256
+        # the satellite form is the ball itself, whatever the cap
+        assert max_recon_size(toy(8), 1e9) == 256
+
+
+class TestFloatSatelliteBall:
+    """A float satellite source (n > 16) sums its marginals with fsum, so
+    its two cost rows mirror each other and every R(y) is y's Hamming ball
+    of the one radius, source.bsc_radius."""
+
+    @staticmethod
+    def check_balls(spec, nu):
+        n, d = spec.n, source.bsc_radius(spec, nu)
+        size = ball_size(n, d)
+        for a in range(n + 1):
+            # y with a zeros, scattered by a seeded shuffle
+            y = [0] * a + [1] * (n - a)
+            random.Random(a).shuffle(y)
+            yp = source.pack_bits(y)
+            if size > source.RECON_CAP:
+                with pytest.raises(InfeasibleError):
+                    recon_ints(spec, yp, nu)
+            elif size > 1 << 12:  # too many to build: the walk's count
+                assert source._recon_count(spec, nu, a)[0] == size, a
+            elif n <= 20:
+                ball = {yp ^ sum(flips) for k in range(d + 1)
+                        for flips in itertools.combinations(
+                            [1 << i for i in range(n)], k)}
+                got = recon_ints(spec, yp, nu)
+                assert len(got) == len(ball) and set(got) == ball, a
+            else:
+                assert len(recon_ints(spec, yp, nu)) == size, a
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(17, 20) | st.integers(21, 64), p=st.floats(0.0, 0.5),
+           q=st.floats(0.0, 0.5), data=st.data())
+    def test_rows_mirror_and_every_set_is_the_ball(self, n, p, q, data):
+        spec = bsc_source(p, q, n)
+        assert not spec.exact
+        assert spec.cost[0] == spec.cost[1][::-1]
+        # thresholds at a radius cost, at either row's doubles or at p's
+        # own, one ulp either side of it, or anywhere up to a bit above;
+        # small radii mostly, so most sets are built
+        d = data.draw(st.integers(0, 3) | st.integers(0, n))
+        at = [math.fsum([c1] * d + [c0] * (n - d)) for c0, c1 in (
+            spec.cost[0], spec.cost[1][::-1],
+            (-math.log2(1.0 - p), -math.log2(p) if p else math.inf))]
+        at = [c for c in at if c < math.inf] or [0.0]
+        nu = data.draw(st.sampled_from(
+            [v for c in at for v in (c, math.nextafter(c, -math.inf),
+                                     math.nextafter(c, math.inf))])
+            | st.floats(-1.0, max(at) + 1.0))
+        self.check_balls(spec, nu)
+
+    def test_example_with_unequal_rows_before_fsum(self):
+        # with the marginals summed in a per-y order, these rows differed
+        # in the last bit, and R(y) held 1, 6 or 21 members by y's zeros
+        spec = bsc_source(0.10518585083675655, 0.5, 20)
+        nu = 6.2954479333603075
+        assert spec.cost[0] == spec.cost[1][::-1]
+        assert source.bsc_radius(spec, nu) == 0
+        assert max_recon_size(spec, nu) == 1
+        self.check_balls(spec, nu)
 
 
 class TestJson:

@@ -28,7 +28,6 @@ from prekem.uhash import (
     h_cea_split,
     hprime,
     hprime_split,
-    mul_add,
     mul_add_split,
     piece_count,
     split_preimage,
@@ -36,6 +35,8 @@ from prekem.uhash import (
     split_table,
     twise_poly,
 )
+
+from oracles import mul_add
 
 # default reduction polynomials for the widths used here; frozen so a
 # package-side change of field conventions is caught, not absorbed
