@@ -29,11 +29,8 @@ from __future__ import annotations
 
 import abc
 import struct
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Tuple
-
-from cryptography.hazmat.primitives.ciphers import algorithms
-from cryptography.hazmat.primitives.cmac import CMAC
 
 from .errors import MalformedError
 from .gf2 import EXTRA_POLYS, POLY_TABLE
@@ -208,12 +205,23 @@ class CompPrfKey(Value):
         return cls(key.to_bytes())
 
     @cached_property
-    def cmac(self) -> CMAC:
+    def cmac(self):
         """CMAC(AES(raw)) with nothing absorbed, built on the first
         evaluation; prf_comp copies it per block, so the key schedule runs
         once per key.  Not a field: equality, hashing and repr see raw
         only."""
-        return CMAC(algorithms.AES(self.raw))
+        cmac, aes = _cmac_aes()
+        return cmac(aes(self.raw))
+
+
+@cache
+def _cmac_aes():
+    # loaded on the first computational PRF key, so the xor core, which
+    # evaluates no PRF, does not load the OpenSSL bindings; cached, so later
+    # keys do not pay for an import statement
+    from cryptography.hazmat.primitives.ciphers import algorithms
+    from cryptography.hazmat.primitives.cmac import CMAC
+    return CMAC, algorithms.AES
 
 
 def _encode_input(x: bytes, m: int) -> int:

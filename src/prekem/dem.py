@@ -36,14 +36,15 @@ length and k2 terms follow by Horner on the field's mul.
 The MAC is fed the body in chunks of any size (DemStream), and the length
 term, which comes last, needs no length in advance.  The first MAX_LANES
 blocks are buffered.  A body that ends below LANE_BLOCKS blocks keeps plain
-Horner, by k1's nibble tables (FieldCtx.mul_by) once it multiplies often
-enough to pay for them, as the games' 16-byte tags at mac_bits 8 do, and by
-the field's mul below that.  Otherwise L is the largest power of two up to
-the blocks, capped at MAX_LANES, and the lanes step L-wide from the first
-block as its chunks arrive.  The last r < L blocks take a partial step: the
-lanes move up r places, the top r wrapping round to the bottom times k1^L
-(which multiplies the whole sum by k1^r), and the r blocks fill the bottom
-lanes; the lanes then fold.
+Horner, by k1's map (FieldCtx.mul_by: nibble tables, or at mac_bits 8 one
+read each of the field's log and exp tables) once it multiplies often
+enough to pay for building it, as the games' 16-byte tags at mac_bits 8 do,
+and by the field's mul below that.  Otherwise L is the largest power of two
+up to the blocks, capped at MAX_LANES, and the lanes step L-wide from the
+first block as its chunks arrive.  The last r < L blocks take a partial
+step: the lanes move up r places, the top r wrapping round to the bottom
+times k1^L (which multiplies the whole sum by k1^r), and the r blocks fill
+the bottom lanes; the lanes then fold.
 
 DemStream runs the keystream and the MAC over one key's body in chunks,
 for files too large to hold; the bytes API (encrypt_ot, ...,
@@ -82,8 +83,9 @@ __all__ = [
 
 # Bodies of at least LANE_BLOCKS full blocks take the lane path; on a 2-vCPU
 # x86 VM it broke even with nibble-table Horner at 32-56 blocks for mac_bits
-# 8 to 256.  A step carries at most MAX_LANES streams: wider lane ints
-# stopped paying at 512.
+# 8 to 256.  At mac_bits 8, Horner by log tables is 3-5x faster than the
+# lanes up to the 255 blocks a body can have.  A step
+# carries at most MAX_LANES streams: wider lane ints stopped paying at 512.
 LANE_BLOCKS = 48
 MAX_LANES = 256
 
@@ -270,8 +272,11 @@ def _mac_tag(k1: int, k2: int, body, bits: int,
         length = len(body)
     horner = lanes is None and blocks < LANE_BLOCKS
     # Horner's multiplies by k1: blocks, ragged block, length, k2.  k1's
-    # tables pay from 2*muls^2 >= 3*bits on; on a 2-vCPU x86 VM they cost
-    # 3.4, 7.1, 11, 14.5, 18.7 multiplies at mac_bits 8, 32, 64, 128, 256
+    # map pays from 2*muls^2 >= 3*bits on; on a 2-vCPU x86 VM its nibble
+    # tables cost 7.1, 11, 14.5, 18.7 multiplies at mac_bits 32, 64, 128,
+    # 256.  At mac_bits 8 both read the log tables; the closure saves mul's
+    # dispatch on each product and pays from about 4, where the rule
+    # switches too
     muls = (blocks if horner else 0) + (len(body) % bb > 0) + 2
     times_k1 = (ctx.mul_by(k1) if 2 * muls * muls >= 3 * bits
                 else functools.partial(ctx.mul, k1))

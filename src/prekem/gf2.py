@@ -11,14 +11,20 @@ that degree (minimal number of terms, ties broken by smallest integer
 encoding), read from a built-in table or found by a search that tests
 each candidate with Ben-Or's irreducibility test.
 
-Multiplication is table-driven.  The generic product (clmul) forms the 16
-multiples of one operand and walks the other a 4-bit window at a time, then
-reduces by the sparse tail of the polynomial.  Two maps serve a fixed
-multiplicand k.  FieldCtx.mul_by(k) reads k*x from nibble tables of reduced
-products, with no reduction step; the tables are built per call and never
-cached.  FieldCtx.lanes_by(k, lanes) multiplies many elements by k at once:
-they sit in 2m-bit lanes of one int, whose clmul by k is reduced in every
-lane together by shifts and masks.
+Multiplication is table-driven, by a path each context fixes from m.  Up to
+LOG_WIDTH = 8 bits, a product is two reads of discrete-log tables over a
+generator g of GF(2^m)*: a*b = exp[log a + log b], with exp stored twice
+over so the sum needs no mod.  The tables are built by the context's first
+mul or mul_by, so a context that never multiplies never builds them.  Wider
+fields take the generic product (clmul), which forms the 16 multiples of
+one operand and walks the other a 4-bit window at a time, then reduces by
+the sparse tail of the polynomial; clmul is also the tests' reference for
+the tables.  Two maps serve a fixed multiplicand k.  FieldCtx.mul_by(k) is
+one log read and one exp read up to LOG_WIDTH; wider, it reads k*x from
+nibble tables of reduced products, with no reduction step, built per call
+and never cached.  FieldCtx.lanes_by(k, lanes) multiplies many elements by
+k at once: they sit in 2m-bit lanes of one int, whose clmul by k is reduced
+in every lane together by shifts and masks.
 """
 
 from __future__ import annotations
@@ -116,6 +122,10 @@ EXTRA_POLYS = {
 # Off the tables, the search takes seconds up to m ~ 3000 (about 5 s at 1536
 # and 2048, 3 s at 3000 on a 2-vCPU VM), 37-44 s at 4096, unmeasured at 8192.
 MAX_WIDTH = 8192
+
+# Widths up to this multiply by discrete-log tables, of 2^m and 4*2^m entries.
+LOG_WIDTH = 8
+
 
 def clmul(a: int, b: int) -> int:
     """Carryless (GF(2)[x]) product of two int-encoded polynomials.
@@ -225,8 +235,9 @@ def _middle_terms(m: int, count: int, lo: int = 1):
 class FieldCtx(Value):
     """Immutable GF(2^m) context; its poly is find_irreducible(m).
 
-    m is the one field; poly and the reduction data derived from it live
-    in the instance __dict__.
+    m is the one field; poly, the reduction data derived from it and, up
+    to LOG_WIDTH, the log tables and their product live in the instance
+    __dict__.
     """
 
     __slots__ = ("m", "__dict__")
@@ -239,6 +250,8 @@ class FieldCtx(Value):
         tail = self.poly ^ (1 << m)
         terms = tuple(i for i in range(tail.bit_length()) if (tail >> i) & 1)
         set_field(self, "_tail_terms", terms)
+        # the operands mul hands to clmul: none up to LOG_WIDTH
+        set_field(self, "_clmul_mask", -1 if m <= LOG_WIDTH else self._mask)
 
     # -- int-level arithmetic ------------------------------------------------
 
@@ -248,24 +261,74 @@ class FieldCtx(Value):
         return a
 
     def mul(self, a: int, b: int) -> int:
-        mask = self._mask
-        if not (0 <= a <= mask and 0 <= b <= mask):
-            self.check(a)
-            self.check(b)
-        return _mod_sparse(clmul(a, b), self.m, self._tail_terms, mask)
+        # the range test is the dispatch: up to LOG_WIDTH it fails for every
+        # operand, so wider fields pay no width test
+        mask = self._clmul_mask
+        if 0 <= a <= mask and 0 <= b <= mask:
+            return _mod_sparse(clmul(a, b), self.m, self._tail_terms, mask)
+        return self._log_product(a, b)
+
+    def _log_product(self, a: int, b: int) -> int:
+        """mul's product for operands clmul does not take.  One outside the
+        field is refused; otherwise m <= LOG_WIDTH, and this first product
+        builds the log tables' product, which takes this method's place on
+        the instance, so later ones go straight to it."""
+        self.check(a)
+        self.check(b)
+        exp, log = self._log_tables
+        mask, check = self._mask, self.check
+
+        def product(a: int, b: int) -> int:
+            if not (0 <= a <= mask and 0 <= b <= mask):
+                check(a)
+                check(b)
+            return exp[log[a] + log[b]]
+        set_field(self, "_log_product", product)
+        return product(a, b)
+
+    @functools.cached_property
+    def _log_tables(self):
+        """(exp, log) over a generator g of GF(2^m)*, whose order is
+        N = 2^m - 1: exp[i] = g^(i mod N) for i < 2N and log[g^i] = i, so
+        a*b = exp[log[a] + log[b]] with no mod.  log[0] is 2N and exp is 0
+        from there to 4N, so a zero operand reads 0.  g is the least
+        element of order N (x itself is not one under 0x11B, at m = 8).
+        Not a field: equality, hashing and repr see m only."""
+        m, terms, n = self.m, self._tail_terms, self._mask
+        for g in range(1, n + 1):
+            powers, e = [1], g
+            while e != 1:
+                powers.append(e)
+                e = _mod_sparse(clmul(e, g), m, terms, n)
+            if len(powers) == n:
+                break
+        log = [2 * n] * (n + 1)
+        for i, e in enumerate(powers):
+            log[e] = i
+        return powers * 2 + [0] * (2 * n + 1), log
 
     def mul_by(self, k: int):
         """The map x -> k*x for a fixed k, as a closure over product tables.
 
-        Multiplying by k is GF(2)-linear, so k*x is the xor over the
-        nibbles x_j of x of the reduced products x_j * x^(4j) * k.  Those
-        come from ceil(m/4) tables of 16 entries, built once here, so a
-        product costs a table read per nibble and no reduction (Shoup's
-        method, as used for GHASH in GCM).  The closure checks x as mul
-        does.
+        Up to LOG_WIDTH those are the log tables, and k*x is
+        exp[log k + log x].  Wider, multiplying by k is GF(2)-linear, so k*x
+        is the xor over the nibbles x_j of x of the reduced products
+        x_j * x^(4j) * k.  Those come from ceil(m/4) tables of 16 entries,
+        built once here, so a product costs a table read per nibble and no
+        reduction (Shoup's method, as used for GHASH in GCM).  The closure
+        checks x as mul does.
         """
         m, poly, mask, check = self.m, self.poly, self._mask, self.check
         check(k)
+        if m <= LOG_WIDTH:
+            exp, log = self._log_tables
+            shift = log[k]
+
+            def times_k(x: int) -> int:
+                if not 0 <= x <= mask:
+                    check(x)
+                return exp[shift + log[x]]
+            return times_k
 
         def times_x(v):
             v <<= 1

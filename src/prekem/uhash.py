@@ -183,14 +183,18 @@ def _product_split(s: int, width: int, out_bits: int, k: int,
     ctx = field(width)
     mul, drop = ctx.mul, width - out_bits
     ctx.check(s)
-    high = mul(s, 1 << k) if k < width else 0  # x2 is 0 when k = width
-    return (lambda x2: (mul(high, x2) >> drop) ^ b,
-            lambda x1: mul(s, x1) >> drop)
+    if k < width:
+        high = mul(s, 1 << k)
+        top = lambda x2: (mul(high, x2) >> drop) ^ b
+    else:  # x2 is 0, so F is b alone and takes no product
+        top = lambda x2: b
+    return top, lambda x1: mul(s, x1) >> drop
 
 
 def whole(pair: SplitPair) -> Callable[[int], int]:
-    """x -> h(x) from a multiply pair at k = width, where x2 = 0: F(0) is
-    read once, and each x costs G's one product, which checks x."""
+    """x -> h(x) from a multiply pair at k = width, where x2 = 0: F(0), which
+    is b with no product, is read once, and each x costs G's one product,
+    which checks x."""
     top, bottom = pair
     b = top(0)
     return lambda x: bottom(x) ^ b
@@ -262,17 +266,22 @@ def split_preimage(pair: SplitPair, n: int, k: int, v: int) -> List[int]:
 
 def twise_poly(key: Sequence[int], x: int, m: int, out_bits: int) -> int:
     """Evaluate the polynomial with coefficients key (a_0 first) at the
-    GF(2^m) element x, which ctx.mul checks.
+    GF(2^m) element x.
 
-    Uniform keys of length d+1 make outputs (d+1)-wise independent; the
-    result is truncated to its top out_bits bits.
+    Horner starts from the top coefficient, so a key of d+1 coefficients
+    takes d products; x is checked first, even when d is 0.  Uniform keys
+    of length d+1 make outputs (d+1)-wise independent; the result is
+    truncated to its top out_bits bits.
     """
     ctx = field(m)
     if not key:
         raise MalformedError("key needs at least one coefficient")
     if not 1 <= out_bits <= m:
         raise MalformedError("output length must be in 1..m")
-    acc = 0
-    for a in reversed(key):
-        acc = ctx.mul(acc, x) ^ ctx.check(a)
+    mul, check = ctx.mul, ctx.check
+    check(x)
+    coeffs = reversed(key)
+    acc = check(next(coeffs))
+    for a in coeffs:
+        acc = mul(acc, x) ^ check(a)
     return block(acc, m, 1, out_bits)

@@ -4,6 +4,8 @@ package, which has no caller for them.
   - cond_neg_log_prob: a string's cost given y, scored symbol by symbol
     and summed by fsum, the membership rule R(y) is defined by;
   - mul_add: the multiply-add family per x, composed from its split pair;
+  - twise_poly_from_zero: the polynomial PRF's Horner from an accumulator
+    of 0, whose first product is 0*x;
   - bsc_radius and bsc_recon_size: a satellite source's ball radius and
     size at the flip probability's own doubles, -log2(1 - p) and
     -log2(p), rather than at a table's derived costs.
@@ -12,6 +14,7 @@ package, which has no caller for them.
 import math
 
 from prekem.errors import MalformedError
+from prekem.gf2 import block, field
 from prekem.source import ball_size
 from prekem.uhash import mul_add_split, whole
 
@@ -31,6 +34,16 @@ def mul_add(x, seed, n, out_bits):
     out_bits-bit mask.
     """
     return whole(mul_add_split(seed, n, out_bits, n))(x)
+
+
+def twise_poly_from_zero(key, x, m, out_bits):
+    """twise_poly's sum of key[i] * x^i by Horner from acc = 0, truncated to
+    its top out_bits bits."""
+    ctx = field(m)
+    acc = 0
+    for a in reversed(key):
+        acc = ctx.mul(acc, x) ^ ctx.check(a)
+    return block(acc, m, 1, out_bits)
 
 
 def bsc_radius(p, n, nu):

@@ -1394,9 +1394,10 @@ class TestSubprocess:
 
     def test_commands_import_only_their_layers(self, tmp_path):
         # each command is a fresh process, so what it imports is start-up
-        # time: the key pipeline needs neither games nor OpenSSL (hashlib
-        # loads it too), only an exact analysis, which no command runs,
-        # loads numpy, and no command loads dataclasses or inspect
+        # time: the key pipeline and the xor combiner need neither games
+        # nor OpenSSL (hashlib loads it too), only an exact analysis, which
+        # no command runs, loads numpy, and no command loads dataclasses or
+        # inspect
         params = write_json(
             tmp_path / "params.json",
             params_to_doc(noiseless_params(n=14, t=4, ell=8, w=14),
@@ -1416,6 +1417,9 @@ class TestSubprocess:
              "--out", f"{t}/ct.bin", "--key-out", f"{t}/key.json"],
             ["decap", "--config", str(params), "--y", f"{t}/y.json",
              "--public", f"{t}/public.json", "--ciphertext", f"{t}/ct.bin"],
+            ["combine", "--config", str(params), *mat, "--y", f"{t}/y.json",
+             "--seed", "d4", "--core", "xor", "--out", f"{t}/combined.bin",
+             "--key-out", f"{t}/combined-key.json"],
             ["he-encrypt", "--config", str(params), *mat, "--seed", "c3",
              "--in", f"{t}/message.bin", "--out", f"{t}/env.bin"],
             ["game", "--config", str(game), "--seed", "1", "--trials", "5"],
@@ -1442,6 +1446,7 @@ class TestSubprocess:
             ["sample", 0, []],
             ["encap", 0, []],
             ["decap", 0, []],
+            ["combine", 0, []],
             ["he-encrypt", 0, ["cryptography", "hashlib"]],
             ["game", 0, ["prekem.games", "cryptography", "hashlib"]],
         ]

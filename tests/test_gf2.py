@@ -237,6 +237,96 @@ class TestMulByTableWidths:
                 str(as_lane_k.value) == str(want.value)
 
 
+class TestLogTables:
+    """Up to LOG_WIDTH, mul and mul_by read discrete-log tables, built by
+    the first product; each must give the clmul reference's product,
+    refuse what it refused, and stay out of the context's value."""
+
+    @pytest.mark.parametrize("m", range(1, gf2.LOG_WIDTH + 1))
+    def test_exhaustive_against_clmul(self, m):
+        f = FieldCtx(m)
+        assert f._clmul_mask == -1
+        elements = range(1 << m)
+        for k in elements:
+            want = [_mod_sparse(clmul(k, x), m, f._tail_terms, f._mask)
+                    for x in elements]
+            assert [f.mul(k, x) for x in elements] == want, k
+            times_k = f.mul_by(k)
+            assert [times_k(x) for x in elements] == want, k
+
+    @pytest.mark.parametrize("m", range(1, gf2.LOG_WIDTH + 1))
+    def test_generator_has_full_order(self, m):
+        exp, log = FieldCtx(m)._log_tables
+        order = (1 << m) - 1
+        powers = exp[:order]
+        assert sorted(powers) == list(range(1, 1 << m))
+        assert exp[order:2 * order] == powers and exp[order] == 1
+        assert [log[e] for e in powers] == list(range(order))
+        assert exp[2 * order:] == [0] * (2 * order + 1)
+        assert log[0] == 2 * order
+
+    def test_x_is_not_a_generator_under_the_aes_polynomial(self):
+        f = FieldCtx(8)
+        assert f.poly == 0x11B and f.pow(2, 51) == 1
+        assert f._log_tables[0][1] == 3
+
+    @pytest.mark.parametrize("m", range(1, gf2.LOG_WIDTH + 1))
+    def test_out_of_range_keeps_its_error(self, m):
+        f = FieldCtx(m)
+        for bad in (-1, 1 << m, 1 << (m + 9)):
+            text = f"0x{bad:x} is not a GF(2^{m}) element"
+            for call in (lambda: f.mul(bad, 1), lambda: f.mul(1, bad),
+                         lambda: f.mul(bad, -2), lambda: f.mul_by(bad),
+                         lambda: f.mul_by(1)(bad)):
+                with pytest.raises(ValueError) as got:
+                    call()
+                assert str(got.value) == text
+        assert "_log_tables" in vars(f)  # mul_by(1) built them
+        # a refused first product builds none
+        f = FieldCtx(m)
+        with pytest.raises(ValueError):
+            f.mul(1 << m, 1)
+        assert "_log_tables" not in vars(f)
+        assert f.mul(1, 1) == 1
+        with pytest.raises(ValueError) as got:
+            f.mul(1, 1 << m)
+        assert str(got.value) == f"0x{1 << m:x} is not a GF(2^{m}) element"
+
+    def test_tables_wait_for_the_first_product(self):
+        f = FieldCtx(8)
+        f.check(0xFF)
+        f.pow(0x53, 0)
+        assert "_log_tables" not in vars(f)
+        assert f.mul(0x53, 0xCA) == 1
+        assert "_log_tables" in vars(f)
+
+    def test_nine_bits_take_clmul(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gf2, "clmul", lambda a, b: calls.append((a, b))
+                            or clmul(a, b))
+        f = FieldCtx(9)
+        assert f._clmul_mask == f._mask == 511
+        assert f.mul(0x1FF, 0x155) == naive_mul(0x1FF, 0x155, 9, f.poly)
+        assert f.mul_by(0x1FF)(0x155) == f.mul(0x155, 0x1FF)
+        assert calls == [(0x1FF, 0x155), (0x155, 0x1FF)]
+        assert "_log_tables" not in vars(f)
+        small = FieldCtx(8)
+        small.mul(3, 7)
+        calls.clear()
+        assert small.mul(0xFF, 0x55) == naive_mul(0xFF, 0x55, 8, small.poly)
+        assert calls == []
+
+    def test_value_does_not_see_the_tables(self):
+        built, fresh = FieldCtx(8), FieldCtx(8)
+        built.mul(3, 7)
+        built.mul_by(5)
+        assert "_log_tables" in vars(built)
+        assert "_log_tables" not in vars(fresh)
+        assert built == fresh == field(8) and hash(built) == hash(fresh)
+        assert repr(built) == repr(fresh) == "FieldCtx(m=8)"
+        assert built != FieldCtx(9)
+
+
 class TestInverse:
     def test_exhaustive_search_m3(self):
         f = field(3)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prekem.errors import InfeasibleError, MalformedError
+from prekem.gf2 import FieldCtx
 from prekem.ikem import (
     IkemCiphertext,
     IkemKey,
@@ -461,6 +462,22 @@ class TestReconHash:
         with pytest.raises(MalformedError,
                            match="^shared-seed mode needs the public seed$"):
             decap(params, x, c)
+
+    def test_extractor_takes_one_product(self, monkeypatch):
+        # the README CCA profile: the extractor's pair is at k = w, where F
+        # is b and takes no product, so an encap multiplies once at w = 1080
+        # beside the bracket's r + 2 = 4 at n - t = 553 and G's 2 at t = 527
+        params = derive_params_cca(
+            bsc_source(Fraction(0), Fraction(1, 2), 1080), 0.01, 2.0 ** -20,
+            2.0 ** -10, 0, 1, nu=0.0, t=527, ell=512)
+        assert (params.w, piece_count(params.w, 553)) == (1080, 2)
+        inst = gen(params, random.Random(6))
+        widths = []
+        mul = FieldCtx.mul
+        monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b:
+                            widths.append(ctx.m) or mul(ctx, a, b))
+        encap(params, inst.x, random.Random(7))
+        assert sorted(widths) == [527] * 2 + [553] * 4 + [1080]
 
     def test_one_seed_per_decap(self, monkeypatch):
         params = shaped(Mode.CEA, NOISY24, 12, 4, 12.0)

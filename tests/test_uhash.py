@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prekem.errors import MalformedError
-from prekem.gf2 import block, field
+from prekem.gf2 import FieldCtx, block, field
 from prekem.uhash import (
     ExtractorSeed,
     PaddedSeedVector,
@@ -36,7 +36,7 @@ from prekem.uhash import (
     twise_poly,
 )
 
-from oracles import mul_add
+from oracles import mul_add, twise_poly_from_zero
 
 # default reduction polynomials for the widths used here; frozen so a
 # package-side change of field conventions is caught, not absorbed
@@ -379,6 +379,32 @@ class TestTwisePoly:
             twise_poly([1], 1, 3, 4)
         with pytest.raises(ValueError, match="not a GF"):
             twise_poly([1], 8, 3, 1)
+
+    @pytest.mark.parametrize("m", [8, 40, 128])
+    def test_matches_horner_from_zero(self, m, monkeypatch):
+        # d + 1 coefficients take d products, with the same outputs
+        products = []
+        mul = FieldCtx.mul
+        monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b:
+                            products.append(a) or mul(ctx, a, b))
+        rng = random.Random(m)
+        for size in range(1, 5):
+            for x in (0, 1, (1 << m) - 1, rng.getrandbits(m)):
+                key = [rng.getrandbits(m) for _ in range(size)]
+                out_bits = rng.randint(1, m)
+                products.clear()
+                got = twise_poly(key, x, m, out_bits)
+                assert len(products) == size - 1
+                assert got == twise_poly_from_zero(key, x, m, out_bits)
+
+    @pytest.mark.parametrize("m", [8, 40, 128])
+    def test_one_coefficient_refuses_x_outside_the_field(self, m):
+        for bad in (-1, 1 << m):
+            with pytest.raises(ValueError) as want:
+                field(m).check(bad)
+            with pytest.raises(ValueError) as got:
+                twise_poly([1], bad, m, 1)
+            assert str(got.value) == str(want.value)
 
 
 class TestExtractionDistance:
