@@ -328,6 +328,13 @@ def cmd_params(args) -> int:
     ell = read_field(doc, "ell", where, int, None)
     eps = read_field(doc, "eps", where, float, None)
     dem = _dem_profile(read_field(doc, "dem", where, dict, None), "dem")
+    if dem is not None:
+        # the written file must drive he-encrypt: the key is the DEM's key
+        need = dem.otcca_key_bits if args.mode == "cca" else dem.ot_key_bits
+        if ell not in (None, need):
+            raise MalformedError(
+                f"config 'ell' {ell} != DEM key length {need}")
+        ell = need
     try:
         if args.mode == "cca":
             if eps is None:

@@ -31,20 +31,19 @@ reduced in every lane at once (FieldCtx.lanes_by).  Each step lays its
 blocks into an L-lane buffer by strided slices, so memory stays O(L)
 whatever the body's length.  Halving the lanes then folds the streams
 together, times k1^(L/2), ..., k1 (Estrin's scheme), and the final block,
-length and k2 terms follow by Horner on the field's mul.
+length and k2 terms follow by Horner on k1's map (FieldCtx.mul_by).
 
 The MAC is fed the body in chunks of any size (DemStream), and the length
 term, which comes last, needs no length in advance.  The first MAX_LANES
 blocks are buffered.  A body that ends below LANE_BLOCKS blocks keeps plain
-Horner, by k1's map (FieldCtx.mul_by: nibble tables, or at mac_bits 8 one
-read each of the field's log and exp tables) once it multiplies often
-enough to pay for building it, as the games' 16-byte tags at mac_bits 8 do,
-and by the field's mul below that.  Otherwise L is the largest power of two
-up to the blocks, capped at MAX_LANES, and the lanes step L-wide from the
-first block as its chunks arrive.  The last r < L blocks take a partial
-step: the lanes move up r places, the top r wrapping round to the bottom
-times k1^L (which multiplies the whole sum by k1^r), and the r blocks fill
-the bottom lanes; the lanes then fold.
+Horner on k1's map, as does every body at mac_bits up to LOG_WIDTH (at
+most 255 blocks, since the length term must be a field element), where
+that map is two table reads a product.  Otherwise L is the largest power
+of two up to the blocks, capped at MAX_LANES, and the lanes step L-wide
+from the first block as its chunks arrive.  The last r < L blocks take a
+partial step: the lanes move up r places, the top r wrapping round to the
+bottom times k1^L (which multiplies the whole sum by k1^r), and the r
+blocks fill the bottom lanes; the lanes then fold.
 
 DemStream runs the keystream and the MAC over one key's body in chunks,
 for files too large to hold; the bytes API (encrypt_ot, ...,
@@ -62,7 +61,7 @@ import functools
 from typing import Optional
 
 from .errors import KeyReuseError, MalformedError
-from .gf2 import FieldCtx, field
+from .gf2 import LOG_WIDTH, FieldCtx, field
 from .value import Value, set_fields
 
 __all__ = [
@@ -81,12 +80,20 @@ __all__ = [
     "aes_ctr_keystream",
 ]
 
-# Bodies of at least LANE_BLOCKS full blocks take the lane path; on a 2-vCPU
-# x86 VM it broke even with nibble-table Horner at 32-56 blocks for mac_bits
-# 8 to 256.  At mac_bits 8, Horner by log tables is 3-5x faster than the
-# lanes up to the 255 blocks a body can have.  A step
-# carries at most MAX_LANES streams: wider lane ints stopped paying at 512.
-LANE_BLOCKS = 48
+# Bodies of at least LANE_BLOCKS full blocks take the lane path, above
+# mac_bits LOG_WIDTH.  Horner by mul against the lanes, µs per tag on a
+# 2-vCPU x86 VM (CPython 3.11), at 12 / 16 / 24 full blocks:
+#   mac_bits 16:   27/30    36/32    50/36
+#   mac_bits 32:   37/37    49/40    74/46
+#   mac_bits 64:   44/46    57/47    86/57
+#   mac_bits 128:  65/66    84/69   123/84
+#   mac_bits 256: 106/113  140/122  202/157
+# At mac_bits 8 every body takes Horner on the log tables: 11/30, 28/44,
+# 56/52, 74/55 and 145/65 at 16, 48, 96, 128 and 255 blocks, so the lanes
+# would win only past about 96 blocks, which no game or benchmark sends.
+# A step carries at most MAX_LANES streams: wider lane ints stopped paying
+# at 512.
+LANE_BLOCKS = 16
 MAX_LANES = 256
 
 
@@ -261,25 +268,17 @@ def _mac_tag(k1: int, k2: int, body, bits: int,
     """The tag of a whole body; or, for DemStream, of the blocks already
     stepped into lanes followed by body, length being the whole body's.
 
-    Without lanes, a body below LANE_BLOCKS full blocks takes Horner, and a
-    longer one steps L lanes wide, L the largest power of two up to its
-    blocks, capped at MAX_LANES.  Either way the last r < L blocks end the
-    lanes (_Lanes.sum).
+    Without lanes, a body below LANE_BLOCKS full blocks, or any body at
+    mac_bits up to LOG_WIDTH, takes Horner, and a longer one steps L lanes
+    wide, L the largest power of two up to its blocks, capped at MAX_LANES.
+    Either way the last r < L blocks end the lanes (_Lanes.sum).
     """
     ctx, bb = field(bits), bits // 8
     blocks = len(body) // bb
     if length is None:
         length = len(body)
-    horner = lanes is None and blocks < LANE_BLOCKS
-    # Horner's multiplies by k1: blocks, ragged block, length, k2.  k1's
-    # map pays from 2*muls^2 >= 3*bits on; on a 2-vCPU x86 VM its nibble
-    # tables cost 7.1, 11, 14.5, 18.7 multiplies at mac_bits 32, 64, 128,
-    # 256.  At mac_bits 8 both read the log tables; the closure saves mul's
-    # dispatch on each product and pays from about 4, where the rule
-    # switches too
-    muls = (blocks if horner else 0) + (len(body) % bb > 0) + 2
-    times_k1 = (ctx.mul_by(k1) if 2 * muls * muls >= 3 * bits
-                else functools.partial(ctx.mul, k1))
+    horner = lanes is None and (blocks < LANE_BLOCKS or bits <= LOG_WIDTH)
+    times_k1 = ctx.mul_by(k1)
     if horner:
         acc = 0
         for i in range(0, blocks * bb, bb):

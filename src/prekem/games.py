@@ -951,8 +951,11 @@ class PrfFamily(Value):
 
 def it_prf_family(key_bits: int, q_d: int, out_bits: int) -> PrfFamily:
     """Polynomial-evaluation family keyed by a (q_d+2)-way key split."""
-    # checked before any key is drawn, which a huge key_bits would overflow
-    it_key_width(key_bits, q_d)
+    # checked before any key is drawn, which a huge key_bits would overflow,
+    # and out_bits too, which an adversary that never evaluates would miss
+    m = it_key_width(key_bits, q_d)
+    if not 1 <= out_bits <= m:
+        raise MalformedError(f"output length must be in 1..{m}")
 
     def sample(rng):
         return ItPrfKey.from_kem_key(IkemKey(rng.getrandbits(key_bits),
@@ -963,6 +966,9 @@ def it_prf_family(key_bits: int, q_d: int, out_bits: int) -> PrfFamily:
 
 def comp_prf_family(out_bits: int) -> PrfFamily:
     """Block-cipher MAC family under a 256-bit key."""
+    if out_bits < 1:
+        raise MalformedError("output length must be positive")
+
     def sample(rng):
         return CompPrfKey.from_kem_key(IkemKey(rng.getrandbits(256), 256))
     return PrfFamily("prf-comp", out_bits, sample,

@@ -20,11 +20,10 @@ fields take the generic product (clmul), which forms the 16 multiples of
 one operand and walks the other a 4-bit window at a time, then reduces by
 the sparse tail of the polynomial; clmul is also the tests' reference for
 the tables.  Two maps serve a fixed multiplicand k.  FieldCtx.mul_by(k) is
-one log read and one exp read up to LOG_WIDTH; wider, it reads k*x from
-nibble tables of reduced products, with no reduction step, built per call
-and never cached.  FieldCtx.lanes_by(k, lanes) multiplies many elements by
-k at once: they sit in 2m-bit lanes of one int, whose clmul by k is reduced
-in every lane together by shifts and masks.
+one log read and one exp read up to LOG_WIDTH, and mul with k bound
+wider.  FieldCtx.lanes_by(k, lanes) multiplies many elements by k at once:
+they sit in 2m-bit lanes of one int, whose clmul by k is reduced in every
+lane together by shifts and masks.
 """
 
 from __future__ import annotations
@@ -308,56 +307,23 @@ class FieldCtx(Value):
         return powers * 2 + [0] * (2 * n + 1), log
 
     def mul_by(self, k: int):
-        """The map x -> k*x for a fixed k, as a closure over product tables.
+        """The map x -> k*x for a fixed k, refusing k and x as mul does.
 
-        Up to LOG_WIDTH those are the log tables, and k*x is
-        exp[log k + log x].  Wider, multiplying by k is GF(2)-linear, so k*x
-        is the xor over the nibbles x_j of x of the reduced products
-        x_j * x^(4j) * k.  Those come from ceil(m/4) tables of 16 entries,
-        built once here, so a product costs a table read per nibble and no
-        reduction (Shoup's method, as used for GHASH in GCM).  The closure
-        checks x as mul does.
+        Up to LOG_WIDTH it is a closure over the log tables, and k*x is
+        exp[log k + log x]; wider, it is mul with k bound.
         """
-        m, poly, mask, check = self.m, self.poly, self._mask, self.check
+        check = self.check
         check(k)
-        if m <= LOG_WIDTH:
-            exp, log = self._log_tables
-            shift = log[k]
-
-            def times_k(x: int) -> int:
-                if not 0 <= x <= mask:
-                    check(x)
-                return exp[shift + log[x]]
-            return times_k
-
-        def times_x(v):
-            v <<= 1
-            return v ^ poly if v >> m else v
-
-        tables = []
-        b1 = k
-        for _ in range((m + 3) // 4):
-            b2 = times_x(b1)
-            b4 = times_x(b2)
-            b8 = times_x(b4)
-            b3 = b2 ^ b1
-            b5, b6, b7 = b4 ^ b1, b4 ^ b2, b4 ^ b3
-            tables.append((0, b1, b2, b3, b4, b5, b6, b7, b8, b8 ^ b1,
-                           b8 ^ b2, b8 ^ b3, b8 ^ b4, b8 ^ b5, b8 ^ b6, b8 ^ b7))
-            b1 = times_x(b8)
-        # (low, high) nibble tables per little-endian byte of x; the high
-        # nibble past the top of an odd count is always 0
-        pairs = tuple(zip(tables[0::2], tables[1::2] + [(0,) * 16]))
-        nbytes = len(pairs)
+        if self.m > LOG_WIDTH:
+            return functools.partial(self.mul, k)
+        mask = self._mask
+        exp, log = self._log_tables
+        shift = log[k]
 
         def times_k(x: int) -> int:
             if not 0 <= x <= mask:
                 check(x)
-            acc = 0
-            for (lo, hi), c in zip(pairs, x.to_bytes(nbytes, "little")):
-                acc ^= lo[c & 15] ^ hi[c >> 4]
-            return acc
-
+            return exp[shift + log[x]]
         return times_k
 
     def lanes_by(self, k: int, lanes: int):

@@ -28,6 +28,7 @@ from prekem import cli
 from prekem.cli import main, params_from_doc, params_to_doc
 from prekem.combiner import parse_combined
 from prekem.dem import DemProfile
+from prekem.hybrid import HybridScheme
 from prekem.ikem import (IkemCiphertext, IkemParams, Mode, parse_ciphertext,
                          serialize_ciphertext)
 from prekem.source import bsc_source
@@ -149,13 +150,72 @@ class TestParams:
 
     def test_out_file_keeps_dem_profile(self, tmp_path):
         # a config's envelope profile must survive into the derived file,
-        # or the file cannot drive he-encrypt later
-        config = self.config(tmp_path, dem={"enc_len": 8, "mac_bits": 8})
+        # or the file cannot drive he-encrypt later; t=2 leaves the 8-bit
+        # key that profile needs
+        config = self.config(tmp_path, dem={"enc_len": 8, "mac_bits": 8},
+                             t=2)
         out = tmp_path / "params.json"
         assert run_cli("params", "--config", config, "--mode", "cea",
                        "--out", out) == 0
         _, dem = params_from_doc(json.loads(out.read_text()))
         assert dem == DemProfile(enc_len=8, mac_bits=8)
+
+    def dem_config(self, tmp_path, **over):
+        # a noiseless source whose bounds allow a 24- or 32-bit key in
+        # every mode
+        return self.config(
+            tmp_path, source={"bsc": {"p": "0", "q": "1/2", "n": 96}},
+            eps=0.5, delta=0.25, q_d=1, t=40, **over)
+
+    @pytest.mark.parametrize("mode, dem, ell", [
+        ("cea", {"enc_len": 8, "mac_bits": 8}, 8),
+        ("baseline", {"enc_len": 8, "mac_bits": 8}, 8),
+        ("cca", {"enc_len": 8, "mac_bits": 8}, 24),
+        ("cca", {"enc_len": 16, "mac_bits": 8}, 32)])
+    def test_dem_profile_sets_ell(self, tmp_path, capsys, mode, dem, ell):
+        # with a dem and no ell, the key is the DEM's key for the mode, even
+        # where the bound would allow a longer one, so the written file
+        # drives he-encrypt
+        config = self.dem_config(tmp_path, dem=dem)
+        out = tmp_path / "params.json"
+        assert run_cli("params", "--config", config, "--mode", mode,
+                       "--out", out) == 0
+        shown = capsys.readouterr().out.splitlines()
+        assert ["ell", str(ell)] in [line.split() for line in shown]
+        params, profile = params_from_doc(json.loads(out.read_text()))
+        assert params.ell == ell
+        HybridScheme.for_params(params, profile)
+        # a config ell that agrees with the profile is taken as it is
+        config = self.dem_config(tmp_path, dem=dem, ell=ell)
+        assert run_cli("params", "--config", config, "--mode", mode) == 0
+
+    def test_dem_key_over_the_bound_is_infeasible(self, tmp_path, capsys):
+        # the 512-bit key a 256/128 otcca DEM needs exceeds the bound of
+        # 355 bits at sigma 1e-30: a 355-bit key would be feasible, but
+        # he-encrypt on the written file would exit 1
+        config = write_json(tmp_path / "config.json", {
+            **README_CCA, "sigma": 1e-30,
+            "dem": {"enc_len": 256, "mac_bits": 128}})
+        out = tmp_path / "params.json"
+        assert run_cli("params", "--config", config, "--mode", "cca",
+                       "--out", out) == 2
+        assert capsys.readouterr().out == (
+            "verdict       infeasible: requested ell 512 exceeds bound "
+            "355.684\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, ell", [("cea", 6), ("cea", 24),
+                                           ("cca", 8)])
+    def test_config_ell_must_match_the_dem(self, tmp_path, capsys, mode,
+                                           ell):
+        config = self.dem_config(tmp_path, ell=ell,
+                                 dem={"enc_len": 8, "mac_bits": 8})
+        out = tmp_path / "params.json"
+        err = assert_format_error(capsys, "params", "--config", config,
+                                  "--mode", mode, "--out", out)
+        need = 24 if mode == "cca" else 8
+        assert err == f"error: config 'ell' {ell} != DEM key length {need}\n"
+        assert not out.exists()
 
     def test_repeated_pxyz_cell_exits_one(self, tmp_path, capsys):
         source = {"alphabet": [2, 2, 2], "n": 3,
@@ -683,9 +743,9 @@ class TestHybridFiles:
             assert not out.exists()
 
     # message sizes around the stream forms' 64 KiB reads and the MAC's
-    # lane edges for 16-byte blocks (LANE_BLOCKS, MAX_LANES and 2*MAX_LANES
-    # blocks); the digest was recorded with the whole-file CLI that
-    # preceded the stream forms
+    # lane edges for 16-byte blocks (48 blocks, a partial step past 32
+    # lanes, then MAX_LANES and 2*MAX_LANES blocks); the digest was recorded
+    # with the whole-file CLI that preceded the stream forms
     DIGEST_SIZES = (0, 1, 767, 768, 769, 4095, 4096, 4097, 8191, 8192, 8193,
                     65535, 65536, 65537, 131071, 131072, 131073)
     DIGEST = "a1c948f9d79826cf55755598d8cd3bb74047fb3cb4439bcb6782c693c0a54897"
@@ -1254,6 +1314,25 @@ class TestGameEntryTypes:
         err = assert_format_error(capsys, "game", "--config", config,
                                   "--seed", "2a")
         assert "coefficients of a supported field" in err, err
+
+    @pytest.mark.parametrize("family, text", [
+        ({"kind": "it", "key_bits": 120, "q_d": 1, "out_bits": 0}, "in 1..40"),
+        ({"kind": "it", "key_bits": 120, "q_d": 1, "out_bits": 41},
+         "in 1..40"),
+        ({"kind": "it", "key_bits": 9, "q_d": 1, "out_bits": -1}, "in 1..3"),
+        ({"kind": "comp", "out_bits": -1}, "positive"),
+        ({"kind": "comp", "out_bits": 0}, "positive")],
+        ids=["it-zero", "it-over-width", "it-negative", "comp-negative",
+             "comp-zero"])
+    def test_prf_output_length_is_checked(self, tmp_path, capsys, family,
+                                          text):
+        # the random adversary never evaluates the family, so the family
+        # itself must refuse what an evaluation would
+        config = write_json(tmp_path / "game.json",
+                            {**SWEPT_GAMES["pri"], "family": family})
+        err = assert_format_error(capsys, "game", "--config", config,
+                                  "--seed", "2a")
+        assert err == f"error: output length must be {text}\n", err
 
 
 class TestSourceMessages:

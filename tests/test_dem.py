@@ -7,7 +7,6 @@ schoolbook field arithmetic.
 """
 
 import hashlib
-import math
 import random
 import tracemalloc
 from collections import Counter
@@ -32,7 +31,7 @@ from prekem.dem import (
     serialize_dem,
 )
 from prekem.errors import KeyReuseError, MalformedError
-from prekem.gf2 import FieldCtx, field
+from prekem.gf2 import LOG_WIDTH, FieldCtx, field
 
 # frozen reduction polynomials for the MAC checks: the reduced width, and
 # the default profile's x^128 + x^7 + x^2 + x + 1
@@ -293,34 +292,46 @@ class TestAuthenticated:
 
     @pytest.fixture
     def tables_built(self, monkeypatch):
-        """The k of every FieldCtx.mul_by table built."""
+        """The k of every FieldCtx.mul_by map built."""
         built = []
         mul_by = FieldCtx.mul_by
         monkeypatch.setattr(FieldCtx, "mul_by", lambda ctx, k: built.append(k)
                             or mul_by(ctx, k))
         return built
 
-    @pytest.mark.parametrize("mac_bits", [8, 128, 256])
-    def test_mac_matches_horner_at_the_table_break_even(self, mac_bits,
-                                                        tables_built):
-        # a tag builds k1's nibble tables once its Horner multiplies (one per
-        # block, a ragged one included, and two more) reach the least m with
-        # 2*m^2 >= 3*mac_bits; each block count is taken full and with a
-        # one-byte last block
+    @pytest.fixture
+    def lanes_built(self, monkeypatch):
+        """The lane count of every dem._Lanes built."""
+        built = []
+        lanes = dem._Lanes
+        monkeypatch.setattr(dem, "_Lanes", lambda ctx, k1, width, bb:
+                            built.append(width) or lanes(ctx, k1, width, bb))
+        return built
+
+    @pytest.mark.parametrize("mac_bits", [8, 16, 128, 256])
+    def test_lanes_start_at_lane_blocks(self, mac_bits, lanes_built):
+        # above LOG_WIDTH a body of LANE_BLOCKS full blocks on steps in
+        # lanes; at mac_bits 8 every body, up to the 255 blocks its length
+        # term allows, takes Horner on the log tables.  Wider, each block
+        # count is taken full and with a one-byte last block.
         bb = mac_bits // 8
-        edge = math.isqrt(3 * mac_bits // 2 - 1) + 1 - 2  # in blocks
+        if mac_bits <= LOG_WIDTH:
+            counts = (47, 48, 128, 255)
+        else:
+            edge = dem.LANE_BLOCKS
+            counts = (1, edge - 1, edge, edge + 1, 2 * edge)
         rng = random.Random(mac_bits)
-        for blocks in (edge - 1, edge, edge + 1):
-            for size in (blocks * bb, (blocks - 1) * bb + 1):
+        for blocks in counts:
+            for size in [blocks * bb] + [blocks * bb + 1] * (bb > 1):
                 for k1 in (0, 1, (1 << mac_bits) - 1,
                            rng.getrandbits(mac_bits)):
                     body = rng.randbytes(size)
                     k2 = rng.getrandbits(mac_bits)
-                    tables_built.clear()
+                    lanes_built.clear()
                     assert dem._mac_tag(k1, k2, body, mac_bits) == \
                         horner_tag(k1, k2, body, mac_bits), (size, k1)
-                    assert tables_built == ([k1] if blocks >= edge else []), \
-                        size
+                    lanes = mac_bits > LOG_WIDTH and blocks >= dem.LANE_BLOCKS
+                    assert len(lanes_built) == lanes, size
 
     def test_games_tags_take_the_tables(self, tables_built):
         # the dem-ind game's 16-byte bodies at mac_bits 8

@@ -1481,6 +1481,22 @@ class TestRunPri:
                            match="coefficients of a supported field"):
             it_prf_family(121, 1, 8)
 
+    @pytest.mark.parametrize("out_bits", [0, -1, 41])
+    def test_it_family_refuses_output_lengths_off_its_field(self, out_bits):
+        # refused when the family is built, not at its first evaluation,
+        # which an adversary that never queries would not reach
+        with pytest.raises(MalformedError,
+                           match=r"output length must be in 1\.\.40$"):
+            it_prf_family(120, 1, out_bits)
+        assert it_prf_family(120, 1, 40).out_bits == 40
+
+    @pytest.mark.parametrize("out_bits", [0, -1])
+    def test_comp_family_refuses_nonpositive_output(self, out_bits):
+        with pytest.raises(MalformedError,
+                           match="output length must be positive"):
+            comp_prf_family(out_bits)
+        assert comp_prf_family(1).out_bits == 1
+
 
 class TestExactPriAdvantage:
     """Polynomial family over a 3-bit field, whole key space enumerated."""

@@ -187,11 +187,11 @@ LANE_COUNTS = (1, 255, 256)
 
 
 class TestMulByTableWidths:
-    """The two fixed-multiplicand maps, mul_by's nibble tables and
-    lanes_by's packed lanes, at every small width and at wide ones with an
-    odd nibble count or a part-filled top byte, must give the schoolbook
-    product for lane counts that fill, split or undershoot the elements,
-    and refuse what mul refuses."""
+    """The two fixed-multiplicand maps, mul_by and lanes_by's packed lanes,
+    at every small width and at wide ones with an odd nibble count or a
+    part-filled top byte, must give the schoolbook product for lane counts
+    that fill, split or undershoot the elements, and refuse what mul
+    refuses."""
 
     @pytest.mark.parametrize("lanes", LANE_COUNTS)
     @pytest.mark.parametrize("m", range(1, 9))
@@ -307,8 +307,15 @@ class TestLogTables:
         f = FieldCtx(9)
         assert f._clmul_mask == f._mask == 511
         assert f.mul(0x1FF, 0x155) == naive_mul(0x1FF, 0x155, 9, f.poly)
-        assert f.mul_by(0x1FF)(0x155) == f.mul(0x155, 0x1FF)
-        assert calls == [(0x1FF, 0x155), (0x155, 0x1FF)]
+        assert calls == [(0x1FF, 0x155)]
+        # mul_by(k) is mul with k bound
+        muls = []
+        mul = FieldCtx.mul
+        monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b:
+                            muls.append((ctx.m, a, b)) or mul(ctx, a, b))
+        assert f.mul_by(0x1FF)(0x155) == naive_mul(0x1FF, 0x155, 9, f.poly)
+        assert muls == [(9, 0x1FF, 0x155)]
+        assert calls == [(0x1FF, 0x155)] * 2
         assert "_log_tables" not in vars(f)
         small = FieldCtx(8)
         small.mul(3, 7)

@@ -7,7 +7,8 @@ function or class must be read somewhere in the package, so helpers that
 only tests use live in the tests.  Every __all__ entry must be bound in its
 module, and every public module-level function or class must be read
 somewhere in the package, exported through __all__, or hooked by the
-tracer.  Every name bench/spans.py's tracer rebinds must exist.  No module
+tracer.  Every name bench/spans.py's tracer rebinds must exist, as must every prekem name a bench/*.py file
+imports or reads off an imported prekem module or name.  No module
 imports dataclasses: its decorator compiles methods from source text at
 every import, and loading it pulls in inspect.  Outside value.py, a value
 class stores its fields only through one set_fields call in its __init__.
@@ -201,6 +202,58 @@ def test_traced_names_exist():
                               name)]
     missing += [f"FieldCtx.{name}" for name in ("mul", "pow")
                 if not hasattr(FieldCtx, name)]
+    assert not missing, missing
+
+
+def bench_reads(tree):
+    """The dotted prekem name of each import, and of each attribute chain
+    read off a name that a prekem import binds, in a bench file's tree."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module.split(".")[0] == "prekem":
+                for alias in node.names:
+                    name = f"{node.module}.{alias.name}"
+                    bound[alias.asname or alias.name] = name
+                    yield name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "prekem":
+                    head = alias.asname or "prekem"
+                    bound[head] = alias.name if alias.asname else "prekem"
+                    yield alias.name
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in bound:
+            yield ".".join([bound[node.id], *reversed(attrs)])
+
+
+def resolves(dotted: str) -> bool:
+    """Whether dotted names a module, or an attribute chain off one."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            try:  # a submodule not imported yet
+                importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_bench_names_exist():
+    # the benchmark calls these by name, so one renamed or dropped passes
+    # every other test here and fails the benchmark run
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    missing = sorted(
+        f"{path.name}: {name}" for path in sorted(bench.glob("*.py"))
+        for name in set(bench_reads(ast.parse(path.read_text(),
+                                              filename=str(path))))
+        if not resolves(name))
     assert not missing, missing
 
 
