@@ -30,7 +30,7 @@ from __future__ import annotations
 import abc
 import struct
 from functools import cache, cached_property
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import MalformedError
 from .gf2 import EXTRA_POLYS, POLY_TABLE
@@ -53,6 +53,8 @@ __all__ = [
     "test_double_kem",
     "ItPrfKey",
     "it_key_width",
+    "it_key_split",
+    "it_max_input",
     "CompPrfKey",
     "prf_it",
     "prf_comp",
@@ -67,7 +69,7 @@ __all__ = [
 COMBINED_MAGIC = b"CMB1"
 _CMB_HEADER = struct.Struct(">4sI")
 
-SUPPORTED_WIDTHS = tuple(sorted(set(POLY_TABLE) | set(EXTRA_POLYS)))
+SUPPORTED_WIDTHS = frozenset(POLY_TABLE) | frozenset(EXTRA_POLYS)
 
 
 class KemInterface(abc.ABC):
@@ -175,17 +177,25 @@ class ItPrfKey(Value):
             raise MalformedError("need at least two coefficients")
         if m not in SUPPORTED_WIDTHS:
             raise MalformedError(f"unsupported field width {m}")
-        for c in coeffs:
-            if not 0 <= c < (1 << m):
-                raise MalformedError("coefficient outside GF(2^m)")
+        if min(coeffs) < 0 or max(coeffs) >> m:
+            raise MalformedError("coefficient outside GF(2^m)")
 
     @classmethod
     def from_kem_key(cls, key: IkemKey, q_d: int) -> "ItPrfKey":
-        count, m = q_d + 2, it_key_width(key.ell, q_d)
-        mask = (1 << m) - 1
-        coeffs = tuple((key.bits >> (m * (count - 1 - i))) & mask
-                       for i in range(count))
-        return cls(coeffs, m)
+        return it_key_split(key.ell, q_d)(key.bits)
+
+
+def it_key_split(key_bits: int, q_d: int) -> Callable[[int], ItPrfKey]:
+    """The map from a key_bits-bit key to its ItPrfKey: q_d+2 coefficients
+    of m = it_key_width(key_bits, q_d) bits, MSB-first, so a_0 is the top
+    m bits.  m and the shifts are fixed here, once per key length; the map
+    reads only the low key_bits bits of its argument."""
+    m = it_key_width(key_bits, q_d)
+    mask, shifts = (1 << m) - 1, range(key_bits - m, -1, -m)
+
+    def split(bits: int) -> ItPrfKey:
+        return ItPrfKey(tuple([bits >> s & mask for s in shifts]), m)
+    return split
 
 
 class CompPrfKey(Value):
@@ -224,12 +234,19 @@ def _cmac_aes():
     return CMAC, algorithms.AES
 
 
+def it_max_input(m: int) -> int:
+    """The longest input, in bytes, that prf_it takes at field width m: the
+    input and its u32 length prefix must fit in m bits.  Negative below
+    m = 32, where no input fits."""
+    return m // 8 - 4
+
+
 def _encode_input(x: bytes, m: int) -> int:
-    framed = struct.pack(">I", len(x)) + x
-    if 8 * len(framed) > m:
+    """x's u32 length, then x, read big-endian as one GF(2^m) element."""
+    if len(x) > it_max_input(m):
         raise MalformedError(
-            f"input needs {8 * len(framed)} bits, field width is {m}")
-    return int.from_bytes(framed, "big")
+            f"input needs {8 * (len(x) + 4)} bits, field width is {m}")
+    return len(x) << 8 * len(x) | int.from_bytes(x, "big")
 
 
 def prf_it(key: ItPrfKey, x: bytes, out_bits: int) -> int:
@@ -245,13 +262,12 @@ def prf_comp(key: CompPrfKey, x: bytes, out_bits: int) -> int:
     """
     if out_bits < 1:
         raise MalformedError("output length must be positive")
-    blocks = []
-    for i in range(-(-out_bits // 128)):
-        mac = key.cmac.copy()
+    blocks, cmac, stream = -(-out_bits // 128), key.cmac, 0
+    for i in range(blocks):
+        mac = cmac.copy()
         mac.update(struct.pack(">I", i) + x)
-        blocks.append(mac.finalize())
-    stream = b"".join(blocks)
-    return int.from_bytes(stream, "big") >> (8 * len(stream) - out_bits)
+        stream = stream << 128 | int.from_bytes(mac.finalize(), "big")
+    return stream >> (128 * blocks - out_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,10 @@ __all__ = [
 #   mac_bits 64:   44/46    57/47    86/57
 #   mac_bits 128:  65/66    84/69   123/84
 #   mac_bits 256: 106/113  140/122  202/157
-# At mac_bits 8 every body takes Horner on the log tables: 11/30, 28/44,
-# 56/52, 74/55 and 145/65 at 16, 48, 96, 128 and 255 blocks, so the lanes
-# would win only past about 96 blocks, which no game or benchmark sends.
+# At mac_bits 8 every body takes Horner on the log tables, each block one
+# byte read as an int: 4.5/21, 10/31, 11/29, 12/30, 18/34 and 23/35 at 16,
+# 48, 96, 128, 192 and 255 blocks, so Horner wins at every length the
+# length term allows.
 # A step carries at most MAX_LANES streams: wider lane ints stopped paying
 # at 512.
 LANE_BLOCKS = 16
@@ -159,9 +160,11 @@ class DemCiphertext(Value):
 def _aes_ctr():
     # loaded on the first keystream, so importing the DEM (every CLI command
     # does, for DemProfile) does not load the OpenSSL bindings; cached, so
-    # later keystreams do not pay for an import statement
+    # later keystreams do not pay for an import statement.  The mode at
+    # counter 0, where every key's keystream starts, is built once too: a
+    # mode holds only its nonce
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-    return Cipher, algorithms.AES, modes.CTR
+    return Cipher, algorithms.AES, modes.CTR, modes.CTR(bytes(16))
 
 
 @functools.cache
@@ -174,8 +177,9 @@ def _sha256():
 def aes_ctr_keystream(key: bytes, data: bytes, start: int = 0) -> bytes:
     """data XORed with the AES-256-CTR keystream from its byte `start`; the
     counter block of byte 0 is zero, and counts up by one per 16 bytes."""
-    cipher, aes, ctr = _aes_ctr()
-    enc = cipher(aes(key), ctr((start >> 4).to_bytes(16, "big"))).encryptor()
+    cipher, aes, ctr, ctr0 = _aes_ctr()
+    mode = ctr((start >> 4).to_bytes(16, "big")) if start >> 4 else ctr0
+    enc = cipher(aes(key), mode).encryptor()
     if start & 15:
         enc.update(bytes(start & 15))
     return enc.update(data) + enc.finalize()
@@ -280,9 +284,12 @@ def _mac_tag(k1: int, k2: int, body, bits: int,
     horner = lanes is None and (blocks < LANE_BLOCKS or bits <= LOG_WIDTH)
     times_k1 = ctx.mul_by(k1)
     if horner:
+        # at mac_bits up to LOG_WIDTH a block is one byte, read as an int
         acc = 0
-        for i in range(0, blocks * bb, bb):
-            acc = times_k1(acc) ^ int.from_bytes(body[i:i + bb], "big")
+        for block in (body if bb == 1 else
+                      [int.from_bytes(body[i:i + bb], "big")
+                       for i in range(0, blocks * bb, bb)]):
+            acc = times_k1(acc) ^ block
     else:
         if lanes is None:
             width = min(MAX_LANES, 1 << (blocks.bit_length() - 1))

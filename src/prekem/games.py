@@ -18,7 +18,8 @@ Oracles enforce the game rules by raising GameRuleError: query budgets,
 the bar on handing the challenge ciphertext to a decapsulation or
 decryption oracle, the forgery game's replay exclusion, and the PRF
 game's distinct-query rule.  A rule violation means a broken adversary,
-not a lost trial.
+not a lost trial.  A PRF query longer than the family takes raises
+MalformedError in both arms alike, before it counts.
 
 Exact analyzers clear the source table's common denominator and work on
 integer-scaled probabilities throughout, so their results are Fractions
@@ -36,8 +37,8 @@ import random
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .combiner import (CompPrfKey, ItPrfKey, it_key_width, prf_comp,
-                       prf_it)
+from .combiner import (CompPrfKey, it_key_split, it_key_width, it_max_input,
+                       prf_comp, prf_it)
 from .dem import (
     DemCiphertext,
     DemKey,
@@ -842,7 +843,10 @@ def count_solutions_lemma6(n: int, t: int, seed, seed_f, v: int, v_f: int,
 # DEM indistinguishability
 
 class DemOracle:
-    """Decryption oracle for the one-time chosen-ciphertext row."""
+    """Decryption oracle for the one-time chosen-ciphertext row.
+
+    longest is the longest body it has decrypted, in bytes, which the
+    forgery bound is read at."""
 
     def __init__(self, atk: str, decrypt_fn: Callable, q_d: int,
                  barred: DemCiphertext) -> None:
@@ -850,6 +854,7 @@ class DemOracle:
         self._fn = decrypt_fn
         self.queries_left = q_d if atk == "otcca" else 0
         self._barred = barred
+        self.longest = 0
 
     def decrypt(self, c: DemCiphertext) -> Optional[bytes]:
         if self._atk != "otcca":
@@ -859,6 +864,7 @@ class DemOracle:
         if c == self._barred:
             raise GameRuleError("challenge ciphertext is barred from decryption")
         self.queries_left -= 1
+        self.longest = max(self.longest, len(c.body))
         return self._fn(c)
 
 
@@ -870,8 +876,9 @@ def run_dem_ind(config: GameConfig, adversary,
     encrypt/decrypt default to the real one-time scheme of the configured
     profile and attack row; injectable stand-ins (such as the identity
     stub) exist for calibrating the harness.  The reported bound is 0 for
-    the passive row and the chosen-ciphertext row's forgery bound scaled
-    by the query budget otherwise.
+    the passive row and, otherwise, the chosen-ciphertext row's forgery
+    bound scaled by the query budget, at the longest body of any trial's
+    challenge or decryption queries.
     """
     if config.dem is None:
         raise MalformedError("this game needs config.dem")
@@ -901,7 +908,9 @@ def run_dem_ind(config: GameConfig, adversary,
         oracle = DemOracle(config.atk,
                            lambda c: decrypt(DemKey(kbits, key_bits), c),
                            config.q_d, c_star)
-        return adversary.distinguish(profile, st, c_star, oracle, rng)
+        guess = adversary.distinguish(profile, st, c_star, oracle, rng)
+        longest = max(longest, oracle.longest)
+        return guess
 
     return _two_arm_report(
         config, "dem-ind", "dem", trial,
@@ -939,39 +948,47 @@ def identity_dem_decrypt(key: DemKey, c: DemCiphertext) -> Optional[bytes]:
 # PRF real-vs-random
 
 class PrfFamily(Value):
-    """A keyed function family plus how to draw its key."""
+    """A keyed function family plus how to draw its key.
 
-    __slots__ = ("name", "out_bits", "sample_key", "evaluate")
+    max_input is the longest input, in bytes, that evaluate takes (None:
+    any); the PRF oracle refuses a longer query in both arms alike, before
+    it counts.
+    """
+
+    __slots__ = ("name", "out_bits", "sample_key", "evaluate", "max_input")
 
     def __init__(self, name: str, out_bits: int,
                  sample_key: Callable[[Any], Any],
-                 evaluate: Callable[[Any, bytes], int]) -> None:
-        set_fields(self, name, out_bits, sample_key, evaluate)
+                 evaluate: Callable[[Any, bytes], int],
+                 max_input: Optional[int] = None) -> None:
+        set_fields(self, name, out_bits, sample_key, evaluate, max_input)
 
 
 def it_prf_family(key_bits: int, q_d: int, out_bits: int) -> PrfFamily:
-    """Polynomial-evaluation family keyed by a (q_d+2)-way key split."""
+    """Polynomial-evaluation family keyed by a (q_d+2)-way key split.
+
+    The width, the split and out_bits are fixed here, so a trial only draws
+    its key bits and builds its ItPrfKey.
+    """
     # checked before any key is drawn, which a huge key_bits would overflow,
     # and out_bits too, which an adversary that never evaluates would miss
     m = it_key_width(key_bits, q_d)
     if not 1 <= out_bits <= m:
         raise MalformedError(f"output length must be in 1..{m}")
-
-    def sample(rng):
-        return ItPrfKey.from_kem_key(IkemKey(rng.getrandbits(key_bits),
-                                             key_bits), q_d)
-    return PrfFamily("prf-it", out_bits, sample,
-                     lambda key, x: prf_it(key, x, out_bits))
+    split = it_key_split(key_bits, q_d)
+    return PrfFamily("prf-it", out_bits,
+                     lambda rng: split(rng.getrandbits(key_bits)),
+                     lambda key, x: prf_it(key, x, out_bits),
+                     it_max_input(m))
 
 
 def comp_prf_family(out_bits: int) -> PrfFamily:
     """Block-cipher MAC family under a 256-bit key."""
     if out_bits < 1:
         raise MalformedError("output length must be positive")
-
-    def sample(rng):
-        return CompPrfKey.from_kem_key(IkemKey(rng.getrandbits(256), 256))
-    return PrfFamily("prf-comp", out_bits, sample,
+    return PrfFamily("prf-comp", out_bits,
+                     lambda rng: CompPrfKey(
+                         rng.getrandbits(256).to_bytes(32, "big")),
                      lambda key, x: prf_comp(key, x, out_bits))
 
 
@@ -993,11 +1010,15 @@ class PriOracle:
             raise GameRuleError("repeated query")
         if self.queries_left <= 0:
             raise GameRuleError("query budget exhausted")
+        family = self._family
+        if family.max_input is not None and len(x) > family.max_input:
+            raise MalformedError(f"a {len(x)}-byte query is longer than the "
+                                 f"family's {family.max_input} bytes")
         self._seen.add(x)
         self.queries_left -= 1
         if self._b == 0:
-            return self._family.evaluate(self._key, x)
-        return self._rng.getrandbits(self._family.out_bits)
+            return family.evaluate(self._key, x)
+        return self._rng.getrandbits(family.out_bits)
 
 
 def run_pri(config: GameConfig, family: PrfFamily, adversary,

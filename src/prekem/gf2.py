@@ -3,8 +3,8 @@
 Elements are non-negative Python ints below 2^m, read as polynomials over
 GF(2) with bit i holding the coefficient of x^i.  Rendered as an m-bit
 string, the most-significant bit comes first, so "bit 1" of the string is
-the coefficient of x^(m-1).  The block operator below indexes in that
-MSB-first convention.
+the coefficient of x^(m-1).  The hash families' truncations (the top t
+bits of a product) index in that MSB-first convention.
 
 Each width has one reduction polynomial: the lowest-weight irreducible of
 that degree (minimal number of terms, ties broken by smallest integer
@@ -381,14 +381,3 @@ def field(m: int) -> FieldCtx:
     """Shared context for GF(2^m)."""
     return FieldCtx(m)
 
-
-def block(x: int, width: int, i: int, j: int) -> int:
-    """Bits i..j (inclusive, 1-based) of the width-bit string x, MSB-first.
-
-    block(x, width, 1, t) is therefore the t most-significant bits.
-    """
-    if not 1 <= i <= j <= width:
-        raise ValueError(f"block range {i}..{j} out of 1..{width}")
-    if not 0 <= x < (1 << width):
-        raise ValueError(f"0x{x:x} does not fit in {width} bits")
-    return (x >> (width - j)) & ((1 << (j - i + 1)) - 1)

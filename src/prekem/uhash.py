@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import MalformedError
-from .gf2 import block, field
+from .gf2 import field
 from .value import Value, set_fields
 
 __all__ = [
@@ -269,19 +269,23 @@ def twise_poly(key: Sequence[int], x: int, m: int, out_bits: int) -> int:
     GF(2^m) element x.
 
     Horner starts from the top coefficient, so a key of d+1 coefficients
-    takes d products; x is checked first, even when d is 0.  Uniform keys
-    of length d+1 make outputs (d+1)-wise independent; the result is
-    truncated to its top out_bits bits.
+    takes d products; x is checked first, even when d is 0, then the
+    coefficients all at once, the first one outside the field named from
+    the top.  Uniform keys of length d+1 make outputs (d+1)-wise
+    independent; the result is truncated to its top out_bits bits.
     """
     ctx = field(m)
     if not key:
         raise MalformedError("key needs at least one coefficient")
     if not 1 <= out_bits <= m:
         raise MalformedError("output length must be in 1..m")
-    mul, check = ctx.mul, ctx.check
-    check(x)
-    coeffs = reversed(key)
-    acc = check(next(coeffs))
+    if x < 0 or x >> m:
+        ctx.check(x)
+    if min(key) < 0 or max(key) >> m:
+        for a in reversed(key):
+            ctx.check(a)
+    mul, coeffs = ctx.mul, reversed(key)
+    acc = next(coeffs)
     for a in coeffs:
-        acc = mul(acc, x) ^ check(a)
-    return block(acc, m, 1, out_bits)
+        acc = mul(acc, x) ^ a
+    return acc >> (m - out_bits)

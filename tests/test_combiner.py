@@ -12,7 +12,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import algorithms
 from cryptography.hazmat.primitives.cmac import CMAC
 
-from prekem import combiner
+from prekem import combiner, games
 from prekem.combiner import (
     CombinedCiphertext,
     CombinedKem,
@@ -29,9 +29,12 @@ from prekem.combiner import (
 )
 from prekem.combiner import test_double_kem as make_double
 from prekem.errors import MalformedError
+from prekem.gf2 import field
 from prekem.ikem import IkemKey, IkemParams, Mode, gen
 from prekem.source import bsc_source
 from prekem.uhash import twise_poly
+
+from oracles import naive_prf_comp, naive_prf_it
 
 
 class SeqRng:
@@ -167,6 +170,82 @@ class TestItPrf:
         prf_it(key, b"\x00", 8)
         with pytest.raises(MalformedError):
             prf_it(key, b"\x00\x01", 8)
+
+
+# field widths a PRF family can take: the smallest that frames an input (32,
+# where only the empty input fits), byte-aligned ones around it, two that are
+# not byte-aligned, the widest table entry and a frozen search result
+PRF_WIDTHS = (32, 33, 40, 47, 64, 128, 256, 527)
+
+
+class TestPrfDifferential:
+    """The PRF families and prf_it against naive_prf_it, and the
+    computational family against CMAC from `cryptography` directly."""
+
+    @staticmethod
+    def inputs(m, rng):
+        # empty, one byte, the longest the frame takes and one byte more,
+        # and random lengths up to the longest
+        longest = m // 8 - 4
+        sizes = {0, 1, longest, longest + 1} | {
+            rng.randint(0, max(longest, 0)) for _ in range(3)}
+        return [rng.randbytes(size) for size in sorted(sizes)]
+
+    @pytest.mark.parametrize("m", PRF_WIDTHS)
+    @pytest.mark.parametrize("q_d", [0, 1, 2])
+    def test_it_family_matches_the_naive_polynomial(self, m, q_d):
+        assert m in combiner.SUPPORTED_WIDTHS
+        poly, key_bits = field(m).poly, (q_d + 2) * m
+        rng = random.Random(f"{m}:{q_d}")
+        for out_bits in sorted({1, rng.randint(1, m), m}):
+            family = games.it_prf_family(key_bits, q_d, out_bits)
+            assert family.max_input == m // 8 - 4
+            for k in range(4):
+                seed = f"{m}:{q_d}:{out_bits}:{k}"
+                bits = random.Random(seed).getrandbits(key_bits)
+                key = family.sample_key(random.Random(seed))
+                assert key == ItPrfKey.from_kem_key(IkemKey(bits, key_bits),
+                                                    q_d)
+                assert len(key.coeffs) == q_d + 2 and key.m == m
+                for x in self.inputs(m, rng):
+                    want = naive_prf_it(bits, key_bits, q_d, x, out_bits, poly)
+                    if want is None:
+                        with pytest.raises(MalformedError,
+                                           match="field width is"):
+                            prf_it(key, x, out_bits)
+                        assert len(x) > family.max_input
+                        continue
+                    assert family.evaluate(key, x) == want, (seed, x)
+                    assert prf_it(key, x, out_bits) == want, (seed, x)
+
+    @pytest.mark.parametrize("m", [40, 128])
+    def test_extreme_keys_match_the_naive_polynomial(self, m):
+        # all-zero, all-one and single-coefficient keys, where a skipped or
+        # misplaced coefficient shows in every output
+        poly, key_bits = field(m).poly, 3 * m
+        top = (1 << m) - 1
+        for coeffs in ((0, 0, 0), (top, top, top), (1, 0, 0), (0, 1, 0),
+                       (0, 0, 1), (top, 0, 1)):
+            bits = coeffs[0] << 2 * m | coeffs[1] << m | coeffs[2]
+            key = ItPrfKey.from_kem_key(IkemKey(bits, key_bits), 1)
+            assert key.coeffs == coeffs
+            for x in (b"", b"\x01", b"\xff" * (m // 8 - 4)):
+                assert prf_it(key, x, m) == naive_prf_it(
+                    bits, key_bits, 1, x, m, poly), (coeffs, x)
+
+    @pytest.mark.parametrize("out_bits", [1, 8, 127, 128, 129, 256, 300])
+    def test_comp_family_matches_cmac_called_directly(self, out_bits):
+        family = games.comp_prf_family(out_bits)
+        rng = random.Random(out_bits)
+        for k in range(4):
+            seed = f"comp:{out_bits}:{k}"
+            raw = random.Random(seed).getrandbits(256).to_bytes(32, "big")
+            key = family.sample_key(random.Random(seed))
+            assert key == CompPrfKey(raw)
+            for x in (b"", b"\x00", rng.randbytes(15), rng.randbytes(200)):
+                want = naive_prf_comp(raw, x, out_bits)
+                assert family.evaluate(key, x) == want
+                assert prf_comp(key, x, out_bits) == want
 
 
 class TestPtxCore:

@@ -333,6 +333,24 @@ class TestAuthenticated:
                     lanes = mac_bits > LOG_WIDTH and blocks >= dem.LANE_BLOCKS
                     assert len(lanes_built) == lanes, size
 
+    def test_every_length_at_mac_bits_8_takes_horner(self, lanes_built):
+        # a body at mac_bits 8 has at most 255 bytes, each one block read
+        # as it is; every length's tag is Horner's, through _mac_tag and
+        # through a sealing stream, and no lanes are built
+        profile = DemProfile(enc_len=8, mac_bits=8)
+        rng = random.Random(255)
+        for size in range(256):
+            body = rng.randbytes(size)
+            for k1 in (0, 1, 255, rng.getrandbits(8)):
+                k2 = rng.getrandbits(8)
+                assert dem._mac_tag(k1, k2, body, 8) == \
+                    horner_tag(k1, k2, body, 8), (size, k1)
+            key = DemKey(rng.getrandbits(24), 24)
+            c = encrypt_otcca(DemKey(key.bits, 24), body, profile)
+            k1, k2 = key_parts(key, 8)
+            assert c.tag == horner_tag(k1, k2, c.body, 8), size
+        assert not lanes_built
+
     def test_games_tags_take_the_tables(self, tables_built):
         # the dem-ind game's 16-byte bodies at mac_bits 8
         profile = DemProfile(enc_len=8, mac_bits=8)

@@ -25,7 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prekem import games
-from prekem.dem import DemCiphertext, DemProfile, decrypt_otcca
+from prekem.dem import (DemCiphertext, DemProfile, decrypt_otcca,
+                        mac_forgery_bound)
 from prekem.errors import GameRuleError, InfeasibleError, MalformedError
 from prekem.games import (
     AdvantageReport,
@@ -1410,6 +1411,32 @@ class TestRunDemInd:
         # one probe per arm, both rejected
         assert answers == [None, None]
 
+    def test_bound_reads_the_longest_decrypted_body(self):
+        # one 255-byte body sent to the decryption oracle at mac_bits 8: a
+        # forgery there succeeds with probability up to 256/256, while the
+        # 16-byte challenges alone give 17/256
+        profile = DemProfile(enc_len=8, mac_bits=8)
+
+        def long_forgery(c_star, oracle):
+            assert oracle.decrypt(DemCiphertext(bytes(255), 0)) in (None,
+                                                                    bytes(255))
+
+        cfg = GameConfig(atk="otcca", trials=3, q_d=1, seed=2, dem=profile)
+        forger = ScriptedDem(script=long_forgery, m0=bytes(16),
+                             m1=b"\xff" * 16)
+        assert mac_forgery_bound(profile, 255) == 1.0
+        assert run_dem_ind(cfg, forger).bound == 1.0
+        quiet = run_dem_ind(cfg, ScriptedDem(m0=bytes(16), m1=b"\xff" * 16))
+        assert quiet.bound == mac_forgery_bound(profile, 16) == 17 / 256
+
+    def test_oracle_records_the_longest_body(self):
+        barred = DemCiphertext(b"x", 0)
+        oracle = games.DemOracle("otcca", lambda c: None, 3, barred)
+        assert oracle.longest == 0
+        for body in (b"ab", b"abcde", b"abc"):
+            oracle.decrypt(DemCiphertext(body, 1))
+        assert oracle.longest == 5
+
     def test_unequal_message_lengths_rejected(self):
         cfg = GameConfig(atk="ot", trials=1, seed=0, dem=DemProfile())
         with pytest.raises(GameRuleError):
@@ -1444,6 +1471,35 @@ class TestRunPri:
         cfg = GameConfig(atk="pri", trials=1, q_e=1, seed=0)
         with pytest.raises(GameRuleError):
             run_pri(cfg, it_prf_family(80, 0, 13), probe)
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_unencodable_query_refused_before_it_counts(self, b):
+        # at m = 40 a query holds at most one byte beside its u32 length
+        # prefix; a longer one is refused alike in both arms, before it is
+        # recorded or charged and before the random arm draws
+        family = it_prf_family(80, 0, 13)
+        assert family.max_input == 1
+        rng = random.Random(5)
+        oracle = games.PriOracle(family, family.sample_key(rng), b, 3, rng)
+        state = rng.getstate()
+        for _ in range(2):
+            with pytest.raises(MalformedError,
+                               match="2-byte query is longer than the "
+                                     "family's 1 bytes"):
+                oracle.eval(b"ab")
+            assert oracle.queries_left == 3
+            assert rng.getstate() == state
+        oracle.eval(b"a")
+        assert oracle.queries_left == 2
+        with pytest.raises(GameRuleError, match="repeated query"):
+            oracle.eval(b"a")
+
+    def test_comp_family_takes_any_input(self):
+        family = comp_prf_family(8)
+        assert family.max_input is None
+        rng = random.Random(6)
+        oracle = games.PriOracle(family, family.sample_key(rng), 0, 1, rng)
+        assert 0 <= oracle.eval(bytes(1000)) < 256
 
     def test_random_guess_within_halfwidth(self):
         cfg = GameConfig(atk="pri", trials=400, q_e=2, seed=15)

@@ -21,29 +21,12 @@ from prekem.gf2 import (
     _mod_sparse,
     _poly_gcd,
     _sqr,
-    block,
     clmul,
     field,
     find_irreducible,
 )
 
-
-def naive_clmul(a: int, b: int) -> int:
-    """Schoolbook carryless multiply: one shifted copy of a per set bit of b."""
-    prod = 0
-    for i in range(b.bit_length()):
-        if (b >> i) & 1:
-            prod ^= a << i
-    return prod
-
-
-def naive_mul(a: int, b: int, m: int, poly: int) -> int:
-    """Schoolbook carryless multiply then bit-by-bit reduction."""
-    prod = naive_clmul(a, b)
-    for i in range(prod.bit_length() - 1, m - 1, -1):
-        if (prod >> i) & 1:
-            prod ^= poly << (i - m)
-    return prod
+from oracles import block, naive_clmul, naive_mul
 
 
 def inverse(f, a: int) -> int:

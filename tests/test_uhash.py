@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prekem.errors import MalformedError
-from prekem.gf2 import FieldCtx, block, field
+from prekem.gf2 import FieldCtx, field
 from prekem.uhash import (
     ExtractorSeed,
     PaddedSeedVector,
@@ -36,7 +36,7 @@ from prekem.uhash import (
     twise_poly,
 )
 
-from oracles import mul_add, twise_poly_from_zero
+from oracles import block, mul_add, twise_poly_from_zero
 
 # default reduction polynomials for the widths used here; frozen so a
 # package-side change of field conventions is caught, not absorbed
