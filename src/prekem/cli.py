@@ -10,12 +10,14 @@ Exit codes: 0 success, 1 usage or format error, 2 infeasible parameters,
 declared bound beyond the confidence slack.
 
 he-encrypt and he-decrypt stream from file to file through hybrid's stream
-forms, so memory does not grow with the file.  A regular --out (or a new
-one) is written through a temporary file beside it that replaces it only
-on success: a rejection, a format error or a crash leaves no --out, and
---out may name --in.  An --out that is not a regular file (a terminal, a
-pipe, /dev/stdout) is written through directly, as before, so a failure
-part-way leaves there what was written.
+forms, so memory does not grow with the file.  They take the DEM profile a
+parameter file carries, and refuse a file without one: params derived its
+key for no DEM.  A regular --out (or a new one) is written through a
+temporary file beside it that replaces it only on success: a rejection, a
+format error or a crash leaves no --out, and --out may name --in.  An
+--out that is not a regular file (a terminal, a pipe, /dev/stdout) is
+written through directly, as before, so a failure part-way leaves there
+what was written.
 
 Instance materials live in separate JSON files, one per role, so the
 sender, receiver and observer strings can be delivered to different
@@ -224,7 +226,7 @@ def params_to_doc(params: IkemParams,
     return doc
 
 
-def params_from_doc(doc: dict) -> Tuple[IkemParams, DemProfile]:
+def params_from_doc(doc: dict) -> Tuple[IkemParams, Optional[DemProfile]]:
     where = "parameter file"
     mode = Mode.from_name(read_field(doc, "mode", where, str))
     source = from_json(read_field(doc, "source", where, dict))
@@ -240,12 +242,23 @@ def params_from_doc(doc: dict) -> Tuple[IkemParams, DemProfile]:
         q_d=read_field(doc, "q_d", where, int, 0),
         eps=read_field(doc, "eps", where, float, None),
         delta=read_field(doc, "delta", where, float, None))
-    dem = _dem_profile(read_field(doc, "dem", where, dict, None), "dem")
-    return params, dem or DemProfile()
+    return params, _dem_profile(read_field(doc, "dem", where, dict, None), "dem")
 
 
-def _load_params(path: str) -> Tuple[IkemParams, DemProfile]:
+def _load_params(path: str) -> Tuple[IkemParams, Optional[DemProfile]]:
     return params_from_doc(_read_json(path))
+
+
+def _load_hybrid(path: str):
+    """The hybrid scheme a parameter file drives; a file without a DEM
+    profile is a format error, since params derived its key for none."""
+    from .hybrid import HybridScheme
+
+    params, dem = _load_params(path)
+    if dem is None:
+        raise MalformedError("parameter file has no DEM profile: re-run "
+                             "params with a 'dem' object")
+    return params, HybridScheme.for_params(params, dem)
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +448,9 @@ def cmd_decap(args) -> int:
 # hybrid encryption
 
 def cmd_he_encrypt(args) -> int:
-    from .hybrid import HybridScheme, he_encrypt_stream
+    from .hybrid import he_encrypt_stream
 
-    params, dem = _load_params(args.config)
-    scheme = HybridScheme.for_params(params, dem)
+    params, scheme = _load_hybrid(args.config)
     x = _read_material(args.x, "x", params.n, params.source.nx)
     public = _public_for(args, params)
     rng = _rng_for(args)
@@ -450,10 +462,9 @@ def cmd_he_encrypt(args) -> int:
 
 
 def cmd_he_decrypt(args) -> int:
-    from .hybrid import HybridScheme, he_decrypt_stream
+    from .hybrid import he_decrypt_stream
 
-    params, dem = _load_params(args.config)
-    scheme = HybridScheme.for_params(params, dem)
+    params, scheme = _load_hybrid(args.config)
     y = _read_material(args.y, "y", params.n, params.source.ny)
     public = _public_for(args, params)
     with _open_input(args.infile) as src:

@@ -34,6 +34,8 @@ import itertools
 import json
 import math
 import random
+from array import array
+from collections import Counter
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -705,6 +707,24 @@ def brute_force_forger(params: IkemParams, z, rng,
 # ---------------------------------------------------------------------------
 # exact key-uniformity distance
 
+def _labels(cells, tc: str) -> bytes:
+    """One key per partition: each x's cell, numbered in order of first
+    appearance, packed as array typecode tc."""
+    first: Dict[Any, int] = {}
+    return array(tc, [first.setdefault(c, len(first)) for c in cells]).tobytes()
+
+
+def _refine(parts: Counter, cuts: Counter, tc: str) -> Counter:
+    """Counts of the partitions that each of parts cut by each of cuts
+    gives, a pair counting the product of its two counts."""
+    out: Counter = Counter()
+    for p, m in parts.items():
+        cells = memoryview(p).cast(tc)
+        for q, k in cuts.items():
+            out[_labels(zip(cells, memoryview(q).cast(tc)), tc)] += m * k
+    return out
+
+
 def exact_distance(params: IkemParams, q_e: int) -> Fraction:
     """Exact statistical distance of the session key from uniform.
 
@@ -715,7 +735,11 @@ def exact_distance(params: IkemParams, q_e: int) -> Fraction:
     shows its key, plus its hash value where seeds are fresh.  One
     selector, a row per (shown value, challenge seed), marks the x showing
     that value; for each grouping of x into query cells, |2^ell M - tot| is
-    summed over the key digit.  Arithmetic is integer-scaled end to end.
+    summed over the key digit and the cells.  That sum does not change when
+    the cells are relabelled, so it is taken once per distinct partition of
+    x into query cells and weighted by the number of transcripts (published
+    seed, query seeds) that induce it.  Arithmetic is integer-scaled end to
+    end.
     """
     if q_e < 0:
         raise MalformedError("q_e must be non-negative")
@@ -756,23 +780,28 @@ def exact_distance(params: IkemParams, q_e: int) -> Fraction:
     base, code = ((V, code) if shared
                   else (V[:1] * 0, code + (V << params.ell)))
 
+    # query cells: the partitions of x that the transcripts induce, each
+    # with its transcript count, refined one query at a time
+    tc = "B" if X <= 1 << 8 else "H"  # FLOP_MAX keeps X <= 2^16
+    parts = Counter(_labels(row, tc) for row in base.tolist())
+    if q_e:
+        cuts = Counter(_labels(row, tc) for row in code.tolist())
+        for _ in range(q_e):
+            parts = _refine(parts, cuts, tc)
+    groups = [(np.frombuffer(key, tc), m) for key, m in parts.items()]
+
     total, xs = 0, np.arange(X)
     step = max(1, SELECT_MAX // ((1 << shown_bits) * max(X, cells_cap * Z)))
     for lo in range(0, NQ, step):
         block = code[lo:lo + step]
         sel = np.zeros((len(block) << shown_bits, X))
         sel[np.arange(len(block))[:, None] << shown_bits | block, xs] = 1.0
-        for cell0 in base:
-            for qseeds in itertools.product(range(NQ), repeat=q_e):
-                cell = cell0
-                for sigma in qseeds:
-                    cell = cell << shown_bits | code[sigma]
-                _, inv = np.unique(cell, return_inverse=True)
-                B = np.zeros((X, inv.max() + 1, Z))
-                B[xs, inv] = W
-                T = (sel @ B.reshape(X, -1)).reshape(-1, out, B[0].size)
-                tot = T.sum(axis=1, keepdims=True)
-                total += int(round(np.abs(T * out - tot).sum()))
+        for inv, m in groups:
+            B = np.zeros((X, inv.max() + 1, Z))
+            B[xs, inv] = W
+            T = (sel @ B.reshape(X, -1)).reshape(-1, out, B[0].size)
+            tot = T.sum(axis=1, keepdims=True)
+            total += m * int(round(np.abs(T * out - tot).sum()))
     return Fraction(total, 2 * out * denom ** n * n_seeds)
 
 

@@ -146,7 +146,8 @@ class TestParams:
         params, dem = params_from_doc(json.loads(out.read_text()))
         assert params.mode is Mode.CEA
         assert (params.n, params.t, params.ell, params.w) == (12, 4, 6, 12)
-        assert dem == DemProfile()
+        # no dem object in the config, so none in the file
+        assert dem is None
 
     def test_out_file_keeps_dem_profile(self, tmp_path):
         # a config's envelope profile must survive into the derived file,
@@ -216,6 +217,33 @@ class TestParams:
         need = 24 if mode == "cca" else 8
         assert err == f"error: config 'ell' {ell} != DEM key length {need}\n"
         assert not out.exists()
+
+    def test_file_without_dem_names_the_missing_profile(self, tmp_path,
+                                                        capsys):
+        # params derives a 13-bit key for no DEM; the envelope commands
+        # used to take the 256-bit default profile and report a key
+        # length mismatch the user could not act on
+        config = self.config(
+            tmp_path, source={"bsc": {"p": "0", "q": "1/2", "n": 40}},
+            sigma=0.5, q_e=1, t=13, nu=10.41)
+        out = tmp_path / "params.json"
+        assert run_cli("params", "--config", config, "--mode", "cea",
+                       "--out", out) == 0
+        shown = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["ell", "13"] in shown and ["verdict", "feasible"] in shown
+        mat = sampled_materials(tmp_path, out)
+        capsys.readouterr()
+        message = tmp_path / "msg.bin"
+        message.write_bytes(b"attack at dawn")
+        want = ("error: parameter file has no DEM profile: re-run params "
+                "with a 'dem' object\n")
+        for cmd, role in (("he-encrypt", "x"), ("he-decrypt", "y")):
+            env = tmp_path / f"{cmd}.out"
+            assert assert_format_error(
+                capsys, cmd, "--config", out, f"--{role}", mat / f"{role}.json",
+                "--public", mat / "public.json", "--in", message,
+                "--out", env) == want
+            assert not env.exists()
 
     def test_repeated_pxyz_cell_exits_one(self, tmp_path, capsys):
         source = {"alphabet": [2, 2, 2], "n": 3,

@@ -1144,6 +1144,48 @@ class TestBruteForceForger:
         assert a == b
 
 
+# the shared-seed tests' asymmetric table, for the other modes too
+ASYMMETRIC = {"alphabet": [2, 2, 2], "n": 2, "pxyz": [
+    [0, 0, 0, "3/8"], [0, 1, 1, "1/8"], [1, 1, 0, "1/4"],
+    [1, 0, 1, "1/8"], [1, 1, 1, "1/8"]]}
+
+# most (x, z, seeds) views one oracle enumeration in the sweep may visit
+VIEW_BUDGET = 5000
+
+
+def oracle_views(params, q_e):
+    """How many (x, z, published seed, seed tuple) views the view oracle
+    visits: a few Fraction additions each."""
+    n = params.n
+    per = 2 ** (params.w + params.mode.s_bits(n, params.t))
+    pub = 2 ** n if params.mode is Mode.CEA else 1
+    return (2 * params.source.nz) ** n * pub * per ** (q_e + 1)
+
+
+@st.composite
+def exact_instances(draw):
+    """Tiny asymmetric binary tables (zero cells allowed) under every mode,
+    with the most queries up to 2 that the oracle budget allows."""
+    nz = draw(st.integers(1, 2))
+    cells = draw(st.lists(st.integers(0, 3), min_size=4 * nz,
+                          max_size=4 * nz).filter(any))
+    mode = draw(st.sampled_from(list(Mode)))
+    n = draw(st.integers(2 if mode is Mode.CCA else 1,
+                         2 if mode is Mode.BASELINE else 3))
+    t = draw(st.integers(1, n // 2 if mode is Mode.CCA else n))
+    ell = draw(st.integers(1, min(n, 2)))
+    w = mode.seed_width(n, ell)
+    spec = SourceSpec(2, 2, nz, n, tuple(Fraction(c, sum(cells))
+                                         for c in cells))
+    params = IkemParams(
+        mode=mode, source=spec, n=n, t=t, ell=ell, nu=1.0,
+        r=piece_count(w, n - t) if mode is Mode.CCA else 0, w=w, sigma=0.5,
+        q_e=0, q_d=0)
+    q_e = max(q for q in range(draw(st.integers(0, 2)) + 1)
+              if oracle_views(params, q) <= VIEW_BUDGET)
+    return params, q_e
+
+
 class TestExactDistance:
     def _tiny(self, mode, w=2, **kw):
         cca = mode is Mode.CCA
@@ -1197,6 +1239,32 @@ class TestExactDistance:
         oracle = (view_distance_shared_seed if mode is Mode.CEA
                   else view_distance_fresh_seed)
         assert exact_distance(params, 1) == oracle(params, 1)
+
+    def test_baseline_mode_with_a_query(self):
+        params = self._tiny(Mode.BASELINE, w=3)
+        assert exact_distance(params, 1) == view_distance_fresh_seed(params, 1)
+
+    @pytest.mark.parametrize("q_e", [0, 1])
+    def test_authenticated_mode_asymmetric_source(self, q_e):
+        params = IkemParams(mode=Mode.CCA, source=from_json(ASYMMETRIC), n=2,
+                            t=1, ell=1, nu=2.0, r=2, w=2, sigma=0.5, q_e=0,
+                            q_d=1)
+        assert exact_distance(params, q_e) == view_distance_fresh_seed(params, q_e)
+
+    def test_shared_seed_asymmetric_source_two_queries(self):
+        # the second query refines the partitions the first one left
+        params = IkemParams(mode=Mode.CEA, source=from_json(ASYMMETRIC), n=2,
+                            t=1, ell=1, nu=2.0, r=0, w=2, sigma=0.5, q_e=0,
+                            q_d=0)
+        assert exact_distance(params, 2) == view_distance_shared_seed(params, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=exact_instances())
+    def test_sweep_matches_view_enumeration(self, case):
+        params, q_e = case
+        oracle = (view_distance_shared_seed if params.mode is Mode.CEA
+                  else view_distance_fresh_seed)
+        assert exact_distance(params, q_e) == oracle(params, q_e)
 
     def test_selector_blocks_bound_memory(self):
         params = cca_params(n=5)

@@ -7,11 +7,15 @@ function or class must be read somewhere in the package, so helpers that
 only tests use live in the tests.  Every __all__ entry must be bound in its
 module, and every public module-level function or class must be read
 somewhere in the package, exported through __all__, or hooked by the
-tracer.  Every name bench/spans.py's tracer rebinds must exist, as must every prekem name a bench/*.py file
-imports or reads off an imported prekem module or name.  No module
-imports dataclasses: its decorator compiles methods from source text at
-every import, and loading it pulls in inspect.  Outside value.py, a value
-class stores its fields only through one set_fields call in its __init__.
+tracer.  For both rules a read counts only where the name resolves to the
+definition (a module-level or imported name no local shadows, or an
+attribute read off its module), never a local variable spelled the same.
+Every name bench/spans.py's tracer rebinds must exist, as must every
+prekem name a bench/*.py file imports or reads off an imported prekem
+module or name.  No module imports dataclasses: its decorator compiles
+methods from source text at every import, and loading it pulls in
+inspect.  Outside value.py, a value class stores its fields only through
+one set_fields call in its __init__.
 No module but uhash imports or reads a per-x hash family (h_cca, h_cea,
 hprime, mul_add): the others hash through the split pairs.
 The CLI's file encryption commands read and write their files only by
@@ -95,6 +99,125 @@ def bound_names(tree):
                 yield alias.asname or alias.name.split(".")[0]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def scope_locals(scope):
+    """Names a function or comprehension binds as its own locals.  Imports
+    are left out: a name a function imports still reads the definition."""
+    if isinstance(scope, COMPREHENSIONS):
+        return {n.id for g in scope.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+    a = scope.args
+    names = {arg.arg for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                 a.vararg, a.kwarg] if arg}
+    declared = set()
+    stack = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if not isinstance(node, FUNCTIONS + COMPREHENSIONS + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def global_loads(tree):
+    """Names loaded where no enclosing function or comprehension binds a
+    local of that name: each reads a module-level or imported binding.
+    Defaults, annotations, decorators and a comprehension's first iterable
+    belong to the enclosing scope, as Python evaluates them there."""
+    loads = set()
+
+    def visit(node, shadow):
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id not in shadow):
+            loads.add(node.id)
+        if isinstance(node, FUNCTIONS + COMPREHENSIONS):
+            inner = shadow | scope_locals(node)
+            if isinstance(node, COMPREHENSIONS):
+                first = node.generators[0]
+                outer = [first.iter]
+                body = [c for c in ast.iter_child_nodes(node) if c is not first]
+                body += [first.target, *first.ifs]
+            else:
+                body = node.body if isinstance(node.body, list) else [node.body]
+                outer = [c for c in ast.iter_child_nodes(node)
+                         if not any(c is b for b in body)]
+            for child in outer:
+                visit(child, shadow)
+            for child in body:
+                visit(child, inner)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadow)
+
+    visit(tree, frozenset())
+    return loads
+
+
+def prekem_module(node):
+    """The package module (by stem) an ImportFrom names, or None outside
+    the package; '' for the package itself."""
+    if node.level:
+        return node.module or ""
+    head, _, rest = (node.module or "").partition(".")
+    return rest if head == "prekem" else None
+
+
+def definition_reads(trees):
+    """(module stem, name) for each module-level name some module reads:
+    its own module-level name, a name it imports from the defining module,
+    or an attribute read off an alias of that module."""
+    reads = set()
+    for path, tree in trees.items():
+        loads = global_loads(tree) | set(exported_names(tree))
+        reads.update((path.stem, name) for name in loads)
+        modules = {}  # alias -> module stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = prekem_module(node)
+                for alias in node.names if source is not None else ():
+                    bound = alias.asname or alias.name
+                    if source == "":  # from . import games
+                        modules[bound] = alias.name
+                    elif bound in loads:
+                        reads.add((source, alias.name))
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    head, _, rest = alias.name.partition(".")
+                    if head == "prekem" and rest and alias.asname:
+                        modules[alias.asname] = rest
+        reads.update((modules[node.value.id], node.attr)
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in modules)
+    return reads
+
+
+def unread_definitions(trees, path, kept, private):
+    """Line and name of each module-level function or class of path, private
+    or public as asked, that definition_reads misses and kept does not
+    name."""
+    reads = definition_reads(trees)
+    return [f"{path.name}:{node.lineno} {node.name}"
+            for node in trees[path].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") == private
+            and (path.stem, node.name) not in reads
+            and node.name not in kept]
+
+
 TREES = {path: ast.parse(path.read_text(), filename=str(path))
          for path in MODULES}
 
@@ -165,11 +288,7 @@ def test_fields_stored_only_by_set_fields(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_private_definitions_are_read(path):
-    read = set().union(*(read_names(tree) for tree in TREES.values()))
-    unread = [f"{path.name}:{node.lineno} {node.name}"
-              for node in TREES[path].body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name.startswith("_") and node.name not in read]
+    unread = unread_definitions(TREES, path, (), private=True)
     assert not unread, unread
 
 
@@ -262,15 +381,51 @@ def test_public_definitions_are_read_or_exported(path):
     # a public function or class no prekem module reads is API only when
     # its module exports it or the tracer hooks it; else it is a test
     # helper, and lives in the tests
-    read = set().union(*(read_names(tree) for tree in TREES.values()))
-    kept = set(exported_names(TREES[path])).union(
-        traced_names().get(path.stem, ()))
-    unread = [f"{path.name}:{node.lineno} {node.name}"
-              for node in TREES[path].body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and node.name not in read | kept]
+    kept = set(traced_names().get(path.stem, ()))
+    unread = unread_definitions(TREES, path, kept, private=False)
     assert not unread, unread
+
+
+PLANTED = {
+    "grid": """
+def block(rows):
+    return rows[:1]
+
+def cells(rows):
+    return len(rows)
+""",
+    "user": """
+from .grid import cells
+
+def width(rows, block=None):
+    block = [r for r in rows if r]
+    return len(block) + cells(rows) + len([block for block in rows])
+""",
+    "lazy": """
+def run(rows):
+    from . import grid as g
+    return g.block(rows)
+""",
+}
+
+
+def planted_trees(*names):
+    return {Path(f"prekem/{name}.py"): ast.parse(PLANTED[name])
+            for name in names}
+
+
+def test_a_local_spelled_like_a_definition_is_no_read():
+    # user's parameter, local and comprehension variable named block do
+    # not read grid.block, which nothing else reads; its import of cells
+    # does read grid.cells
+    trees = planted_trees("grid", "user")
+    grid = Path("prekem/grid.py")
+    assert unread_definitions(trees, grid, (), private=False) == [
+        "grid.py:2 block"]
+    # an attribute read off the module, here through a function's import,
+    # counts
+    trees = planted_trees("grid", "user", "lazy")
+    assert unread_definitions(trees, grid, (), private=False) == []
 
 
 def test_only_uhash_hashes_per_x():
