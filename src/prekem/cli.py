@@ -27,12 +27,11 @@ seeded from OS entropy.
 
 Each command imports only the layers it runs: hybrid, combiner and games
 load inside their handlers, because every command is a fresh process whose
-start-up is mostly imports.  No command loads numpy: only the exact
-analyzer games.exact_distance imports it, and game runs none.  No command
-loads inspect or ast: the value classes (prekem.value) compile no code at
-import.  Only the commands that encrypt, and combine with the ptx core,
-load OpenSSL (cryptography, and hashlib for a DEM key narrower than 256
-bits); combine --core xor evaluates no PRF and loads none.
+start-up is mostly imports.  No command loads inspect or ast: the value
+classes (prekem.value) compile no code at import.  Only the commands that
+encrypt, and combine with the ptx core, load OpenSSL (cryptography, and
+hashlib for a DEM key narrower than 256 bits); combine --core xor
+evaluates no PRF and loads none.
 """
 
 from __future__ import annotations

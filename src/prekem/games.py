@@ -34,9 +34,11 @@ import itertools
 import json
 import math
 import random
+import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .combiner import (CompPrfKey, it_key_split, it_key_width, it_max_input,
@@ -58,7 +60,9 @@ from .ikem import (
     IkemKey,
     IkemParams,
     Mode,
+    _Memo,
     _extractor,
+    _extractor_pair,
     _hashes,
     _receiver,
     _recon_hash,
@@ -108,8 +112,8 @@ PKIND_ATTACKS = ("ot", "cea", "cca")
 DEM_ATTACKS = ("ot", "otcca")
 
 # Enumeration ceilings: candidate (x, y) pairs for posterior analysis, the
-# inner-product count of the distance enumeration, and the entries of one
-# block of its challenge selector or product.
+# inner-product count of the distance enumeration, and the lanes of one
+# block of its per-x ints, one per (x, challenge seed, shown value, z).
 PAIR_MAX = 1 << 13
 FLOP_MAX = 1 << 35
 SELECT_MAX = 1 << 18
@@ -725,6 +729,35 @@ def _refine(parts: Counter, cuts: Counter, tc: str) -> Counter:
     return out
 
 
+def _lanes(width: int, count: int) -> int:
+    """One in the low bit of each of count width-bit lanes."""
+    return ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
+# array typecodes by word width in bits
+_WORD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _lane_sum(v: int, width: int, count: int) -> int:
+    """Sum of the count width-bit lanes of v, width 8, 16, 32 or a
+    multiple of 64, read as machine words."""
+    word = min(width, 64)
+    words = array(_WORD_CODES[word], v.to_bytes(width * count // 8, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    k = width // word
+    return sum(sum(words[j::k]) << word * j for j in range(k))
+
+
+def _cell_sums(P: List[int], whole: int, cells: List[List[int]]):
+    """Each cell's sum of P, then the rest of whole as the last one."""
+    for members in cells:
+        s = sum(map(P.__getitem__, members))
+        whole -= s
+        yield s
+    yield whole
+
+
 def exact_distance(params: IkemParams, q_e: int) -> Fraction:
     """Exact statistical distance of the session key from uniform.
 
@@ -732,77 +765,137 @@ def exact_distance(params: IkemParams, q_e: int) -> Fraction:
     the challenge, in two parts.  The query cell is what she sees before
     the challenge: the published seed's hash value (shared-seed mode), then
     per query its hash value (fresh seeds only) and its key.  The challenge
-    shows its key, plus its hash value where seeds are fresh.  One
-    selector, a row per (shown value, challenge seed), marks the x showing
-    that value; for each grouping of x into query cells, |2^ell M - tot| is
-    summed over the key digit and the cells.  That sum does not change when
-    the cells are relabelled, so it is taken once per distinct partition of
-    x into query cells and weighted by the number of transcripts (published
-    seed, query seeds) that induce it.  Arithmetic is integer-scaled end to
-    end.
+    shows its key, plus its hash value where seeds are fresh.  For each
+    grouping of x into query cells, |2^ell M - tot| is summed over the
+    challenge seed, its shown value, the cell and z, where M is the cell's
+    mass showing that value and tot its mass over the key digit.  That sum
+    does not change when the cells are relabelled, so it is taken once per
+    distinct partition of x into query cells and weighted by the number of
+    transcripts (published seed, query seeds) that induce it.
+
+    The arithmetic is exact integer arithmetic, many values to a word: per
+    block of challenge seeds, each x gets one Python int whose L-bit lanes
+    run over (challenge seed, shown value, z) and hold c(x) W(x, z).  W is
+    the mass scaled by the common denominator of the (x, z) table, and
+    c(x) is 2^ell where x shows that value, less 1 where x shows its hash
+    part.  A cell's lanes are the sum of its x's ints, and sum |s| over the
+    lanes is 2 sum max(s, 0) - sum s, with max(s, 0) taken on all lanes at
+    once from the lanes biased by 2^(L-1).  With a one-bit key, the two key
+    values of a hash part give equal sums, so only the first is kept and
+    the total doubled.  L is a power of two that holds 2 * 2^ell * zmax^n,
+    zmax the largest mass of one z symbol over x; that bounds every lane
+    and a partition's sum over its cells.
     """
     if q_e < 0:
         raise MalformedError("q_e must be non-negative")
     spec = params.source
-    denom, _ = spec.scaled
-    n, t = params.n, params.t
+    spec.scaled  # refuses a source that is not exact
+    n, t, ell = params.n, params.t, params.ell
     X, Z = 1 << n, spec.nz ** n
-    out = 1 << params.ell
+    out = 1 << ell
     # G published seeds (shared-seed mode), NQ seed pairs sigma = (s', s)
     # per ciphertext, packed as s' * 2^s_bits + s
     shared = params.mode is Mode.CEA
     s_bits = params.mode.s_bits(n, t)
     G, NQ = (X if shared else 1), 1 << (params.w + s_bits)
-    shown_bits = params.ell if shared else t + params.ell
+    shown_bits = ell if shared else t + ell
     cells_cap = min(X, 1 << (t + q_e * shown_bits))
     n_seeds = G * NQ ** (q_e + 1)
     if n_seeds * out * X * cells_cap * Z > FLOP_MAX:
         raise InfeasibleError("view enumeration exceeds the work ceiling")
-    if 2 * out * denom ** n * NQ >= 1 << 52:
-        raise InfeasibleError("scaled masses overflow exact float accounting")
-    import numpy as np  # loaded here, so only an exact analysis pays for it
 
-    # W[x, z]: scaled mass, the n-fold Kronecker product of the per-symbol
-    # table, first symbol the most significant index digit on both axes
-    W = np.ones((1, 1))
-    sym = np.array([[p * denom for p in row] for row in spec.joint_xz],
-                   dtype=float)
-    for _ in range(n):
-        W = np.kron(W, sym)
-    # code[sigma][x]: the shown value; base[g][x]: the cell before queries;
-    # key rows map the extractor, hash rows tabulate split pairs at t
-    code = np.repeat(np.array([list(map(_extractor(params, sp), range(X)))
-                               for sp in range(1 << params.w)]),
-                     1 << s_bits, axis=0)
+    # code[sigma][x]: the shown value, hash part over key; base[g][x]: the
+    # cell before queries; both tabulate split pairs
+    half = n // 2
+    keys = [split_table(_extractor_pair(params, sp, half), n, half)
+            for sp in range(1 << params.w)]
     seeds = ([(0, None, g) for g in range(G)] if shared
              else [(*divmod(sigma, 1 << s_bits), None) for sigma in range(NQ)])
-    V = np.array([split_table(_recon_hash(params, *a), n, t) for a in seeds])
-    base, code = ((V, code) if shared
-                  else (V[:1] * 0, code + (V << params.ell)))
+    hashes = [split_table(_recon_hash(params, *a), n, t) for a in seeds]
+    if shared:
+        base, code = hashes, keys
+    else:
+        base = [[0] * X]
+        code = [[h << ell | k for h, k in zip(row, keys[sigma >> s_bits])]
+                for sigma, row in enumerate(hashes)]
 
     # query cells: the partitions of x that the transcripts induce, each
-    # with its transcript count, refined one query at a time
+    # with its transcript count, refined one query at a time; each is kept
+    # as its cells' members, less the largest cell
     tc = "B" if X <= 1 << 8 else "H"  # FLOP_MAX keeps X <= 2^16
-    parts = Counter(_labels(row, tc) for row in base.tolist())
+    parts = Counter(_labels(row, tc) for row in base)
     if q_e:
-        cuts = Counter(_labels(row, tc) for row in code.tolist())
+        cuts = Counter(_labels(row, tc) for row in code)
         for _ in range(q_e):
             parts = _refine(parts, cuts, tc)
-    groups = [(np.frombuffer(key, tc), m) for key, m in parts.items()]
+    groups = []
+    for key, m in parts.items():
+        labels = memoryview(key).cast(tc)
+        cells: List[List[int]] = [[] for _ in range(max(labels) + 1)]
+        for x, c in enumerate(labels):
+            cells[c].append(x)
+        cells.sort(key=len)
+        groups.append((m, cells[:-1]))
+    transcripts = G * NQ ** q_e
 
-    total, xs = 0, np.arange(X)
-    step = max(1, SELECT_MAX // ((1 << shown_bits) * max(X, cells_cap * Z)))
+    # L holds every lane, and 2L every transcript-weighted sum
+    denom = math.lcm(*(p.denominator for row in spec.joint_xz for p in row))
+    sym = [[int(p * denom) for p in row] for row in spec.joint_xz]
+    bound = 2 * out * max(map(sum, zip(*sym))) ** n
+    L = 8
+    while bound >> L or bound * transcripts >> 2 * L:
+        L <<= 1
+    half_lane = 1 << (L - 1)
+    # W[x]: W(x, z) over Z lanes, first symbol the most significant digit
+    W = [1]
+    for i in range(n):
+        shift = L * spec.nz ** i
+        W = [sum(a[z] * w << z * shift for z in range(spec.nz))
+             for w in W for a in sym]
+    # one challenge seed's rows: (hash part h, key k) at h * keep + k
+    keep = 1 if out == 2 else out
+    row_bits, row_lanes = L * Z, Z * keep << (shown_bits - ell)
+    run = _lanes(row_bits, keep)
+    slot_bias = half_lane * _lanes(L, row_lanes)
+
+    def slot(x: int, v: int) -> bytes:
+        """x's lanes for one challenge seed where it shows v, biased."""
+        h, k = divmod(v, out)
+        lanes = slot_bias - (W[x] * run << row_bits * h * keep)
+        if k < keep:
+            lanes += out * W[x] << row_bits * (h * keep + k)
+        return lanes.to_bytes(row_lanes * L // 8, "little")
+
+    columns = list(zip(*code))
+    total = 0
+    step = max(1, SELECT_MAX // (X * Z << shown_bits))
     for lo in range(0, NQ, step):
-        block = code[lo:lo + step]
-        sel = np.zeros((len(block) << shown_bits, X))
-        sel[np.arange(len(block))[:, None] << shown_bits | block, xs] = 1.0
-        for inv, m in groups:
-            B = np.zeros((X, inv.max() + 1, Z))
-            B[xs, inv] = W
-            T = (sel @ B.reshape(X, -1)).reshape(-1, out, B[0].size)
-            tot = T.sum(axis=1, keepdims=True)
-            total += m * int(round(np.abs(T * out - tot).sum()))
-    return Fraction(total, 2 * out * denom ** n * n_seeds)
+        count = row_lanes * min(step, NQ - lo)
+        bias = half_lane * _lanes(L, count)
+        even = ((1 << L) - 1) * _lanes(2 * L, (count + 1) // 2)
+        P = []
+        for x, col in enumerate(columns):
+            slots = _Memo(partial(slot, x))
+            lanes = b"".join(map(slots.__getitem__, col[lo:lo + step]))
+            P.append(int.from_bytes(lanes, "little") - bias)
+        whole = sum(P)
+        acc = 0
+        for m, cells in groups:
+            # max(s, 0) per lane: a biased lane's top bit is set where s
+            # >= 0, and there its low L-1 bits are s
+            pos = 0
+            for s in _cell_sums(P, whole, cells):
+                u = s + bias
+                top = u & bias
+                pos += u & (top - (top >> (L - 1)))
+            # even and odd lanes apart, 2L bits wide, weighted by count
+            acc += m * ((pos & even) + (pos >> L & even))
+        # sum |s| = 2 sum max(s, 0) - sum s, and sum s is whole's lanes in
+        # every partition
+        total += (2 * _lane_sum(acc, 2 * L, (count + 1) // 2)
+                  - transcripts * (_lane_sum(whole + bias, L, count)
+                                   - half_lane * count))
+    return Fraction(total * (out // keep), 2 * out * denom ** n * n_seeds)
 
 
 # ---------------------------------------------------------------------------

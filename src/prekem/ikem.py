@@ -267,13 +267,19 @@ def _hashes(params: IkemParams, sprime: int, s: Optional[int],
     return lambda xp: top[xp >> t] ^ bottom[xp & mask]
 
 
+def _extractor_pair(params: IkemParams, sprime: int, k: int) -> SplitPair:
+    """The key extractor's split pair at k under seed s', built and
+    checked once."""
+    n, ell = params.n, params.ell
+    if params.mode is Mode.BASELINE:
+        return mul_add_split(sprime, n, ell, k)
+    return hprime_split(ExtractorSeed(sprime, params.w, ell), k)
+
+
 def _extractor(params: IkemParams, sprime: int) -> Callable[[int], int]:
     """x -> key bits under seed s', built and checked once: its pair at
     the full width, one product per x."""
-    n, ell = params.n, params.ell
-    if params.mode is Mode.BASELINE:
-        return whole(mul_add_split(sprime, n, ell, n))
-    return whole(hprime_split(ExtractorSeed(sprime, params.w, ell), params.w))
+    return whole(_extractor_pair(params, sprime, params.n))
 
 
 def encap(params: IkemParams, x, rng,

@@ -1502,9 +1502,8 @@ class TestSubprocess:
     def test_commands_import_only_their_layers(self, tmp_path):
         # each command is a fresh process, so what it imports is start-up
         # time: the key pipeline and the xor combiner need neither games
-        # nor OpenSSL (hashlib loads it too), only an exact analysis, which
-        # no command runs, loads numpy, and no command loads dataclasses or
-        # inspect
+        # nor OpenSSL (hashlib loads it too), and no command loads numpy,
+        # dataclasses or inspect
         params = write_json(
             tmp_path / "params.json",
             params_to_doc(noiseless_params(n=14, t=4, ell=8, w=14),

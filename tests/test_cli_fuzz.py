@@ -7,18 +7,23 @@ stderr, and that line must show no Python exception's repr; any
 exception escaping main() fails the test.  Mutated numbers stay at or
 below 128, or jump past every width limit: a width off the polynomial
 table up to 128 finds its polynomial by Ben-Or's search in a fraction of
-a second, so the search does not dominate the run.  The reconciliation cap is lowered for the fuzz, so a mutation
-that widens nu on a noisy source meets the cap after a few hundred
-members rather than a million.
+a second, so the search does not dominate the run.  The reconciliation
+cap is lowered for the fuzz, so a mutation that widens nu on a noisy
+source meets the cap after a few hundred members rather than a million.
+
+Valid configs, drawn over BSC and small general sources in every mode,
+with and without a DEM profile and eps, must also run: whenever params
+writes a file, every command that file drives exits as documented.
 """
 
 import copy
 import io
+import itertools
 import json
 import math
 import re
 import tempfile
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -283,3 +288,99 @@ def test_game_config(base, entry, trials):
     with tempfile.TemporaryDirectory(dir=root) as tmp:
         path = _write(Path(tmp) / "game.json", entry)
         _call("game", "--config", path, "--seed", "9", "--trials", trials)
+
+
+# valid configs: sources whose y is close to x, so that params
+# often finds a key
+bsc_docs = st.builds(
+    lambda p, q, n: {"bsc": {"p": p, "q": q, "n": n}},
+    st.sampled_from(["1/50", "0", "1/20"]), st.sampled_from(["1/2", "1/4"]),
+    st.integers(24, 96))
+
+
+@st.composite
+def table_docs(draw):
+    """A binary-x, binary-y table with one or two z symbols, y equal to x
+    but for a drawn share of the mass."""
+    nz = draw(st.integers(1, 2))
+    pxyz = []
+    for x, y, z in itertools.product(range(2), range(2), range(nz)):
+        weight = draw(st.integers(1, 8) if x == y else st.integers(0, 1))
+        if weight:
+            pxyz.append([x, y, z, weight])
+    total = sum(cell[3] for cell in pxyz)
+    return {"alphabet": [2, 2, nz], "n": draw(st.integers(10, 24)),
+            "pxyz": [[x, y, z, f"{w}/{total}"] for x, y, z, w in pxyz]}
+
+
+@st.composite
+def valid_configs(draw):
+    """(mode, config) within every field's range; params may still find
+    it infeasible."""
+    mode = draw(st.sampled_from(["cea", "cca", "baseline"]))
+    config = {"source": draw(bsc_docs | table_docs()),
+              "sigma": draw(st.sampled_from([0.25, 0.5])),
+              "q_e": draw(st.integers(0, 1))}
+    n = (config["source"]["bsc"] if "bsc" in config["source"]
+         else config["source"])["n"]
+    eps = draw(st.none() | st.sampled_from([0.05, 0.25, 0.5]))
+    if mode == "cca":
+        eps = eps or 0.25
+        config.update(q_d=draw(st.integers(0, 1)), delta=0.5)
+    if eps is not None:
+        config["eps"] = eps
+    config["t"] = draw(st.integers(1, n // 4))
+    if eps is None or draw(st.booleans()):
+        config["nu"] = draw(st.sampled_from([0.0, 1.0, 2.5, 4.0]))
+    if draw(st.booleans()):
+        config["dem"] = {"enc_len": 8, "mac_bits": 8}
+    return mode, config
+
+
+# decaps per config for the reject rate, and the rate's slack over fail<=:
+# a Hoeffding radius at 10^-6, so only a gross miss fails
+DECAP_SEEDS = 12
+REJECT_SLACK = math.sqrt(math.log(1e6) / (2 * DECAP_SEEDS))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=valid_configs(), core=cores)
+def test_feasible_configs_run(base, case, core):
+    # sample and encap exit 0; decap and he-decrypt 0 or 3, and combine
+    # too, as it decapsulates on y; he-encrypt 0; without a DEM profile
+    # he-encrypt and he-decrypt exit 1.  combine --core ptx may also exit
+    # 1: its PRF key, the KEM key, must split into q_d + 2 coefficients
+    # wide enough for the framed input, which params does not derive
+    mode, config = case
+    root, _ = base
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        tmp = Path(tmp)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = _call("params", "--config", _write(tmp / "config.json",
+                                                      config),
+                         "--mode", mode, "--out", tmp / "params.json")
+        if code:
+            return
+        params = tmp / "params.json"
+        with_dem = "dem" in config
+        want = {"encap": {0}, "decap": {0, 3},
+                "he-encrypt": {0} if with_dem else {1},
+                "he-decrypt": {0, 3} if with_dem else {1},
+                "combine": {0, 1, 3} if core == "ptx" else {0, 3}}
+        (tmp / "message.bin").write_bytes(b"a feasible config runs")
+        rejects = 0
+        for seed in range(DECAP_SEEDS):
+            d = tmp / f"s{seed}"
+            assert _call("sample", "--config", params, "--seed",
+                         f"{seed + 1:x}", "--out-dir", d) == 0
+            pub = ["--public", d / "public.json"] if mode == "cea" else []
+            commands = _commands(d, params, d, pub, core, None)
+            for name, codes in want.items():
+                code = _call(*commands[name])
+                assert code in codes, (name, code)
+                rejects += name == "decap" and code == 3
+        fail = re.search(r"^fail<=\s+(\S+)$", out.getvalue(), re.M)
+        if "eps" in config and fail:
+            assert rejects / DECAP_SEEDS <= float(fail[1]) + REJECT_SLACK

@@ -1162,16 +1162,25 @@ def oracle_views(params, q_e):
     return (2 * params.source.nz) ** n * pub * per ** (q_e + 1)
 
 
+# masses down to 2^-24: at n=2 the lane bound 2 * 2^ell * zmax^n is 2^48,
+# so the lanes are 64 bits wide (float accounting, guarded at 2^52, refused
+# this instance)
+BIG_DENOMINATOR = {"alphabet": [2, 2, 2], "n": 2, "pxyz": [
+    [0, 0, 0, "1/2"], [1, 1, 1, "8388607/16777216"], [0, 1, 1, "1/16777216"]]}
+
+
 @st.composite
 def exact_instances(draw):
-    """Tiny asymmetric binary tables (zero cells allowed) under every mode,
-    with the most queries up to 2 that the oracle budget allows."""
-    nz = draw(st.integers(1, 2))
+    """Tiny asymmetric tables with binary x and y (zero cells allowed) and
+    one to three z symbols, so Z need not be a power of two, under every
+    mode, with the most queries up to 2 that the oracle budget allows."""
+    nz = draw(st.integers(1, 3))
     cells = draw(st.lists(st.integers(0, 3), min_size=4 * nz,
                           max_size=4 * nz).filter(any))
     mode = draw(st.sampled_from(list(Mode)))
+    # three z symbols cost the oracle one position, to stay in its budget
     n = draw(st.integers(2 if mode is Mode.CCA else 1,
-                         2 if mode is Mode.BASELINE else 3))
+                         (2 if mode is Mode.BASELINE else 3) - (nz == 3)))
     t = draw(st.integers(1, n // 2 if mode is Mode.CCA else n))
     ell = draw(st.integers(1, min(n, 2)))
     w = mode.seed_width(n, ell)
@@ -1265,6 +1274,27 @@ class TestExactDistance:
         oracle = (view_distance_shared_seed if params.mode is Mode.CEA
                   else view_distance_fresh_seed)
         assert exact_distance(params, q_e) == oracle(params, q_e)
+
+    @pytest.mark.parametrize("mode", [Mode.CEA, Mode.CCA])
+    def test_big_denominator_is_exact(self, mode):
+        params = IkemParams(mode=mode, source=from_json(BIG_DENOMINATOR), n=2,
+                            t=1, ell=1, nu=2.0, r=2 if mode is Mode.CCA else 0,
+                            w=2, sigma=0.5, q_e=0, q_d=0)
+        oracle = (view_distance_shared_seed if mode is Mode.CEA
+                  else view_distance_fresh_seed)
+        want = Fraction(1125899831345153, 2251799813685248)
+        assert oracle(params, 0) == want
+        assert exact_distance(params, 0) == want
+
+    @pytest.mark.parametrize("mode", [Mode.CEA, Mode.CCA])
+    def test_two_bit_key_with_a_query(self, mode):
+        # ell=2 keeps all four key rows of each hash part
+        params = IkemParams(mode=mode, source=from_json(ASYMMETRIC), n=2, t=1,
+                            ell=2, nu=2.0, r=2 if mode is Mode.CCA else 0,
+                            w=2, sigma=0.5, q_e=0, q_d=0)
+        oracle = (view_distance_shared_seed if mode is Mode.CEA
+                  else view_distance_fresh_seed)
+        assert exact_distance(params, 1) == oracle(params, 1)
 
     def test_selector_blocks_bound_memory(self):
         params = cca_params(n=5)

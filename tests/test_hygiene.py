@@ -14,8 +14,9 @@ Every name bench/spans.py's tracer rebinds must exist, as must every
 prekem name a bench/*.py file imports or reads off an imported prekem
 module or name.  No module imports dataclasses: its decorator compiles
 methods from source text at every import, and loading it pulls in
-inspect.  Outside value.py, a value class stores its fields only through
-one set_fields call in its __init__.
+inspect.  No module imports numpy, and an exact analysis, run in a fresh
+interpreter, loads none.  Outside value.py, a value class stores its
+fields only through one set_fields call in its __init__.
 No module but uhash imports or reads a per-x hash family (h_cca, h_cea,
 hprime, mul_add): the others hash through the split pairs.
 The CLI's file encryption commands read and write their files only by
@@ -24,6 +25,9 @@ streaming, never whole.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,12 +235,45 @@ def test_no_unused_imports(path):
     assert not unused, unused
 
 
+def imports_of(path, package):
+    """path.name:line for each import of package or its submodules."""
+    return [f"{path.name}:{line}"
+            for module, line in imported_modules(TREES[path])
+            if module.split(".")[0] == package]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dataclasses(path):
-    found = [f"{path.name}:{line}"
-             for module, line in imported_modules(TREES[path])
-             if module.split(".")[0] == "dataclasses"]
+    found = imports_of(path, "dataclasses")
     assert not found, found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy(path):
+    found = imports_of(path, "numpy")
+    assert not found, found
+
+
+def test_exact_analysis_loads_no_numpy():
+    # test_games' pinned n=4 instance, in a fresh interpreter
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from prekem.games import exact_distance\n"
+        "from prekem.ikem import IkemParams, Mode\n"
+        "from prekem.source import bsc_source\n"
+        "params = IkemParams(mode=Mode.CEA, n=4, t=2, ell=1, nu=1.0, r=0,\n"
+        "                    source=bsc_source(Fraction(1, 4), Fraction(1, 4), 4),\n"
+        "                    w=4, sigma=0.5, q_e=1, q_d=0)\n"
+        "assert exact_distance(params, 1) == Fraction(47025, 131072)\n"
+        "print('numpy' in sys.modules)\n")
+    src = str(Path(prekem.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def field_stores(tree):
