@@ -29,9 +29,10 @@ Each command imports only the layers it runs: hybrid, combiner and games
 load inside their handlers, because every command is a fresh process whose
 start-up is mostly imports.  No command loads inspect or ast: the value
 classes (prekem.value) compile no code at import.  Only the commands that
-encrypt, and combine with the ptx core, load OpenSSL (cryptography, and
-hashlib for a DEM key narrower than 256 bits); combine --core xor
-evaluates no PRF and loads none.
+encrypt, and combine with the ptx core, load OpenSSL, and only one copy:
+cryptography's bindings serve AES-CTR, CMAC and the SHA-256 that stretches
+a DEM key narrower than 256 bits.  combine --core xor evaluates no PRF and
+loads none.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from functools import cache, cached_property
 from typing import Callable, Optional, Tuple
 
 from .errors import MalformedError
-from .gf2 import EXTRA_POLYS, POLY_TABLE
+from .gf2 import EXTRA_POLYS, POLY_TABLE, field
 from .ikem import (
     IkemInstance,
     IkemKey,
@@ -43,7 +43,7 @@ from .ikem import (
     parse_ciphertext_for,
     serialize_ciphertext,
 )
-from .uhash import twise_poly
+from .uhash import horner
 from .value import Value, set_fields
 
 __all__ = [
@@ -250,8 +250,14 @@ def _encode_input(x: bytes, m: int) -> int:
 
 
 def prf_it(key: ItPrfKey, x: bytes, out_bits: int) -> int:
-    """(len(coeffs))-wise independent PRF: polynomial eval at the input."""
-    return twise_poly(key.coeffs, _encode_input(x, key.m), key.m, out_bits)
+    """(len(coeffs))-wise independent PRF: twise_poly's polynomial at the
+    input.  The key's width and coefficients were checked when it was
+    built, so only the input length and out_bits are checked here."""
+    m = key.m
+    if not 1 <= out_bits <= m:
+        raise MalformedError("output length must be in 1..m")
+    out = horner(key.coeffs, _encode_input(x, m), field(m).mul)
+    return out >> (m - out_bits)
 
 
 def prf_comp(key: CompPrfKey, x: bytes, out_bits: int) -> int:

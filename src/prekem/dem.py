@@ -159,18 +159,27 @@ class DemCiphertext(Value):
 @functools.cache
 def _aes_ctr():
     # loaded on the first keystream, so importing the DEM (every CLI command
-    # does, for DemProfile) does not load the OpenSSL bindings; cached, so
-    # later keystreams do not pay for an import statement.  The mode at
-    # counter 0, where every key's keystream starts, is built once too: a
-    # mode holds only its nonce
+    # does, for DemProfile) does not load OpenSSL.  cryptography's bindings
+    # are the process's one OpenSSL: AES-CTR here, SHA-256 below and the
+    # combiner's CMAC.  Cached, so later keystreams do not pay for an import
+    # statement.  The mode at counter 0, where every key's keystream
+    # starts, is built once too: a mode holds only its nonce
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
     return Cipher, algorithms.AES, modes.CTR, modes.CTR(bytes(16))
 
 
 @functools.cache
 def _sha256():
-    # hashlib loads OpenSSL too: loaded on the first narrow key, as above
-    from hashlib import sha256
+    # from those same bindings (hashlib would map a second OpenSSL), loaded
+    # on the first key narrower than 256 bits.  The empty hash is built
+    # once: a copy of it costs half a fresh Hash(SHA256())
+    from cryptography.hazmat.primitives.hashes import SHA256, Hash
+    empty = Hash(SHA256())
+
+    def sha256(raw: bytes) -> bytes:
+        h = empty.copy()
+        h.update(raw)
+        return h.finalize()
     return sha256
 
 
@@ -200,7 +209,7 @@ def _key_parts(key: DemKey, profile: DemProfile, otcca: bool):
             raise MalformedError("ot needs an enc_len-bit key")
         k_e, k1, k2 = key.bits, None, None
     raw = k_e.to_bytes(profile.enc_len // 8, "big")
-    return (raw if profile.enc_len == 256 else _sha256()(raw).digest()), k1, k2
+    return (raw if profile.enc_len == 256 else _sha256()(raw)), k1, k2
 
 
 class _Lanes:

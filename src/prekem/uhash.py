@@ -13,7 +13,8 @@ Three families cover all keying needs:
     two hash values under two different seeds (the property the
     authenticated decapsulation mode relies on).
   - twise_poly: degree-d polynomial evaluation, giving (d+1)-wise
-    independent outputs for the information-theoretic PRF.
+    independent outputs for the information-theoretic PRF.  Its Horner
+    loop, horner, is shared with the PRF, whose keys are checked once.
 
 Field elements travel as plain ints; bit slices are MSB-first (bit 1 is
 the most significant of the declared width).  Degenerate zero seeds are
@@ -58,6 +59,7 @@ __all__ = [
     "split_table",
     "split_preimage",
     "twise_poly",
+    "horner",
 ]
 
 
@@ -284,8 +286,16 @@ def twise_poly(key: Sequence[int], x: int, m: int, out_bits: int) -> int:
     if min(key) < 0 or max(key) >> m:
         for a in reversed(key):
             ctx.check(a)
-    mul, coeffs = ctx.mul, reversed(key)
+    return horner(key, x, ctx.mul) >> (m - out_bits)
+
+
+def horner(key: Sequence[int], x: int, mul: Callable[[int, int], int]) -> int:
+    """The polynomial with coefficients key (a_0 first, at least one) at x,
+    by Horner from the top coefficient under the field product mul: d
+    products for d+1 coefficients.  Nothing is checked; twise_poly checks,
+    and prf_it's key was checked when it was built."""
+    coeffs = reversed(key)
     acc = next(coeffs)
     for a in coeffs:
         acc = mul(acc, x) ^ a
-    return acc >> (m - out_bits)
+    return acc

@@ -1502,8 +1502,10 @@ class TestSubprocess:
     def test_commands_import_only_their_layers(self, tmp_path):
         # each command is a fresh process, so what it imports is start-up
         # time: the key pipeline and the xor combiner need neither games
-        # nor OpenSSL (hashlib loads it too), and no command loads numpy,
-        # dataclasses or inspect
+        # nor OpenSSL, and no command loads numpy, dataclasses or inspect.
+        # The commands that encrypt load one OpenSSL, through cryptography,
+        # for AES-CTR, CMAC and SHA-256: hashlib (and hmac, which imports
+        # it) would map a second.  enc_len 8 stretches the DEM key
         params = write_json(
             tmp_path / "params.json",
             params_to_doc(noiseless_params(n=14, t=4, ell=8, w=14),
@@ -1528,6 +1530,9 @@ class TestSubprocess:
              "--key-out", f"{t}/combined-key.json"],
             ["he-encrypt", "--config", str(params), *mat, "--seed", "c3",
              "--in", f"{t}/message.bin", "--out", f"{t}/env.bin"],
+            ["he-decrypt", "--config", str(params), "--y", f"{t}/y.json",
+             "--public", f"{t}/public.json", "--in", f"{t}/env.bin",
+             "--out", f"{t}/opened.bin"],
             ["game", "--config", str(game), "--seed", "1", "--trials", "5"],
         ]
         script = (
@@ -1536,7 +1541,8 @@ class TestSubprocess:
             "for argv in json.loads(sys.argv[1]):\n"
             "    code = main(argv)\n"
             "    heavy = [m for m in ('numpy', 'prekem.games', 'cryptography',\n"
-            "                         'hashlib', 'dataclasses', 'inspect')\n"
+            "                         'hashlib', '_hashlib', 'dataclasses',\n"
+            "                         'inspect')\n"
             "             if m in sys.modules]\n"
             "    print(json.dumps([argv[0], code, heavy]), file=sys.stderr)\n")
         src = str(Path(prekem.__file__).resolve().parents[1])
@@ -1553,6 +1559,8 @@ class TestSubprocess:
             ["encap", 0, []],
             ["decap", 0, []],
             ["combine", 0, []],
-            ["he-encrypt", 0, ["cryptography", "hashlib"]],
-            ["game", 0, ["prekem.games", "cryptography", "hashlib"]],
+            ["he-encrypt", 0, ["cryptography"]],
+            ["he-decrypt", 0, ["cryptography"]],
+            ["game", 0, ["prekem.games", "cryptography"]],
         ]
+        assert (tmp_path / "opened.bin").read_bytes() == b"hello"

@@ -171,6 +171,14 @@ class TestItPrf:
         with pytest.raises(MalformedError):
             prf_it(key, b"\x00\x01", 8)
 
+    def test_output_length_checked(self):
+        # the key was checked when built; out_bits is checked per call
+        key = ItPrfKey.from_kem_key(IkemKey(0, 80), q_d=0)  # m = 40
+        assert prf_it(key, b"", 1) == prf_it(key, b"", 40) == 0
+        for out_bits in (0, -1, 41):
+            with pytest.raises(MalformedError, match="output length"):
+                prf_it(key, b"", out_bits)
+
 
 # field widths a PRF family can take: the smallest that frames an input (32,
 # where only the empty input fits), byte-aligned ones around it, two that are

@@ -116,6 +116,9 @@ DIGEST_BLOCKS = (47, 48, 49, 63, 64, 65, 127, 128, 129, 255, 256, 257,
 # recorded with the byte-table Horner MAC that preceded the lane path
 DIGEST_SHA256 = \
     "ceb7cda271cf4c36cb4c04364df367d99651857a2d24268d07ed4679c11cc75b"
+# recorded while the narrow-key SHA-256 came from hashlib
+NARROW_DIGEST = \
+    "144d7620a92d658e7160464bb384a9bb10be7a2e59fc3d6e579063f83fab9d90"
 
 
 class TestKeystreamCipher:
@@ -132,6 +135,40 @@ class TestKeystreamCipher:
         # enc_len = 8: the single key byte 0xa7 is SHA-256 stretched
         c = encrypt_ot(DemKey(0xA7, 8), b"onetime!", TOY)
         assert c.body == bytes.fromhex("f697398f11b421b7")
+
+    def test_stretched_key_is_sha256(self):
+        # hashlib is the oracle for the cipher key of every narrow enc_len,
+        # in ot and otcca alike
+        rng = random.Random(248)
+        for enc_len in range(8, 256, 8):
+            profile = DemProfile(enc_len=enc_len, mac_bits=8)
+            for bits in (0, (1 << enc_len) - 1,
+                         *(rng.getrandbits(enc_len) for _ in range(20))):
+                want = hashlib.sha256(bits.to_bytes(enc_len // 8, "big"))
+                mac = rng.getrandbits(16)
+                assert dem._key_parts(DemKey(bits, enc_len), profile,
+                                      False)[0] == want.digest()
+                assert dem._key_parts(
+                    DemKey(bits << 16 | mac, enc_len + 16), profile,
+                    True) == (want.digest(), mac >> 8, mac & 255)
+
+    def test_narrow_key_digest(self):
+        # seeded ot and otcca ciphertexts under stretched keys, around the
+        # first counter block's edges
+        rng = random.Random(8)
+        h = hashlib.sha256()
+        for enc_len in (8, 64, 128, 248):
+            profile = DemProfile(enc_len=enc_len)
+            for size in (0, 1, 15, 16, 17, 100):
+                m = rng.randbytes(size)
+                for otcca, bits in ((False, profile.ot_key_bits),
+                                    (True, profile.otcca_key_bits)):
+                    key = DemKey(rng.getrandbits(bits), bits)
+                    c = (encrypt_otcca if otcca else encrypt_ot)(
+                        key, m, profile)
+                    blob = serialize_dem(profile, c)
+                    h.update(len(blob).to_bytes(4, "big") + blob)
+        assert h.hexdigest() == NARROW_DIGEST
 
     def test_empty_message(self):
         assert encrypt_ot(ot_key(), b"").body == b""

@@ -15,8 +15,10 @@ prekem name a bench/*.py file imports or reads off an imported prekem
 module or name.  No module imports dataclasses: its decorator compiles
 methods from source text at every import, and loading it pulls in
 inspect.  No module imports numpy, and an exact analysis, run in a fresh
-interpreter, loads none.  Outside value.py, a value class stores its
-fields only through one set_fields call in its __init__.
+interpreter, loads none.  No module imports hashlib or hmac: one OpenSSL,
+through cryptography, serves AES-CTR, CMAC and SHA-256.  Outside
+value.py, a value class stores its fields only through one set_fields
+call in its __init__.
 No module but uhash imports or reads a per-x hash family (h_cca, h_cea,
 hprime, mul_add): the others hash through the split pairs.
 The CLI's file encryption commands read and write their files only by
@@ -251,6 +253,14 @@ def test_no_dataclasses(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_numpy(path):
     found = imports_of(path, "numpy")
+    assert not found, found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hashlib(path):
+    # hashlib, and hmac through it, map a second OpenSSL beside
+    # cryptography's, which serves SHA-256 too
+    found = imports_of(path, "hashlib") + imports_of(path, "hmac")
     assert not found, found
 
 
