@@ -10,14 +10,15 @@ Exit codes: 0 success, 1 usage or format error, 2 infeasible parameters,
 declared bound beyond the confidence slack.
 
 he-encrypt and he-decrypt stream from file to file through hybrid's stream
-forms, so memory does not grow with the file.  They take the DEM profile a
-parameter file carries, and refuse a file without one: params derived its
-key for no DEM.  A regular --out (or a new one) is written through a
-temporary file beside it that replaces it only on success: a rejection, a
-format error or a crash leaves no --out, and --out may name --in.  An
---out that is not a regular file (a terminal, a pipe, /dev/stdout) is
-written through directly, as before, so a failure part-way leaves there
-what was written.
+forms, so memory does not grow with the file, and read --in once, so it
+may be a pipe.  They take the DEM profile a parameter file carries, and
+refuse a file without one: params derived its key for no DEM.  Nothing
+reaches --out until the command succeeds.  A regular --out (or a new one)
+is written through a temporary file beside it that replaces it only on
+success, so --out may name --in.  An --out that is not a regular file (a
+terminal, a pipe, /dev/stdout) is opened first and gets the output, staged
+in an unnamed temporary file, only on success.  A rejection, a format
+error or a crash leaves no --out, or an earlier one as it was.
 
 Instance materials live in separate JSON files, one per role, so the
 sender, receiver and observer strings can be delivered to different
@@ -41,7 +42,9 @@ import argparse
 import json
 import os
 import random
+import shutil
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Tuple
@@ -91,19 +94,25 @@ def _open_input(path: str):
         raise MalformedError(f"cannot read {path}: {e}") from None
 
 
-def _write_chunks(path: str, chunks) -> int:
-    """Write the chunks to path; returns the bytes written.
+def _write_out(path: str, fill):
+    """Call fill(write) and publish what it wrote at path only if it
+    returns a result other than None; returns that result.
 
     A regular file, or a new one, is written as a temporary file beside
-    it (beside the file a symlink names) and moved onto it only once every
-    chunk is written, so whatever stops the writing part-way leaves path
-    as it was.  Anything else already there (a terminal, a pipe,
-    /dev/stdout) cannot be replaced and is written through directly, so a
-    failure part-way leaves what was written.
-    Errors opening or replacing name path, as a direct write's would."""
+    it (beside the file a symlink names) and moved onto it on success.
+    Anything else already there (a terminal, a pipe, /dev/stdout) cannot
+    be replaced: it is opened first, and the output, staged in an unnamed
+    temporary file, is copied into it on success.  Either way nothing
+    reaches path until fill succeeds, and a rejection, an error or a crash
+    leaves path as it was.  Errors opening or replacing name path, as a
+    direct write's would."""
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as out:
-            return sum(map(out.write, chunks))
+        with open(path, "wb") as out, tempfile.TemporaryFile() as staged:
+            result = fill(staged.write)
+            if result is not None:
+                staged.seek(0)
+                shutil.copyfileobj(staged, out)
+            return result
     real = os.path.realpath(path)
     part = f"{real}.{os.urandom(6).hex()}.part"
     try:
@@ -112,16 +121,19 @@ def _write_chunks(path: str, chunks) -> int:
         raise OSError(e.errno, e.strerror, path) from None
     try:
         with out:
-            size = sum(map(out.write, chunks))
+            result = fill(out.write)
     except BaseException:
         os.unlink(part)
         raise
+    if result is None:
+        os.unlink(part)
+        return None
     try:
         os.replace(part, real)
     except OSError as e:
         os.unlink(part)
         raise OSError(e.errno, e.strerror, path) from None
-    return size
+    return result
 
 
 def _read_json(path: str) -> dict:
@@ -455,26 +467,26 @@ def cmd_he_encrypt(args) -> int:
     public = _public_for(args, params)
     rng = _rng_for(args)
     with _open_input(args.infile) as src:
-        size = _write_chunks(args.out, he_encrypt_stream(scheme, x, src, rng,
-                                                         public))
+        size = _write_out(args.out, lambda write: sum(map(
+            write, he_encrypt_stream(scheme, x, src, rng, public))))
     print(f"envelope   {args.out} ({size} bytes)")
     return EXIT_OK
 
 
 def cmd_he_decrypt(args) -> int:
-    from .hybrid import he_decrypt_stream
+    from .hybrid import he_decrypt_into
 
     params, scheme = _load_hybrid(args.config)
     y = _read_material(args.y, "y", params.n, params.source.ny)
     public = _public_for(args, params)
     with _open_input(args.infile) as src:
         # a damaged outer frame is a format error; damage inside the
-        # payloads is the decapsulator's rejection
-        message = he_decrypt_stream(scheme, y, src, public)
-        if message is None:
-            print("rejected: envelope did not authenticate", file=sys.stderr)
-            return EXIT_REJECT
-        size = _write_chunks(args.out, message)
+        # payloads is the decapsulator's or the MAC's rejection
+        size = _write_out(args.out, lambda write: he_decrypt_into(
+            scheme, y, src, write, public))
+    if size is None:
+        print("rejected: envelope did not authenticate", file=sys.stderr)
+        return EXIT_REJECT
     print(f"message    {args.out} ({size} bytes)")
     return EXIT_OK
 

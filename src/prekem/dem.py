@@ -317,10 +317,11 @@ class DemStream:
 
     The keystream runs on across calls, and in otcca so does the MAC.  A
     sender seals each chunk of the message in turn, then takes tag().  A
-    receiver MACs the body (absorb) and checks verify(tag) before it
-    decrypts (crypt) any of it, so no unverified plaintext leaves; a body
-    too large to hold is absorbed in one pass and opened in a second,
-    through a fresh stream.  A sealing stream (encrypt=True) consumes the
+    receiver MACs each chunk of the body (absorb) and decrypts it (crypt)
+    as it arrives, then checks verify(tag) at the end; until that check
+    passes the plaintext is unverified, and a receiver that rejects drops
+    what it wrote.  The bytes API checks before it decrypts, since it holds
+    the whole body.  A sealing stream (encrypt=True) consumes the
     key at its first seal or tag, after seal's length check, so a refused
     message leaves the key unused; a receiver's stream never consumes.
 

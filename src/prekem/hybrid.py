@@ -16,19 +16,17 @@ the serialized KEM ciphertext and c2 = body || tag.
 
 The stream forms run the same scheme over binary files in CHUNK-byte
 pieces through dem.DemStream, so memory stays bounded whatever the file's
-size; their envelopes are byte-identical to the bytes API's.
-he_encrypt_stream reads the message once.  he_decrypt_stream checks the
-outer frame and c1 as parse_envelope does and decapsulates; in ot it then
-decrypts in one pass, and in otcca it reads the body twice, checking the
-tag over all of it before any plaintext is produced, so its input must be
-seekable (a regular file, not a pipe).  The second read is MACed again as
-it is decrypted, and ends in MalformedError if it is not the body that was
-verified.
+size; their envelopes are byte-identical to the bytes API's.  Each reads
+its input once, so a pipe will do.  he_encrypt_stream yields the envelope
+in chunks.  he_decrypt_into checks the outer frame and c1 as
+parse_envelope does, decapsulates, then MACs and decrypts each chunk of
+the body as it is read, holding back the last bytes as the tag, and
+checks the tag at the end, as GCM decryption does: the plaintext it wrote
+stands only if it does not reject, so a caller stages it until then.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import BinaryIO, Iterator, Optional, Tuple
 
@@ -63,7 +61,7 @@ __all__ = [
     "he_encrypt",
     "he_decrypt",
     "he_encrypt_stream",
-    "he_decrypt_stream",
+    "he_decrypt_into",
     "serialize_envelope",
     "split_envelope",
     "parse_envelope",
@@ -185,25 +183,21 @@ def _sealed(scheme, head, stream, src):
         yield tag.to_bytes(scheme.dem.mac_bits // 8, "big")
 
 
-def he_decrypt_stream(scheme: HybridScheme, y, src: BinaryIO,
-                      public_seed: Optional[int] = None
-                      ) -> Optional[Iterator[bytes]]:
-    """The message of the envelope read from src, as chunks, or None (the
-    rejection value).
+def he_decrypt_into(scheme: HybridScheme, y, src: BinaryIO, write,
+                    public_seed: Optional[int] = None) -> Optional[int]:
+    """Decrypt the envelope read from src, passing the message to write in
+    chunks; the sum of what write returns (a binary file's write returns
+    the bytes it wrote), or None (the rejection value).
 
     A damaged outer frame raises MalformedError; damage inside the payloads
-    rejects, as in he_decrypt.  src is read up to c1 in this call, and the
-    body as the chunks are taken.  In otcca the tag is first checked over
-    the whole body, in this call, so src must be seekable; the chunks then
-    come from a second read of the body, which is MACed again as it goes,
-    and if that read differs the iterator raises MalformedError after its
-    last chunk.  So the chunks are the message only once the iterator ends
-    cleanly: a caller keeps none before that, as the CLI's temporary file
-    does.
+    rejects, as in he_decrypt.  src is read once, front to back, so it may
+    be a pipe, but src.read(n) must return n bytes unless src has ended, as
+    a buffered open(..., "rb") does: the frame and c1 are read that way.
+    The body is MACed and decrypted in one pass, and in otcca its tag is
+    checked only at the end, so what was written is the message only if
+    the result is not None: on None the caller drops it, as the CLI's
+    staging file does.
     """
-    if scheme.otcca and not src.seekable():
-        raise MalformedError("an authenticated envelope is read twice, "
-                             "so it cannot come from a pipe")
     c1_len = _c1_length(src.read(_ENV_HEADER.size))
     # a c1 longer than the scheme's fails the strict parse whatever its
     # bytes, so only one byte more than that is kept
@@ -220,44 +214,17 @@ def he_decrypt_stream(scheme: HybridScheme, y, src: BinaryIO,
         return None
     if k is None:
         return None
-    key = DemKey(k.bits, k.ell)
-    if not scheme.otcca:
-        return _opened(DemStream(key, scheme.dem, otcca=False),
-                       iter(lambda: src.read(CHUNK), b""), None)
-    start, tag_bytes = src.tell(), scheme.dem.mac_bits // 8
-    size = src.seek(0, os.SEEK_END) - start - tag_bytes
-    if size < 0:
-        return None  # c2 shorter than its tag
-    src.seek(start + size)
-    tag = int.from_bytes(src.read(tag_bytes), "big")
-    src.seek(start)
-    check = DemStream(key, scheme.dem, otcca=True)
-    for chunk in _body(src, size):
-        check.absorb(chunk)
-    if not check.verify(tag):
-        return None
-    src.seek(start)
-    return _opened(DemStream(key, scheme.dem, otcca=True), _body(src, size),
-                   tag)
-
-
-def _body(src, size):
-    """The next size bytes of src, CHUNK bytes at a time."""
-    while size > 0:
-        chunk = src.read(min(size, CHUNK))
-        if not chunk:
-            raise MalformedError("envelope changed while it was read")
-        size -= len(chunk)
-        yield chunk
-
-
-def _opened(stream, body, tag):
-    """The body's chunks decrypted.  In otcca they are MACed again as they
-    go, and a tag that fails at the end means the body read now is not
-    the one verified (another writer, or a file system that answered the
-    second read differently): MalformedError, after the last chunk."""
-    for chunk in body:
-        stream.absorb(chunk)
-        yield stream.crypt(chunk)
-    if tag is not None and not stream.verify(tag):
-        raise MalformedError("envelope changed while it was read")
+    stream = DemStream(DemKey(k.bits, k.ell), scheme.dem, scheme.otcca)
+    # the last keep bytes read so far may be the tag, so they wait
+    keep = scheme.dem.mac_bits // 8 if scheme.otcca else 0
+    held, size = b"", 0
+    while data := src.read(CHUNK):
+        data = held + data
+        cut = max(len(data) - keep, 0)  # a short read may not pass the tag
+        body, held = data[:cut], data[cut:]
+        stream.absorb(body)
+        size += write(stream.crypt(body))
+    if scheme.otcca and (len(held) < keep or
+                         not stream.verify(int.from_bytes(held, "big"))):
+        return None  # c2 shorter than its tag, or the tag fails
+    return size

@@ -7,7 +7,6 @@ tmp_path, and deterministic behaviour is pinned with --seed.
 """
 
 import hashlib
-import io
 import json
 import math
 import os
@@ -24,11 +23,10 @@ from pathlib import Path
 import pytest
 
 import prekem
-from prekem import cli
 from prekem.cli import main, params_from_doc, params_to_doc
 from prekem.combiner import parse_combined
 from prekem.dem import DemProfile
-from prekem.hybrid import HybridScheme
+from prekem.hybrid import CHUNK, HybridScheme
 from prekem.ikem import (IkemCiphertext, IkemParams, Mode, parse_ciphertext,
                          serialize_ciphertext)
 from prekem.source import bsc_source
@@ -571,26 +569,6 @@ def piped(data):
     return r, thread
 
 
-class FlipsOnRereading(io.BytesIO):
-    """An envelope in memory whose byte at `at` reads back with its low bit
-    flipped every time after the first: a file that changes between two
-    reads."""
-
-    def __init__(self, data, at):
-        super().__init__(data)
-        self.at, self.reads = at, 0
-
-    def read(self, size=-1):
-        pos = self.tell()
-        chunk = super().read(size)
-        if pos <= self.at < pos + len(chunk):
-            self.reads += 1
-            if self.reads > 1:
-                i = self.at - pos
-                chunk = chunk[:i] + bytes([chunk[i] ^ 1]) + chunk[i + 1:]
-        return chunk
-
-
 def drained(path):
     """A thread that reads the FIFO at path to its end, and the list it
     leaves the bytes in."""
@@ -676,27 +654,46 @@ class TestHybridFiles:
         assert capsys.readouterr().err == \
             f"error: [Errno 2] No such file or directory: '{out}'\n"
 
-    def test_body_changed_between_reads_leaves_no_out(self, tmp_path,
-                                                       monkeypatch, capsys):
-        # otcca verifies the tag on a first read of the body and decrypts a
-        # second: a second read that differs is caught, and nothing of it
-        # reaches --out
+    def test_tampered_envelope_leaves_nothing(self, tmp_path, capsys):
+        # otcca MACs and decrypts each read of the body in one pass, so a
+        # tampered body's plaintext is written before its tag fails: none of
+        # it may reach --out, whether a regular file or a FIFO
         scheme = self.make_scheme(tmp_path, "otcca")
         message = tmp_path / "message.bin"
-        message.write_bytes(random.Random(6).randbytes(200000))
-        env, out = tmp_path / "env.bin", tmp_path / "out.bin"
+        message.write_bytes(random.Random(6).randbytes(3 * CHUNK + 100))
+        env = tmp_path / "env.bin"
         assert self.encrypt(scheme, message, env) == 0
         envelope = env.read_bytes()
-        for at in (len(envelope) - 16 - 1, len(envelope) - 100000):
-            src = FlipsOnRereading(envelope, at)
-            monkeypatch.setattr(cli, "_open_input", lambda path: src)
+        body = 9 + int.from_bytes(envelope[5:9], "big")  # header and c1
+        edges = [body + i * CHUNK for i in (1, 2, 3)]  # where reads split
+
+        def flipped(at):
+            return envelope[:at] + bytes([envelope[at] ^ 1]) + envelope[at + 1:]
+
+        cases = [flipped(edges[0] - 1), flipped(edges[1]),
+                 flipped(len(envelope) - 1), envelope[:-1],
+                 *(envelope[:at] for at in edges)]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        out = tmp_path / "out.bin"
+        for bad in cases:
+            env.write_bytes(bad)
             capsys.readouterr()
-            assert self.decrypt(scheme, env, out) == 1
+            assert self.decrypt(scheme, env, out) == 3
+            thread, got = drained(fifo)
+            try:
+                assert self.decrypt(scheme, env, fifo) == 3
+            finally:
+                if thread.is_alive() and not got:
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert got == [b""]
             assert capsys.readouterr().err == \
-                "error: envelope changed while it was read\n"
-            assert src.reads == 2
+                "rejected: envelope did not authenticate\n" * 2
             assert not out.exists()
-            assert not list(tmp_path.glob("out.bin*"))
+            assert sorted(p.name for p in tmp_path.iterdir()) == \
+                ["env.bin", "fifo", "mat", "message.bin", "wide.json"]
 
     def test_symlinked_out_is_written_through(self, tmp_path, scheme):
         # the file the link names gets the output; the link stays a link
@@ -761,14 +758,8 @@ class TestHybridFiles:
             os.close(r)
             thread.join(timeout=10)
         assert not thread.is_alive()
-        if scheme[2]:  # ot: one pass
-            assert code == 0
-            assert out.read_bytes() == message
-        else:  # otcca reads its input twice
-            assert code == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert not out.exists()
+        assert code == 0  # both DEMs read the envelope once
+        assert out.read_bytes() == message
 
     # message sizes around the stream forms' 64 KiB reads and the MAC's
     # lane edges for 16-byte blocks (48 blocks, a partial step past 32

@@ -4,6 +4,7 @@ Noiseless toy sources make decapsulation deterministic, so tamper sweeps
 assert hard outcomes instead of rates.
 """
 
+import io
 import random
 
 import pytest
@@ -11,9 +12,11 @@ import pytest
 from prekem.dem import DemProfile
 from prekem.errors import MalformedError
 from prekem.hybrid import (
+    CHUNK,
     HybridCiphertext,
     HybridScheme,
     he_decrypt,
+    he_decrypt_into,
     he_encrypt,
     parse_envelope,
     serialize_envelope,
@@ -181,3 +184,83 @@ class TestTamper:
             bad[pos // 8] ^= 1 << (7 - pos % 8)
             got = parse_envelope(scheme, bytes(bad))
             assert he_decrypt(scheme, inst.y, got) is None
+
+
+def stream_scheme(mac_bits):
+    """A shared-seed (ot) scheme for mac_bits None, else an authenticated
+    (otcca) one whose key covers an 8 + 2*mac_bits bit DEM key."""
+    if mac_bits is None:
+        return cea_scheme()
+    ell = 8 + 2 * mac_bits
+    kem = IkemParams(mode=Mode.CCA, source=bsc_source(0, 0.5, ell + 40),
+                     n=ell + 40, t=8, ell=ell, nu=0.0, r=2, w=ell + 40,
+                     sigma=0.5, q_e=0, q_d=1)
+    return HybridScheme.for_params(kem, DemProfile(enc_len=8,
+                                                   mac_bits=mac_bits))
+
+
+class ShortReads(io.BytesIO):
+    """An envelope in memory whose reads, once its first `head` bytes (the
+    frame and c1) are read, return at most `most` bytes, as a pipe may."""
+
+    def __init__(self, data, head, most):
+        super().__init__(data)
+        self.head, self.most = head, most
+
+    def read(self, size=-1):
+        if self.most and self.tell() >= self.head:
+            size = self.most if size < 0 else min(size, self.most)
+        return super().read(size)
+
+
+class TestDecryptInto:
+    """he_decrypt_into reads the envelope once, holding back the tag, and
+    must open what the bytes API opens, whatever its reads return."""
+
+    MAX_READS = 1024  # a short read costs ~13 us, so long bodies skip them
+
+    def open(self, scheme, inst, blob, head, most):
+        sink = io.BytesIO()
+        size = he_decrypt_into(scheme, inst.y, ShortReads(blob, head, most),
+                               sink.write, inst.public_seed)
+        return None if size is None else (size, sink.getvalue())
+
+    @pytest.mark.parametrize("mac_bits", [None, 8, 16, 128])
+    def test_matches_bytes_api_and_rejects_damage(self, mac_bits):
+        scheme = stream_scheme(mac_bits)
+        tag = mac_bits // 8 if mac_bits else 0
+        rng = random.Random(120 + (mac_bits or 0))
+        inst = gen(scheme.kem, rng)
+        # whole reads split c2 (body || tag) every CHUNK bytes, so around
+        # CHUNK - tag the tag ends before a read edge, on it or across it;
+        # 255 is the longest body at mac_bits 8, and 4096 steps the lanes
+        sizes = sorted(
+            size for size in {0, 1, 255, 4096, CHUNK - tag - 1, CHUNK - tag,
+                              CHUNK - tag + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                              2 * CHUNK - tag, 3 * CHUNK + 7}
+            if not mac_bits or size < 1 << mac_bits)  # the length term
+        for size in sizes:
+            m = random.Random(size).randbytes(size)
+            c = he_encrypt(scheme, inst.x, m, rng, inst.public_seed)
+            blob = serialize_envelope(scheme, c)
+            assert he_decrypt(scheme, inst.y, parse_envelope(scheme, blob),
+                              inst.public_seed) == m
+            head = len(blob) - size - tag
+            for most in (1, 7, tag + 1, 4099, None):  # None: whole reads
+                if most and size > most * self.MAX_READS:
+                    continue
+                assert self.open(scheme, inst, blob, head, most) == (size, m)
+                if not tag:
+                    continue
+                flips = [len(blob) - tag]  # the tag's first byte
+                if size:
+                    flips += [head, head + size // 2, head + size - 1]
+                for at in flips:
+                    bad = bytearray(blob)
+                    bad[at] ^= 1
+                    assert self.open(scheme, inst, bytes(bad), head,
+                                     most) is None, (size, most, at)
+                for cut in {1, tag - 1, tag, tag + 1} - {0}:
+                    if cut <= size + tag:  # a longer cut reaches c1
+                        assert self.open(scheme, inst, blob[:-cut], head,
+                                         most) is None, (size, most, cut)

@@ -22,7 +22,9 @@ call in its __init__.
 No module but uhash imports or reads a per-x hash family (h_cca, h_cea,
 hprime, mul_add): the others hash through the split pairs.
 The CLI's file encryption commands read and write their files only by
-streaming, never whole.
+streaming, never whole, and hybrid's stream forms read their input once:
+nothing in hybrid.py seeks, tells or asks whether its input is seekable,
+so a pipe will do.
 """
 
 import ast
@@ -503,4 +505,15 @@ def test_file_commands_stream():
              for name in [getattr(node.func, "id", None)
                           or getattr(node.func, "attr", None)]
              if name in whole]
+    assert not found, found
+
+
+def test_hybrid_reads_once():
+    # the stream forms take a pipe, so no second pass over the input
+    path = next(p for p in MODULES if p.name == "hybrid.py")
+    found = [f"hybrid.py:{node.lineno} calls {node.func.attr}"
+             for node in ast.walk(TREES[path])
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("seek", "tell", "seekable")]
     assert not found, found
