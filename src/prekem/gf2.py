@@ -20,10 +20,13 @@ fields take the generic product (clmul), which forms the 16 multiples of
 one operand and walks the other a 4-bit window at a time, then reduces by
 the sparse tail of the polynomial; clmul is also the tests' reference for
 the tables.  Two maps serve a fixed multiplicand k.  FieldCtx.mul_by(k) is
-one log read and one exp read up to LOG_WIDTH, and mul with k bound
-wider.  FieldCtx.lanes_by(k, lanes) multiplies many elements by k at once:
-they sit in 2m-bit lanes of one int, whose clmul by k is reduced in every
-lane together by shifts and masks.
+one log read and one exp read up to LOG_WIDTH.  Wider, it builds k's 16
+window multiples, and their copies shifted by 4, once; each product then
+walks x a byte at a time with one read from each table and no shift of
+the multiples, and reduces as mul does.  FieldCtx.lanes_by(k, lanes)
+multiplies many elements by k at once: they sit in 2m-bit lanes of one
+int, whose clmul by k is reduced in every lane together by shifts and
+masks.
 """
 
 from __future__ import annotations
@@ -126,6 +129,19 @@ MAX_WIDTH = 8192
 LOG_WIDTH = 8
 
 
+def _windows(a: int):
+    """The 16 multiples a*w, for w of degree below 4, indexed by w: the
+    table that clmul and mul_by's wide map read each nibble's multiple
+    from."""
+    a2 = a << 1
+    a3 = a2 ^ a
+    a4 = a << 2
+    a8 = a << 3
+    a5, a6, a7 = a4 ^ a, a4 ^ a2, a4 ^ a3
+    return (0, a, a2, a3, a4, a5, a6, a7,
+            a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+
+
 def clmul(a: int, b: int) -> int:
     """Carryless (GF(2)[x]) product of two int-encoded polynomials.
 
@@ -138,13 +154,7 @@ def clmul(a: int, b: int) -> int:
     if b < 16:
         return ((a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
                 ^ (a << 2 if b & 4 else 0) ^ (a << 3 if b & 8 else 0))
-    a2 = a << 1
-    a3 = a2 ^ a
-    a4 = a << 2
-    a8 = a << 3
-    a5, a6, a7 = a4 ^ a, a4 ^ a2, a4 ^ a3
-    tab = (0, a, a2, a3, a4, a5, a6, a7,
-           a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+    tab = _windows(a)
     acc = 0
     for c in b.to_bytes((b.bit_length() + 7) >> 3, "big"):
         acc = (acc << 8) ^ (tab[c >> 4] << 4) ^ tab[c & 15]
@@ -310,13 +320,27 @@ class FieldCtx(Value):
         """The map x -> k*x for a fixed k, refusing k and x as mul does.
 
         Up to LOG_WIDTH it is a closure over the log tables, and k*x is
-        exp[log k + log x]; wider, it is mul with k bound.
+        exp[log k + log x].  Wider, k's 16 window multiples and their
+        copies shifted by 4 are built here, once.  Each x is walked from
+        the top a byte at a time, reading its high nibble's multiple from
+        the shifted copies and its low nibble's from the others, and the
+        product is reduced by the polynomial's sparse tail.
         """
         check = self.check
         check(k)
-        if self.m > LOG_WIDTH:
-            return functools.partial(self.mul, k)
         mask = self._mask
+        if self.m > LOG_WIDTH:
+            m, terms = self.m, self._tail_terms
+            high, low = _windows(k << 4), _windows(k)
+
+            def times_k(x: int) -> int:
+                if not 0 <= x <= mask:
+                    check(x)
+                acc = 0
+                for c in x.to_bytes((x.bit_length() + 7) >> 3, "big"):
+                    acc = (acc << 8) ^ high[c >> 4] ^ low[c & 15]
+                return _mod_sparse(acc, m, terms, mask)
+            return times_k
         exp, log = self._log_tables
         shift = log[k]
 

@@ -179,18 +179,17 @@ def _product_split(s: int, width: int, out_bits: int, k: int,
                    b: int = 0) -> SplitPair:
     """The pair at k of x -> (top out_bits bits of s*x over GF(2^width))
     xor b.  s*x = (s*X^k)*x2 + s*x1, so F multiplies by s*X^k and adds b,
-    and G multiplies by s."""
+    and G multiplies by s, each through its multiplier's mul_by map."""
     if not 0 <= k <= width:
         raise MalformedError(f"split point {k} outside 0..{width}")
     ctx = field(width)
-    mul, drop = ctx.mul, width - out_bits
-    ctx.check(s)
+    times_s, drop = ctx.mul_by(s), width - out_bits
     if k < width:
-        high = mul(s, 1 << k)
-        top = lambda x2: (mul(high, x2) >> drop) ^ b
+        times_high = ctx.mul_by(times_s(1 << k))
+        top = lambda x2: (times_high(x2) >> drop) ^ b
     else:  # x2 is 0, so F is b alone and takes no product
         top = lambda x2: b
-    return top, lambda x1: mul(s, x1) >> drop
+    return top, lambda x1: times_s(x1) >> drop
 
 
 def whole(pair: SplitPair) -> Callable[[int], int]:

@@ -108,6 +108,11 @@ class TestWindowedClmul:
             assert f.mul(a, b) == naive_mul(a, b, m, f.poly)
 
 
+# every tabled width that multiplies by windows rather than log tables
+TABLED_WIDE = sorted(m for m in set(POLY_TABLE) | set(EXTRA_POLYS)
+                     if m > gf2.LOG_WIDTH)
+
+
 class TestMulBy:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_exhaustive_small(self, m):
@@ -117,7 +122,7 @@ class TestMulBy:
             assert [times_k(x) for x in range(1 << m)] == \
                 [f.mul(k, x) for x in range(1 << m)], k
 
-    @pytest.mark.parametrize("m", WIDE + (16, 61))
+    @pytest.mark.parametrize("m", TABLED_WIDE)
     def test_random_wide(self, m):
         f = field(m)
         for k, x in edge_and_random(m, count=12):
@@ -130,7 +135,7 @@ class TestMulBy:
         assert [times_k(x) for x in xs] == [times_k(x) for x in xs]
         assert [times_k(x) for x in xs] == [f.mul(x, times_k(1)) for x in xs]
 
-    @pytest.mark.parametrize("m", [1, 8, 13, 128])
+    @pytest.mark.parametrize("m", [1, 8] + TABLED_WIDE)
     def test_out_of_range_rejected_like_mul(self, m):
         f = field(m)
         for bad in (-1, 1 << m, 1 << (m + 9)):
@@ -291,14 +296,22 @@ class TestLogTables:
         assert f._clmul_mask == f._mask == 511
         assert f.mul(0x1FF, 0x155) == naive_mul(0x1FF, 0x155, 9, f.poly)
         assert calls == [(0x1FF, 0x155)]
-        # mul_by(k) is mul with k bound
-        muls = []
-        mul = FieldCtx.mul
+        # mul_by(k) builds the windows of k*x^4 and of k once; each product
+        # walks x against them, through neither clmul nor mul
+        built, muls = [], []
+        windows, mul = gf2._windows, FieldCtx.mul
+        monkeypatch.setattr(gf2, "_windows", lambda a: built.append(a)
+                            or windows(a))
         monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b:
                             muls.append((ctx.m, a, b)) or mul(ctx, a, b))
-        assert f.mul_by(0x1FF)(0x155) == naive_mul(0x1FF, 0x155, 9, f.poly)
-        assert muls == [(9, 0x1FF, 0x155)]
-        assert calls == [(0x1FF, 0x155)] * 2
+        times_k = f.mul_by(0x1FF)
+        assert built == [0x1FF << 4, 0x1FF]
+        xs = (0, 1, 0x155, 0x1FF)
+        assert [times_k(x) for x in xs] == \
+            [naive_mul(0x1FF, x, 9, f.poly) for x in xs]
+        assert built == [0x1FF << 4, 0x1FF]
+        assert muls == []
+        assert calls == [(0x1FF, 0x155)]
         assert "_log_tables" not in vars(f)
         small = FieldCtx(8)
         small.mul(3, 7)

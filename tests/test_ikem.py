@@ -472,10 +472,16 @@ class TestReconHash:
             2.0 ** -10, 0, 1, nu=0.0, t=527, ell=512)
         assert (params.w, piece_count(params.w, 553)) == (1080, 2)
         inst = gen(params, random.Random(6))
+        # products counted across mul and every mul_by map's calls
         widths = []
-        mul = FieldCtx.mul
+        mul, mul_by = FieldCtx.mul, FieldCtx.mul_by
+
+        def counted_mul_by(ctx, k):
+            times_k = mul_by(ctx, k)
+            return lambda x: widths.append(ctx.m) or times_k(x)
         monkeypatch.setattr(FieldCtx, "mul", lambda ctx, a, b:
                             widths.append(ctx.m) or mul(ctx, a, b))
+        monkeypatch.setattr(FieldCtx, "mul_by", counted_mul_by)
         encap(params, inst.x, random.Random(7))
         assert sorted(widths) == [527] * 2 + [553] * 4 + [1080]
 
